@@ -10,9 +10,10 @@
 // over its executor count — shards run concurrently) plus the serialized
 // cross-shard merge time; QPS = queries / makespan. The single-device
 // number uses the same formula with one shard and no merge, matching
-// bench_serve_throughput's balanced-fleet discipline. Results land in
-// BENCH_PR7.json section "serve_sharded"; CI gates on cross-shard parity
-// and the 2-shard gain.
+// bench_serve_throughput's balanced-fleet discipline. Every deployment's
+// answers are compared bit for bit with the CPU reference oracle
+// (topk::reference_topk). Results land in BENCH_PR7.json section
+// "serve_sharded"; CI gates on that parity and the 2-shard gain.
 #include "common.hpp"
 #include "serve/sharded.hpp"
 
@@ -21,7 +22,7 @@ using namespace drtopk;
 namespace {
 
 /// The benchmark's query mix: a handful of distinct-k queries per round.
-/// Distinct ks keep the dedup layer from collapsing the round, and a SMALL
+/// Distinct ks give every query its own stage-3 entry, and a SMALL
 /// round keeps each query's cost dominated by its share of the corpus-
 /// proportional construction scan — the regime data sharding targets. The
 /// opposite regime (many tiny queries, per-query launch overhead bound) is
@@ -40,6 +41,27 @@ struct DeployRun {
   u64 unattributed = 0;
   std::vector<std::vector<u64>> values;  ///< measured answers, parity input
 };
+
+/// The CPU reference oracle's answer for each k: one reference_topk pass
+/// at the largest k serves them all, since every shorter top-k list is a
+/// prefix of a longer one.
+std::vector<std::vector<u64>> oracle_answers(std::span<const u32> corpus,
+                                             const std::vector<u64>& ks) {
+  const u64 kmax = *std::max_element(ks.begin(), ks.end());
+  const std::vector<u32> top = topk::reference_topk(corpus, kmax);
+  std::vector<std::vector<u64>> out;
+  for (u64 k : ks) out.emplace_back(top.begin(), top.begin() + k);
+  return out;
+}
+
+/// Parity: every measured answer (rounds x ks, in submission order) is
+/// bit-identical to the oracle's answer for its k.
+bool matches_oracle(const DeployRun& d,
+                    const std::vector<std::vector<u64>>& expect) {
+  for (size_t i = 0; i < d.values.size(); ++i)
+    if (d.values[i] != expect[i % expect.size()]) return false;
+  return !d.values.empty();
+}
 
 /// Per-shard balanced-fleet time: summed per-query sim work over the
 /// executor count (deterministic, unlike the raw scheduling-dependent
@@ -164,28 +186,22 @@ int main(int argc, char** argv) {
   const std::vector<u64> ks = query_ks();
   const int rounds = 3;
 
-  // PR-7 configuration: group-wide batched stage 3 off, so the committed
-  // scan-bound baselines keep gating CI unchanged. The PR-8 launch-bound
-  // section below owns the batched_concat axis.
-  serve::ServerConfig pr7;
-  pr7.batched_concat = false;
+  const serve::ServerConfig shard_cfg;
+  const DeployRun single = run_single(corpus, ks, rounds, shard_cfg);
+  const DeployRun two = run_sharded(2, corpus, ks, rounds, shard_cfg);
+  const DeployRun four = run_sharded(4, corpus, ks, rounds, shard_cfg);
 
-  const DeployRun single = run_single(corpus, ks, rounds, pr7);
-  const DeployRun two = run_sharded(2, corpus, ks, rounds, pr7);
-  const DeployRun four = run_sharded(4, corpus, ks, rounds, pr7);
-
-  auto parity = [&](const DeployRun& d) {
-    return d.values == single.values;
-  };
-  const bool parity2 = parity(two);
-  const bool parity4 = parity(four);
+  const auto expect = oracle_answers(corpus, ks);
+  const bool parity1 = matches_oracle(single, expect);
+  const bool parity2 = matches_oracle(two, expect);
+  const bool parity4 = matches_oracle(four, expect);
   const double gain2 = two.qps / single.qps;
   const double gain4 = four.qps / single.qps;
 
   std::printf("%-14s %10s %12s %12s %10s %8s\n", "deployment", "qps",
               "makespan", "merge_ms", "gain", "parity");
   std::printf("%-14s %10.1f %12.3f %12.3f %10s %8s\n", "single", single.qps,
-              single.makespan_ms, 0.0, "1.00x", "-");
+              single.makespan_ms, 0.0, "1.00x", parity1 ? "ok" : "FAIL");
   std::printf("%-14s %10.1f %12.3f %12.3f %9.2fx %8s\n", "2-shard", two.qps,
               two.makespan_ms, two.merge_ms, gain2, parity2 ? "ok" : "FAIL");
   std::printf("%-14s %10.1f %12.3f %12.3f %9.2fx %8s\n", "4-shard", four.qps,
@@ -215,58 +231,42 @@ int main(int argc, char** argv) {
   bench::write_json_section(path, "serve_sharded", report);
 
   // ------------------------------------------------------------------
-  // PR 8a: the launch-bound regime. Many small-k queries on a corpus
-  // sized so the per-group scan is only a few launch overheads: with the
-  // per-query stage 3 (PR-7 path) every shard pays the same ~2 launches
-  // per member the single device does, so sharding recovers almost
-  // nothing (gain ~1x). With batched_concat the per-group launch cost
-  // collapses to one classify/concat pair and the corpus scan dominates
-  // again — the 4-shard gain comes back. The corpus size is FIXED
-  // (independent of --logn) so the committed BENCH_PR8.json and the CI
-  // re-run measure the same point.
+  // The launch-bound regime. Many small-k queries on a corpus sized so
+  // the per-group scan is only a few launch overheads: the group-wide
+  // batched stage 3 collapses each group's launch cost to one
+  // classify/concat pair, so the corpus scan dominates again and the
+  // 4-shard gain comes back. The corpus size is FIXED (independent of
+  // --logn) so the committed BENCH_PR8.json and the CI re-run measure the
+  // same point.
   // ------------------------------------------------------------------
   const u64 lb_n = u64{3} << 22;  // ~12.6M: per-group scan ~ 8 launches
   auto lbv = data::generate(lb_n, data::Distribution::kUniform, args.seed + 7);
   std::span<const u32> lb_corpus(lbv.data(), lbv.size());
   // 4 admission groups of 16 distinct small ks per round: launch overhead
-  // per round is ~4x what one group pays, merge cost amortizes across the
-  // round, and dedup stays out of the way.
+  // per round is ~4x what one group pays and merge cost amortizes across
+  // the round.
   std::vector<u64> lb_ks;
   for (u64 i = 0; i < 64; ++i) lb_ks.push_back(32 * ((i % 16) + 1));
 
-  serve::ServerConfig lb_on;
-  lb_on.batched_concat = true;
-  serve::ServerConfig lb_off = lb_on;
-  lb_off.batched_concat = false;
+  const DeployRun lb_single = run_single(lb_corpus, lb_ks, rounds, shard_cfg);
+  const DeployRun lb_four = run_sharded(4, lb_corpus, lb_ks, rounds, shard_cfg);
 
-  const DeployRun sgl_on = run_single(lb_corpus, lb_ks, rounds, lb_on);
-  const DeployRun shd_on = run_sharded(4, lb_corpus, lb_ks, rounds, lb_on);
-  const DeployRun sgl_off = run_single(lb_corpus, lb_ks, rounds, lb_off);
-  const DeployRun shd_off = run_sharded(4, lb_corpus, lb_ks, rounds, lb_off);
-
-  const double lb_gain_on = shd_on.qps / sgl_on.qps;
-  const double lb_gain_off = shd_off.qps / sgl_off.qps;
-  const bool lb_parity = shd_on.values == sgl_on.values &&
-                         shd_off.values == sgl_off.values &&
-                         sgl_on.values == sgl_off.values;
-  const double lpq_sgl_on =
-      static_cast<double>(sgl_on.launches) / static_cast<double>(sgl_on.served);
-  const double lpq_sgl_off = static_cast<double>(sgl_off.launches) /
-                             static_cast<double>(sgl_off.served);
+  const double lb_gain4 = lb_four.qps / lb_single.qps;
+  const auto lb_expect = oracle_answers(lb_corpus, lb_ks);
+  const bool lb_parity = matches_oracle(lb_single, lb_expect) &&
+                         matches_oracle(lb_four, lb_expect);
+  const double lb_lpq_single = static_cast<double>(lb_single.launches) /
+                               static_cast<double>(lb_single.served);
 
   std::printf("\nlaunch-bound (n=%llu, %zu queries/round):\n",
               static_cast<unsigned long long>(lb_n), lb_ks.size());
-  std::printf("%-22s %10s %10s %10s %8s\n", "config", "single", "4-shard",
-              "gain", "parity");
-  std::printf("%-22s %10.1f %10.1f %9.2fx %8s\n", "batched_concat=off",
-              sgl_off.qps, shd_off.qps, lb_gain_off, lb_parity ? "ok" : "FAIL");
-  std::printf("%-22s %10.1f %10.1f %9.2fx %8s\n", "batched_concat=on",
-              sgl_on.qps, shd_on.qps, lb_gain_on, lb_parity ? "ok" : "FAIL");
-  std::printf("single-device launches/query: off=%.2f on=%.2f\n", lpq_sgl_off,
-              lpq_sgl_on);
+  std::printf("%10s %10s %10s %8s\n", "single", "4-shard", "gain", "parity");
+  std::printf("%10.1f %10.1f %9.2fx %8s\n", lb_single.qps, lb_four.qps,
+              lb_gain4, lb_parity ? "ok" : "FAIL");
+  std::printf("single-device launches/query: %.2f\n", lb_lpq_single);
 
   // ------------------------------------------------------------------
-  // PR 8b: shard-aware plan sharing. The SAME data registered as four
+  // Shard-aware plan sharing. The SAME data registered as four
   // single-shard corpora lands round-robin on four different shards; only
   // the first shard to serve the shape runs the calibration probe set —
   // drain()'s share_plans() publishes its plan, and the other N-1 shards
@@ -275,7 +275,6 @@ int main(int argc, char** argv) {
   serve::ShardedConfig pscfg;
   pscfg.num_shards = 4;
   pscfg.min_shard_elems = u64{1} << 30;  // keep each corpus on ONE shard
-  pscfg.shard = lb_on;
   serve::ShardedTopkServer psrv(pscfg);
   auto psdata =
       data::generate(u64{1} << 16, data::Distribution::kUniform, args.seed + 9);
@@ -301,25 +300,21 @@ int main(int argc, char** argv) {
   r8.set("lb_n", lb_n)
       .set("lb_queries_per_round", static_cast<u64>(lb_ks.size()))
       .set("rounds", static_cast<u64>(rounds))
-      .set("lb_qps_single_batched", sgl_on.qps)
-      .set("lb_qps_4shard_batched", shd_on.qps)
-      .set("lb_qps_single_off", sgl_off.qps)
-      .set("lb_qps_4shard_off", shd_off.qps)
-      .set("lb_gain_4shard_batched", lb_gain_on)
-      .set("lb_gain_4shard_off", lb_gain_off)
-      .set("lb_lpq_single_batched", lpq_sgl_on)
-      .set("lb_lpq_single_off", lpq_sgl_off)
+      .set("lb_qps_single_batched", lb_single.qps)
+      .set("lb_qps_4shard_batched", lb_four.qps)
+      .set("lb_gain_4shard_batched", lb_gain4)
+      .set("lb_lpq_single_batched", lb_lpq_single)
       .set("lb_parity", lb_parity)
       .set("plan_shards", static_cast<u64>(pscfg.num_shards))
       .set("plan_publishes", psst.plan_publishes)
       .set("plan_probes_skipped", psst.plan_probes_skipped)
       .set("plan_skip_ratio", skip_ratio)
       .set("unattributed_launches",
-           sgl_on.unattributed + shd_on.unattributed + sgl_off.unattributed +
-               shd_off.unattributed + psrv.unattributed_launches());
+           lb_single.unattributed + lb_four.unattributed +
+               psrv.unattributed_launches());
   bench::write_json_section(json8, "serve_sharded_batched", r8);
 
-  if (!parity2 || !parity4 || !lb_parity) {
+  if (!parity1 || !parity2 || !parity4 || !lb_parity) {
     std::printf("PARITY FAILURE\n");
     return 1;
   }

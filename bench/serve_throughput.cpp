@@ -1,9 +1,10 @@
 // Serving throughput: the batched TopkServer (admission groups sharing one
 // delegate-construction pass, plan cache warm, zero-allocation workspaces)
-// against (a) a sequential loop of single-query dr_topk calls and (b) the
-// PR-1 baseline server configuration — three-pass stage 3, multi-pass radix
-// for the small stages — so the perf trajectory of the hot-path work is
-// measured, not assumed.
+// against a sequential loop of single-query dr_topk calls, plus the
+// group-wide batched stage-3 launch count, the observability gates and the
+// fidelity recall-vs-speedup curve. Every exactness check compares the
+// server's answers bit for bit with the CPU reference oracle
+// (topk::reference_topk).
 //
 // Throughput is in simulated-GPU terms: the sequential loop's aggregate is
 // Q / sum(per-query sim time); a server's is Q / makespan, where makespan
@@ -51,8 +52,8 @@ struct ServerRun {
   u64 launches = 0;         ///< device kernel launches, measured rounds only
   double launches_per_query = 0;
   u64 finalize_launches = 0;  ///< batched second-top-k launches
-  // Per-stage launch attribution (ROADMAP item 1): the aggregate launch
-  // counter above, split by pipeline stage so a regression names its stage.
+  // Per-stage launch attribution: the aggregate launch counter above,
+  // split by pipeline stage so a regression names its stage.
   u64 construct_launches = 0;
   u64 first_launches = 0;
   u64 concat_launches = 0;   ///< stage-3 classify/concat (ServerStats field)
@@ -60,10 +61,6 @@ struct ServerRun {
   u64 relax_guard_trips = 0;
   u64 relax_guard_skips = 0;  ///< guard trips a recall target waved off
   u64 approx_queries = 0;     ///< queries run under a recall target
-  u64 deduped = 0;            ///< queries served from a shared phase A
-  u64 dedup_classes = 0;      ///< query classes that shared
-  u64 window_flushes = 0;     ///< cross-group staging flushes
-  u64 window_merged_groups = 0;  ///< groups that shared a flush
 };
 
 /// Warm (calibration + arena growth across every executor) then measure
@@ -96,8 +93,8 @@ ServerRun measure_server(serve::TopkServer& server, vgpu::Device& dev,
   // work divided by the executor count — because per-query simulated costs
   // are deterministic while the raw makespan depends on which executor the
   // scheduler happened to hand each query. This keeps the tracked numbers
-  // (and gain_vs_pr1 in particular) reproducible run to run; the raw
-  // makespan delta is reported alongside for reference.
+  // reproducible run to run; the raw makespan delta is reported alongside
+  // for reference.
   out.sim_ms = (after.total_sim_ms - warm.total_sim_ms) /
                static_cast<double>(cfg.executors);
   out.makespan_ms = after.makespan_sim_ms - warm.makespan_sim_ms;
@@ -131,11 +128,6 @@ ServerRun measure_server(serve::TopkServer& server, vgpu::Device& dev,
   out.relax_guard_trips = after.relax_guard_trips - warm.relax_guard_trips;
   out.relax_guard_skips = after.relax_guard_skips - warm.relax_guard_skips;
   out.approx_queries = after.approx_queries - warm.approx_queries;
-  out.deduped = after.deduped_queries - warm.deduped_queries;
-  out.dedup_classes = after.dedup_classes - warm.dedup_classes;
-  out.window_flushes = after.window_flushes - warm.window_flushes;
-  out.window_merged_groups =
-      after.window_merged_groups - warm.window_merged_groups;
   return out;
 }
 
@@ -146,20 +138,34 @@ ServerRun run_server(vgpu::Device& dev, const serve::ServerConfig& cfg,
   return measure_server(server, dev, qs, rounds);
 }
 
-/// Exactness cross-check: the batched and per-query servers must answer a
-/// shared workload bit-identically.
-bool check_parity(vgpu::Device& dev, serve::ServerConfig cfg,
+/// The CPU oracle for one query: topk::reference_topk under the query's
+/// criterion (the smallest k are the largest k of the complement), cut to
+/// the k-th value for a selection-only query.
+std::vector<u64> oracle(const serve::Query& q) {
+  std::vector<u64> v = q.width() == serve::KeyWidth::k64
+                           ? std::vector<u64>(q.data64().begin(),
+                                              q.data64().end())
+                           : std::vector<u64>(q.data32().begin(),
+                                              q.data32().end());
+  const bool smallest = q.criterion == data::Criterion::kSmallest;
+  if (smallest)
+    for (u64& x : v) x = ~x;
+  std::vector<u64> top = topk::reference_topk(std::span<const u64>(v), q.k);
+  if (smallest)
+    for (u64& x : top) x = ~x;
+  if (q.selection_only) top.erase(top.begin(), top.end() - 1);
+  return top;
+}
+
+/// Exactness cross-check: a server built from `cfg` must answer a shared
+/// workload bit-identically to the CPU reference oracle.
+bool check_parity(vgpu::Device& dev, const serve::ServerConfig& cfg,
                   const std::vector<serve::Query>& qs) {
-  cfg.batched_select = true;
-  serve::TopkServer batched(dev, cfg);
-  auto br = batched.run_batch(qs);
-  cfg.batched_select = false;
-  cfg.dedup = false;
-  cfg.finalize_window_us = 0;
-  serve::TopkServer per(dev, cfg);
-  auto pr = per.run_batch(qs);
+  serve::TopkServer server(dev, cfg);
+  const auto res = server.run_batch(qs);
   for (size_t i = 0; i < qs.size(); ++i) {
-    if (br[i].values != pr[i].values || br[i].kth != pr[i].kth) return false;
+    const std::vector<u64> expect = oracle(qs[i]);
+    if (res[i].values != expect || res[i].kth != expect.back()) return false;
   }
   return true;
 }
@@ -200,29 +206,18 @@ bool parse_list(const char* p, const char* flag, F&& push) {
 
 int main(int argc, char** argv) {
   // Bench-specific flags (parsed before the shared Args so --help shows
-  // them too): --group-size=a,b,c selects the admission-group sizes of the
-  // batched sweep (PR 3); --json3= redirects its report. Malformed group
-  // sizes are an error, not a silent reinterpretation — the CI gate keys
-  // off specific sizes being present.
-  std::vector<u64> group_sizes = {1, 4, 16, 64};
-  std::string json3 = "BENCH_PR3.json";
-  std::string json5 = "BENCH_PR5.json";
+  // them too).
   std::string json6 = "BENCH_PR6.json";
   std::string json8 = "BENCH_PR8.json";
   std::string json9 = "BENCH_PR9.json";
   std::string trace_path, prom_path;
   bool breakdown = false;
-  std::vector<double> dup_rates = {0.0, 0.25, 0.5};
-  std::vector<u64> window_list = {0, 20000};
   std::vector<double> recall_targets = {0.8, 0.9, 0.99};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::printf("serve_throughput extras: [--group-size=A,B,...]"
-                  " [--json3=PATH] [--json5=PATH] [--json6=PATH]"
-                  " [--json8=PATH] [--json9=PATH] [--dup-rate=R,R,...]"
-                  " [--finalize-window-us=W,W,...]"
-                  " [--recall-target=R,R,...]"
+      std::printf("serve_throughput extras: [--json6=PATH] [--json8=PATH]"
+                  " [--json9=PATH] [--recall-target=R,R,...]"
                   " [--trace=PATH] [--prom=PATH] [--breakdown]\n");
     } else if (arg.rfind("--json9=", 0) == 0) {
       json9 = arg.substr(8);
@@ -249,62 +244,12 @@ int main(int argc, char** argv) {
       breakdown = true;
     } else if (arg.rfind("--json6=", 0) == 0) {
       json6 = arg.substr(8);
-    } else if (arg.rfind("--dup-rate=", 0) == 0) {
-      dup_rates.clear();
-      bool in_range = true;
-      if (!parse_list(arg.c_str() + 11, "--dup-rate", [&](double v) {
-            in_range = in_range && v <= 1.0;
-            dup_rates.push_back(v);
-          }))
-        return 2;
-      if (dup_rates.empty() || !in_range) {
-        std::fprintf(stderr, "--dup-rate wants one or more rates in"
-                             " [0, 1]\n");
-        return 2;
-      }
-    } else if (arg.rfind("--finalize-window-us=", 0) == 0) {
-      window_list.clear();
-      if (!parse_list(arg.c_str() + 21, "--finalize-window-us", [&](double v) {
-            window_list.push_back(static_cast<u64>(v));
-          }))
-        return 2;
-      if (window_list.empty()) {
-        std::fprintf(stderr, "--finalize-window-us needs at least one"
-                             " window\n");
-        return 2;
-      }
-    } else if (arg.rfind("--json5=", 0) == 0) {
-      json5 = arg.substr(8);
-    } else if (arg.rfind("--group-size=", 0) == 0) {
-      group_sizes.clear();
-      const char* p = arg.c_str() + 13;
-      while (*p) {
-        char* end = nullptr;
-        const u64 g = std::strtoull(p, &end, 10);
-        if (end == p || (*end != ',' && *end != '\0') || g == 0 ||
-            g > 4096) {
-          std::fprintf(stderr,
-                       "invalid --group-size value in \"%s\" (want a "
-                       "comma-separated list of 1..4096)\n", arg.c_str());
-          return 2;
-        }
-        group_sizes.push_back(g);
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (group_sizes.empty()) {
-        std::fprintf(stderr, "--group-size needs at least one size\n");
-        return 2;
-      }
-    } else if (arg.rfind("--json3=", 0) == 0) {
-      json3 = arg.substr(8);
     }
   }
   auto args = bench::Args::parse(argc, argv);
   args.default_logn(20);
   if (args.json.empty()) args.json = "BENCH_PR2.json";
-  bench::print_title("Serving",
-                     "batched TopkServer vs sequential loop vs PR-1 baseline",
-                     args);
+  bench::print_title("Serving", "batched TopkServer vs sequential loop", args);
   const u64 n = args.n();
   const u64 queries_per_shape = args.full ? 256 : 64;
   const int rounds = args.full ? 4 : 2;
@@ -355,12 +300,10 @@ int main(int argc, char** argv) {
     shapes.push_back(std::move(s));
   }
 
-  std::printf("%-14s %5s | %10s %10s %8s | %10s %8s | %9s %8s | %6s\n",
-              "workload", "Q", "seq QPS", "srv QPS", "vs seq", "PR1 QPS",
-              "vs PR1", "atomics", "at.red.", "grow");
+  std::printf("%-14s %5s | %10s %10s %8s | %9s | %6s\n", "workload", "Q",
+              "seq QPS", "srv QPS", "vs seq", "atomics", "grow");
 
   bench::Json rows = bench::Json::array();
-  double worst_gain = 1e9, best_gain = 0, worst_at = 1e9;
   u64 steady_growths = 0;
   for (auto& shape : shapes) {
     vgpu::Device dev(vgpu::GpuProfile::v100s());
@@ -372,28 +315,13 @@ int main(int argc, char** argv) {
     cfg.executors = 4;
     cfg.batch_max = 16;
     const ServerRun now = run_server(dev, cfg, shape.queries, rounds);
-
-    serve::ServerConfig pr1_cfg = cfg;  // the PR-1 hot path, measurable
-    pr1_cfg.base.fused_concat = false;
-    pr1_cfg.base.small_input_shared = false;
-    pr1_cfg.batched_select = false;
-    vgpu::Device pr1_dev(vgpu::GpuProfile::v100s());
-    const ServerRun pr1 = run_server(pr1_dev, pr1_cfg, shape.queries, rounds);
-
-    const double gain = now.qps / pr1.qps;
-    const double at_red = static_cast<double>(pr1.stage3_atomics) /
-                          static_cast<double>(std::max<u64>(1, now.stage3_atomics));
-    worst_gain = std::min(worst_gain, gain);
-    best_gain = std::max(best_gain, gain);
-    worst_at = std::min(worst_at, at_red);
     steady_growths += now.ws_growths_steady;
 
-    std::printf("%-14s %5llu | %10.1f %10.1f %7.2fx | %10.1f %7.2fx |"
-                " %9llu %7.1fx | %6llu\n",
+    std::printf("%-14s %5llu | %10.1f %10.1f %7.2fx | %9llu | %6llu\n",
                 shape.name.c_str(),
                 static_cast<unsigned long long>(shape.queries.size()),
-                seq_qps, now.qps, now.qps / seq_qps, pr1.qps, gain,
-                static_cast<unsigned long long>(now.stage3_atomics), at_red,
+                seq_qps, now.qps, now.qps / seq_qps,
+                static_cast<unsigned long long>(now.stage3_atomics),
                 static_cast<unsigned long long>(now.ws_growths_steady));
 
     bench::Json row = bench::Json::object();
@@ -405,14 +333,8 @@ int main(int argc, char** argv) {
         .set("srv_makespan_ms", now.makespan_ms)
         .set("srv_qps", now.qps)
         .set("speedup_vs_seq", now.qps / seq_qps)
-        .set("pr1_srv_sim_ms", pr1.sim_ms)
-        .set("pr1_srv_qps", pr1.qps)
-        .set("gain_vs_pr1", gain)
         .set("concat_ms", now.concat_ms)
-        .set("pr1_concat_ms", pr1.concat_ms)
         .set("stage3_atomics", now.stage3_atomics)
-        .set("pr1_stage3_atomics", pr1.stage3_atomics)
-        .set("stage3_atomic_reduction", at_red)
         .set("lifetime_p50_sim_ms", now.p50)
         .set("lifetime_p99_sim_ms", now.p99)
         .set("plan_hit_pct", now.hit_pct)
@@ -430,280 +352,29 @@ int main(int argc, char** argv) {
       .set("rounds", rounds)
       .set("executors", 4)
       .set("shapes", std::move(rows))
-      .set("min_gain_vs_pr1", worst_gain)
-      .set("max_gain_vs_pr1", best_gain)
-      .set("min_stage3_atomic_reduction", worst_at)
       .set("steady_state_ws_growths_total", steady_growths);
   bench::write_json_section(args.json, "serve_throughput", report);
 
   std::printf("\nvs seq: construction amortized per admission group,"
-              " executors overlap, plans replay.\nvs PR1: fused single-pass"
-              " stage 3 + single-launch small-stage top-k + zero-allocation"
-              "\nworkspaces against the previous three-pass, multi-launch"
-              " hot path.\n");
+              " executors overlap, plans replay.\n");
 
   // ------------------------------------------------------------------
-  // PR 3: batched second-stage selection vs the PR-2 per-query hot path,
-  // swept over admission-group sizes. Tracked quantities: QPS gain and
-  // kernel launches per query (the batched path collapses each group's
-  // first/second top-k into one launch apiece).
+  // Group-wide batched stage 3. 4 admission groups of gsz distinct-k
+  // queries per round on one corpus, under a cross-group finalization
+  // window. With one classify/concat launch pair per group resolved at
+  // setup, member queries launch nothing, so launches/group is
+  // ~construct + kappa + classify + concat (+ the shared finalize)
+  // REGARDLESS of group size. CI gate: lpq <= 1.284 at every swept group
+  // size (launch counts do not depend on host speed).
   // ------------------------------------------------------------------
-  std::printf("\n%-6s %5s | %9s %9s %7s | %8s %8s | %7s %6s\n",
-              "group", "Q", "batch QPS", "perq QPS", "gain", "batch lpq",
-              "perq lpq", "finlch", "parity");
-
-  bench::Json brows = bench::Json::array();
-  double gain_at_16 = 0, min_gain_ge_16 = 1e9;
-  double lpq_at_16 = 0, lpq_at_64 = 0;
-  bool have_16 = false, have_64 = false, have_ge_16 = false;
-  bool parity_all = true;
-  for (const u64 gsz : group_sizes) {
-    // One corpus, mixed-k queries, group size == admission batch: the
-    // steady-state serving shape the batched finalization targets.
-    std::vector<serve::Query> qs;
-    for (u64 i = 0; i < gsz; ++i)
-      qs.push_back(serve::Query::view(span_of(doc), u64{256} << (i % 3)));
-
-    serve::ServerConfig cfg;
-    cfg.executors = 4;
-    cfg.batch_max = static_cast<u32>(std::min<u64>(gsz, 256));
-    cfg.max_in_flight = std::max<u32>(64, cfg.batch_max);
-    // This sweep measures the PR-3 configuration (its committed
-    // BENCH_PR3.json baseline gates CI): Phase-A dedup, cross-group
-    // windows and the group-wide batched stage 3 stay off here — the PR-5
-    // and PR-8 sweeps below own those axes.
-    cfg.dedup = false;
-    cfg.finalize_window_us = 0;
-    cfg.batched_concat = false;
-    const int grounds = std::max(2, static_cast<int>(32 / gsz));
-
-    vgpu::Device bdev(vgpu::GpuProfile::v100s());
-    const ServerRun batched = run_server(bdev, cfg, qs, grounds);
-
-    serve::ServerConfig pq_cfg = cfg;
-    pq_cfg.batched_select = false;
-    vgpu::Device pdev(vgpu::GpuProfile::v100s());
-    const ServerRun perq = run_server(pdev, pq_cfg, qs, grounds);
-
-    vgpu::Device cdev(vgpu::GpuProfile::v100s());
-    const bool parity = check_parity(cdev, cfg, qs);
-    parity_all = parity_all && parity;
-
-    const double gain = batched.qps / perq.qps;
-    if (gsz == 16) {
-      gain_at_16 = gain;
-      lpq_at_16 = batched.launches_per_query;
-      have_16 = true;
-    }
-    if (gsz == 64) {
-      lpq_at_64 = batched.launches_per_query;
-      have_64 = true;
-    }
-    if (gsz >= 16) {
-      min_gain_ge_16 = std::min(min_gain_ge_16, gain);
-      have_ge_16 = true;
-    }
-
-    std::printf("%-6llu %5llu | %9.1f %9.1f %6.2fx | %8.2f %8.2f | %7llu %6s\n",
-                static_cast<unsigned long long>(gsz),
-                static_cast<unsigned long long>(batched.served),
-                batched.qps, perq.qps, gain, batched.launches_per_query,
-                perq.launches_per_query,
-                static_cast<unsigned long long>(batched.finalize_launches),
-                parity ? "ok" : "FAIL");
-
-    bench::Json row = bench::Json::object();
-    row.set("group_size", gsz)
-        .set("queries", batched.served)
-        .set("batched_qps", batched.qps)
-        .set("perquery_qps", perq.qps)
-        .set("gain_vs_perquery", gain)
-        .set("batched_launches_per_query", batched.launches_per_query)
-        .set("perquery_launches_per_query", perq.launches_per_query)
-        .set("batched_sim_ms", batched.sim_ms)
-        .set("perquery_sim_ms", perq.sim_ms)
-        .set("finalize_launches", batched.finalize_launches)
-        .set("batched_p99_sim_ms", batched.p99)
-        .set("perquery_p99_sim_ms", perq.p99)
-        .set("steady_ws_growths", batched.ws_growths_steady)
-        .set("parity", parity);
-    brows.push(std::move(row));
-  }
-
-  // Headline fields are emitted ONLY when their group size was actually
-  // swept — the CI regression gate treats their absence as a failure, so a
-  // narrowed sweep can neither pass vacuously nor poison the committed
-  // baseline with sentinel values.
-  bench::Json breport = bench::Json::object();
-  breport.set("bench", "serve_batched")
-      .set("logn", args.logn)
-      .set("seed", args.seed)
-      .set("executors", 4);
-  if (have_16) breport.set("gain_at_group_16", gain_at_16);
-  if (have_ge_16) breport.set("min_gain_vs_perquery_ge_16", min_gain_ge_16);
-  if (have_16) breport.set("batched_launches_per_query_at_16", lpq_at_16);
-  if (have_64) breport.set("batched_launches_per_query_at_64", lpq_at_64);
-  breport.set("parity", parity_all).set("rows", std::move(brows));
-  bench::write_json_section(json3, "serve_batched", breport);
-
-  std::printf("\nbatched: one first-top-k launch at setup + one second-top-k"
-              " launch at finalization per\nadmission group (topk/batched.hpp)"
-              " against the PR-2 per-query stage-2/stage-4 launches.\n");
-
-  // ------------------------------------------------------------------
-  // PR 5: Phase-A dedup + cross-group finalization windows, swept over the
-  // duplicate-query rate and the window. Workload: 4 admission groups of
-  // 16 per round on one corpus; a dup rate R makes ceil(16*R) of each
-  // group's queries duplicates of earlier members. Tracked: launches per
-  // query (dedup removes the duplicates' stage-3 launches; the window
-  // collapses the 4 per-group finalize launches into one) and QPS vs the
-  // PR-3 configuration on the SAME workload.
-  // ------------------------------------------------------------------
-  const u64 gsz5 = 16, groups5 = 4, q5 = gsz5 * groups5;
-  std::printf("\n%-8s %9s | %9s %9s %7s | %8s %8s | %7s %7s | %6s\n",
-              "dup", "window_us", "pr5 QPS", "pr3 QPS", "gain", "pr5 lpq",
-              "pr3 lpq", "dedupq", "wflush", "parity");
-
-  bench::Json wrows = bench::Json::array();
-  double lpq_dup0_window = 0, lpq_dup25_window = 0, lpq_dup0_nowin = 0;
-  bool have_dup0 = false, have_dup25 = false, have_dup0_nowin = false;
-  bool parity5_all = true;
-  for (const double dup : dup_rates) {
-    // d distinct ks per group; queries cycle through them so a fraction
-    // ~dup of each group's members duplicates an earlier one.
-    const u64 d = std::max<u64>(
-        1, gsz5 - static_cast<u64>(dup * static_cast<double>(gsz5)));
-    std::vector<serve::Query> qs;
-    for (u64 i = 0; i < q5; ++i)
-      qs.push_back(serve::Query::view(span_of(doc), 32 * ((i % d) + 1)));
-
-    // One parity run per dup rate, at the largest swept window: the full
-    // PR-5 path (dedup + window) against the per-query baseline.
-    serve::ServerConfig pcfg;
-    pcfg.executors = 4;
-    pcfg.batch_max = static_cast<u32>(gsz5);
-    pcfg.max_in_flight = static_cast<u32>(q5);
-    pcfg.finalize_window_us =
-        static_cast<u32>(*std::max_element(window_list.begin(),
-                                           window_list.end()));
-    pcfg.finalize_max_segments = static_cast<u32>(groups5 * d);
-    pcfg.batched_concat = false;
-    vgpu::Device parity_dev(vgpu::GpuProfile::v100s());
-    const bool parity = check_parity(parity_dev, pcfg, qs);
-    parity5_all = parity5_all && parity;
-
-    for (const u64 window : window_list) {
-      serve::ServerConfig cfg;
-      cfg.executors = 4;
-      cfg.batch_max = static_cast<u32>(gsz5);
-      cfg.max_in_flight = static_cast<u32>(q5);
-      cfg.dedup = true;
-      cfg.finalize_window_us = static_cast<u32>(window);
-      // Early-flush cap = the round's expected leader segments (groups x
-      // distinct ks): the flush fires the moment the last group parks
-      // instead of waiting out the window, keeping the sweep fast and the
-      // merge deterministic.
-      cfg.finalize_max_segments = static_cast<u32>(groups5 * d);
-      // PR-5 configuration: group-wide batched stage 3 stays off so the
-      // dedup/window effect on per-query stage-3 launches stays visible
-      // (batched stage 3 makes lpq dup-insensitive; the PR-8 sweep below
-      // owns that axis) and the committed lpq_* baselines keep gating CI.
-      cfg.batched_concat = false;
-      vgpu::Device wdev(vgpu::GpuProfile::v100s());
-      const ServerRun pr5 = run_server(wdev, cfg, qs, 2);
-
-      serve::ServerConfig p3cfg = cfg;  // PR-3 configuration, same workload
-      p3cfg.dedup = false;
-      p3cfg.finalize_window_us = 0;
-      vgpu::Device p3dev(vgpu::GpuProfile::v100s());
-      const ServerRun pr3r = run_server(p3dev, p3cfg, qs, 2);
-
-      const double gain = pr5.qps / pr3r.qps;
-      if (window > 0 && dup == 0.0) {
-        lpq_dup0_window = pr5.launches_per_query;
-        have_dup0 = true;
-      }
-      if (window > 0 && dup >= 0.2499 && dup <= 0.2501) {
-        lpq_dup25_window = pr5.launches_per_query;
-        have_dup25 = true;
-      }
-      if (window == 0 && dup == 0.0) {
-        lpq_dup0_nowin = pr5.launches_per_query;
-        have_dup0_nowin = true;
-      }
-
-      std::printf("%-8.2f %9llu | %9.1f %9.1f %6.2fx | %8.2f %8.2f |"
-                  " %7llu %7llu | %6s\n",
-                  dup, static_cast<unsigned long long>(window), pr5.qps,
-                  pr3r.qps, gain, pr5.launches_per_query,
-                  pr3r.launches_per_query,
-                  static_cast<unsigned long long>(pr5.deduped),
-                  static_cast<unsigned long long>(pr5.window_flushes),
-                  parity ? "ok" : "FAIL");
-
-      bench::Json row = bench::Json::object();
-      row.set("dup_rate", dup)
-          .set("window_us", window)
-          .set("distinct_ks", d)
-          .set("queries", pr5.served)
-          .set("pr5_qps", pr5.qps)
-          .set("pr3_qps", pr3r.qps)
-          .set("gain_vs_pr3", gain)
-          .set("pr5_launches_per_query", pr5.launches_per_query)
-          .set("pr3_launches_per_query", pr3r.launches_per_query)
-          .set("deduped_queries", pr5.deduped)
-          .set("dedup_classes", pr5.dedup_classes)
-          .set("window_flushes", pr5.window_flushes)
-          .set("window_merged_groups", pr5.window_merged_groups)
-          .set("finalize_launches", pr5.finalize_launches)
-          .set("steady_ws_growths", pr5.ws_growths_steady)
-          .set("parity", parity);
-      wrows.push(std::move(row));
-    }
-  }
-
-  // Headline fields only when their sweep point actually ran (absent keys
-  // fail the CI gate rather than passing vacuously — same discipline as
-  // the PR-3 report).
-  bench::Json wreport = bench::Json::object();
-  wreport.set("bench", "serve_dedup_window")
-      .set("logn", args.logn)
-      .set("seed", args.seed)
-      .set("executors", 4)
-      .set("group_size", gsz5)
-      .set("groups_per_round", groups5);
-  if (have_dup0) wreport.set("lpq_dup0_window", lpq_dup0_window);
-  if (have_dup25) wreport.set("lpq_dup25_window", lpq_dup25_window);
-  if (have_dup0_nowin) wreport.set("lpq_dup0_nowindow", lpq_dup0_nowin);
-  wreport.set("parity", parity5_all).set("rows", std::move(wrows));
-  bench::write_json_section(json5, "serve_dedup_window", wreport);
-
-  std::printf("\ndedup: identical (k, selection_only) queries of a group"
-              " share one phase A and one\nfinalization segment; window:"
-              " groups completing within --finalize-window-us share\nONE"
-              " batched finalization launch (cross-corpus).\n");
-
-  // ------------------------------------------------------------------
-  // PR 8: group-wide batched stage 3. Same workload shape as the PR-5
-  // dup=0 point (4 admission groups of gsz distinct-k queries per round,
-  // widest finalization window) with batched_concat ON vs OFF (OFF = the
-  // PR-7 per-query stage-3 path). With one classify/concat launch pair
-  // per group resolved at setup, member queries launch nothing, so
-  // launches/group is ~construct + kappa + classify + concat (+ the
-  // shared finalize) REGARDLESS of group size. CI gate: lpq(on) <= 0.6x
-  // the committed PR-5 lpq_dup0_window at every swept group size >= 16.
-  // ------------------------------------------------------------------
-  std::printf("\n%-5s | %9s %9s %7s | %8s %8s | %7s | %6s\n", "gsz",
-              "bc QPS", "off QPS", "gain", "bc lpq", "off lpq", "guards",
-              "parity");
+  std::printf("\n%-5s | %9s | %8s | %7s | %6s\n", "gsz", "QPS", "lpq",
+              "guards", "parity");
 
   bench::Json crows = bench::Json::array();
-  double lpq_bc_16 = 0, lpq_bc_64 = 0, lpq_off_16 = 0;
-  double gain_bc_16 = 0, gain_bc_64 = 0;
+  double lpq_bc_16 = 0, lpq_bc_64 = 0;
   bool have_bc16 = false, have_bc64 = false;
   bool parity8_all = true;
-  const u64 window8 =
-      *std::max_element(window_list.begin(), window_list.end());
+  const u64 window8 = 20000;
   for (const u64 gsz : std::vector<u64>{16, 64}) {
     const u64 groups8 = 4, q8 = gsz * groups8;
     std::vector<serve::Query> qs;
@@ -714,68 +385,42 @@ int main(int argc, char** argv) {
     cfg.executors = 4;
     cfg.batch_max = static_cast<u32>(gsz);
     cfg.max_in_flight = static_cast<u32>(q8);
-    cfg.dedup = true;
     cfg.finalize_window_us = static_cast<u32>(window8);
     cfg.finalize_max_segments = static_cast<u32>(groups8 * gsz);
-    cfg.batched_concat = true;
-
-    serve::ServerConfig off = cfg;  // PR-7 path: per-query stage 3
-    off.batched_concat = false;
 
     vgpu::Device ondev(vgpu::GpuProfile::v100s());
     const ServerRun ron = run_server(ondev, cfg, qs, 2);
-    vgpu::Device offdev(vgpu::GpuProfile::v100s());
-    const ServerRun roff = run_server(offdev, off, qs, 2);
+    vgpu::Device pdev(vgpu::GpuProfile::v100s());
+    const bool parity = check_parity(pdev, cfg, qs);
+    parity8_all = parity8_all && parity;
 
-    // Three-way parity: the batched and the per-query stage 3 are each
-    // checked against the fully per-query server, so they are also
-    // bit-identical to each other.
-    vgpu::Device pdev_on(vgpu::GpuProfile::v100s());
-    const bool par_on = check_parity(pdev_on, cfg, qs);
-    vgpu::Device pdev_off(vgpu::GpuProfile::v100s());
-    const bool par_off = check_parity(pdev_off, off, qs);
-    parity8_all = parity8_all && par_on && par_off;
-
-    const double gain = roff.qps > 0 ? ron.qps / roff.qps : 0;
     if (gsz == 16) {
       lpq_bc_16 = ron.launches_per_query;
-      lpq_off_16 = roff.launches_per_query;
-      gain_bc_16 = gain;
       have_bc16 = true;
     } else if (gsz == 64) {
       lpq_bc_64 = ron.launches_per_query;
-      gain_bc_64 = gain;
       have_bc64 = true;
     }
 
-    std::printf("%-5llu | %9.1f %9.1f %6.2fx | %8.2f %8.2f | %7llu | %6s\n",
-                static_cast<unsigned long long>(gsz), ron.qps, roff.qps,
-                gain, ron.launches_per_query, roff.launches_per_query,
+    std::printf("%-5llu | %9.1f | %8.2f | %7llu | %6s\n",
+                static_cast<unsigned long long>(gsz), ron.qps,
+                ron.launches_per_query,
                 static_cast<unsigned long long>(ron.relax_guard_trips),
-                (par_on && par_off) ? "ok" : "FAIL");
+                parity ? "ok" : "FAIL");
 
     bench::Json row = bench::Json::object();
     row.set("group_size", gsz)
         .set("queries", ron.served)
         .set("qps_batched", ron.qps)
-        .set("qps_off", roff.qps)
-        .set("gain_vs_off", gain)
         .set("lpq_batched", ron.launches_per_query)
-        .set("lpq_off", roff.launches_per_query)
         .set("relax_guard_trips", ron.relax_guard_trips)
         .set("steady_ws_growths", ron.ws_growths_steady)
-        .set("parity", par_on && par_off)
+        .set("parity", parity)
         .set("launches_batched",
              bench::launch_breakdown(ron.served, ron.construct_launches,
                                      ron.first_launches, ron.concat_launches,
                                      ron.second_launches,
-                                     ron.finalize_launches))
-        .set("launches_off",
-             bench::launch_breakdown(roff.served, roff.construct_launches,
-                                     roff.first_launches,
-                                     roff.concat_launches,
-                                     roff.second_launches,
-                                     roff.finalize_launches));
+                                     ron.finalize_launches));
     crows.push(std::move(row));
   }
 
@@ -788,25 +433,18 @@ int main(int argc, char** argv) {
       .set("executors", 4)
       .set("groups_per_round", 4)
       .set("window_us", window8);
-  if (have_bc16) {
-    creport.set("lpq_batched_concat_at_16", lpq_bc_16)
-        .set("lpq_off_at_16", lpq_off_16)
-        .set("gain_vs_off_at_16", gain_bc_16);
-  }
-  if (have_bc64) {
-    creport.set("lpq_batched_concat_at_64", lpq_bc_64)
-        .set("gain_vs_off_at_64", gain_bc_64);
-  }
+  if (have_bc16) creport.set("lpq_batched_concat_at_16", lpq_bc_16);
+  if (have_bc64) creport.set("lpq_batched_concat_at_64", lpq_bc_64);
   creport.set("parity", parity8_all).set("rows", std::move(crows));
   bench::write_json_section(json8, "serve_batched_concat", creport);
 
   std::printf("\nbatched concat: ONE classify + ONE concat launch cover every"
-              " dedup class of an\nadmission group (core/concat_batched.hpp);"
+              " distinct k of an\nadmission group (core/concat_batched.hpp);"
               " member queries reuse the precomputed\ncandidate spans and"
               " launch nothing.\n");
 
   // ------------------------------------------------------------------
-  // PR 6: observability. (a) tracing overhead: the same workload on fresh
+  // Observability. (a) tracing overhead: the same workload on fresh
   // devices, tracing off vs on — the span rings are host-side only (zero
   // simulated kernels), so the simulated-QPS ratio must stay within 3%
   // and steady-state tracing must allocate nothing (both recorded for the
@@ -814,12 +452,10 @@ int main(int argc, char** argv) {
   // tracing run, reconciled EXACTLY against the aggregate device ledger;
   // (c) artifact dumps: Chrome trace (--trace=), Prometheus (--prom=).
   // ------------------------------------------------------------------
-  // Distinct k per group member: a workload with duplicates would let the
-  // amount of work dedup collapses vary with claim timing, making the
-  // off/on QPS comparison noisy in both directions — with 16 distinct ks
-  // per group the simulated work is fully deterministic and the ratio is
-  // exactly 1.0 unless tracing itself launches kernels (the regression
-  // this section exists to catch).
+  // Distinct k per group member: with 16 distinct ks per group the
+  // simulated work is fully deterministic and the off/on ratio is exactly
+  // 1.0 unless tracing itself launches kernels (the regression this
+  // section exists to catch).
   const u64 q6 = 128;
   std::vector<serve::Query> oqs;
   for (u64 i = 0; i < q6; ++i)
@@ -938,7 +574,7 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // PR 9: exactness as a per-query policy — the recall-vs-speedup curve.
+  // Exactness as a per-query policy — the recall-vs-speedup curve.
   // The tracing section's deterministic workload shape (4 groups of 16
   // distinct-k queries, k = 64..1024) run exact once as the baseline,
   // then once per --recall-target. An approx group collapses to
@@ -969,10 +605,7 @@ int main(int argc, char** argv) {
 
   // Exact oracle per distinct k, computed once.
   std::vector<std::vector<u64>> oracle9(gsz9);
-  for (u64 j = 0; j < gsz9; ++j) {
-    const auto ref = topk::reference_topk(span_of(doc), 64 * (j + 1));
-    oracle9[j].assign(ref.begin(), ref.end());
-  }
+  for (u64 j = 0; j < gsz9; ++j) oracle9[j] = oracle(eqs[j]);
 
   std::printf("\n%-6s | %9s %9s %7s | %7s %7s | %6s | %5s\n", "rho",
               "apx QPS", "ex QPS", "gain", "recmin", "recavg", "skips",
@@ -1043,16 +676,17 @@ int main(int argc, char** argv) {
   freport.set("rows", std::move(frows));
   bench::write_json_section(json9, "serve_fidelity", freport);
 
-  std::printf("\nfidelity: exact stays bit-identical (parity %s); a recall"
-              " target rho runs beta=1\ndelegates-only construction and"
-              " skips stages 3-4 — the gain column is the\nmeasured price"
-              " of exactness.\n",
+  std::printf("\nfidelity: exact stays bit-identical to the oracle (parity"
+              " %s); a recall target rho\nruns beta=1 delegates-only"
+              " construction and skips stages 3-4 — the gain column is\nthe"
+              " measured price of exactness.\n",
               parity9 ? "ok" : "FAIL");
 
-  if (!parity9 || !recall9_ok) {
-    std::fprintf(stderr, "fidelity acceptance FAILED: parity=%d"
-                         " recall_ok=%d\n",
-                 static_cast<int>(parity9), static_cast<int>(recall9_ok));
+  if (!parity8_all || !parity9 || !recall9_ok) {
+    std::fprintf(stderr, "acceptance FAILED: batched-concat parity=%d"
+                         " fidelity parity=%d recall_ok=%d\n",
+                 static_cast<int>(parity8_all), static_cast<int>(parity9),
+                 static_cast<int>(recall9_ok));
     return 1;
   }
 

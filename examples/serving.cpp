@@ -64,14 +64,15 @@ int main() {
               100.0 * s.plan_hit_rate(),
               static_cast<unsigned long long>(s.fused_queries));
 
-  // Phase-A dedup: a burst of IDENTICAL queries (the doc-retrieval shape)
-  // forms one query class — one phase A runs, everyone else subscribes.
+  // A burst of IDENTICAL queries (the doc-retrieval shape): the group setup
+  // resolves one kappa and one candidate span for their k, and the batched
+  // finalization sorts that span once for all of them.
   std::vector<serve::Query> burst(6, serve::Query::view(cs, 100));
   (void)server.run_batch(burst);
   const auto sd = server.stats();
-  std::printf("dedup: %llu duplicate queries rode %llu query class(es)\n",
-              static_cast<unsigned long long>(sd.deduped_queries),
-              static_cast<unsigned long long>(sd.dedup_classes));
+  std::printf("dedup: %llu repeated-k queries rode another member's stage-3"
+              " entry\n",
+              static_cast<unsigned long long>(sd.deduped_queries));
 
   // Sequential baseline: the same queries, one dr_topk each.
   double seq_ms = 0;

@@ -181,9 +181,9 @@ inline int resolve_alpha(u64 n, u64 k, u32 beta, const DrTopkConfig& cfg) {
 /// until the batched launch has consumed it (the serving layer does this
 /// by holding the group, and thus its pooled-workspace lease, in the
 /// staging area until the shared launch returns). A span may also be read
-/// by MORE than one logical query: Phase-A dedup points every subscriber
-/// of a query class at its leader's span, so release must happen after
-/// the last reader, not the first.
+/// by MORE than one logical query: the serving setup stages one candidate
+/// span per distinct k and every member asking for that k parks a segment
+/// over it, so release must happen after the last reader, not the first.
 template <class K>
 struct DeferredSecond {
   // Inputs.

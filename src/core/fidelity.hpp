@@ -25,7 +25,7 @@
 // (= fewest delegates) the budget allows.
 //
 // The policy is quantized to basis points wherever it acts as a key
-// (admission-group signatures, dedup classes, PlanCache keys) so that two
+// (admission-group signatures, PlanCache keys) so that two
 // "0.9" targets computed through different arithmetic never split a group.
 #pragma once
 

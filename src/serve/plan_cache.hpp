@@ -70,11 +70,11 @@ struct CachedPlan {
   /// grows an arena mid-query.
   u64 group_ws_bytes = 0;  ///< shared construction (delegate vector, keys)
                            ///< plus the group's deferred candidate spans
-                           ///< (dedup-shared; re-recorded at finalization,
-                           ///< which a cross-group window flush may run)
-  u64 exec_ws_bytes = 0;   ///< per-query stages 2-4 scratch (and, with
-                           ///< batched_concat, the group-wide classify
-                           ///< staging arrays)
+                           ///< (shared per distinct k; re-recorded at
+                           ///< finalization, which a cross-group window
+                           ///< flush may run)
+  u64 exec_ws_bytes = 0;   ///< per-query stages 2-4 scratch and the
+                           ///< group-wide classify staging arrays
   /// Cross-shard plan sharing: true when this entry arrived via publish()
   /// (a sibling shard calibrated it) rather than local calibration. The
   /// PlanKey is shard-independent — same log2-shape and distribution

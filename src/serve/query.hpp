@@ -8,7 +8,7 @@
 //
 // Fidelity: every query carries a core::FidelityPolicy. The default is
 // exact; Query::approx-constructed policies request the recall-target mode
-// and flow through the whole path (group signature, dedup class, PlanKey,
+// and flow through the whole path (group signature, PlanKey,
 // core config) — see core/fidelity.hpp for the execution model.
 #pragma once
 

@@ -51,14 +51,11 @@ struct Pending {
                              ///< QueryResult::queue_us
 };
 
-/// Sentinel class id: this deferred item shares its span with nobody
-/// (dedup off, or the query's signature was unique within the group).
-inline constexpr u32 kNoQueryClass = ~u32{0};
-
 /// A phase-A output parked for batched finalization: the query's stages
-/// 2-3 ran (its candidate span lives in the group's arena); stage 4 runs
-/// once for the whole group — or, under a cross-group finalization window,
-/// once for several groups — fulfilling every parked promise.
+/// 2-3 ran (its candidate span lives in the group's arena, possibly shared
+/// with every member of the same k); stage 4 runs once for the whole group
+/// — or, under a cross-group finalization window, once for several groups
+/// — fulfilling every parked promise.
 template <class K>
 struct DeferredItem {
   Pending* item = nullptr;
@@ -67,49 +64,8 @@ struct DeferredItem {
   u64 k = 0;
   data::Criterion criterion = data::Criterion::kLargest;
   bool selection_only = false;
-  /// Owning query class (index into Group::classes) when Phase-A dedup
-  /// shares this span: finalization fans the segment's result out to the
-  /// class's subscribers as well. kNoQueryClass: this item alone.
-  u32 class_id = kNoQueryClass;
   u64 park_ts_us = 0;  ///< tracer timestamp when this item parked (the
                        ///< deferred-park span runs from here to finalize)
-};
-
-/// A parked dedup subscriber: a query identical to its class leader,
-/// fulfilled by copying the leader's result at delivery time (bit-identical
-/// by construction — the pipeline is deterministic for a fixed signature).
-struct DedupSub {
-  Pending* item = nullptr;
-  QueryResult out;  ///< partial result: id + amortized setup share
-};
-
-/// Phase-A dedup: queries of one admission group whose remaining signature
-/// (k, selection_only) matches — corpus, length, width and criterion
-/// already matched at admission — form a *query class*. The first executor
-/// to reach a class becomes its leader and runs phase A once; every later
-/// member subscribes and is fulfilled by fan-out from the leader's
-/// candidate span (deferred leaders) or stored result (inline leaders),
-/// never touching the data itself. The subscriber list doubles as the
-/// span's reference count: the group arena may only be released after the
-/// leader AND every subscriber have been delivered. Guarded by the owning
-/// group's batch_mu.
-struct QueryClass {
-  u64 k = 0;
-  bool selection_only = false;
-  /// Part of the class key even though the group signature already pins it
-  /// (all members of a group share one fidelity): the invariant that an
-  /// exact and an approximate query never share a leader must not depend
-  /// on admission-grouping policy staying that way.
-  core::FidelityPolicy fidelity;
-  bool shared = false;        ///< a subscriber actually joined (stats)
-  /// Leader finished without deferring (Rule-3 fast path, plan-probed
-  /// engines, ...): its result is stored here and later subscribers
-  /// self-serve immediately instead of parking.
-  bool inline_ready = false;
-  std::vector<u64> inline_values;
-  u64 inline_kth = 0;
-  bool failed = false;        ///< leader threw; the class must not be joined
-  std::vector<DedupSub> subs; ///< parked subscribers awaiting fan-out
 };
 
 /// One admission group: compatible queries plus the shared execution state
@@ -208,10 +164,6 @@ struct Group {
   std::atomic<bool> closed{false};  ///< fully claimed; final_items is valid
   std::vector<DeferredItem<u32>> def32;
   std::vector<DeferredItem<u64>> def64;
-  /// Phase-A dedup classes (guarded by batch_mu; linear scan — admission
-  /// groups are small). Entries are created lazily by the first executor
-  /// that runs a batched-eligible fused query of that signature.
-  std::vector<QueryClass> classes;
 
   bool compatible(const Query& q) const {
     return q.data_id() == data_id && q.n() == n && q.width() == width &&

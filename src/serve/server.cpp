@@ -76,8 +76,7 @@ TopkServer::TopkServer(vgpu::Device& dev, ServerConfig cfg)
       tracer_(cfg.obs.tracing, std::max(1u, cfg.executors) + 1,
               cfg.obs.trace_capacity),
       queue_(cfg.batch_max, cfg.max_in_flight, &tracer_),
-      collector_(std::max(1u, cfg.executors), registry_,
-                 cfg.obs.exact_percentiles) {
+      collector_(std::max(1u, cfg.executors), registry_) {
   queue_wait_us_ = &registry_.histogram(
       "serve_queue_wait_us", "Admission-to-claim wait per query (us)");
   group_size_ = &registry_.histogram(
@@ -163,8 +162,7 @@ bool TopkServer::dump_trace(const std::string& path) const {
 }
 
 void TopkServer::item_done() {
-  const bool idle = queue_.finish_running();
-  if (!idle || !cfg_.window_early_flush) return;
+  if (!queue_.finish_running()) return;
   // The pool just went idle: nothing else can join a parked finalization
   // window, so wake its owner (queue-empty early flush). Taking stage_.mu
   // orders this notify against the owner's predicate evaluation — the
@@ -217,23 +215,21 @@ void TopkServer::process_claim(AdmissionQueue::Claim& c, u32 executor_id) {
 }
 
 void TopkServer::setup_group(Group& g, u32 executor_id) {
+  u64 deduped = 0;
   try {
-    if (g.width == KeyWidth::k64) {
-      setup_group_typed<u64>(g, executor_id);
-    } else {
-      setup_group_typed<u32>(g, executor_id);
-    }
+    deduped = g.width == KeyWidth::k64 ? setup_group_typed<u64>(g, executor_id)
+                                       : setup_group_typed<u32>(g, executor_id);
   } catch (...) {
     // Setup is an optimization; a failure (e.g. a probe hitting an engine
     // edge case) degrades the group to unfused per-query execution rather
     // than failing its queries.
     g.has_delegates = false;
   }
-  collector_.record_group(g.setup_stages);
+  collector_.record_group(g.setup_stages, deduped);
 }
 
 template <class T>
-void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
+u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   using Key = typename data::KeyTraits<T>::Key;
   // Setup works from the snapshot the queue took at claim time (the group
   // may still be admitting; the deque itself is only traversed under the
@@ -260,6 +256,7 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   if (kmax == 0) kmax = g.setup_kmax;  // none feasible: plan caches direct
 
   double executor_work = 0.0;
+  u64 deduped = 0;
   vgpu::Workspace& ews = *exec_ws_[executor_id];
   u64 group_ws_reserve = 0;
 
@@ -349,10 +346,12 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     // the batched kappas, don't pay the launch.
     if (batched_eligible(core::apply_plan(base, g.plan))) {
       // Exactly the ks the per-item path will serve from the shared
-      // delegate vector (run_item_typed's fused condition).
+      // delegate vector (run_item_typed's fused condition), each once.
       std::vector<u64> ks;
+      u64 covered = 0;
       for (const u64 k : g.setup_ks) {
         if (k > group_dv<Key>(g).size()) continue;
+        ++covered;
         if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
       }
       if (!ks.empty()) {
@@ -368,12 +367,17 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
         segs.reserve(ks.size());
         for (const u64 k : ks)
           segs.push_back({dkeys, k, k, /*selection_only=*/!approx_group});
-        // The batched kappa launch is the group's shared first top-k.
-        vgpu::StageScope first("first");
         topk::Accum acc2(dev_);
-        auto br = topk::batched_topk<Key>(
-            acc2, std::span<const topk::BatchedSegment<Key>>(segs),
-            topk::BatchedMode::kAuto, ews);
+        topk::BatchedResult<Key> br;
+        {
+          // The batched kappa launch is the group's shared first top-k.
+          // Its scope ends here so the concat pass below is charged to
+          // "concat" on the device's stage ledger.
+          vgpu::StageScope first("first");
+          br = topk::batched_topk<Key>(
+              acc2, std::span<const topk::BatchedSegment<Key>>(segs),
+              topk::BatchedMode::kAuto, ews);
+        }
         for (size_t i = 0; i < ks.size(); ++i) {
           g.kappa_ks.push_back(ks[i]);
           g.kappa_vals.push_back(
@@ -386,7 +390,7 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
         g.setup_stages.first_stats = acc2.stats();
         executor_work += acc2.sim_ms();
 
-        if (approx_group && cfg_.batched_concat) {
+        if (approx_group) {
           // Approximate stage 3+4, already paid for: the batched launch
           // above returned each distinct k's sorted top-k *of the
           // delegates* — under the per-partition policy that is the
@@ -410,19 +414,18 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
               e.cand32 = cspan;
             g.stage3.push_back(e);
           }
-        }
-        // Group-wide batched stage 3 (PR 8): the kappas above are exact,
-        // so every member's classification is already decidable — run the
-        // whole group's classify + concat as ONE launch pair over the
-        // shared delegate vector (core/concat_batched.hpp). Per-subrange
-        // scratch is executor-arena transient; the candidate spans land in
-        // the group arena, where the deferred finalization machinery
-        // consumes them (identical ks share a span, and batched_topk
-        // coalesces same-span segments into one sort). Items whose k was
-        // precomputed then launch NOTHING. (Approx groups staged their
-        // entries above — the classify/concat pass has nothing left to
-        // compute for them.)
-        if (!approx_group && cfg_.batched_concat) {
+        } else {
+          // Group-wide batched stage 3: the kappas above are exact, so
+          // every member's classification is already decidable — run the
+          // whole group's classify + concat as ONE launch pair over the
+          // shared delegate vector (core/concat_batched.hpp). Per-subrange
+          // scratch is executor-arena transient; the candidate spans land
+          // in the group arena, where the deferred finalization machinery
+          // consumes them (identical ks share a span, and batched_topk
+          // coalesces same-span segments into one sort). Items whose k was
+          // precomputed then launch NOTHING. (Approx groups staged their
+          // entries above — the classify/concat pass has nothing left to
+          // compute for them.)
           vgpu::StageScope concat("concat");
           topk::Accum acc3(dev_);
           const u64 S = group_dv<Key>(g).num_subranges;
@@ -471,11 +474,15 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
           // shape presize instead of growing.
           plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
         }
+        // Members whose k repeats another's ride that k's kappa and
+        // stage-3 entry: the sharing the counter reports.
+        deduped = covered - ks.size();
       }
     }
     plans_.note_workspace(g.plan_key, g.ws->peak_bytes(), 0);
   }
   collector_.record_executor_work(executor_id, executor_work);
+  return deduped;
 }
 
 void TopkServer::execute_item(Group& g, Pending& p, u64 amortize_over,
@@ -489,10 +496,8 @@ void TopkServer::execute_item(Group& g, Pending& p, u64 amortize_over,
     const u64 t0 = tracer_.enabled() ? tracer_.now_us() : 0;
     QueryResult r =
         g.width == KeyWidth::k64
-            ? run_item_typed<u64>(g, p, amortize_over, ws, &deferred,
-                                  executor_id)
-            : run_item_typed<u32>(g, p, amortize_over, ws, &deferred,
-                                  executor_id);
+            ? run_item_typed<u64>(g, p, amortize_over, ws, &deferred)
+            : run_item_typed<u32>(g, p, amortize_over, ws, &deferred);
     if (tracer_.enabled())
       tracer_.complete(lane(executor_id), "phase-a", p.id, g.seq, t0,
                        tracer_.now_us());
@@ -605,7 +610,7 @@ bool TopkServer::maybe_finalize_group(const std::shared_ptr<Group>& gp,
         lk.lock();
         continue;  // re-evaluate cap/idle with the deposit (if any) counted
       }
-      if (cfg_.window_early_flush && queue_.pool_idle()) {
+      if (queue_.pool_idle()) {
         early = true;
         break;
       }
@@ -649,21 +654,15 @@ void TopkServer::finalize_groups(std::span<const std::shared_ptr<Group>> gs,
     try {
       finalize_groups_typed<T>(gs, executor_id);
     } catch (...) {
-      // Fail every parked query of this width — dedup subscribers
-      // included — that was not yet fulfilled (delivery nulls each item
-      // as it goes, so a mid-loop throw cannot lead to a double set that
-      // would itself throw out of this handler).
-      auto fail_one = [&](Pending*& item) {
-        if (!item) return;
-        collector_.record_failure();
-        item->promise.set_exception(std::current_exception());
-        item = nullptr;
-      };
+      // Fail every parked query of this width that was not yet fulfilled
+      // (delivery nulls each item as it goes, so a mid-loop throw cannot
+      // lead to a double set that would itself throw out of this handler).
       for (const auto& gp : gs) {
         for (auto& d : group_deferred<T>(*gp)) {
-          if (d.class_id != kNoQueryClass)
-            for (auto& sub : gp->classes[d.class_id].subs) fail_one(sub.item);
-          fail_one(d.item);
+          if (!d.item) continue;
+          collector_.record_failure();
+          d.item->promise.set_exception(std::current_exception());
+          d.item = nullptr;
         }
       }
     }
@@ -680,7 +679,7 @@ void TopkServer::finalize_groups_typed(
   // this key width (mixed corpora are fine: the engine keys problems by
   // span identity). No synchronization needed past this point: every item
   // of every staged group executed, so no thread appends to the deferred
-  // lists, joins a query class or allocates from a group arena anymore.
+  // lists or allocates from a group arena anymore.
   struct Ref {
     Group* g = nullptr;
     DeferredItem<Key>* d = nullptr;
@@ -721,18 +720,10 @@ void TopkServer::finalize_groups_typed(
     tracer_.complete(lane(executor_id), "batched-finalize", 0,
                      refs.front().g->seq, t_flush, tracer_.now_us());
 
-  // Deliveries = parked leaders plus their dedup subscribers: the count
-  // that shares the launch's cost and lands in batched_queries.
-  u64 deliveries = 0;
-  for (const Ref& r : refs)
-    deliveries += 1 + (r.d->class_id != kNoQueryClass
-                           ? r.g->classes[r.d->class_id].subs.size()
-                           : 0);
-
   // Batch-level accounting first: every counter must be recorded before
   // the last promise is fulfilled, or a stats() snapshot taken right after
   // the batch completes could miss this finalization.
-  collector_.record_finalize(br.launches, ngroups, deliveries, acc.stats());
+  collector_.record_finalize(br.launches, ngroups, refs.size(), acc.stats());
   collector_.record_executor_work(executor_id, acc.sim_ms());
   // Re-record each group arena's peak now that it holds the deferred
   // candidate spans: the next hit on the shape presizes for them too.
@@ -747,7 +738,7 @@ void TopkServer::finalize_groups_typed(
   // carries an equal share (the kernel counters were recorded once at
   // batch level above), so the shares sum to exactly the cost paid once.
   const u64 t_fanout = tracing ? tracer_.now_us() : 0;
-  const double share = acc.sim_ms() / static_cast<double>(deliveries);
+  const double share = acc.sim_ms() / static_cast<double>(refs.size());
   for (size_t i = 0; i < refs.size(); ++i) {
     DeferredItem<Key>& d = *refs[i].d;
     d.out.values.reserve(br.keys[i].size());
@@ -757,22 +748,6 @@ void TopkServer::finalize_groups_typed(
     d.out.kth = d.out.values.back();
     d.out.latency_sim_ms += share;
     d.out.breakdown.second_ms = share;
-    // Dedup fan-out: every subscriber of the leader's class receives a
-    // copy of the segment's result — one sort, one emission, N answers.
-    if (d.class_id != kNoQueryClass) {
-      for (DedupSub& sub : refs[i].g->classes[d.class_id].subs) {
-        sub.out.values = d.out.values;
-        sub.out.kth = d.out.kth;
-        sub.out.latency_sim_ms += share;
-        sub.out.breakdown.second_ms = share;
-        sub.out.wall_ms = sub.item->admitted.ms();
-        collector_.record_query(sub.out.latency_sim_ms, sub.out.breakdown,
-                                sub.out.fused);
-        Pending* item = sub.item;
-        sub.item = nullptr;  // fulfilled: failure path must not touch it
-        item->promise.set_value(std::move(sub.out));
-      }
-    }
     d.out.wall_ms = d.item->admitted.ms();
     collector_.record_query(d.out.latency_sim_ms, d.out.breakdown,
                             d.out.fused);
@@ -787,8 +762,7 @@ void TopkServer::finalize_groups_typed(
 
 template <class T>
 QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
-                                       vgpu::Workspace& ws, bool* deferred,
-                                       u32 executor_id) {
+                                       vgpu::Workspace& ws, bool* deferred) {
   using Key = typename data::KeyTraits<T>::Key;
   const Query& q = p.query;
   QueryResult out;
@@ -822,71 +796,39 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
                                        ? group_keys<Key>(g)
                                        : std::span<const Key>(values);
     const bool eligible = batched_eligible(cfg);
-
-    // ---- Phase-A dedup: join or found this query's class ----
-    // Within a group the only signature left is (k, selection_only); the
-    // first executor to reach a class is its leader and runs phase A
-    // below, everyone else subscribes and never touches the data. The
-    // decision is deterministic per signature (both members of a class
-    // reach this same branch with the same group state), so a subscriber
-    // can never be waiting on a leader that took a different path.
-    u32 class_id = kNoQueryClass;
-    if (eligible && cfg_.dedup) {
-      std::lock_guard lk(g.batch_mu);
-      u32 found = kNoQueryClass;
-      for (u32 i = 0; i < g.classes.size(); ++i) {
-        if (g.classes[i].k == q.k &&
-            g.classes[i].selection_only == q.selection_only &&
-            g.classes[i].fidelity == q.fidelity) {
-          found = i;
-          break;
-        }
+    // "Fused" means construction was genuinely shared: either the setup
+    // covered several queries, or this is a late joiner riding a pass that
+    // others paid for. A singleton group paid full freight — not fused.
+    out.fused = g.setup_items > 1 || amortize_over == 0;
+    // Parks the phase-A result: the group's last finisher (or a
+    // cross-group window flush) selects for every parked item in a single
+    // launch, and values/kth arrive there.
+    const auto park = [&](std::span<const Key> cand) {
+      out.breakdown = bd;
+      DeferredItem<Key> d;
+      d.item = &p;
+      d.out = out;
+      d.cand = cand;
+      d.k = q.k;
+      d.criterion = q.criterion;
+      d.selection_only = q.selection_only;
+      if (tracer_.enabled()) d.park_ts_us = tracer_.now_us();
+      {
+        std::lock_guard lk(g.batch_mu);
+        group_deferred<Key>(g).push_back(std::move(d));
       }
-      if (found == kNoQueryClass) {
-        QueryClass cls;
-        cls.k = q.k;
-        cls.selection_only = q.selection_only;
-        cls.fidelity = q.fidelity;
-        g.classes.push_back(std::move(cls));
-        class_id = static_cast<u32>(g.classes.size() - 1);  // leader
-      } else if (!g.classes[found].failed) {
-        QueryClass& cls = g.classes[found];
-        out.fused = g.setup_items > 1 || amortize_over == 0;
-        // A deduped query's own cost is just its setup share; the
-        // finalization share is added at fan-out (zero for inline fan-out
-        // — copying a published result models as free host work).
-        if (amortize_over > 0)
-          out.latency_sim_ms =
-              g.setup_sim_ms / static_cast<double>(amortize_over);
-        collector_.record_dedup(!cls.shared);
-        cls.shared = true;
-        if (tracer_.enabled())
-          tracer_.instant(lane(executor_id), "dedup-subscribe", p.id, g.seq);
-        if (cls.inline_ready) {
-          // The leader already resolved without deferring: self-serve.
-          out.values = cls.inline_values;
-          out.kth = cls.inline_kth;
-          out.wall_ms = p.admitted.ms();
-          return out;
-        }
-        // Subscribe: delivery happens at leader completion (inline
-        // leaders) or batched finalization (deferred leaders).
-        cls.subs.push_back({&p, out});
-        *deferred = true;
-        return out;
-      }
-      // else: the class's leader threw — don't ride a poisoned class; run
-      // this query independently (exact, just unshared).
-    }
+      *deferred = true;
+      return out;
+    };
 
-    // Group-wide batched stage 3 (PR 8): if setup already classified and
+    // Group-wide batched stage 3: if setup already classified and
     // concatenated for this k, phase A is DONE — no launch, no scratch.
     // The item either parks a deferred segment referencing the shared
     // group-arena candidate span (identical ks coalesce into one sort in
     // the batched finalization) or, on the Rule-3 fast path, self-serves
     // with a host sort of the exactly-k candidates.
     const Group::Stage3Entry* pre = nullptr;
-    if (eligible && cfg_.batched_concat) {
+    if (eligible) {
       for (const auto& e : g.stage3) {
         if (e.k == q.k) {
           pre = &e;
@@ -894,165 +836,76 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
         }
       }
     }
-    try {
-      if (pre != nullptr) {
-        out.fused = g.setup_items > 1 || amortize_over == 0;
-        // This item launched nothing: its latency is purely its share of
-        // the group's construction + kappa + classify/concat passes.
-        if (amortize_over > 0)
-          out.latency_sim_ms =
-              g.setup_sim_ms / static_cast<double>(amortize_over);
-        bd.alpha = g.plan.alpha;
-        bd.beta = g.plan.beta;
-        bd.delegate_len = group_dv<Key>(g).size();
-        bd.num_subranges = group_dv<Key>(g).num_subranges;
-        bd.concat_len = pre->cand_count;
-        bd.taken_delegates = pre->taken_total;
-        bd.qualified_subranges = pre->qualified;
-        bd.second_skipped = pre->second_skipped;
-        if (!pre->second_skipped) {
-          // Park the precomputed phase-A result; values/kth arrive at the
-          // batched finalization.
-          out.breakdown = bd;
-          DeferredItem<Key> d;
-          d.item = &p;
-          d.out = out;
-          d.cand = stage3_cand<Key>(*pre);
-          d.k = q.k;
-          d.criterion = q.criterion;
-          d.selection_only = q.selection_only;
-          d.class_id = class_id;
-          if (tracer_.enabled()) d.park_ts_us = tracer_.now_us();
-          {
-            std::lock_guard lk(g.batch_mu);
-            group_deferred<Key>(g).push_back(std::move(d));
+    if (pre != nullptr) {
+      // This item launched nothing: its latency is purely its share of
+      // the group's construction + kappa + classify/concat passes.
+      if (amortize_over > 0)
+        out.latency_sim_ms =
+            g.setup_sim_ms / static_cast<double>(amortize_over);
+      bd.alpha = g.plan.alpha;
+      bd.beta = g.plan.beta;
+      bd.delegate_len = group_dv<Key>(g).size();
+      bd.num_subranges = group_dv<Key>(g).num_subranges;
+      bd.concat_len = pre->cand_count;
+      bd.taken_delegates = pre->taken_total;
+      bd.qualified_subranges = pre->qualified;
+      bd.second_skipped = pre->second_skipped;
+      if (!pre->second_skipped) return park(stage3_cand<Key>(*pre));
+      // Rule-3 fast path: exactly k delegates met the exact threshold
+      // and no subrange fully qualified — the candidate span IS the
+      // answer (same semantics as dr_topk's second_skipped host sort).
+      std::span<const Key> cand = stage3_cand<Key>(*pre);
+      std::vector<Key> keys(cand.begin(), cand.begin() + q.k);
+      std::sort(keys.begin(), keys.end(), std::greater<Key>());
+      if (cfg.selection_only && keys.size() > 1)
+        keys.erase(keys.begin(), keys.end() - 1);
+      out.values.reserve(keys.size());
+      for (const Key key : keys)
+        out.values.push_back(static_cast<u64>(
+            data::value_from_directed_key<T>(key, q.criterion)));
+      out.kth = out.values.back();
+    } else {
+      // The setup did not cover this item — a late joiner whose k missed
+      // the setup snapshot, or a plan that probed its way to a non-radix
+      // engine — so it runs stages 2-3 itself over the shared delegate
+      // vector. On the radix engines it replays the setup's exact kappa
+      // when one exists, allocates its candidate span from the group
+      // arena so it outlives this call, and defers stage 4.
+      core::DeferredSecond<Key> dsec;
+      core::DeferredSecond<Key>* dsp = nullptr;
+      if (eligible) {
+        for (size_t i = 0; i < g.kappa_ks.size(); ++i) {
+          if (g.kappa_ks[i] == q.k) {
+            dsec.have_kappa = true;
+            dsec.kappa = static_cast<Key>(g.kappa_vals[i]);
+            break;
           }
-          *deferred = true;
-          return out;
         }
-        // Rule-3 fast path: exactly k delegates met the exact threshold
-        // and no subrange fully qualified — the candidate span IS the
-        // answer (same semantics as dr_topk's second_skipped host sort).
-        std::span<const Key> cand = stage3_cand<Key>(*pre);
-        std::vector<Key> keys(cand.begin(), cand.begin() + q.k);
-        std::sort(keys.begin(), keys.end(), std::greater<Key>());
-        if (cfg.selection_only && keys.size() > 1)
-          keys.erase(keys.begin(), keys.end() - 1);
-        out.values.reserve(keys.size());
-        for (const Key key : keys)
-          out.values.push_back(static_cast<u64>(
-              data::value_from_directed_key<T>(key, q.criterion)));
-        out.kth = out.values.back();
-      } else {
-        // Batched second-stage selection: replay the setup's exact kappa
-        // (one batched launch covered the group), allocate the candidate
-        // span from the group arena so it outlives this call, and defer
-        // stage 4 — the group's last finisher (or a cross-group window
-        // flush) selects for everyone in a single launch. Gated on the
-        // default engine so plan-probed engine choices (and the per-query
-        // baseline) stay measurable.
-        core::DeferredSecond<Key> dsec;
-        core::DeferredSecond<Key>* dsp = nullptr;
-        if (eligible) {
-          for (size_t i = 0; i < g.kappa_ks.size(); ++i) {
-            if (g.kappa_ks[i] == q.k) {
-              dsec.have_kappa = true;
-              dsec.kappa = static_cast<Key>(g.kappa_vals[i]);
-              break;
-            }
-          }
-          dsec.alloc_cand = [&g](u64 cap) {
-            std::lock_guard lk(g.batch_mu);
-            return g.ws->alloc<Key>(cap);
-          };
-          dsp = &dsec;
-        }
-        auto r = core::dr_topk_from_delegates<Key>(dev_, keyspan, q.k,
-                                                   group_dv<Key>(g), cfg, &bd,
-                                                   ws, dsp);
-        // "Fused" means construction was genuinely shared: either the
-        // setup covered several queries, or this is a late joiner riding a
-        // pass that others paid for. A singleton group paid full freight —
-        // not fused.
-        out.fused = g.setup_items > 1 || amortize_over == 0;
-        // Latency: this query's stages plus its share of the group's
-        // single construction (+ batched first top-k) pass. Late joiners
-        // (amortize_over == 0) ride passes that were already paid for, so
-        // the shares across a group sum to exactly the cost charged once
-        // at setup.
-        out.latency_sim_ms = r.sim_ms;
-        if (amortize_over > 0)
-          out.latency_sim_ms +=
-              g.setup_sim_ms / static_cast<double>(amortize_over);
-        if (dsp && dsec.deferred) {
-          // Park the phase-A result; values/kth arrive at finalization.
-          out.breakdown = bd;
-          DeferredItem<Key> d;
-          d.item = &p;
-          d.out = out;
-          d.cand = dsec.cand;
-          d.k = q.k;
-          d.criterion = q.criterion;
-          d.selection_only = q.selection_only;
-          d.class_id = class_id;
-          if (tracer_.enabled()) d.park_ts_us = tracer_.now_us();
-          {
-            std::lock_guard lk(g.batch_mu);
-            group_deferred<Key>(g).push_back(std::move(d));
-          }
-          *deferred = true;
-          return out;
-        }
-        out.values.reserve(r.keys.size());
-        for (const Key key : r.keys)
-          out.values.push_back(static_cast<u64>(
-              data::value_from_directed_key<T>(key, q.criterion)));
-        out.kth = static_cast<u64>(
-            data::value_from_directed_key<T>(r.kth, q.criterion));
-      }
-    } catch (...) {
-      // Leader threw before publishing anything: poison the class so late
-      // members run independently, and fail anyone already subscribed.
-      if (class_id != kNoQueryClass) {
-        std::vector<DedupSub> subs;
-        {
+        dsec.alloc_cand = [&g](u64 cap) {
           std::lock_guard lk(g.batch_mu);
-          QueryClass& cls = g.classes[class_id];
-          cls.failed = true;
-          subs.swap(cls.subs);
-        }
-        for (DedupSub& sub : subs) {
-          collector_.record_failure();
-          sub.item->promise.set_exception(std::current_exception());
-        }
+          return g.ws->alloc<Key>(cap);
+        };
+        dsp = &dsec;
       }
-      throw;
-    }
-    // Leader completed inline (no deferral — Rule-3 fast path, plan-probed
-    // engine, ...): publish the result for the class and deliver anyone
-    // already parked; later members self-serve from the published copy.
-    if (class_id != kNoQueryClass) {
-      std::vector<DedupSub> subs;
-      {
-        std::lock_guard lk(g.batch_mu);
-        QueryClass& cls = g.classes[class_id];
-        cls.inline_ready = true;
-        cls.inline_values = out.values;
-        cls.inline_kth = out.kth;
-        subs.swap(cls.subs);
-      }
-      const u64 t0 = tracer_.enabled() && !subs.empty() ? tracer_.now_us() : 0;
-      for (DedupSub& sub : subs) {
-        sub.out.values = out.values;
-        sub.out.kth = out.kth;
-        sub.out.wall_ms = sub.item->admitted.ms();
-        collector_.record_query(sub.out.latency_sim_ms, sub.out.breakdown,
-                                sub.out.fused);
-        sub.item->promise.set_value(std::move(sub.out));
-      }
-      if (tracer_.enabled() && !subs.empty())
-        tracer_.complete(lane(executor_id), "fan-out", p.id, g.seq, t0,
-                         tracer_.now_us());
+      auto r = core::dr_topk_from_delegates<Key>(dev_, keyspan, q.k,
+                                                 group_dv<Key>(g), cfg, &bd,
+                                                 ws, dsp);
+      // Latency: this query's stages plus its share of the group's
+      // single construction (+ batched first top-k) pass. Late joiners
+      // (amortize_over == 0) ride passes that were already paid for, so
+      // the shares across a group sum to exactly the cost charged once
+      // at setup.
+      out.latency_sim_ms = r.sim_ms;
+      if (amortize_over > 0)
+        out.latency_sim_ms +=
+            g.setup_sim_ms / static_cast<double>(amortize_over);
+      if (dsp && dsec.deferred) return park(dsec.cand);
+      out.values.reserve(r.keys.size());
+      for (const Key key : r.keys)
+        out.values.push_back(static_cast<u64>(
+            data::value_from_directed_key<T>(key, q.criterion)));
+      out.kth = static_cast<u64>(
+          data::value_from_directed_key<T>(r.kth, q.criterion));
     }
   } else {
     // Unfused fallback: delegation infeasible for this shape (or setup

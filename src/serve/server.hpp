@@ -21,11 +21,12 @@
 // Batching wins because delegate construction — the dominant stage of the
 // pipeline (Figure 15) — is paid once per group instead of once per query;
 // the plan cache wins by replaying calibrated decisions for recurring
-// query shapes. Two further collapse axes ride the same machinery:
-// Phase-A dedup (identical queries of a group share one candidate span and
-// one finalization segment, results fanned out to every subscriber) and
-// cross-group finalization windows (groups completing within a short
-// window share ONE batched second-top-k launch, even across corpora).
+// query shapes. The group setup also resolves every distinct k's stage 2
+// and stage 3 in one batched launch each, so identical ks share one
+// threshold and one candidate span, and the batched finalization sorts
+// each shared span once. Cross-group finalization windows (groups
+// completing within a short window share ONE batched second-top-k launch,
+// even across corpora) ride the same machinery.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
@@ -50,17 +51,16 @@ struct ObsOptions {
   /// Ring capacity in spans per lane (executors + 1 lanes). Pre-reserved
   /// at server construction, so steady-state tracing allocates nothing.
   u64 trace_capacity = u64{1} << 13;
-  /// Compute stats() percentiles by exact-sorting a latency reservoir (the
-  /// pre-histogram behavior) instead of reading the streaming histogram.
-  /// Debug/parity flag: snapshots get strictly more expensive.
-  bool exact_percentiles = false;
 };
 
-/// Server tuning knobs. Every optimization keeps its predecessor
-/// measurable: `batched_select=false` replays the PR-2 per-query hot path,
-/// `dedup=false` gives every query its own phase A, and
-/// `finalize_window_us=0` finalizes each group by its own last finisher
-/// (the PR-3 behavior) — see docs/ARCHITECTURE.md for the full map.
+/// Server tuning knobs. The serving path itself has no switches: setup
+/// builds one delegate vector per group, then resolves every distinct k's
+/// threshold (one batched kappa launch) and candidate span (one classify +
+/// one concat launch, core/concat_batched.hpp); items defer stage 4 to ONE
+/// batched selection launch per group or per window (topk/batched.hpp).
+/// Items the setup could not cover — late joiners, plan-probed non-radix
+/// engines, infeasible or fallen-back groups — run their own stages.
+/// docs/ARCHITECTURE.md walks the whole path.
 struct ServerConfig {
   u32 executors = 2;       ///< concurrent query executors
   u32 batch_max = 16;      ///< max queries per admission group
@@ -68,37 +68,6 @@ struct ServerConfig {
   core::DrTopkConfig base; ///< baseline pipeline configuration
   bool use_plan_cache = true;
   PlanCache::Options plan;
-  /// Batched second-stage selection (PR 3): group setup resolves every
-  /// member's stage-2 threshold with one batched launch over the shared
-  /// delegate vector; per-query execution defers stage 4 and parks its
-  /// candidate span in the group arena; and the executor completing the
-  /// group's last query selects top-k for ALL parked queries in a single
-  /// launch (topk/batched.hpp) — one second-top-k launch per admission
-  /// group instead of one per query. `false` replays the PR-2 per-query
-  /// hot path, kept as the measurable baseline.
-  bool batched_select = true;
-  /// Phase-A dedup (PR 5): queries of one admission group with identical
-  /// (k, selection_only) — corpus, length, width and criterion already
-  /// matched at admission — share ONE stage-3 candidate span and ONE
-  /// segment of the batched finalization launch; results fan out to every
-  /// subscriber, bit-identical by construction. Only active on the batched
-  /// fused path (it rides the deferred-span machinery); `false` gives
-  /// every query its own phase A, the measurable PR-3 behavior.
-  bool dedup = true;
-  /// Group-wide batched stage 3 (PR 8): setup classifies the shared
-  /// delegate vector against EVERY distinct k's exact kappa in one
-  /// classify + one concat launch (core/concat_batched.hpp) right after
-  /// the batched kappa resolution, staging one candidate span per k in
-  /// the group arena. Per-item execution then launches NOTHING: a query
-  /// whose k was precomputed parks a deferred segment referencing the
-  /// shared span (identical ks coalesce into one sort inside the batched
-  /// finalization), or self-serves with a host sort on the Rule-3 fast
-  /// path. Phase B collapses to delegate -> [one classify/concat pair] ->
-  /// [one batched second top-k] per group. Rides the batched_select
-  /// machinery (no effect when that is off or the plan is ineligible);
-  /// `false` replays the PR-7 per-query stage 3, kept measurable as the
-  /// bench baseline.
-  bool batched_concat = true;
   /// Cross-group finalization window, in microseconds of host wall clock:
   /// groups becoming finalization-ready within this window are finalized
   /// together in ONE shared batched launch per key width present —
@@ -116,17 +85,11 @@ struct ServerConfig {
   /// Parked-segment count at which a window flush fires early (before the
   /// window elapses) — accumulating past the point where one launch
   /// already fills the GPU only delays ready results. 0 = auto:
-  /// topk::batched_segment_cap for the server's device.
+  /// topk::batched_segment_cap for the server's device. The parked owner
+  /// is also woken as soon as the executor pool goes idle (no queued
+  /// groups, no running items): nothing else can join the window then.
   u32 finalize_max_segments = 0;
-  /// Queue-empty early flush for the finalization window: the parked
-  /// window owner is woken as soon as the executor pool goes idle (no
-  /// queued groups, no running items) — nothing else can possibly join
-  /// the window, so waiting out the timer would be pure added latency.
-  /// In particular a single-executor server stops paying the full
-  /// finalize_window_us on every group. `false` replays the PR-5
-  /// timer/cap-only behavior.
-  bool window_early_flush = true;
-  /// Observability: tracing, trace ring capacity, exact-percentile debug.
+  /// Observability: tracing and trace ring capacity.
   ObsOptions obs;
 };
 
@@ -224,18 +187,19 @@ class TopkServer {
   /// group setup (does a batched kappa launch pay off?) and per-item
   /// execution (may this query defer its stage 4?), so the two sites
   /// cannot silently desynchronize. `cfg` must be the plan-applied config
-  /// the queries will actually run with.
-  bool batched_eligible(const core::DrTopkConfig& cfg) const {
-    return cfg_.batched_select && !cfg.kappa_hook &&
-           cfg.first_algo == topk::Algo::kRadixFlag &&
+  /// the queries will actually run with: a plan that probed its way to a
+  /// non-radix engine (or a caller-installed kappa hook) runs per item.
+  static bool batched_eligible(const core::DrTopkConfig& cfg) {
+    return !cfg.kappa_hook && cfg.first_algo == topk::Algo::kRadixFlag &&
            cfg.second_algo == topk::Algo::kRadixFlag;
   }
+  /// Returns the setup snapshot's members served from another member's
+  /// shared kappa and stage-3 entry (ServerStats::deduped_queries).
   template <class T>
-  void setup_group_typed(Group& g, u32 executor_id);
+  u64 setup_group_typed(Group& g, u32 executor_id);
   template <class T>
   QueryResult run_item_typed(Group& g, Pending& p, u64 amortize_over,
-                             vgpu::Workspace& ws, bool* deferred,
-                             u32 executor_id);
+                             vgpu::Workspace& ws, bool* deferred);
   template <class T>
   void finalize_groups_typed(std::span<const std::shared_ptr<Group>> groups,
                              u32 executor_id);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <stdexcept>
 
 #include "obs/export.hpp"
 #include "topk/batched.hpp"
@@ -96,11 +97,14 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
   Corpus c;
   {
     std::lock_guard lk(corpora_mu_);
-    assert(id < corpora_.size() && "unregistered corpus");
+    if (id >= corpora_.size())
+      throw std::invalid_argument("ShardedTopkServer: unregistered corpus");
     c = corpora_[id];
   }
   const u64 n = c.width == KeyWidth::k64 ? c.v64.size() : c.v32.size();
-  assert(k >= 1 && k <= n);
+  if (k < 1 || k > n)
+    throw std::invalid_argument(
+        "ShardedTopkServer: query requires 1 <= k <= |V|");
 
   // ---- Single-shard route: today's TopkServer path, zero overhead. ----
   if (c.shards == 1) {

@@ -13,7 +13,7 @@
 // confirms the shape). A corpus is registered ONCE and cut into
 // contiguous shards across N devices; every shard owns a full TopkServer
 // — executor pool, shard-local PlanCache, pooled workspaces, admission
-// groups, phase-A dedup, batched kappa resolution, finalization windows —
+// groups, batched kappa and stage-3 resolution, finalization windows —
 // and serves its sub-span exactly as the single-device engine would.
 //
 // Life of a multi-shard query:
@@ -48,7 +48,7 @@
 namespace drtopk::serve {
 
 /// Sharded-deployment knobs. `shard` is the per-shard ServerConfig — every
-/// single-device option (batching, dedup, windows, obs) applies per shard
+/// single-device option (batching, windows, obs) applies per shard
 /// unchanged.
 struct ShardedConfig {
   u32 num_shards = 2;  ///< devices (and TopkServers) to spread corpora over

@@ -10,8 +10,7 @@
 // (TopkServer::stats()), and lock-free obs::Registry metrics for live
 // export (Prometheus/JSON). Percentiles come from a streaming log-scale
 // histogram — O(1) per query, O(buckets) per snapshot — instead of sorting
-// a latency vector; the exact-sort reservoir survives only behind
-// ObsOptions::exact_percentiles for parity testing.
+// a latency vector.
 #pragma once
 
 #include <algorithm>
@@ -19,13 +18,12 @@
 #include <vector>
 
 #include "core/dr_topk.hpp"
-#include "data/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace drtopk::serve {
 
 /// Aggregate server metrics snapshot (TopkServer::stats()): query counts,
-/// batching/dedup/window counters, simulated-latency percentiles and the
+/// batching/sharing/window counters, simulated-latency percentiles and the
 /// makespan-based modeled QPS.
 struct ServerStats {
   u64 completed = 0;
@@ -36,17 +34,16 @@ struct ServerStats {
   u64 plan_misses = 0;    ///< lookups that paid calibration probes
   u64 batched_groups = 0;   ///< groups finalized with a batched second top-k
   u64 batched_queries = 0;  ///< queries whose stage 4 ran inside a batched
-                            ///< finalization (dedup subscribers included)
+                            ///< finalization
   u64 finalize_launches = 0;  ///< selection launches spent finalizing groups:
                               ///< exactly one per finalization when the
                               ///< candidate segments fit one SM (the asserted
                               ///< common case), two when the multi-CTA path
                               ///< runs; a cross-group window flush counts
                               ///< ONCE for all groups it covers
-  u64 deduped_queries = 0;  ///< queries served from another query's phase-A
-                            ///< span/result instead of running their own
-  u64 dedup_classes = 0;    ///< query classes that actually shared (had at
-                            ///< least one subscriber join a leader)
+  u64 deduped_queries = 0;  ///< setup-snapshot members whose k repeats
+                            ///< another member's: served from that k's
+                            ///< shared kappa and stage-3 entry
   u64 window_flushes = 0;   ///< cross-group staging-area flushes performed
   u64 window_merged_groups = 0;  ///< groups whose finalization shared a
                                  ///< window flush with at least one other
@@ -59,10 +56,9 @@ struct ServerStats {
                                      ///< member deadline was too tight for
                                      ///< the cross-group window to be safe
   u64 concat_launches = 0;  ///< kernel launches attributed to stage 3
-                            ///< (classify + concat): per-query pairs on the
-                            ///< baseline path, ONE pair per group with
-                            ///< batched_concat — the stage the lpq gate
-                            ///< watches (ROADMAP item 1)
+                            ///< (classify + concat): ONE pair per group
+                            ///< setup, plus a pair per item the setup did
+                            ///< not cover — the stage the lpq gate watches
   u64 relax_guard_trips = 0;  ///< relaxation-guard re-thresholds (tie-heavy
                               ///< distributions forcing the exact-kappa
                               ///< recompute; see core/concat_fused.hpp)
@@ -104,14 +100,10 @@ struct ServerStats {
 /// export) while keeping the mutex-guarded fields for coherent snapshots.
 class StatsCollector {
  public:
-  /// With `exact_percentiles` the collector additionally keeps the
-  /// reservoir of raw latency samples and computes snapshot percentiles by
-  /// sorting it (the pre-histogram behavior, kept for parity tests and
-  /// debugging); otherwise percentiles read the streaming histogram.
-  StatsCollector(u32 executors, obs::Registry& reg,
-                 bool exact_percentiles = false)
+  /// Registers the collector's metrics in `reg`; `executors` sizes the
+  /// per-executor makespan ledger.
+  StatsCollector(u32 executors, obs::Registry& reg)
       : per_executor_(executors, 0.0),
-        exact_percentiles_(exact_percentiles),
         latency_us_(reg.histogram("serve_latency_sim_us",
                                   "Per-query simulated latency (us)")),
         m_completed_(reg.counter("serve_queries_completed",
@@ -130,10 +122,9 @@ class StatsCollector {
         m_finalize_launches_(reg.counter(
             "serve_finalize_launches",
             "Selection launches spent finalizing groups")),
-        m_deduped_(reg.counter("serve_deduped_queries",
-                               "Queries served from another query's phase A")),
-        m_dedup_classes_(reg.counter("serve_dedup_classes",
-                                     "Query classes that actually shared")),
+        m_deduped_(reg.counter(
+            "serve_deduped_queries",
+            "Setup-snapshot queries whose k repeats another member's")),
         m_window_flushes_(reg.counter("serve_window_flushes",
                                       "Cross-group staging-area flushes")),
         m_window_merged_(reg.counter(
@@ -161,12 +152,6 @@ class StatsCollector {
             "serve_recall_measured_bp",
             "Oracle-measured recall per sampled query (basis points)")) {}
 
-  /// Reservoir bound for the exact-percentiles debug path: a long-running
-  /// server must not grow memory per query. Up to kLatencyReservoir samples
-  /// are exact; beyond that, uniform (deterministic) replacement keeps the
-  /// percentiles an unbiased estimate over the whole history.
-  static constexpr size_t kLatencyReservoir = 1 << 16;
-
   void record_query(double sim_latency_ms,
                     const core::StageBreakdown& stages, bool fused) {
     latency_us_.observe(to_us(sim_latency_ms));
@@ -178,15 +163,6 @@ class StatsCollector {
     if (stages.guard_skips) m_guard_skips_.add(stages.guard_skips);
     std::lock_guard lk(mu_);
     ++completed_;
-    if (exact_percentiles_) {
-      if (latencies_.size() < kLatencyReservoir) {
-        latencies_.push_back(sim_latency_ms);
-      } else {
-        const u64 slot = data::rand_u64(0x5ee0, completed_) % completed_;
-        if (slot < kLatencyReservoir)
-          latencies_[static_cast<size_t>(slot)] = sim_latency_ms;
-      }
-    }
     total_sim_ms_ += sim_latency_ms;
     stages_ += stages;
     if (fused) ++fused_queries_;
@@ -198,19 +174,23 @@ class StatsCollector {
     ++failed_;
   }
 
-  void record_group(const core::StageBreakdown& setup_stages) {
+  /// One group setup; `deduped` of its snapshot members repeat another
+  /// member's k and ride that k's shared kappa and stage-3 entry.
+  void record_group(const core::StageBreakdown& setup_stages, u64 deduped) {
     m_groups_.add();
+    if (deduped) m_deduped_.add(deduped);
     if (setup_stages.concat_stats.kernels_launched)
       m_concat_launches_.add(setup_stages.concat_stats.kernels_launched);
     if (setup_stages.guard_trips) m_guard_trips_.add(setup_stages.guard_trips);
     if (setup_stages.guard_skips) m_guard_skips_.add(setup_stages.guard_skips);
     std::lock_guard lk(mu_);
     ++groups_;
+    deduped_queries_ += deduped;
     stages_ += setup_stages;
   }
 
   /// One batched finalization: `launches` selection launches served
-  /// `queries` deferred/deduped queries across `groups` admission groups
+  /// `queries` deferred queries across `groups` admission groups
   /// (1 for a per-group finalization; a cross-group window flush passes
   /// more). The kernel counters land in the aggregate second-stage stats
   /// once (per-query breakdowns carry only their sim-ms share, so the
@@ -225,17 +205,6 @@ class StatsCollector {
     batched_queries_ += queries;
     finalize_launches_ += launches;
     stages_.second_stats += second_stats;
-  }
-
-  /// One query joined an existing query class (Phase-A dedup) instead of
-  /// running its own phase A; `first_share` marks the class's first
-  /// subscriber (a singleton class is not counted — no sharing happened).
-  void record_dedup(bool first_share) {
-    m_deduped_.add();
-    if (first_share) m_dedup_classes_.add();
-    std::lock_guard lk(mu_);
-    ++deduped_queries_;
-    if (first_share) ++dedup_classes_;
   }
 
   /// One cross-group staging-area flush finalized `groups` groups in a
@@ -260,8 +229,7 @@ class StatsCollector {
   }
 
   /// One query executed under a recall-target fidelity policy (counted at
-  /// execution, so dedup subscribers and deferred items are each counted
-  /// exactly once).
+  /// execution, so deferred items are counted exactly once).
   void record_approx() {
     m_approx_.add();
     std::lock_guard lk(mu_);
@@ -297,12 +265,9 @@ class StatsCollector {
   /// Snapshot with percentiles; plan counters are merged in by the caller
   /// (they live in the PlanCache). Percentiles come from the streaming
   /// histogram (a fixed-size bucket walk), so a monitoring poll never
-  /// stalls the executors' record_* calls for the duration of a
-  /// 64k-element sort; exact_percentiles restores the sort (outside the
-  /// lock, on a copy) for parity testing.
+  /// stalls the executors' record_* calls behind a sort.
   ServerStats snapshot() const {
     ServerStats s;
-    std::vector<double> sorted;
     {
       std::lock_guard lk(mu_);
       s.completed = completed_;
@@ -313,7 +278,6 @@ class StatsCollector {
       s.batched_queries = batched_queries_;
       s.finalize_launches = finalize_launches_;
       s.deduped_queries = deduped_queries_;
-      s.dedup_classes = dedup_classes_;
       s.window_flushes = window_flushes_;
       s.window_merged_groups = window_merged_groups_;
       s.window_early_flushes = window_early_flushes_;
@@ -334,23 +298,9 @@ class StatsCollector {
                           : 1.0;
       for (double w : per_executor_)
         s.makespan_sim_ms = std::max(s.makespan_sim_ms, w);
-      if (exact_percentiles_) sorted = latencies_;
     }
-    if (exact_percentiles_) {
-      if (!sorted.empty()) {
-        std::sort(sorted.begin(), sorted.end());
-        const auto at = [&](double q) {
-          const size_t i = static_cast<size_t>(
-              q * static_cast<double>(sorted.size() - 1));
-          return sorted[i];
-        };
-        s.p50_sim_ms = at(0.5);
-        s.p99_sim_ms = at(0.99);
-      }
-    } else {
-      s.p50_sim_ms = static_cast<double>(latency_us_.percentile(0.5)) / 1e3;
-      s.p99_sim_ms = static_cast<double>(latency_us_.percentile(0.99)) / 1e3;
-    }
+    s.p50_sim_ms = static_cast<double>(latency_us_.percentile(0.5)) / 1e3;
+    s.p99_sim_ms = static_cast<double>(latency_us_.percentile(0.99)) / 1e3;
     return s;
   }
 
@@ -360,7 +310,6 @@ class StatsCollector {
   }
 
   mutable std::mutex mu_;
-  std::vector<double> latencies_;  ///< reservoir; exact_percentiles only
   std::vector<double> per_executor_;
   core::StageBreakdown stages_;
   double total_sim_ms_ = 0.0;
@@ -373,7 +322,6 @@ class StatsCollector {
   u64 batched_queries_ = 0;
   u64 finalize_launches_ = 0;
   u64 deduped_queries_ = 0;
-  u64 dedup_classes_ = 0;
   u64 window_flushes_ = 0;
   u64 window_merged_groups_ = 0;
   u64 window_early_flushes_ = 0;
@@ -382,7 +330,6 @@ class StatsCollector {
   u64 recall_samples_ = 0;
   double recall_sum_ = 0.0;
 
-  bool exact_percentiles_;
   obs::Histogram& latency_us_;
   obs::Counter& m_completed_;
   obs::Counter& m_failed_;
@@ -392,7 +339,6 @@ class StatsCollector {
   obs::Counter& m_batched_queries_;
   obs::Counter& m_finalize_launches_;
   obs::Counter& m_deduped_;
-  obs::Counter& m_dedup_classes_;
   obs::Counter& m_window_flushes_;
   obs::Counter& m_window_merged_;
   obs::Counter& m_early_flushes_;

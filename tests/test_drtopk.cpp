@@ -792,8 +792,8 @@ void expect_batched_matches_fused(std::span<const K> vs, int alpha, u32 beta,
 }
 
 TEST(BatchedConcat, MatchesFusedPerSegmentAcrossDistributions) {
-  // Distinct AND duplicate ks in one batch (the serving dedup layer feeds
-  // one segment per dedup class, but duplicates must also stay correct).
+  // Distinct AND duplicate ks in one batch (the serving setup feeds one
+  // segment per distinct k, but duplicates must also stay correct).
   const std::vector<u64> ks = {1, 16, 16, 333, 1000};
   for (Distribution d : {Distribution::kUniform, Distribution::kNormal,
                          Distribution::kCustomized}) {

@@ -2,8 +2,8 @@
 //
 // Two properties anchor everything here:
 //   1. EXACT IS BIT-IDENTICAL — a default (exact) FidelityPolicy must
-//      produce byte-for-byte the pre-PR-9 answers across the whole config
-//      matrix (dedup x batched_concat x sharded x key width).
+//      produce byte-for-byte the reference answers on every layer
+//      (single-device and sharded, both key widths).
 //   2. APPROX MEETS ITS TARGET — a recall-target query's measured recall
 //      against the exact oracle must be >= rho for every rho x
 //      distribution x k tried, at every layer (core, serve, sharded),
@@ -154,8 +154,8 @@ TEST(Fidelity, MarkGuardRetryHonorsPerSegmentPolicy) {
 
 TEST(Fidelity, ExactModeBitParityMatrix) {
   // The acceptance matrix: a default FidelityPolicy through every layer
-  // combination must be bit-identical to the reference — dedup x
-  // batched_concat x {single-device, sharded} x {u32, u64}.
+  // must be bit-identical to the reference — {single-device, sharded} x
+  // {u32, u64}, with repeated ks sharing stage-3 entries.
   auto v32 = data::generate(1 << 15, Distribution::kUniform, 221);
   std::span<const u32> vs32(v32.data(), v32.size());
   std::vector<u64> v64(1 << 14);
@@ -163,55 +163,50 @@ TEST(Fidelity, ExactModeBitParityMatrix) {
   std::span<const u64> vs64(v64.data(), v64.size());
   const std::vector<u64> ks = {32, 200, 1000};
 
-  for (bool dedup : {true, false}) {
-    for (bool bc : {true, false}) {
-      ServerConfig cfg;
-      cfg.batch_max = 8;
-      cfg.dedup = dedup;
-      cfg.batched_concat = bc;
-      TopkServer server(shared_device(), cfg);
-      std::vector<Query> queries;
-      for (u64 k : ks) {  // duplicates exercise dedup classes
-        queries.push_back(Query::view(vs32, k));
-        queries.push_back(Query::view(vs32, k));
-      }
-      for (u64 k : ks) queries.push_back(Query::view(vs64, k));
-      auto results = server.run_batch(queries);
-      for (size_t i = 0; i < 6; ++i)
-        ASSERT_EQ(results[i].values,
-                  widen(reference_topk(vs32, queries[i].k)))
-            << "dedup=" << dedup << " bc=" << bc << " i=" << i;
-      for (size_t i = 6; i < 9; ++i)
-        ASSERT_EQ(results[i].values, reference_topk(vs64, queries[i].k))
-            << "dedup=" << dedup << " bc=" << bc << " i=" << i;
-
-      ShardedConfig scfg;
-      scfg.num_shards = 2;
-      scfg.min_shard_elems = 1;
-      scfg.shard.dedup = dedup;
-      scfg.shard.batched_concat = bc;
-      ShardedTopkServer sharded(scfg);
-      auto corpus = sharded.register_corpus(vs32);
-      for (u64 k : ks)
-        ASSERT_EQ(sharded.submit(corpus, k).get().values,
-                  widen(reference_topk(vs32, k)))
-            << "sharded dedup=" << dedup << " bc=" << bc << " k=" << k;
-    }
+  ServerConfig cfg;
+  cfg.batch_max = 8;
+  TopkServer server(shared_device(), cfg);
+  std::vector<Query> queries;
+  for (u64 k : ks) {  // repeated ks share one stage-3 entry
+    queries.push_back(Query::view(vs32, k));
+    queries.push_back(Query::view(vs32, k));
   }
+  for (u64 k : ks) queries.push_back(Query::view(vs64, k));
+  auto results = server.run_batch(queries);
+  for (size_t i = 0; i < 6; ++i)
+    ASSERT_EQ(results[i].values, widen(reference_topk(vs32, queries[i].k)))
+        << "i=" << i;
+  for (size_t i = 6; i < 9; ++i)
+    ASSERT_EQ(results[i].values, reference_topk(vs64, queries[i].k))
+        << "i=" << i;
+
+  ShardedConfig scfg;
+  scfg.num_shards = 2;
+  scfg.min_shard_elems = 1;
+  ShardedTopkServer sharded(scfg);
+  auto corpus = sharded.register_corpus(vs32);
+  for (u64 k : ks)
+    ASSERT_EQ(sharded.submit(corpus, k).get().values,
+              widen(reference_topk(vs32, k)))
+        << "sharded k=" << k;
 }
 
 TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
   // Approx queries through the server (both the launch-free batched-group
-  // path and the per-item core path) must hit their recall targets; the
-  // oracle-measured recall is fed back via record_recall and must surface
-  // in ServerStats and the Prometheus exposition.
+  // path and the per-item core path a non-radix plan takes) must hit
+  // their recall targets; the oracle-measured recall is fed back via
+  // record_recall and must surface in ServerStats and the Prometheus
+  // exposition.
   const u64 n = u64{1} << 17;
   auto v = data::generate(n, Distribution::kUniform, 231);
   std::span<const u32> vs(v.data(), v.size());
-  for (bool bc : {true, false}) {
+  for (bool per_item : {false, true}) {
     ServerConfig cfg;
     cfg.batch_max = 8;
-    cfg.batched_concat = bc;
+    if (per_item) {
+      cfg.use_plan_cache = false;  // no probing back to the radix engines
+      cfg.base.second_algo = topk::Algo::kSortAndChoose;
+    }
     TopkServer server(shared_device(), cfg);
     u64 submitted = 0;
     for (double rho : {0.8, 0.9, 0.99}) {
@@ -224,7 +219,8 @@ TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
         ASSERT_EQ(results[i].values.size(), queries[i].k);
         const double rec = recall_of(
             results[i].values, widen(reference_topk(vs, queries[i].k)));
-        EXPECT_GE(rec, rho) << "bc=" << bc << " k=" << queries[i].k;
+        EXPECT_GE(rec, rho) << "per_item=" << per_item
+                            << " k=" << queries[i].k;
         server.record_recall(rec);
       }
     }
@@ -241,10 +237,10 @@ TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
   }
 }
 
-TEST(Fidelity, FidelitySplitsGroupsAndDedupClasses) {
-  // Mixed-fidelity identical queries must NOT share a group or a dedup
-  // class: the exact answers stay bit-identical while the approx ones run
-  // the reduced pipeline.
+TEST(Fidelity, FidelitySplitsGroups) {
+  // Mixed-fidelity identical queries must NOT share a group (and so never
+  // a stage-3 entry): the exact answers stay bit-identical while the
+  // approx ones run the reduced pipeline.
   auto v = data::generate(1 << 16, Distribution::kNormal, 241);
   std::span<const u32> vs(v.data(), v.size());
   ServerConfig cfg;

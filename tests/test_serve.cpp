@@ -1,7 +1,7 @@
 // Tests for the batched top-k serving engine: admission batching with
 // shared delegate construction, plan-cache behaviour, backpressure, and —
 // the central property — every concurrently served query returning results
-// bit-identical to the single-query core::dr_topk path.
+// bit-identical to the CPU reference oracle (topk::reference_topk).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,25 @@ vgpu::Device& shared_device() {
 
 std::vector<u64> widen(const std::vector<u32>& v) {
   return {v.begin(), v.end()};
+}
+
+/// The CPU oracle for any served query: reference_topk under the query's
+/// criterion (the smallest k are the largest k of the complement), cut to
+/// the k-th value for a selection-only query.
+std::vector<u64> oracle(const Query& q) {
+  std::vector<u64> v = q.width() == KeyWidth::k64
+                           ? std::vector<u64>(q.data64().begin(),
+                                              q.data64().end())
+                           : std::vector<u64>(q.data32().begin(),
+                                              q.data32().end());
+  const bool smallest = q.criterion == Criterion::kSmallest;
+  if (smallest)
+    for (u64& x : v) x = ~x;
+  std::vector<u64> top = reference_topk(std::span<const u64>(v), q.k);
+  if (smallest)
+    for (u64& x : top) x = ~x;
+  if (q.selection_only) top.erase(top.begin(), top.end() - 1);
+  return top;
 }
 
 TEST(Serve, SingleQueryMatchesSingleQueryPath) {
@@ -345,50 +364,10 @@ TEST(Serve, BatchedFinalizeOneSecondTopkLaunchPerWarmedGroup) {
   // Every query of every warmed group rode the batch.
   EXPECT_EQ(after.batched_queries - warm.batched_queries,
             groups * queries.size());
-}
-
-TEST(Serve, BatchedAndPerQueryPathsAreBitIdentical) {
-  // The parity suite at server level: batched selection on vs off (the
-  // PR-2 per-query baseline) across distributions, widths, criteria and
-  // mixed k — identical answers, same group structure.
-  auto a = data::generate(1 << 15, Distribution::kUniform, 111);
-  auto b = data::generate((1 << 14) + 321, Distribution::kNormal, 112);
-  auto c = data::generate(1 << 14, Distribution::kCustomized, 113);
-  std::vector<u64> d(1 << 13);
-  for (u64 i = 0; i < d.size(); ++i) d[i] = data::rand_u64(114, i);
-  std::span<const u32> as(a.data(), a.size());
-  std::span<const u32> bs(b.data(), b.size());
-  std::span<const u32> cs(c.data(), c.size());
-  std::span<const u64> dsn(d.data(), d.size());
-
-  std::vector<Query> queries;
-  for (u64 k : {u64{1}, u64{33}, u64{512}}) {
-    queries.push_back(Query::view(as, k));
-    queries.push_back(Query::view(bs, k, Criterion::kSmallest));
-    queries.push_back(Query::view(cs, k, Criterion::kLargest,
-                                  /*selection_only=*/true));
-    queries.push_back(Query::view(dsn, k));
-  }
-
-  ServerConfig batched_cfg;
-  batched_cfg.executors = 3;
-  TopkServer batched(shared_device(), batched_cfg);
-  auto br = batched.run_batch(queries);
-
-  ServerConfig per_cfg;
-  per_cfg.executors = 3;
-  per_cfg.batched_select = false;
-  TopkServer per(shared_device(), per_cfg);
-  auto pr2 = per.run_batch(queries);
-
-  ASSERT_EQ(br.size(), pr2.size());
-  for (size_t i = 0; i < br.size(); ++i) {
-    EXPECT_EQ(br[i].values, pr2[i].values) << "query " << i;
-    EXPECT_EQ(br[i].kth, pr2[i].kth) << "query " << i;
-  }
-  EXPECT_GE(batched.stats().batched_queries, 1u);
-  EXPECT_EQ(per.stats().batched_queries, 0u);
-  EXPECT_EQ(per.stats().finalize_launches, 0u);
+  // Distinct ks, window 0: nothing shared a stage-3 entry or a window.
+  EXPECT_EQ(after.deduped_queries, 0u);
+  EXPECT_EQ(after.window_flushes, 0u);
+  EXPECT_EQ(after.window_merged_groups, 0u);
 }
 
 TEST(Serve, BatchedStreamedSubmitsStayExact) {
@@ -412,10 +391,10 @@ TEST(Serve, BatchedStreamedSubmitsStayExact) {
   EXPECT_EQ(server.stats().failed, 0u);
 }
 
-TEST(Serve, DedupIdenticalQueriesShareOneClass) {
-  // N identical queries: one leader runs phase A, everyone else subscribes
-  // to its candidate span; results are bit-identical and exactly one query
-  // class forms.
+TEST(Serve, DedupIdenticalQueriesShareOneStage3Entry) {
+  // N identical queries: the setup resolves one kappa and one stage-3
+  // candidate span for their k, every member parks a segment over that
+  // span, and the batched finalization sorts it once for all of them.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 131);
   std::span<const u32> vs(v.data(), v.size());
@@ -437,16 +416,16 @@ TEST(Serve, DedupIdenticalQueriesShareOneClass) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.completed, 8u);
   EXPECT_EQ(s.failed, 0u);
-  EXPECT_EQ(s.dedup_classes, 1u);
   EXPECT_EQ(s.deduped_queries, 7u);
-  // Everyone was delivered by the one batched finalization.
+  // Everyone was delivered by the one batched finalization launch.
   EXPECT_EQ(s.batched_queries, 8u);
   EXPECT_EQ(s.batched_groups, 1u);
+  EXPECT_EQ(s.finalize_launches, 1u);
 }
 
 TEST(Serve, DedupMixedIdenticalAndDistinctQueries) {
-  // Only the identical members share a class; distinct ks still run their
-  // own phase A and everyone stays exact.
+  // Only the repeated k counts as shared; distinct ks get their own
+  // stage-3 entry and everyone stays exact.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 133);
   std::span<const u32> vs(v.data(), v.size());
@@ -466,14 +445,14 @@ TEST(Serve, DedupMixedIdenticalAndDistinctQueries) {
         << i;
 
   const ServerStats s = server.stats();
-  EXPECT_EQ(s.dedup_classes, 1u);    // only k=64 actually shared
-  EXPECT_EQ(s.deduped_queries, 3u);  // its three subscribers
+  EXPECT_EQ(s.deduped_queries, 3u);  // the three repeats of k=64
   EXPECT_EQ(s.failed, 0u);
 }
 
-TEST(Serve, DedupSelectionOnlySplitsTheClass) {
-  // Same k but different selection_only must NOT share a span-emission
-  // contract: two classes, both exact.
+TEST(Serve, DedupSelectionOnlySharesTheSpanNotTheEmission) {
+  // Same k, mixed selection_only: all six ride one stage-3 entry, but each
+  // segment keeps its own emission contract — full lists stay full, the
+  // selection-only answers carry just the k-th.
   auto v = data::generate(1 << 15, Distribution::kUniform, 137);
   std::span<const u32> vs(v.data(), v.size());
   const auto full = widen(reference_topk(vs, 77));
@@ -495,60 +474,14 @@ TEST(Serve, DedupSelectionOnlySplitsTheClass) {
     EXPECT_EQ(results[i].kth, full.back()) << i;
   }
   const ServerStats s = server.stats();
-  EXPECT_EQ(s.dedup_classes, 2u);
-  EXPECT_EQ(s.deduped_queries, 4u);
-}
-
-TEST(Serve, DedupParityWithDedupOffAcrossMatrix) {
-  // Dedup on vs off over distributions x widths x criteria x duplicate
-  // patterns: bit-identical answers (the acceptance parity matrix).
-  auto a = data::generate(1 << 15, Distribution::kUniform, 141);
-  auto b = data::generate((1 << 14) + 99, Distribution::kNormal, 142);
-  auto c = data::generate(1 << 14, Distribution::kCustomized, 143);
-  std::vector<u64> d(1 << 13);
-  for (u64 i = 0; i < d.size(); ++i) d[i] = data::rand_u64(144, i);
-  std::span<const u32> as(a.data(), a.size());
-  std::span<const u32> bs(b.data(), b.size());
-  std::span<const u32> cs(c.data(), c.size());
-  std::span<const u64> dsn(d.data(), d.size());
-
-  std::vector<Query> queries;
-  for (int rep = 0; rep < 3; ++rep) {  // duplicates across every signature
-    for (u64 k : {u64{1}, u64{33}, u64{512}}) {
-      queries.push_back(Query::view(as, k));
-      queries.push_back(Query::view(bs, k, Criterion::kSmallest));
-      queries.push_back(Query::view(cs, k, Criterion::kLargest,
-                                    /*selection_only=*/true));
-      queries.push_back(Query::view(dsn, k));
-    }
-  }
-
-  ServerConfig on_cfg;
-  on_cfg.executors = 3;
-  on_cfg.dedup = true;
-  TopkServer on(shared_device(), on_cfg);
-  auto ron = on.run_batch(queries);
-
-  ServerConfig off_cfg;
-  off_cfg.executors = 3;
-  off_cfg.dedup = false;
-  TopkServer off(shared_device(), off_cfg);
-  auto roff = off.run_batch(queries);
-
-  ASSERT_EQ(ron.size(), roff.size());
-  for (size_t i = 0; i < ron.size(); ++i) {
-    EXPECT_EQ(ron[i].values, roff[i].values) << "query " << i;
-    EXPECT_EQ(ron[i].kth, roff[i].kth) << "query " << i;
-  }
-  EXPECT_GE(on.stats().deduped_queries, 1u);
-  EXPECT_EQ(off.stats().deduped_queries, 0u);
+  EXPECT_EQ(s.deduped_queries, 5u);
 }
 
 TEST(Serve, WindowMergesTwoCorporaIntoOneFinalizeLaunch) {
   // Two admission groups on DIFFERENT corpora completing within the window
   // must be finalized by ONE shared batched launch (the cross-group
   // staging area): launch-count-asserted extension of the PR-3 regression
-  // test. The segment cap (5: above one group's four leaders, at or below
+  // test. The segment cap (5: above one group's four segments, at or below
   // two groups' worth even if a query resolves inline via the Rule-3 fast
   // path) fires the flush as soon as the second group parks, so the test
   // never waits out the generous window.
@@ -588,49 +521,11 @@ TEST(Serve, WindowMergesTwoCorporaIntoOneFinalizeLaunch) {
   EXPECT_EQ(s.finalize_launches, 1u);
 }
 
-TEST(Serve, WindowZeroDedupOffReplaysPr3Behavior) {
-  // The PR-3 configuration (window=0, dedup=off) must be exactly
-  // reproducible: per-group finalization, one launch per warmed group, no
-  // dedup/window counters moving, answers bit-identical to defaults.
-  const u64 n = 1 << 16;
-  auto v = data::generate(n, Distribution::kUniform, 155);
-  std::span<const u32> vs(v.data(), v.size());
-
-  ServerConfig pr3;
-  pr3.executors = 1;
-  pr3.batch_max = 8;
-  pr3.dedup = false;
-  pr3.finalize_window_us = 0;
-  TopkServer server(shared_device(), pr3);
-
-  std::vector<Query> queries;
-  for (int i = 0; i < 8; ++i) queries.push_back(Query::view(vs, 64 + 8 * i));
-  (void)server.run_batch(queries);  // warm
-  const ServerStats warm = server.stats();
-  const int rounds = 2;
-  for (int r = 0; r < rounds; ++r) {
-    auto results = server.run_batch(queries);
-    for (size_t i = 0; i < queries.size(); ++i)
-      ASSERT_EQ(results[i].values, widen(reference_topk(vs, queries[i].k)))
-          << i;
-  }
-  const ServerStats after = server.stats();
-  EXPECT_EQ(after.groups - warm.groups, static_cast<u64>(rounds));
-  EXPECT_EQ(after.batched_groups - warm.batched_groups,
-            static_cast<u64>(rounds));
-  EXPECT_EQ(after.finalize_launches - warm.finalize_launches,
-            static_cast<u64>(rounds));
-  EXPECT_EQ(after.deduped_queries, 0u);
-  EXPECT_EQ(after.dedup_classes, 0u);
-  EXPECT_EQ(after.window_flushes, 0u);
-  EXPECT_EQ(after.window_merged_groups, 0u);
-}
-
 TEST(Serve, WindowSpanLifetimeStressAcrossGroups) {
   // Span-lifetime stress: groups park in the staging area and are
   // finalized by an executor that never ran them — their arena-backed
-  // candidate spans (dedup-shared included) must stay valid until the
-  // shared launch consumes them. Several rounds over four corpora with
+  // candidate spans (shared by repeated ks included) must stay valid until
+  // the shared launch consumes them. Several rounds over four corpora with
   // duplicate queries; everything must stay exact with zero failures.
   const u64 n = 1 << 14;
   std::vector<vgpu::device_vector<u32>> corpora;
@@ -641,10 +536,10 @@ TEST(Serve, WindowSpanLifetimeStressAcrossGroups) {
   cfg.executors = 3;
   cfg.batch_max = 4;
   // The window is only the fallback bound: the cap (above one group's
-  // three leader segments, below two groups' worth) drives the flushes,
+  // four parked segments, below two groups' worth) drives the flushes,
   // so a straggler round costs at most 200ms instead of hanging the test.
   cfg.finalize_window_us = 200'000;
-  cfg.finalize_max_segments = 4;  // force multi-group flushes
+  cfg.finalize_max_segments = 5;  // force multi-group flushes
   TopkServer server(shared_device(), cfg);
 
   for (int round = 0; round < 4; ++round) {
@@ -652,7 +547,7 @@ TEST(Serve, WindowSpanLifetimeStressAcrossGroups) {
     for (u64 t = 0; t < 4; ++t) {
       std::span<const u32> vs(corpora[t].data(), corpora[t].size());
       queries.push_back(Query::view(vs, 40));
-      queries.push_back(Query::view(vs, 40));  // dedup inside the window
+      queries.push_back(Query::view(vs, 40));  // repeated k: shared span
       queries.push_back(Query::view(vs, 80));
       queries.push_back(Query::view(vs, 120));
     }
@@ -707,49 +602,11 @@ TEST(Serve, WindowEarlyFlushFiresWhenPoolGoesIdle) {
   EXPECT_EQ(s.window_early_flushes, s.window_flushes);
 }
 
-TEST(Serve, WindowEarlyFlushOffReplaysTimerOnlyBehavior) {
-  // The `window_early_flush=false` escape hatch replays PR-5: a
-  // single-executor owner waits out the full window (no peers to cap-flush
-  // it), so elapsed time is bounded BELOW by the window. Keeps the
-  // early-flush win measurable against its predecessor.
-  const u64 n = 1 << 14;
-  auto v = data::generate(n, Distribution::kNormal, 173);
-  std::span<const u32> vs(v.data(), v.size());
-
-  ServerConfig cfg;
-  cfg.executors = 1;
-  cfg.batch_max = 4;
-  cfg.finalize_window_us = 50'000;
-  cfg.window_early_flush = false;
-  TopkServer server(shared_device(), cfg);
-
-  std::vector<Query> queries;
-  for (u64 k : {u64{32}, u64{64}, u64{96}, u64{128}})
-    queries.push_back(Query::view(vs, k));
-
-  topk::WallTimer wall;
-  auto results = server.run_batch(queries);
-  const double elapsed_ms = wall.ms();
-
-  for (size_t i = 0; i < queries.size(); ++i)
-    EXPECT_EQ(results[i].values, widen(reference_topk(vs, queries[i].k)))
-        << i;
-
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.failed, 0u);
-  if (s.window_flushes > 0) {
-    // The group actually parked (stage 4 deferred): the owner must have
-    // waited out the timer, and no early flush may be recorded.
-    EXPECT_GE(elapsed_ms, 50.0);
-    EXPECT_EQ(s.window_early_flushes, 0u);
-  }
-}
-
-TEST(Serve, BatchedConcatParityMatrixAcrossConfigs) {
-  // The PR-8 acceptance parity matrix: group-wide batched stage 3 on vs
-  // off (the PR-7 per-query stage 3) x dedup on/off, over distributions,
-  // widths, criteria, selection_only and duplicate ks — every combination
-  // bit-identical, and the baseline bit-identical to the reference.
+TEST(Serve, ParityMatrixAgainstReference) {
+  // The acceptance parity matrix: distributions x widths x criteria x
+  // selection_only x repeated and distinct ks, served concurrently through
+  // the batched setup, the shared stage-3 spans and the batched
+  // finalization — every answer bit-identical to the CPU oracle.
   auto a = data::generate(1 << 15, Distribution::kUniform, 181);
   auto b = data::generate((1 << 14) + 99, Distribution::kNormal, 182);
   auto c = data::generate(1 << 14, Distribution::kCustomized, 183);
@@ -761,7 +618,7 @@ TEST(Serve, BatchedConcatParityMatrixAcrossConfigs) {
   std::span<const u64> dsn(d.data(), d.size());
 
   std::vector<Query> queries;
-  for (int rep = 0; rep < 2; ++rep) {  // duplicate ks exercise dedup
+  for (int rep = 0; rep < 3; ++rep) {  // repeated ks share stage-3 entries
     for (u64 k : {u64{1}, u64{33}, u64{512}, u64{1000}}) {
       queries.push_back(Query::view(as, k));
       queries.push_back(Query::view(bs, k, Criterion::kSmallest));
@@ -771,51 +628,25 @@ TEST(Serve, BatchedConcatParityMatrixAcrossConfigs) {
     }
   }
 
-  std::vector<std::vector<QueryResult>> runs;
-  for (bool batched_concat : {true, false}) {
-    for (bool dedup : {true, false}) {
-      ServerConfig cfg;
-      cfg.executors = 3;
-      cfg.batched_concat = batched_concat;
-      cfg.dedup = dedup;
-      TopkServer server(shared_device(), cfg);
-      runs.push_back(server.run_batch(queries));
-      if (batched_concat) EXPECT_GE(server.stats().concat_launches, 1u);
-    }
-  }
-  for (size_t run = 1; run < runs.size(); ++run) {
-    ASSERT_EQ(runs[run].size(), runs[0].size());
-    for (size_t i = 0; i < runs[0].size(); ++i) {
-      EXPECT_EQ(runs[run][i].values, runs[0][i].values)
-          << "run " << run << " query " << i;
-      EXPECT_EQ(runs[run][i].kth, runs[0][i].kth)
-          << "run " << run << " query " << i;
-    }
-  }
-  // Anchor the agreeing configurations to the reference answers.
+  ServerConfig cfg;
+  cfg.executors = 3;
+  TopkServer server(shared_device(), cfg);
+  const auto results = server.run_batch(queries);
+  ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    std::vector<u64> expect = q.width() == KeyWidth::k64
-                                  ? reference_topk(q.data64(), q.k)
-                                  : widen(reference_topk(q.data32(), q.k));
-    if (q.criterion == Criterion::kSmallest) {
-      std::vector<u64> all(q.data32().begin(), q.data32().end());
-      std::sort(all.begin(), all.end());
-      all.resize(q.k);
-      expect = all;
-    }
-    if (q.selection_only) {
-      ASSERT_EQ(runs[0][i].values.size(), 1u) << i;
-      EXPECT_EQ(runs[0][i].kth, expect.back()) << i;
-    } else {
-      EXPECT_EQ(runs[0][i].values, expect) << i;
-    }
+    const std::vector<u64> expect = oracle(queries[i]);
+    EXPECT_EQ(results[i].values, expect) << "query " << i;
+    EXPECT_EQ(results[i].kth, expect.back()) << "query " << i;
   }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_GE(s.concat_launches, 1u);
+  EXPECT_GE(s.deduped_queries, 1u);
 }
 
 TEST(Serve, BatchedConcatOneLaunchPairPerWarmedGroup) {
-  // THE launch-count regression test: with batched_concat a warmed group
-  // of 16 distinct-k queries costs ONE classify + ONE concat launch
+  // THE launch-count regression test: a warmed group of 16 distinct-k
+  // queries costs ONE classify + ONE concat launch
   // (stage 3) and ~5 device launches total — construct, batched kappa,
   // classify, concat, batched finalize. Member queries launch nothing.
   const u64 n = 1 << 16;
@@ -864,14 +695,17 @@ TEST(Serve, RelaxationGuardTripsAreCountedAndExported) {
   // All-equal data makes every delegate >= kappa, so the per-query path's
   // Section 4.3 relaxation guard must fire (taken_total > 4k), be counted
   // in ServerStats, and be visible in the Prometheus exposition. The
-  // batched-concat path feeds exact kappas, so it never trips the guard —
-  // the counter is the observability seam proving that.
+  // group setup feeds exact kappas, so it never trips the guard — the
+  // counter is the observability seam proving that.
   std::vector<u32> v(1 << 20, 42u);
   std::span<const u32> vs(v.data(), v.size());
 
   ServerConfig cfg;
   cfg.executors = 1;
-  cfg.batched_select = false;  // per-query pipeline: relaxation active
+  // A non-radix second engine (no plan probing to override it) keeps the
+  // group off the batched setup: the item runs its own relaxed stage 2.
+  cfg.use_plan_cache = false;
+  cfg.base.second_algo = topk::Algo::kSortAndChoose;
   // Pin a small subrange size: the delegate vector must outgrow the
   // single-launch shared-memory first top-k (which is exact and would
   // bypass the relaxation entirely).
@@ -887,17 +721,16 @@ TEST(Serve, RelaxationGuardTripsAreCountedAndExported) {
 }
 
 TEST(Serve, BatchedConcatStreamedLateJoinersStayExact) {
-  // Streamed one-at-a-time submits with batched_concat: late joiners whose
-  // k missed the group's precomputed stage 3 fall back to the per-item
-  // deferred path inside the same group; everything stays exact across
-  // duplicate and distinct ks.
+  // Streamed one-at-a-time submits: late joiners whose k missed the
+  // group's precomputed stage 3 fall back to the per-item deferred path
+  // inside the same group; everything stays exact across duplicate and
+  // distinct ks.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kNormal, 193);
   std::span<const u32> vs(v.data(), v.size());
 
   ServerConfig cfg;
   cfg.executors = 2;
-  cfg.batched_concat = true;
   TopkServer server(shared_device(), cfg);
   for (int round = 0; round < 3; ++round) {
     std::vector<std::future<QueryResult>> futures;

@@ -1,9 +1,10 @@
 // Cross-shard parity suite for serve::ShardedTopkServer: the sharded
-// answer must be bit-identical to the single-device TopkServer across
+// answer must be bit-identical to the CPU reference oracle across
 // distributions x k x shard counts — including ragged last shards,
 // k larger than a shard's winner list, duplicate keys straddling shards,
-// dedup on/off, selection-only and both key widths — plus the routing
-// short-circuit, topology, labeled metrics and trace/attribution gates.
+// repeated queries, selection-only and both key widths — plus input
+// validation, the routing short-circuit, topology, labeled metrics and
+// trace/attribution gates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,15 +24,21 @@ std::vector<u64> widen(const std::vector<u32>& v) {
   return {v.begin(), v.end()};
 }
 
-/// The bit-identity target: the same query against ONE TopkServer on one
-/// fresh device.
-std::vector<QueryResult> single_device_baseline(std::span<const u32> v,
-                                                const std::vector<Query>& qs) {
-  vgpu::Device dev(vgpu::GpuProfile::v100s());
-  TopkServer server(dev);
-  std::vector<Query> copy = qs;
-  for (auto& q : copy) q.view32 = v;
-  return server.run_batch(std::move(copy));
+/// The bit-identity target: topk::reference_topk under the criterion (the
+/// smallest k are the largest k of the complement), cut to the k-th value
+/// for a selection-only query.
+std::vector<u64> oracle(std::span<const u32> v, u64 k,
+                        Criterion c = Criterion::kLargest,
+                        bool selection_only = false) {
+  std::vector<u64> w(v.begin(), v.end());
+  const bool smallest = c == Criterion::kSmallest;
+  if (smallest)
+    for (u64& x : w) x = ~x;
+  std::vector<u64> top = topk::reference_topk(std::span<const u64>(w), k);
+  if (smallest)
+    for (u64& x : top) x = ~x;
+  if (selection_only) top.erase(top.begin(), top.end() - 1);
+  return top;
 }
 
 /// A sharded config that actually shards small test corpora.
@@ -52,13 +59,12 @@ TEST(Sharded, ParityAcrossDistributionsKAndShardCounts) {
       auto corpus = srv.register_corpus(vs);
       ASSERT_EQ(srv.corpus_shards(corpus), shards);
       for (u64 k : {u64{1}, u64{10}, u64{100}, u64{1000}}) {
-        auto expect =
-            single_device_baseline(vs, {Query::view(vs, k)}).front();
+        const auto expect = oracle(vs, k);
         auto got = srv.submit(corpus, k).get();
-        ASSERT_EQ(got.values, expect.values)
+        ASSERT_EQ(got.values, expect)
             << "dist=" << static_cast<int>(dist) << " shards=" << shards
             << " k=" << k;
-        EXPECT_EQ(got.kth, expect.kth);
+        EXPECT_EQ(got.kth, expect.back());
         EXPECT_GT(got.latency_sim_ms, 0.0);
       }
     }
@@ -98,22 +104,33 @@ TEST(Sharded, DuplicateKeysAcrossShardsKeepMultiplicity) {
   }
 }
 
-TEST(Sharded, DedupOnOffParity) {
+TEST(Sharded, RepeatedQueriesMatchReference) {
   auto v = data::generate(1 << 15, Distribution::kUniform, 93);
   std::span<const u32> vs(v.data(), v.size());
-  std::vector<std::vector<u64>> answers;
-  for (bool dedup : {true, false}) {
-    ShardedConfig cfg = sharded_cfg(2);
-    cfg.shard.dedup = dedup;
-    ShardedTopkServer srv(cfg);
-    auto corpus = srv.register_corpus(vs);
-    // Identical queries exercise phase-A dedup inside each shard.
-    std::vector<std::future<QueryResult>> fs;
-    for (int i = 0; i < 6; ++i) fs.push_back(srv.submit(corpus, 50));
-    for (auto& f : fs) answers.push_back(f.get().values);
-  }
-  auto expect = topk::reference_topk(vs, 50);
-  for (const auto& a : answers) EXPECT_EQ(a, widen(expect));
+  ShardedTopkServer srv(sharded_cfg(2));
+  auto corpus = srv.register_corpus(vs);
+  // Identical queries share stage-3 entries inside each shard's groups.
+  std::vector<std::future<QueryResult>> fs;
+  for (int i = 0; i < 6; ++i) fs.push_back(srv.submit(corpus, 50));
+  const auto expect = widen(topk::reference_topk(vs, 50));
+  for (auto& f : fs) EXPECT_EQ(f.get().values, expect);
+}
+
+TEST(Sharded, RejectsInvalidQueries) {
+  // Checked in every build mode: an unregistered corpus id or a k outside
+  // [1, |V|] is the caller's error, reported as std::invalid_argument
+  // instead of indexing past the corpus table.
+  auto v = data::generate(1 << 12, Distribution::kUniform, 97);
+  std::span<const u32> vs(v.data(), v.size());
+  ShardedTopkServer srv(sharded_cfg(2));
+  auto corpus = srv.register_corpus(vs);
+  EXPECT_THROW((void)srv.submit(corpus + 1, 10), std::invalid_argument);
+  EXPECT_THROW((void)srv.submit(corpus, 0), std::invalid_argument);
+  EXPECT_THROW((void)srv.submit(corpus, vs.size() + 1),
+               std::invalid_argument);
+  // The server stays usable after the rejections.
+  EXPECT_EQ(srv.submit(corpus, 10).get().values,
+            widen(topk::reference_topk(vs, 10)));
 }
 
 TEST(Sharded, SelectionOnlyAndSmallestCriterion) {
@@ -122,17 +139,12 @@ TEST(Sharded, SelectionOnlyAndSmallestCriterion) {
   ShardedTopkServer srv(sharded_cfg(3));
   auto corpus = srv.register_corpus(vs);
   for (auto c : {Criterion::kLargest, Criterion::kSmallest}) {
-    auto expect =
-        single_device_baseline(
-            vs, {Query::view(vs, 77, c, /*selection_only=*/true)})
-            .front();
+    const auto expect = oracle(vs, 77, c, /*selection_only=*/true);
     auto got = srv.submit(corpus, 77, c, /*selection_only=*/true).get();
-    EXPECT_EQ(got.kth, expect.kth);
-    EXPECT_EQ(got.values, expect.values);  // just the k-th value
+    EXPECT_EQ(got.kth, expect.back());
+    EXPECT_EQ(got.values, expect);  // just the k-th value
     auto full = srv.submit(corpus, 77, c).get();
-    auto full_expect =
-        single_device_baseline(vs, {Query::view(vs, 77, c)}).front();
-    EXPECT_EQ(full.values, full_expect.values);
+    EXPECT_EQ(full.values, oracle(vs, 77, c));
   }
 }
 
@@ -140,15 +152,13 @@ TEST(Sharded, U64CorpusParity) {
   std::vector<u64> v(1 << 14);
   for (u64 i = 0; i < v.size(); ++i) v[i] = data::rand_u64(95, i);
   std::span<const u64> vs(v.data(), v.size());
-  vgpu::Device dev(vgpu::GpuProfile::v100s());
-  TopkServer single(dev);
-  auto expect = single.submit(Query::view(vs, 200)).get();
+  const auto expect = topk::reference_topk(vs, 200);
 
   ShardedTopkServer srv(sharded_cfg(4));
   auto corpus = srv.register_corpus(vs);
   auto got = srv.submit(corpus, 200).get();
-  EXPECT_EQ(got.values, expect.values);
-  EXPECT_EQ(got.kth, expect.kth);
+  EXPECT_EQ(got.values, expect);
+  EXPECT_EQ(got.kth, expect.back());
 }
 
 TEST(Sharded, SingleShardCorpusShortCircuits) {
