@@ -30,19 +30,14 @@ double AlphaTuner::predicted_ms(const vgpu::GpuProfile& p, u64 n, u64 k,
 
 int clamp_alpha(u64 n, u64 k, u32 beta, int alpha) {
   if (n < 2 || k * 2 > n) return -1;
-  // Feasibility: the delegate vector must hold at least k entries, with a
+  // Feasibility: the delegate vector must hold at least k real delegates
+  // (a short tail subrange's padding slots hold no element), with a
   // factor-2 headroom so the first top-k is still a real reduction.
   int max_alpha = 0;
   while ((u64{1} << (max_alpha + 1)) <= n) ++max_alpha;
   int hi = max_alpha;
-  while (hi > 1) {
-    const u64 subranges = (n + (u64{1} << hi) - 1) >> hi;
-    if (subranges * beta >= k) break;
-    --hi;
-  }
-  if (hi <= 0) return -1;
-  const u64 subranges = (n + (u64{1} << hi) - 1) >> hi;
-  if (subranges * beta < k) return -1;
+  while (hi > 1 && real_delegate_count(n, hi, beta) < k) --hi;
+  if (hi <= 0 || real_delegate_count(n, hi, beta) < k) return -1;
   return std::clamp(alpha, 1, hi);
 }
 

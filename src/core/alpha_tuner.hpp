@@ -49,8 +49,8 @@ struct AlphaTuner {
 };
 
 /// Clamps alpha to the feasible range: at least 1, at most log2(n), and
-/// small enough that the delegate vector still holds k entries
-/// (num_subranges * beta >= k). Returns -1 when no feasible alpha exists
+/// small enough that the delegate vector still holds k real delegates
+/// (real_delegate_count >= k). Returns -1 when no feasible alpha exists
 /// (k too close to n) — the caller falls back to a direct top-k.
 int clamp_alpha(u64 n, u64 k, u32 beta, int alpha);
 

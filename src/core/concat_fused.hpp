@@ -39,8 +39,9 @@
 // (approximate per-partition mode) every taken subrange lands on the
 // partial list regardless of how many of its delegates cleared kappa, so
 // concatenation gathers ONLY taken delegates — no subrange is ever
-// streamed from the input vector and the candidate set is exactly the
-// top-k of the per-subrange maxima the recall budget was sized for.
+// streamed from the input vector and the candidates are exactly the
+// delegates >= kappa — each subrange's top beta, with (subrange count,
+// beta) sized by the recall budget (core::approx_geometry).
 //
 // Delegate validity is analytic: within a subrange's beta slots the real
 // delegates are a prefix of length min(beta, subrange_len) (see

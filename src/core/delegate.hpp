@@ -71,6 +71,15 @@ struct DelegateVector {
   }
 };
 
+/// Delegate slots over n keys that hold an element: each full subrange of
+/// 2^alpha keys fills min(beta, 2^alpha) slots and a short tail subrange
+/// min(beta, its length); the rest of the S * beta slots are padding.
+inline u64 real_delegate_count(u64 n, int alpha, u32 beta) {
+  const u64 len = u64{1} << alpha;
+  return (n >> alpha) * std::min<u64>(beta, len) +
+         std::min<u64>(beta, n & (len - 1));
+}
+
 namespace detail {
 
 /// Per-lane top-beta accumulator (descending insertion into a tiny array).

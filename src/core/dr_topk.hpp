@@ -82,12 +82,13 @@ struct DrTopkConfig {
 
   /// Exactness policy (core/fidelity.hpp). Exact (the default) is
   /// bit-identical to the pipeline as it always was. A recall target
-  /// switches to the per-partition approximate mode: beta collapses to 1
-  /// (resolve_beta), alpha comes from the error budget (approx_alpha),
+  /// switches to the per-partition approximate mode: unless alpha is
+  /// pinned, alpha AND beta come from the error budget (approx_geometry —
+  /// the fewest delegates whose expected misses fit the budget),
   /// classification is delegates-only (no Rule-2 qualified streaming),
   /// and the relaxation-guard retry is skipped (counted in
   /// StageBreakdown::guard_skips). The answer is the top-k of the
-  /// per-subrange maxima, with E[recall] >= the target.
+  /// per-subrange top-beta delegates, with E[recall] >= the target.
   FidelityPolicy fidelity;
 };
 
@@ -115,42 +116,74 @@ inline DrTopkConfig apply_plan(DrTopkConfig cfg, const ExecPlan& p) {
   return cfg;
 }
 
-/// Effective delegates-per-subrange under the config's fidelity policy:
-/// approximate mode keeps only each subrange's maximum (the per-partition
-/// scheme needs exactly one representative), exact mode keeps the
-/// configured beta. The single source of truth shared by dr_topk_keys,
-/// the serving layer's shared construction, and plan calibration.
-inline u32 resolve_beta(const DrTopkConfig& cfg) {
-  const u32 beta = std::clamp<u32>(cfg.beta, 1, kMaxBeta);
-  return cfg.fidelity.exact() ? beta : 1;
+/// A delegate geometry: subranges of 2^alpha elements, each contributing
+/// its top `beta`. alpha < 0 means delegation is infeasible (or pointless)
+/// for the shape — the pipeline runs a direct top-k.
+struct DelegateGeometry {
+  int alpha = -1;
+  u32 beta = 1;
+};
+
+/// Fewest subranges an approximate geometry may use: below this the
+/// construction degenerates into a handful of very long warp scans.
+inline constexpr u64 kApproxMinSubranges = 64;
+
+/// The approximate mode's geometry for a top-k of |V| = n under policy
+/// `f`: over every feasible (alpha, beta <= kMaxBeta) with at least
+/// kApproxMinSubranges subranges, beta below the subrange length and at
+/// least k real delegates (real_delegate_count: the answer is drawn from
+/// them, and a short tail subrange's padding slots hold no element), the
+/// fewest delegates S * beta whose expected misses
+/// (approx_expected_misses) stay within approx_miss_budget; ties go to the
+/// fewer expected misses. Bigger subranges with more delegates each reach
+/// a target with far fewer delegates than beta = 1 (arXiv 2506.04165):
+/// k = 4096 at rho = 0.99 on 2^20 keys needs 4096 x 4 delegates instead
+/// of 2^19 x 1. Returns alpha = -1 when no geometry meets the budget — the
+/// direct top-k is then exact and cheaper than delegating everything.
+inline DelegateGeometry approx_geometry(u64 n, u64 k, const FidelityPolicy& f) {
+  DelegateGeometry best;
+  if (n < 2 || k * 2 > n) return best;
+  const double budget = approx_miss_budget(k, f);
+  u64 best_len = 0;
+  double best_miss = 0.0;
+  for (int alpha = 1; (u64{1} << alpha) <= n; ++alpha) {
+    const u64 len = u64{1} << alpha;
+    const u64 subranges = (n + len - 1) >> alpha;
+    if (subranges < kApproxMinSubranges) break;
+    for (u32 beta = 1; beta <= kMaxBeta && beta < len; ++beta) {
+      if (real_delegate_count(n, alpha, beta) < k) continue;
+      const double miss = approx_expected_misses(k, subranges, beta);
+      if (miss > budget) continue;
+      const u64 dlen = subranges * beta;
+      if (best.alpha < 0 || dlen < best_len ||
+          (dlen == best_len && miss < best_miss)) {
+        best = {alpha, beta};
+        best_len = dlen;
+        best_miss = miss;
+      }
+      break;  // a larger beta at this alpha only adds delegates
+    }
+  }
+  return best;
 }
 
-/// Largest subrange exponent the fidelity policy's error budget allows:
-/// the subrange count n >> alpha must stay >= approx_min_subranges(k).
-/// Bigger alpha = fewer delegates = faster, so the budget cap IS the
-/// choice — Rule 4's stage-1/stage-3 balance is irrelevant when stage 3
-/// never streams subranges. Returns -1 when delegation is infeasible.
-inline int approx_alpha(u64 n, u64 k, const FidelityPolicy& f) {
-  const u64 smin = approx_min_subranges(k, f);
-  int alpha = 1;
-  while ((n >> (alpha + 1)) >= smin) ++alpha;
-  return clamp_alpha(n, k, 1, alpha);
-}
-
-/// Resolves the pipeline's subrange exponent for (n, k): an explicit
-/// cfg.alpha wins, otherwise Rule 4's closed form (exact fidelity) or the
-/// recall budget's cap (approximate fidelity), then the feasibility
-/// clamp. Returns -1 when no feasible alpha exists (k too close to n).
-/// The single source of truth shared by dr_topk_keys, the serving layer's
-/// shared construction, and plan calibration.
-inline int resolve_alpha(u64 n, u64 k, u32 beta, const DrTopkConfig& cfg) {
-  if (cfg.alpha <= kDirectAlpha) return -1;  // calibrated: go direct, no tuner
+/// Resolves the pipeline's delegate geometry for (n, k) — the single source
+/// of truth shared by dr_topk_keys, the serving layer's shared
+/// construction, and plan calibration. An explicit cfg.alpha pins the
+/// geometry to (cfg.alpha, cfg.beta) under either policy (this is how a
+/// calibrated ExecPlan replays); otherwise exact fidelity takes the
+/// configured beta with Rule 4's closed-form alpha, and a recall target
+/// takes both from approx_geometry. Feasibility-clamped; alpha = -1 when
+/// no feasible geometry exists (k too close to n).
+inline DelegateGeometry resolve_geometry(u64 n, u64 k, const DrTopkConfig& cfg) {
+  if (cfg.alpha <= kDirectAlpha) return {};  // calibrated: go direct, no tuner
   if (cfg.alpha < 0 && !cfg.fidelity.exact())
-    return approx_alpha(n, k, cfg.fidelity);
+    return approx_geometry(n, k, cfg.fidelity);
+  const u32 beta = std::clamp<u32>(cfg.beta, 1, kMaxBeta);
   const int alpha = cfg.alpha >= 0
                         ? cfg.alpha
                         : AlphaTuner{cfg.tuner_const}.rule4_alpha(n, k);
-  return clamp_alpha(n, k, beta, alpha);
+  return {clamp_alpha(n, k, beta, alpha), beta};
 }
 
 /// Batched-serving seam for dr_topk_from_delegates: lets the serving layer
@@ -590,14 +623,13 @@ topk::TopkResult<K> dr_topk_keys(vgpu::Device& dev, std::span<const K> v,
   topk::WallTimer wall;
   const u64 n = v.size();
   assert(k >= 1 && k <= n);
-  const u32 beta = resolve_beta(cfg);
-  const int alpha = resolve_alpha(n, k, beta, cfg);
+  const DelegateGeometry geo = resolve_geometry(n, k, cfg);
 
-  if (alpha < 0) {
+  if (geo.alpha < 0) {
     // Delegation infeasible (k within a factor of |V|): direct top-k.
     StageBreakdown bd;
-    bd.alpha = alpha;
-    bd.beta = beta;
+    bd.alpha = geo.alpha;
+    bd.beta = geo.beta;
     bd.fallback_direct = true;
     // The direct run is the whole answer; charge it to the second
     // selection, matching where its stats land in the breakdown.
@@ -621,7 +653,8 @@ topk::TopkResult<K> dr_topk_keys(vgpu::Device& dev, std::span<const K> v,
   // The fused stage 3 derives delegate validity analytically; skip the sid
   // array (and its stores) entirely.
   if (cfg.fused_concat) copts.emit_sids = false;
-  DelegateVector<K> dv = build_delegate_vector(a1, v, alpha, beta, copts, ws);
+  DelegateVector<K> dv =
+      build_delegate_vector(a1, v, geo.alpha, geo.beta, copts, ws);
 
   // ---- Stages 2-4 ----
   StageBreakdown bd;

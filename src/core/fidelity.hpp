@@ -1,15 +1,16 @@
-// Exactness as a per-query execution policy (ROADMAP item 3).
+// Exactness as a per-query execution policy.
 //
 // Every layer of the pipeline historically *assumed* exact answers; this
 // header turns that assumption into a value. A FidelityPolicy is either
 // exact (the default — bit-identical to the paper's pipeline) or carries a
 // recall target rho < 1, which licenses the approximate per-partition mode
-// in the style of "Approximate Top-k for Increased Parallelism"
-// (arXiv 2412.04358) and the generalized two-stage scheme of
-// arXiv 2506.04165:
+// of "Approximate Top-k for Increased Parallelism" (arXiv 2412.04358),
+// generalized to top-beta per bucket as in arXiv 2506.04165:
 //
-//   * construction keeps only each subrange's maximum (beta = 1),
-//   * the answer is the top-k of the per-subrange maxima — Rule 2's
+//   * construction keeps each subrange's top beta (the paper's beta
+//     delegates, Section 4.3), with (subrange count, beta) sized jointly
+//     by core::approx_geometry,
+//   * the answer is the top-k of the delegates — Rule 2's
 //     qualified-subrange streaming and the second-stage collection over it
 //     are skipped entirely,
 //   * the Section 4.3 relaxation guard never re-thresholds: a relaxed
@@ -17,12 +18,14 @@
 //     already tolerates.
 //
 // Recall model: with S subranges and exchangeable value placement, the
-// i-th largest element is its subrange's maximum unless one of the i-1
-// larger elements shares the subrange, so
-//   E[recall] >= 1 - (k-1)/(2S).
-// approx_min_subranges doubles that bound's requirement (margin for
-// finite-sample variance) and floors it, giving the largest subrange size
-// (= fewest delegates) the budget allows.
+// number of true top-k elements landing in one subrange is
+// X ~ Binomial(k, 1/S). A subrange keeping its top beta loses (X - beta)+
+// of them, so
+//   E[missed] = S * E[(X - beta)+]                (approx_expected_misses).
+// For beta = 1 this is at most the first-order bound k(k-1)/(2S), i.e.
+// E[recall] >= 1 - (k-1)/(2S). The geometry keeps E[missed] within half
+// the allowance k(1 - rho) — the other half is finite-sample margin — and
+// picks the fewest delegates S * beta that does.
 //
 // The policy is quantized to basis points wherever it acts as a key
 // (admission-group signatures, PlanCache keys) so that two
@@ -67,16 +70,30 @@ inline bool operator==(const FidelityPolicy& a, const FidelityPolicy& b) {
   return a.quantized_bp() == b.quantized_bp();
 }
 
-/// Smallest subrange count honoring the policy's error budget for a top-k
-/// query: S >= (k-1)/(1-rho) keeps E[missed elements] <= k(1-rho)/2 —
-/// half the budget, the other half is finite-sample margin. Floored at
-/// max(64, k) so tiny queries never degenerate and the delegate vector
-/// always holds a top-k.
-inline u64 approx_min_subranges(u64 k, const FidelityPolicy& f) {
-  const double miss = std::max(1.0 - f.recall_target, 1e-4);
-  const u64 budget =
-      static_cast<u64>(std::ceil(static_cast<double>(k - 1) / miss));
-  return std::max<u64>({u64{64}, k, budget});
+/// Expected true top-k elements missing from the delegates when each of
+/// `subranges` equal buckets keeps its top `beta`: S * E[(X - beta)+] with
+/// X ~ Binomial(k, 1/S) (see the recall model above). Closed form through
+/// the lower tail, E[(X - b)+] = E[X] - b + sum_{x<b} (b - x) P(X = x),
+/// so the cost is O(beta) whatever k is.
+inline double approx_expected_misses(u64 k, u64 subranges, u32 beta) {
+  if (k <= beta) return 0.0;
+  const double kk = static_cast<double>(k);
+  if (subranges <= 1) return kk - beta;
+  const double s = static_cast<double>(subranges);
+  const double p = 1.0 / s;
+  double px = std::exp(kk * std::log1p(-p));  // P(X = 0)
+  double below = 0.0;
+  for (u32 x = 0; x < beta; ++x) {
+    below += static_cast<double>(beta - x) * px;
+    px *= (kk - x) / (x + 1.0) * p / (1.0 - p);
+  }
+  return std::max(0.0, kk - s * beta + s * below);
+}
+
+/// The expected-miss budget of a top-k query under policy `f`: half the
+/// allowance k(1 - rho); the other half is finite-sample margin.
+inline double approx_miss_budget(u64 k, const FidelityPolicy& f) {
+  return static_cast<double>(k) * (1.0 - f.recall_target) / 2.0;
 }
 
 }  // namespace drtopk::core

@@ -38,9 +38,9 @@ struct PlanKey {
   u32 criterion = 0;
   u32 fingerprint = 0;
   /// FidelityPolicy::quantized_bp(): exact (10000) and each distinct recall
-  /// target calibrate separately — an approx plan (beta 1, budget-capped
-  /// alpha, no probes) must never be replayed for an exact query or for a
-  /// different target's budget.
+  /// target keep separate entries — an approx entry (no probes, no pinned
+  /// geometry) must never be replayed for an exact query, and its
+  /// workspace marks belong to its own target's geometry.
   u32 fidelity_bp = 10000;
 
   bool operator==(const PlanKey&) const = default;
@@ -276,22 +276,22 @@ CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
                                 vgpu::Workspace& ws) const {
   const u64 n = v.size();
   CachedPlan out;
-  out.plan.beta = core::resolve_beta(base);
   out.plan.first_algo = base.first_algo;
   out.plan.second_algo = base.second_algo;
 
-  // Approximate plans are closed-form, not probed: the recall budget alone
-  // decides alpha (approx_alpha) and beta is 1 by definition. Probing could
-  // only pick a *smaller* alpha — more delegates, same answer quality class
-  // but slower — and would make the delivered recall depend on measured
-  // noise. Deterministic sizing keeps the recall guarantee reproducible.
+  // An approximate entry keeps only its workspace marks, never probes and
+  // pins no geometry: the plan carries the base's alpha and beta (unpinned
+  // unless the caller pinned them), so resolve_geometry derives (alpha,
+  // beta) from the recall budget for each group's own kmax. A geometry
+  // stored here would replay at every k of this log2(k) bucket, and one
+  // sized for a smaller k misses more than a larger k's budget allows.
   if (!base.fidelity.exact()) {
-    const int a = base.alpha >= 0
-                      ? core::clamp_alpha(n, k, out.plan.beta, base.alpha)
-                      : core::approx_alpha(n, k, base.fidelity);
-    out.plan.alpha = a < 0 ? core::kDirectAlpha : a;
+    out.plan.alpha = base.alpha;
+    out.plan.beta = base.beta;
     return out;
   }
+  const core::DelegateGeometry geo = core::resolve_geometry(n, k, base);
+  out.plan.beta = geo.beta;
 
   // Probe on a prefix subsample with k scaled to preserve the ratio Rule 4
   // depends on; the alpha ranking transfers to full size.
@@ -310,7 +310,7 @@ CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
   probe_base.kappa_hook = nullptr;
   probe_base.selection_only = false;
 
-  // An explicitly pinned base.alpha wins (resolve_alpha's contract): no
+  // An explicitly pinned base.alpha wins (resolve_geometry's contract): no
   // alpha search, only a baseline probe at the pinned value so the engine
   // comparison below still has a measurement to beat.
   const bool pinned = base.alpha >= 0;
@@ -318,7 +318,7 @@ CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
                      ? base.alpha
                      : core::AlphaTuner{base.tuner_const}.rule4_alpha(n, k);
   const int radius = pinned ? 0 : opts_.probe_radius;
-  int best_alpha = core::resolve_alpha(n, k, out.plan.beta, base);
+  int best_alpha = geo.alpha;
   double best_ms = std::numeric_limits<double>::infinity();
   for (int a = a0 - radius; a <= a0 + radius; ++a) {
     // A candidate alpha must be feasible at probe scale *and* full scale.

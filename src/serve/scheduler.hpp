@@ -16,9 +16,11 @@
 // time joins the group whose construction is already in flight and rides
 // the shared delegate vector for free (items live in a deque, so references
 // handed to executors stay valid across late admissions; a late query
-// whose k exceeds the built delegate capacity simply falls back to the
-// unfused path). The setup itself covers the items present at claim time
-// (kmax snapshot); every deque traversal happens under the queue mutex.
+// whose k exceeds the built delegate capacity — or, under a recall
+// target, whose miss budget the approximate geometry does not meet —
+// simply falls back to the unfused path). The setup itself covers the
+// items present at claim time (kmax snapshot); every deque traversal
+// happens under the queue mutex.
 //
 // The queue bounds in-flight queries: submit() blocks while the bound is
 // reached — backpressure toward the client instead of unbounded memory.

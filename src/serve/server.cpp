@@ -34,6 +34,21 @@ core::DelegateVector<u64>& group_dv<u64>(Group& g) {
   return g.dv64;
 }
 
+/// Whether a member asking for k is served from the group's shared
+/// delegate vector: the vector must exist and hold a top-k, and under a
+/// recall target its geometry must also meet this k's miss budget (a late
+/// joiner may ask for a larger k than the geometry was sized for; expected
+/// misses grow faster than k) with k real delegates to answer from.
+template <class K>
+bool rides_shared(Group& g, u64 k) {
+  if (!g.has_delegates) return false;
+  const core::DelegateVector<K>& dv = group_dv<K>(g);
+  if (g.fidelity.exact()) return k <= dv.size();
+  return k <= core::real_delegate_count(g.n, dv.alpha, dv.beta) &&
+         core::approx_expected_misses(k, dv.num_subranges, dv.beta) <=
+             core::approx_miss_budget(k, g.fidelity);
+}
+
 template <class T>
 std::span<const T>& group_keys(Group& g);
 template <>
@@ -233,8 +248,8 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   using Key = typename data::KeyTraits<T>::Key;
   // Setup works from the snapshot the queue took at claim time (the group
   // may still be admitting; the deque itself is only traversed under the
-  // queue's mutex). Late joiners whose k exceeds this kmax fall back to the
-  // unfused path per item.
+  // queue's mutex). Late joiners whose k the shared vector cannot serve
+  // (run_item_typed's rides_shared) fall back to the unfused path per item.
   const std::span<const T> values = query_data<T>(g.setup_query);
 
   // The group's effective base config: the server baseline with the
@@ -246,12 +261,11 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
 
   // Size the shared delegate vector for the largest *feasible* k among the
   // snapshot's queries: one near-n outlier must not disable fusion for the
-  // whole group — it simply runs unfused (the dv.size() >= k guard), while
-  // the feasible majority still shares one construction pass.
-  const u32 beta_base = core::resolve_beta(base);
+  // whole group — it simply runs unfused (rides_shared fails), while the
+  // feasible majority still shares one construction pass.
   u64 kmax = 0;
   for (const u64 k : g.setup_ks)
-    if (core::resolve_alpha(g.n, k, beta_base, base) >= 0)
+    if (core::resolve_geometry(g.n, k, base).alpha >= 0)
       kmax = std::max(kmax, k);
   if (kmax == 0) kmax = g.setup_kmax;  // none feasible: plan caches direct
 
@@ -289,21 +303,22 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     if (cp.exec_ws_bytes) ews.reserve_bytes(cp.exec_ws_bytes);
   } else {
     g.plan.alpha = base.alpha;
-    g.plan.beta = core::resolve_beta(base);
+    g.plan.beta = base.beta;
     g.plan.first_algo = base.first_algo;
     g.plan.second_algo = base.second_algo;
   }
 
   // Shared construction: one delegate vector serves every query of the
-  // group. Sized for the largest k so dv.size() >= k holds for all items.
-  // Its storage lives in a pooled workspace leased for the group's
-  // lifetime (executor workspaces rewind per query; the group's delegate
-  // vector must not).
-  core::DrTopkConfig planned = base;
-  planned.alpha = g.plan.alpha;
-  planned.beta = g.plan.beta;
-  const u32 beta = core::resolve_beta(planned);
-  const int alpha = core::resolve_alpha(g.n, kmax, beta, planned);
+  // group. Its (alpha, beta) is resolved in one call for the group's
+  // actual kmax (an approximate plan pins no geometry, so a recall target
+  // gets approx_geometry for this kmax), so dv.size() >= k holds for every
+  // covered item and a recall target's budget holds at kmax. Its storage
+  // lives in a pooled workspace leased for the group's lifetime (executor
+  // workspaces rewind per query; the group's delegate vector must not).
+  const core::DelegateGeometry geo =
+      core::resolve_geometry(g.n, kmax, core::apply_plan(base, g.plan));
+  const int alpha = geo.alpha;
+  const u32 beta = geo.beta;
   if (alpha >= 0) {
     // Affinity: prefer the pooled arena this executor last returned
     // (first-touch locality groundwork for NUMA pinning).
@@ -346,11 +361,11 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     // the batched kappas, don't pay the launch.
     if (batched_eligible(core::apply_plan(base, g.plan))) {
       // Exactly the ks the per-item path will serve from the shared
-      // delegate vector (run_item_typed's fused condition), each once.
+      // delegate vector (run_item_typed's rides_shared), each once.
       std::vector<u64> ks;
       u64 covered = 0;
       for (const u64 k : g.setup_ks) {
-        if (k > group_dv<Key>(g).size()) continue;
+        if (!rides_shared<Key>(g, k)) continue;
         ++covered;
         if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
       }
@@ -790,7 +805,7 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
   cfg.fidelity = q.fidelity;
 
   core::StageBreakdown bd;
-  if (g.has_delegates && group_dv<Key>(g).size() >= q.k) {
+  if (rides_shared<Key>(g, q.k)) {
     const std::span<const T> values = query_data<T>(q);
     std::span<const Key> keyspan = g.keys_materialized
                                        ? group_keys<Key>(g)
@@ -909,8 +924,14 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
     }
   } else {
     // Unfused fallback: delegation infeasible for this shape (or setup
-    // degraded); the full single-query pipeline, still plan-accelerated
-    // when a plan resolved.
+    // degraded, or a recall-target k whose budget the group's geometry
+    // misses); the full single-query pipeline, still plan-accelerated
+    // when a plan resolved. A recall-target item resolves its own
+    // geometry: g.plan holds the group's, sized for another k's budget.
+    if (!q.fidelity.exact()) {
+      cfg.alpha = cfg_.base.alpha;
+      cfg.beta = cfg_.base.beta;
+    }
     auto r = core::dr_topk<T>(dev_, query_data<T>(q), q.k, q.criterion, cfg,
                               &bd, ws);
     out.values.reserve(r.values.size());

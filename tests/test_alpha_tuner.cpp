@@ -46,6 +46,18 @@ TEST(ClampAlpha, KeepsDelegateVectorAboveK) {
   EXPECT_GE(subranges, k);
 }
 
+TEST(ClampAlpha, CountsOnlyRealDelegates) {
+  // 2^17 + 1 keys leave a one-element tail subrange: at alpha 7 the 1025
+  // subranges x beta 4 give 4100 slots but only 4097 real delegates.
+  const u64 n = (u64{1} << 17) + 1;
+  EXPECT_EQ(real_delegate_count(n, 7, 4), 4097u);
+  EXPECT_EQ(clamp_alpha(n, 4097, 4, 7), 7);
+  const int a = clamp_alpha(n, 4098, 4, 7);
+  ASSERT_GT(a, 0);
+  EXPECT_LT(a, 7);
+  EXPECT_GE(real_delegate_count(n, a, 4), 4098u);
+}
+
 TEST(ClampAlpha, InfeasibleWhenKNearN) {
   EXPECT_EQ(clamp_alpha(1000, 600, 1, 5), -1);
   EXPECT_EQ(clamp_alpha(16, 9, 2, 2), -1);

@@ -195,9 +195,9 @@ TEST(Serve, PlanCacheKeysOnShapeAndDistribution) {
 }
 
 TEST(Serve, PinnedAlphaWinsOverCalibration) {
-  // An explicit base.alpha is a contract (resolve_alpha: "an explicit
-  // cfg.alpha wins"); the plan cache must not probe its way to a different
-  // subrange size.
+  // An explicit base.alpha is a contract (resolve_geometry: "an explicit
+  // cfg.alpha pins the geometry"); the plan cache must not probe its way
+  // to a different subrange size.
   auto v = data::generate(1 << 16, Distribution::kUniform, 55);
   std::span<const u32> vs(v.data(), v.size());
 
