@@ -26,8 +26,8 @@
 //  * dr_topk_from_delegates — stages 2-4 over a prebuilt delegate vector,
 //    the re-entrant seam the serving layer uses to share one construction
 //    pass across a batch of queries on the same data;
-//  * ExecPlan          — an externally supplied (alpha, beta, engines)
-//    tuple, e.g. from serve::PlanCache, that skips the alpha tuner.
+//  * ExecPlan          — an externally supplied (alpha, beta) geometry,
+//    e.g. from serve::PlanCache, that skips the alpha tuner.
 #pragma once
 
 #include <functional>
@@ -97,22 +97,19 @@ struct DrTopkConfig {
 /// the tuner. Distinct from -1, which means "not yet resolved: auto-tune".
 inline constexpr int kDirectAlpha = -2;
 
-/// A fully resolved execution plan: what the alpha tuner + engine selection
+/// A fully resolved execution plan: the delegate geometry the alpha tuner
 /// would decide, captured so steady-state callers (serve::PlanCache) can
-/// skip tuning entirely and replay the decision.
+/// skip tuning entirely and replay the decision. Engines are not part of
+/// a plan: they come from the caller's base configuration.
 struct ExecPlan {
   int alpha = -1;  ///< log2 subrange size; -1 = auto, kDirectAlpha = direct
   u32 beta = 2;
-  topk::Algo first_algo = topk::Algo::kRadixFlag;
-  topk::Algo second_algo = topk::Algo::kRadixFlag;
 };
 
-/// Applies a plan's decisions onto a base configuration.
+/// Applies a plan's geometry onto a base configuration.
 inline DrTopkConfig apply_plan(DrTopkConfig cfg, const ExecPlan& p) {
   cfg.alpha = p.alpha;
   cfg.beta = p.beta;
-  cfg.first_algo = p.first_algo;
-  cfg.second_algo = p.second_algo;
   return cfg;
 }
 

@@ -1,17 +1,15 @@
-// Execution-plan cache: (shape, distribution) -> tuned (alpha, engines).
+// Execution-plan cache: (shape, distribution) -> tuned delegate geometry.
 //
 // A serving workload re-sees the same query shapes over and over; paying
 // Rule-4 evaluation — let alone probing — per query is wasted work. The
 // cache key is (log2 |V|, log2 k, key width, criterion, distribution
-// fingerprint); the value is a core::ExecPlan resolved once by one-time
-// calibration:
-//
-//  * alpha — probe the Rule-4 closed form and its ±probe_radius neighbours
-//    on a prefix subsample with k scaled to preserve log2|V| - log2 k (the
-//    quantity Rule 4 depends on), keep the measured argmin. This recovers
-//    the oracle-vs-rule-4 gap of Figure 14 at a fraction of a query's cost.
-//  * second engine — seeded by topk::choose_engine's roofline ranking, then
-//    the contenders are probed and the measured winner kept.
+// fingerprint); the value is a core::ExecPlan (alpha, beta) resolved once
+// by one-time calibration: probe the Rule-4 closed form and its
+// ±kProbeRadius neighbours on a prefix subsample with k scaled to preserve
+// log2|V| - log2 k (the quantity Rule 4 depends on), and keep the measured
+// argmin. This recovers the oracle-vs-Rule-4 gap of Figure 14 at a
+// fraction of a query's cost. Engines are not tuned: every stage runs the
+// engine the server's base configuration names.
 //
 // Steady-state queries hit the cache and skip tuning entirely; the probes'
 // simulated cost is charged to whichever executor resolves the miss, so
@@ -113,15 +111,6 @@ u32 data_fingerprint(std::span<const T> v) {
 /// expose the cross-shard sharing surface.
 class PlanCache {
  public:
-  struct Options {
-    int probe_radius = 1;        ///< probe alpha in [rule4 - r, rule4 + r]
-    u64 probe_sample = u64{1} << 15;  ///< calibration subsample length
-    bool probe_engines = true;   ///< also probe the second-stage engine
-  };
-
-  PlanCache() = default;
-  explicit PlanCache(Options opts) : opts_(opts) {}
-
   /// Returns the cached plan for the query's shape, running the one-time
   /// calibration on a miss. `hit_out` reports which path was taken. Misses
   /// probe outside the lock, so two executors racing on a brand-new shape
@@ -219,13 +208,17 @@ class PlanCache {
   }
 
  private:
-  template <class T>
-  CachedPlan calibrate(vgpu::Device& dev, std::span<const T> v, u64 k,
-                       data::Criterion criterion,
-                       const core::DrTopkConfig& base,
-                       vgpu::Workspace& ws) const;
+  /// Calibration probes alpha in [rule4 - kProbeRadius, rule4 +
+  /// kProbeRadius] on a prefix subsample of at most kProbeSample elements.
+  static constexpr int kProbeRadius = 1;
+  static constexpr u64 kProbeSample = u64{1} << 15;
 
-  Options opts_;
+  template <class T>
+  static CachedPlan calibrate(vgpu::Device& dev, std::span<const T> v, u64 k,
+                              data::Criterion criterion,
+                              const core::DrTopkConfig& base,
+                              vgpu::Workspace& ws);
+
   mutable std::mutex mu_;
   std::unordered_map<PlanKey, CachedPlan, PlanKeyHash> map_;
   /// Measured service-time EWMAs, keyed like plans but stored apart so an
@@ -273,11 +266,9 @@ template <class T>
 CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
                                 u64 k, data::Criterion criterion,
                                 const core::DrTopkConfig& base,
-                                vgpu::Workspace& ws) const {
+                                vgpu::Workspace& ws) {
   const u64 n = v.size();
   CachedPlan out;
-  out.plan.first_algo = base.first_algo;
-  out.plan.second_algo = base.second_algo;
 
   // An approximate entry keeps only its workspace marks, never probes and
   // pins no geometry: the plan carries the base's alpha and beta (unpinned
@@ -292,10 +283,16 @@ CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
   }
   const core::DelegateGeometry geo = core::resolve_geometry(n, k, base);
   out.plan.beta = geo.beta;
+  // Infeasible delegation is cached as the explicit direct sentinel so a
+  // replay goes straight to the direct top-k instead of re-tuning.
+  out.plan.alpha = geo.alpha < 0 ? core::kDirectAlpha : geo.alpha;
+  // An explicitly pinned base.alpha wins (resolve_geometry's contract):
+  // there is nothing to search.
+  if (base.alpha >= 0) return out;
 
   // Probe on a prefix subsample with k scaled to preserve the ratio Rule 4
   // depends on; the alpha ranking transfers to full size.
-  const u64 m = std::min(n, std::max<u64>(opts_.probe_sample, 64));
+  const u64 m = std::min(n, std::max<u64>(kProbeSample, 64));
   const u64 kp = std::clamp<u64>(
       static_cast<u64>(static_cast<double>(k) * static_cast<double>(m) /
                        static_cast<double>(n)),
@@ -306,52 +303,22 @@ CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
   // kappa_hook (a collective whose once-per-invocation contract a variable
   // number of probes would break) and measure the full pipeline, not the
   // selection-only shortcut.
-  core::DrTopkConfig probe_base = base;
-  probe_base.kappa_hook = nullptr;
-  probe_base.selection_only = false;
+  core::DrTopkConfig cfg = base;
+  cfg.kappa_hook = nullptr;
+  cfg.selection_only = false;
 
-  // An explicitly pinned base.alpha wins (resolve_geometry's contract): no
-  // alpha search, only a baseline probe at the pinned value so the engine
-  // comparison below still has a measurement to beat.
-  const bool pinned = base.alpha >= 0;
-  const int a0 = pinned
-                     ? base.alpha
-                     : core::AlphaTuner{base.tuner_const}.rule4_alpha(n, k);
-  const int radius = pinned ? 0 : opts_.probe_radius;
-  int best_alpha = geo.alpha;
+  const int a0 = core::AlphaTuner{base.tuner_const}.rule4_alpha(n, k);
   double best_ms = std::numeric_limits<double>::infinity();
-  for (int a = a0 - radius; a <= a0 + radius; ++a) {
+  for (int a = a0 - kProbeRadius; a <= a0 + kProbeRadius; ++a) {
     // A candidate alpha must be feasible at probe scale *and* full scale.
     if (core::clamp_alpha(m, kp, out.plan.beta, a) != a) continue;
     if (core::clamp_alpha(n, k, out.plan.beta, a) != a) continue;
-    core::DrTopkConfig cfg = probe_base;
     cfg.alpha = a;
     auto r = core::dr_topk<T>(dev, sample, kp, criterion, cfg, nullptr, ws);
     out.probe_sim_ms += r.sim_ms;
     if (r.sim_ms < best_ms) {
       best_ms = r.sim_ms;
-      best_alpha = a;
-    }
-  }
-  // Infeasible delegation is cached as the explicit direct sentinel so a
-  // replay goes straight to the direct top-k instead of re-tuning.
-  out.plan.alpha = best_alpha < 0 ? core::kDirectAlpha : best_alpha;
-
-  // Engine probe: only meaningful against a *measured* baseline. If every
-  // alpha probe was infeasible at the subsample scale, there is nothing to
-  // compare the suggested engine to — keep the base engine rather than
-  // adopting an unmeasured suggestion.
-  if (opts_.probe_engines && best_alpha >= 0 &&
-      best_ms < std::numeric_limits<double>::infinity()) {
-    const topk::Algo suggested =
-        topk::choose_engine(dev.profile(), n, k, sizeof(T));
-    if (suggested != out.plan.second_algo) {
-      core::DrTopkConfig cfg = probe_base;
-      cfg.alpha = best_alpha;
-      cfg.second_algo = suggested;
-      auto r = core::dr_topk<T>(dev, sample, kp, criterion, cfg, nullptr, ws);
-      out.probe_sim_ms += r.sim_ms;
-      if (r.sim_ms < best_ms) out.plan.second_algo = suggested;
+      out.plan.alpha = a;
     }
   }
   return out;

@@ -87,9 +87,11 @@ std::vector<DeferredItem<u64>>& group_deferred<u64>(Group& g) {
 TopkServer::TopkServer(vgpu::Device& dev, ServerConfig cfg)
     : dev_(dev),
       cfg_(cfg),
-      plans_(cfg.plan),
+      batched_eligible_(!cfg.base.kappa_hook &&
+                        cfg.base.first_algo == topk::Algo::kRadixFlag &&
+                        cfg.base.second_algo == topk::Algo::kRadixFlag),
       tracer_(cfg.obs.tracing, std::max(1u, cfg.executors) + 1,
-              cfg.obs.trace_capacity),
+              kTraceSpansPerLane),
       queue_(cfg.batch_max, cfg.max_in_flight, &tracer_),
       collector_(std::max(1u, cfg.executors), registry_) {
   queue_wait_us_ = &registry_.histogram(
@@ -235,9 +237,9 @@ void TopkServer::setup_group(Group& g, u32 executor_id) {
     deduped = g.width == KeyWidth::k64 ? setup_group_typed<u64>(g, executor_id)
                                        : setup_group_typed<u32>(g, executor_id);
   } catch (...) {
-    // Setup is an optimization; a failure (e.g. a probe hitting an engine
-    // edge case) degrades the group to unfused per-query execution rather
-    // than failing its queries.
+    // Setup is an optimization; a failure (e.g. a calibration probe hitting
+    // an engine edge case) degrades the group to unfused per-query
+    // execution rather than failing its queries.
     g.has_delegates = false;
   }
   collector_.record_group(g.setup_stages, deduped);
@@ -272,41 +274,31 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   double executor_work = 0.0;
   u64 deduped = 0;
   vgpu::Workspace& ews = *exec_ws_[executor_id];
-  u64 group_ws_reserve = 0;
 
-  // Plan: cache hit replays the calibrated decision; miss pays the probes.
+  // Plan: cache hit replays the calibrated alpha; miss pays the probes.
   g.plan_key = PlanCache::make_key(values, kmax, g.criterion, g.fidelity);
-  if (cfg_.use_plan_cache) {
-    bool hit = false;
-    CachedPlan cp;
-    {
-      // Probe launches are one-time tuning, not steady-state pipeline
-      // work: the ambient label keeps them out of the per-stage breakdown
-      // (the probes' internal stage scopes all default to it).
-      vgpu::StageScope calibrate("calibrate");
-      cp = plans_.resolve<T>(dev_, values, kmax, g.criterion, base, &hit,
-                             ews);
-    }
-    g.plan = cp.plan;
-    g.plan_hit = hit;
-    g.plan_resolved = true;
-    executor_work += cp.probe_sim_ms;
-    if (cp.probe_sim_ms > 0) collector_.record_calibration(cp.probe_sim_ms);
-    // Presize from the shape's recorded peaks so arenas meeting a
-    // recurring shape for the first time usually skip organic growth
-    // (capacity-based reserve is best effort: an already-fragmented arena
-    // may still grow once before converging). The per-query peak is
-    // stashed on the group so EVERY executor that later claims one of its
-    // items (not just this setup executor) presizes before running.
-    group_ws_reserve = cp.group_ws_bytes;
-    g.plan_exec_ws = cp.exec_ws_bytes;
-    if (cp.exec_ws_bytes) ews.reserve_bytes(cp.exec_ws_bytes);
-  } else {
-    g.plan.alpha = base.alpha;
-    g.plan.beta = base.beta;
-    g.plan.first_algo = base.first_algo;
-    g.plan.second_algo = base.second_algo;
+  bool hit = false;
+  CachedPlan cp;
+  {
+    // Probe launches are one-time tuning, not steady-state pipeline work:
+    // the ambient label keeps them out of the per-stage breakdown (the
+    // probes' internal stage scopes all default to it).
+    vgpu::StageScope calibrate("calibrate");
+    cp = plans_.resolve<T>(dev_, values, kmax, g.criterion, base, &hit, ews);
   }
+  g.plan = cp.plan;
+  g.plan_hit = hit;
+  g.plan_resolved = true;
+  executor_work += cp.probe_sim_ms;
+  if (cp.probe_sim_ms > 0) collector_.record_calibration(cp.probe_sim_ms);
+  // Presize from the shape's recorded peaks so arenas meeting a recurring
+  // shape for the first time usually skip organic growth (capacity-based
+  // reserve is best effort: an already-fragmented arena may still grow
+  // once before converging). The per-query peak is stashed on the group
+  // so EVERY executor that later claims one of its items (not just this
+  // setup executor) presizes before running.
+  g.plan_exec_ws = cp.exec_ws_bytes;
+  if (cp.exec_ws_bytes) ews.reserve_bytes(cp.exec_ws_bytes);
 
   // Shared construction: one delegate vector serves every query of the
   // group. Its (alpha, beta) is resolved in one call for the group's
@@ -322,7 +314,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   if (alpha >= 0) {
     // Affinity: prefer the pooled arena this executor last returned
     // (first-touch locality groundwork for NUMA pinning).
-    g.ws = group_ws_.acquire(group_ws_reserve, executor_id);
+    g.ws = group_ws_.acquire(cp.group_ws_bytes, executor_id);
     g.ws->reset_peak();  // measure THIS shape's construction footprint
     topk::Accum acc(dev_);
     std::span<const Key> keyspan;
@@ -359,7 +351,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     // one sort. Per-query execution then skips its own first top-k.
     // Same gate as run_item_typed's deferral: if no member will consume
     // the batched kappas, don't pay the launch.
-    if (batched_eligible(core::apply_plan(base, g.plan))) {
+    if (batched_eligible_) {
       // Exactly the ks the per-item path will serve from the shared
       // delegate vector (run_item_typed's rides_shared), each once.
       std::vector<u64> ks;
@@ -460,8 +452,8 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
             csegs[i].cand = g.ws->alloc<Key>(core::batched_concat_capacity(
                 csegs[i], S, beta, g.plan.alpha, g.n));
           core::concat_candidates_batched<Key>(
-              acc3, keyspan, dkeys, beta, g.plan.alpha,
-              core::apply_plan(cfg_.base, g.plan).filtering, cspan);
+              acc3, keyspan, dkeys, beta, g.plan.alpha, cfg_.base.filtering,
+              cspan);
           for (size_t i = 0; i < ks.size(); ++i) {
             Group::Stage3Entry e;
             e.k = ks[i];
@@ -783,14 +775,14 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
   QueryResult out;
   out.id = p.id;
   out.queue_us = p.queue_wait_us;
-  out.plan_cache_hit = g.plan_resolved && g.plan_hit;
+  out.plan_cache_hit = g.plan_hit;
   *deferred = false;
 
   // A resolved plan accelerates both paths: fused execution replays its
   // alpha/beta via the shared delegate vector, and the unfused fallback
-  // still reuses the calibrated engines/alpha (dr_topk re-clamps per k).
+  // still reuses the calibrated alpha (dr_topk re-clamps per k).
   core::DrTopkConfig cfg = cfg_.base;
-  if (g.plan_resolved || g.has_delegates) {
+  if (g.plan_resolved) {
     cfg = core::apply_plan(cfg, g.plan);
     // The direct sentinel encodes infeasibility at the *group's* planning
     // k; an individual item re-resolves for its own k (closed form only —
@@ -810,7 +802,6 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
     std::span<const Key> keyspan = g.keys_materialized
                                        ? group_keys<Key>(g)
                                        : std::span<const Key>(values);
-    const bool eligible = batched_eligible(cfg);
     // "Fused" means construction was genuinely shared: either the setup
     // covered several queries, or this is a late joiner riding a pass that
     // others paid for. A singleton group paid full freight — not fused.
@@ -843,7 +834,7 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
     // the batched finalization) or, on the Rule-3 fast path, self-serves
     // with a host sort of the exactly-k candidates.
     const Group::Stage3Entry* pre = nullptr;
-    if (eligible) {
+    if (batched_eligible_) {
       for (const auto& e : g.stage3) {
         if (e.k == q.k) {
           pre = &e;
@@ -881,14 +872,14 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
       out.kth = out.values.back();
     } else {
       // The setup did not cover this item — a late joiner whose k missed
-      // the setup snapshot, or a plan that probed its way to a non-radix
-      // engine — so it runs stages 2-3 itself over the shared delegate
-      // vector. On the radix engines it replays the setup's exact kappa
-      // when one exists, allocates its candidate span from the group
-      // arena so it outlives this call, and defers stage 4.
+      // the setup snapshot, or any item when base names a non-radix engine
+      // or installs a kappa hook — so it runs stages 2-3 itself over the
+      // shared delegate vector. On the radix engines it replays the
+      // setup's exact kappa when one exists, allocates its candidate span
+      // from the group arena so it outlives this call, and defers stage 4.
       core::DeferredSecond<Key> dsec;
       core::DeferredSecond<Key>* dsp = nullptr;
-      if (eligible) {
+      if (batched_eligible_) {
         for (size_t i = 0; i < g.kappa_ks.size(); ++i) {
           if (g.kappa_ks[i] == q.k) {
             dsec.have_kappa = true;

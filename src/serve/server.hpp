@@ -12,8 +12,8 @@
 //   submit() -> AdmissionQueue (bounded, backpressure)
 //            -> admission groups (compatible queries batch together)
 //            -> executor threads claim work: one resolves the group's plan
-//               via the PlanCache (calibrated alpha/engines, skipping the
-//               tuner on hits) and builds ONE shared delegate vector for
+//               via the PlanCache (calibrated alpha, skipping the tuner on
+//               hits) and builds ONE shared delegate vector for
 //               the whole group; then all executors cooperatively drain the
 //               group's queries through core::dr_topk_from_delegates on the
 //               shared Device (whose thread pool multiplexes the kernels).
@@ -40,17 +40,20 @@
 
 namespace drtopk::serve {
 
+/// Trace ring capacity in spans per lane (executors + 1 lanes).
+/// Pre-reserved at server construction, so steady-state tracing allocates
+/// nothing; a full ring drops its oldest spans (obs::Tracer::dropped).
+inline constexpr u64 kTraceSpansPerLane = u64{1} << 13;
+
 /// Observability knobs (docs/OBSERVABILITY.md). Everything here is off by
 /// default so the zero-allocation hot path and the committed BENCH_*
 /// baselines are unaffected; the metrics registry itself is always live
 /// (its record path is a handful of relaxed atomics).
 struct ObsOptions {
   /// Record per-query trace spans (queue wait, phase A, parks, finalize,
-  /// fan-out) into per-executor rings; export with TopkServer::dump_trace.
+  /// fan-out) into per-executor rings of kTraceSpansPerLane spans; export
+  /// with TopkServer::dump_trace.
   bool tracing = false;
-  /// Ring capacity in spans per lane (executors + 1 lanes). Pre-reserved
-  /// at server construction, so steady-state tracing allocates nothing.
-  u64 trace_capacity = u64{1} << 13;
 };
 
 /// Server tuning knobs. The serving path itself has no switches: setup
@@ -58,16 +61,17 @@ struct ObsOptions {
 /// threshold (one batched kappa launch) and candidate span (one classify +
 /// one concat launch, core/concat_batched.hpp); items defer stage 4 to ONE
 /// batched selection launch per group or per window (topk/batched.hpp).
-/// Items the setup could not cover — late joiners, plan-probed non-radix
-/// engines, infeasible or fallen-back groups — run their own stages.
-/// docs/ARCHITECTURE.md walks the whole path.
+/// Every group resolves its delegate geometry through the plan cache,
+/// which tunes alpha only; the engines are base's. Items the setup could
+/// not cover — late joiners, infeasible shapes, groups whose setup fell
+/// back, and every item when base names a non-radix engine or installs a
+/// kappa hook — run their own stages. docs/ARCHITECTURE.md walks the whole
+/// path.
 struct ServerConfig {
   u32 executors = 2;       ///< concurrent query executors
   u32 batch_max = 16;      ///< max queries per admission group
   u32 max_in_flight = 64;  ///< submit() blocks beyond this (backpressure)
   core::DrTopkConfig base; ///< baseline pipeline configuration
-  bool use_plan_cache = true;
-  PlanCache::Options plan;
   /// Cross-group finalization window, in microseconds of host wall clock:
   /// groups becoming finalization-ready within this window are finalized
   /// together in ONE shared batched launch per key width present —
@@ -89,7 +93,7 @@ struct ServerConfig {
   /// is also woken as soon as the executor pool goes idle (no queued
   /// groups, no running items): nothing else can join the window then.
   u32 finalize_max_segments = 0;
-  /// Observability: tracing and trace ring capacity.
+  /// Observability: per-query tracing.
   ObsOptions obs;
 };
 
@@ -183,16 +187,6 @@ class TopkServer {
   /// only that width's parked queries.
   void finalize_groups(std::span<const std::shared_ptr<Group>> groups,
                        u32 executor_id);
-  /// THE batched-selection eligibility gate — one predicate shared by the
-  /// group setup (does a batched kappa launch pay off?) and per-item
-  /// execution (may this query defer its stage 4?), so the two sites
-  /// cannot silently desynchronize. `cfg` must be the plan-applied config
-  /// the queries will actually run with: a plan that probed its way to a
-  /// non-radix engine (or a caller-installed kappa hook) runs per item.
-  static bool batched_eligible(const core::DrTopkConfig& cfg) {
-    return !cfg.kappa_hook && cfg.first_algo == topk::Algo::kRadixFlag &&
-           cfg.second_algo == topk::Algo::kRadixFlag;
-  }
   /// Returns the setup snapshot's members served from another member's
   /// shared kappa and stage-3 entry (ServerStats::deduped_queries).
   template <class T>
@@ -212,6 +206,13 @@ class TopkServer {
 
   vgpu::Device& dev_;
   ServerConfig cfg_;
+  /// THE batched-selection eligibility gate, fixed by cfg_.base (a plan
+  /// replays alpha and beta only): one value shared by the group setup
+  /// (does a batched kappa launch pay off?) and per-item execution (may
+  /// this query defer its stage 4?), so the two sites cannot disagree. A
+  /// non-radix engine or a caller-installed kappa hook runs every item on
+  /// its own stages.
+  const bool batched_eligible_;
   PlanCache plans_;
   /// Declared before queue_/collector_: the queue holds a tracer pointer
   /// and the collector registers its metrics here (member init order).

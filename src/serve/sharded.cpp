@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <stdexcept>
 
@@ -17,6 +18,9 @@ ShardedTopkServer::ShardedTopkServer(ShardedConfig cfg)
           "Queries short-circuited to one shard's TopkServer")),
       m_merged_(registry_.counter("sharded_merged_queries",
                                   "Queries served via scatter + merge")),
+      m_failed_(registry_.counter(
+          "sharded_failed_queries",
+          "Scatter/merge queries failed by a shard sub-query")),
       m_batches_(registry_.counter("sharded_merge_batches",
                                    "Merge-thread rounds executed")),
       m_launches_(registry_.counter("sharded_merge_launches",
@@ -228,6 +232,7 @@ void ShardedTopkServer::merge_batch_typed(std::vector<MergeJob>& jobs) {
     core::StageBreakdown breakdown;
     bool plan_hit = true;
     bool fused = false;
+    std::exception_ptr error;  ///< first failed shard sub-query's exception
   };
   std::vector<Gathered> in(jobs.size());
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
@@ -235,7 +240,13 @@ void ShardedTopkServer::merge_batch_typed(std::vector<MergeJob>& jobs) {
     Gathered& g = in[ji];
     g.runs.reserve(j.parts.size());
     for (auto& part : j.parts) {
-      QueryResult pr = part.get();
+      QueryResult pr;
+      try {
+        pr = part.get();
+      } catch (...) {
+        g.error = std::current_exception();
+        break;
+      }
       std::vector<Key> run(pr.values.size());
       for (size_t i = 0; i < pr.values.size(); ++i)
         run[i] = data::directed_key<T>(static_cast<T>(pr.values[i]),
@@ -247,6 +258,35 @@ void ShardedTopkServer::merge_batch_typed(std::vector<MergeJob>& jobs) {
       g.plan_hit = g.plan_hit && pr.plan_cache_hit;
       g.fused = g.fused || pr.fused;
     }
+  }
+
+  // A failed sub-query fails only its own job, with that shard's
+  // exception, and drops it from the batch; the rest merges as normal.
+  // Failures are counted before any of their futures resolves.
+  const u64 failures = static_cast<u64>(
+      std::count_if(in.begin(), in.end(),
+                    [](const Gathered& g) { return g.error != nullptr; }));
+  if (failures) {
+    m_failed_.add(failures);
+    {
+      std::lock_guard lk(stats_mu_);
+      agg_.failed += failures;
+    }
+    size_t kept = 0;
+    for (size_t ji = 0; ji < jobs.size(); ++ji) {
+      if (in[ji].error) {
+        jobs[ji].promise.set_exception(in[ji].error);
+        continue;
+      }
+      if (kept != ji) {  // a self-move would empty the vectors
+        jobs[kept] = std::move(jobs[ji]);
+        in[kept] = std::move(in[ji]);
+      }
+      ++kept;
+    }
+    jobs.resize(kept);
+    in.resize(kept);
+    if (jobs.empty()) return;
   }
 
   // ---- Merge on the merge device: one batched launch per level for the

@@ -73,6 +73,9 @@ struct ShardedStats {
   u64 completed = 0;             ///< queries answered (both routes)
   u64 single_shard_queries = 0;  ///< short-circuited to one TopkServer
   u64 merged_queries = 0;        ///< scatter/merge route
+  u64 failed = 0;                ///< scatter/merge queries failed by a
+                                 ///< shard sub-query (their futures
+                                 ///< rethrow that shard's exception)
   u64 merge_batches = 0;         ///< merge-thread rounds executed
   u64 merge_launches = 0;        ///< kernel launches spent merging
   u64 plan_publishes = 0;        ///< plan-cache entries adopted from a
@@ -210,7 +213,8 @@ class ShardedTopkServer {
   void merge_loop();
   /// Merges one batch of jobs of width T: level-1 leader pre-merge when
   /// the hierarchy engages, then the final merge — one batched launch per
-  /// level for ALL jobs. Fulfils every job's promise.
+  /// level for ALL jobs. Fulfils every job's promise: with its merged
+  /// answer, or with the exception of its first failed shard sub-query.
   template <class T>
   void merge_batch_typed(std::vector<MergeJob>& jobs);
 
@@ -242,6 +246,7 @@ class ShardedTopkServer {
   obs::Registry registry_;  ///< deployment-level (merge-path) metrics
   obs::Counter& m_single_;
   obs::Counter& m_merged_;
+  obs::Counter& m_failed_;
   obs::Counter& m_batches_;
   obs::Counter& m_launches_;
   obs::Histogram& merge_batch_size_;

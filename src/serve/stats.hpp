@@ -6,11 +6,13 @@
 // per-executor sum of simulated work — concurrent executors overlap, so
 // completed / makespan is the modeled steady-state QPS of the deployment.
 //
-// The collector double-publishes: coherent snapshot fields under one mutex
-// (TopkServer::stats()), and lock-free obs::Registry metrics for live
-// export (Prometheus/JSON). Percentiles come from a streaming log-scale
-// histogram — O(1) per query, O(buckets) per snapshot — instead of sorting
-// a latency vector.
+// Every event counter lives once, in the obs::Registry (lock-free, exported
+// live as Prometheus/JSON); TopkServer::stats() reads them back. Only the
+// values with no registry counterpart — summed simulated times, the
+// aggregate stage breakdown, the per-executor makespan ledger and the
+// recall sum — sit under the collector's mutex. Percentiles come from a
+// streaming log-scale histogram — O(1) per query, O(buckets) per snapshot —
+// instead of sorting a latency vector.
 #pragma once
 
 #include <algorithm>
@@ -95,9 +97,9 @@ struct ServerStats {
   }
 };
 
-/// Thread-safe accumulator behind TopkServer::stats(). Mirrors every
-/// counter into the obs::Registry (lock-free reads for Prometheus/JSON
-/// export) while keeping the mutex-guarded fields for coherent snapshots.
+/// Thread-safe accumulator behind TopkServer::stats(): event counts go to
+/// the obs::Registry counters, which snapshot() reads back; summed times,
+/// stages and the makespan ledger stay under one mutex.
 class StatsCollector {
  public:
   /// Registers the collector's metrics in `reg`; `executors` sizes the
@@ -162,17 +164,11 @@ class StatsCollector {
     if (stages.guard_trips) m_guard_trips_.add(stages.guard_trips);
     if (stages.guard_skips) m_guard_skips_.add(stages.guard_skips);
     std::lock_guard lk(mu_);
-    ++completed_;
     total_sim_ms_ += sim_latency_ms;
     stages_ += stages;
-    if (fused) ++fused_queries_;
   }
 
-  void record_failure() {
-    m_failed_.add();
-    std::lock_guard lk(mu_);
-    ++failed_;
-  }
+  void record_failure() { m_failed_.add(); }
 
   /// One group setup; `deduped` of its snapshot members repeat another
   /// member's k and ride that k's shared kappa and stage-3 entry.
@@ -184,8 +180,6 @@ class StatsCollector {
     if (setup_stages.guard_trips) m_guard_trips_.add(setup_stages.guard_trips);
     if (setup_stages.guard_skips) m_guard_skips_.add(setup_stages.guard_skips);
     std::lock_guard lk(mu_);
-    ++groups_;
-    deduped_queries_ += deduped;
     stages_ += setup_stages;
   }
 
@@ -201,9 +195,6 @@ class StatsCollector {
     m_batched_queries_.add(queries);
     m_finalize_launches_.add(launches);
     std::lock_guard lk(mu_);
-    batched_groups_ += groups;
-    batched_queries_ += queries;
-    finalize_launches_ += launches;
     stages_.second_stats += second_stats;
   }
 
@@ -214,27 +205,15 @@ class StatsCollector {
     m_window_flushes_.add();
     if (groups > 1) m_window_merged_.add(groups);
     if (early) m_early_flushes_.add();
-    std::lock_guard lk(mu_);
-    ++window_flushes_;
-    if (groups > 1) window_merged_groups_ += groups;
-    if (early) ++window_early_flushes_;
   }
 
   /// One group finalized immediately because its tightest member deadline
   /// could not afford the cross-group finalization window.
-  void record_window_deadline_bypass() {
-    m_deadline_bypasses_.add();
-    std::lock_guard lk(mu_);
-    ++window_deadline_bypasses_;
-  }
+  void record_window_deadline_bypass() { m_deadline_bypasses_.add(); }
 
   /// One query executed under a recall-target fidelity policy (counted at
   /// execution, so deferred items are counted exactly once).
-  void record_approx() {
-    m_approx_.add();
-    std::lock_guard lk(mu_);
-    ++approx_queries_;
-  }
+  void record_approx() { m_approx_.add(); }
 
   /// One oracle-measured recall sample in [0, 1] (the oracle — an exact
   /// reference top-k — lives with the caller: benches and tests compute it
@@ -263,25 +242,29 @@ class StatsCollector {
   }
 
   /// Snapshot with percentiles; plan counters are merged in by the caller
-  /// (they live in the PlanCache). Percentiles come from the streaming
-  /// histogram (a fixed-size bucket walk), so a monitoring poll never
-  /// stalls the executors' record_* calls behind a sort.
+  /// (they live in the PlanCache). Event counts are the registry counters'
+  /// current values: each is recorded before the promise it accounts for
+  /// is fulfilled, so a snapshot taken after a future resolves includes
+  /// it. Percentiles come from the streaming histogram (a fixed-size bucket
+  /// walk), so a monitoring poll never stalls the executors' record_*
+  /// calls behind a sort.
   ServerStats snapshot() const {
     ServerStats s;
+    s.completed = m_completed_.value();
+    s.failed = m_failed_.value();
+    s.groups = m_groups_.value();
+    s.fused_queries = m_fused_.value();
+    s.batched_groups = m_batched_groups_.value();
+    s.batched_queries = m_batched_queries_.value();
+    s.finalize_launches = m_finalize_launches_.value();
+    s.deduped_queries = m_deduped_.value();
+    s.window_flushes = m_window_flushes_.value();
+    s.window_merged_groups = m_window_merged_.value();
+    s.window_early_flushes = m_early_flushes_.value();
+    s.window_deadline_bypasses = m_deadline_bypasses_.value();
+    s.approx_queries = m_approx_.value();
     {
       std::lock_guard lk(mu_);
-      s.completed = completed_;
-      s.failed = failed_;
-      s.groups = groups_;
-      s.fused_queries = fused_queries_;
-      s.batched_groups = batched_groups_;
-      s.batched_queries = batched_queries_;
-      s.finalize_launches = finalize_launches_;
-      s.deduped_queries = deduped_queries_;
-      s.window_flushes = window_flushes_;
-      s.window_merged_groups = window_merged_groups_;
-      s.window_early_flushes = window_early_flushes_;
-      s.window_deadline_bypasses = window_deadline_bypasses_;
       s.total_sim_ms = total_sim_ms_;
       s.calibration_sim_ms = calibration_sim_ms_;
       s.stages = stages_;
@@ -291,7 +274,6 @@ class StatsCollector {
       s.concat_launches = stages_.concat_stats.kernels_launched;
       s.relax_guard_trips = stages_.guard_trips;
       s.relax_guard_skips = stages_.guard_skips;
-      s.approx_queries = approx_queries_;
       s.recall_samples = recall_samples_;
       s.recall_mean = recall_samples_
                           ? recall_sum_ / static_cast<double>(recall_samples_)
@@ -314,19 +296,6 @@ class StatsCollector {
   core::StageBreakdown stages_;
   double total_sim_ms_ = 0.0;
   double calibration_sim_ms_ = 0.0;
-  u64 completed_ = 0;
-  u64 failed_ = 0;
-  u64 groups_ = 0;
-  u64 fused_queries_ = 0;
-  u64 batched_groups_ = 0;
-  u64 batched_queries_ = 0;
-  u64 finalize_launches_ = 0;
-  u64 deduped_queries_ = 0;
-  u64 window_flushes_ = 0;
-  u64 window_merged_groups_ = 0;
-  u64 window_early_flushes_ = 0;
-  u64 window_deadline_bypasses_ = 0;
-  u64 approx_queries_ = 0;
   u64 recall_samples_ = 0;
   double recall_sum_ = 0.0;
 

@@ -1,8 +1,5 @@
 #include "topk/topk.hpp"
 
-#include <algorithm>
-#include <bit>
-
 namespace drtopk::topk {
 
 std::string to_string(Algo a) {
@@ -18,31 +15,6 @@ std::string to_string(Algo a) {
     case Algo::kHeap: return "heap";
   }
   return "?";
-}
-
-Algo choose_engine(const vgpu::GpuProfile& p, u64 n, u64 k, u32 key_bytes) {
-  // Roofline sketch per engine family: streaming bytes over peak DRAM
-  // bandwidth plus fixed launch overhead. Deliberately coarse — it ranks
-  // families, it does not predict absolute times (calibration probes do).
-  const double bw = p.mem_bw_gbps * 1e9;
-  const auto stream_ms = [&](double bytes, double launches) {
-    return bytes / bw * 1e3 + launches * vgpu::CostModel::kKernelLaunchMs;
-  };
-  const double b =
-      static_cast<double>(key_bytes) * static_cast<double>(n);  // one pass
-  // Flag-based in-place radix: ~2.5 effective passes (histogram + flagged
-  // re-scans shrink geometrically), ~10 small launches across digits.
-  const double radix = stream_ms(2.5 * b, 10);
-  // Bitonic top-k: rebuild/merge phases scale with log2 k; each phase
-  // touches a k-wide working set folded over the input.
-  const double lgk = static_cast<double>(std::bit_width(std::max<u64>(k, 1)));
-  const double bitonic = stream_ms(0.5 * b * lgk, 2 * lgk);
-  // Sort-and-choose: full 4-digit LSD sort, read + write per digit.
-  const double sortc = stream_ms(8.0 * b, 8);
-
-  if (bitonic <= radix && bitonic <= sortc) return Algo::kBitonic;
-  if (sortc < radix) return Algo::kSortAndChoose;
-  return Algo::kRadixFlag;
 }
 
 }  // namespace drtopk::topk

@@ -33,13 +33,6 @@ enum class Algo {
 
 std::string to_string(Algo a);
 
-/// Cost-model-driven engine choice for an (n, k) shape of `key_bytes`-wide
-/// keys on `p`: a cheap analytic roofline comparison (streaming bytes +
-/// launch overhead per engine family). serve::PlanCache uses this as the
-/// engine-selection seed before its calibration probes refine the pick.
-Algo choose_engine(const vgpu::GpuProfile& p, u64 n, u64 k,
-                   u32 key_bytes = 4);
-
 /// The GPU algorithms compared throughout the paper's evaluation.
 inline std::vector<Algo> baseline_algos() {
   return {Algo::kRadixGgksOop, Algo::kBucketOop, Algo::kBitonic,

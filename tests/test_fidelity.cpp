@@ -372,8 +372,8 @@ TEST(Fidelity, ExactModeBitParityMatrix) {
 
 TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
   // Approx queries through the server (both the launch-free batched-group
-  // path and the per-item core path a non-radix plan takes) must hit
-  // their recall targets; the oracle-measured recall is fed back via
+  // path and the per-item core path a non-radix base engine takes) must
+  // hit their recall targets; the oracle-measured recall is fed back via
   // record_recall and must surface in ServerStats and the Prometheus
   // exposition.
   const u64 n = u64{1} << 17;
@@ -382,10 +382,7 @@ TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
   for (bool per_item : {false, true}) {
     ServerConfig cfg;
     cfg.batch_max = 8;
-    if (per_item) {
-      cfg.use_plan_cache = false;  // no probing back to the radix engines
-      cfg.base.second_algo = topk::Algo::kSortAndChoose;
-    }
+    if (per_item) cfg.base.second_algo = topk::Algo::kSortAndChoose;
     TopkServer server(shared_device(), cfg);
     u64 submitted = 0;
     for (double rho : {0.8, 0.9, 0.99}) {
@@ -400,6 +397,10 @@ TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
             results[i].values, widen(reference_topk(vs, queries[i].k)));
         EXPECT_GE(rec, rho) << "per_item=" << per_item
                             << " k=" << queries[i].k;
+        // Only the per-item path runs a first top-k of its own; a batched
+        // group member launches nothing.
+        EXPECT_EQ(results[i].breakdown.first_ms > 0.0, per_item)
+            << "k=" << queries[i].k;
         server.record_recall(rec);
       }
     }
@@ -416,17 +417,16 @@ TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
   }
 }
 
-TEST(Fidelity, ApproxWithoutPlanCacheSizesGeometryForKmax) {
-  // use_plan_cache = false resolves the group's geometry straight from the
-  // base config: alpha and beta must come from ONE resolution for the
-  // group's kmax (mixing a beta-1 alpha with a beta-4 vector, or the
-  // reverse, serves a budget sized for neither).
+TEST(Fidelity, ApproxGroupSizesGeometryForKmax) {
+  // An approximate plan pins no geometry, so the group's alpha and beta
+  // must come from ONE resolution for the group's kmax (mixing a beta-1
+  // alpha with a beta-4 vector, or the reverse, serves a budget sized for
+  // neither).
   const u64 n = u64{1} << 17;
   auto v = data::generate(n, Distribution::kUniform, 311);
   std::span<const u32> vs(v.data(), v.size());
   ServerConfig cfg;
   cfg.batch_max = 8;
-  cfg.use_plan_cache = false;
   TopkServer server(shared_device(), cfg);
   for (double rho : {0.8, 0.9, 0.99}) {
     std::vector<Query> queries;

@@ -432,11 +432,15 @@ TEST(NetFuzz, LiveServerSurvivesMalformedTrafficWithoutLeakingSlots) {
   EXPECT_EQ(resp->status, Status::kOk);
   ASSERT_EQ(resp->values.size(), 25u);
 
-  // No leaked connection slots: once the attacker's fd drains out of the
-  // loop, only the control connection remains.
+  // No leaked connection or in-flight slots: once the attacker's fd drains
+  // out of the loop, only the control connection remains. A finisher
+  // releases a request's in-flight slot just after delivering its response,
+  // so the control client can see its answer (and close) first: poll both
+  // counters until they settle.
   control.close();
   for (int spin = 0; spin < 200; ++spin) {
-    if (live.net.active_connections() == 0) break;
+    if (live.net.active_connections() == 0 && live.net.in_flight() == 0)
+      break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(live.net.active_connections(), 0u);

@@ -702,9 +702,9 @@ TEST(Serve, RelaxationGuardTripsAreCountedAndExported) {
 
   ServerConfig cfg;
   cfg.executors = 1;
-  // A non-radix second engine (no plan probing to override it) keeps the
-  // group off the batched setup: the item runs its own relaxed stage 2.
-  cfg.use_plan_cache = false;
+  // A non-radix second engine keeps the group off the batched setup (a
+  // plan tunes alpha only, never the engines): the item runs its own
+  // relaxed stage 2.
   cfg.base.second_algo = topk::Algo::kSortAndChoose;
   // Pin a small subrange size: the delegate vector must outgrow the
   // single-launch shared-memory first top-k (which is exact and would

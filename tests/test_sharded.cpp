@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "data/distributions.hpp"
 #include "serve/sharded.hpp"
@@ -131,6 +132,55 @@ TEST(Sharded, RejectsInvalidQueries) {
   // The server stays usable after the rejections.
   EXPECT_EQ(srv.submit(corpus, 10).get().values,
             widen(topk::reference_topk(vs, 10)));
+}
+
+TEST(Sharded, FailedShardSubQueryFailsOnlyItsOwnQuery) {
+  // A shard sub-query that throws fails only the query it belongs to, with
+  // that shard's exception: the merge thread keeps merging the rest of its
+  // batch, drain() returns and the stats count only merged answers. The
+  // kappa hook throws for every kappa at or above 2^31, so each sub-query
+  // over the high corpus fails and none over the low one does.
+  const u64 n = u64{1} << 16;
+  auto lo = data::generate(n, Distribution::kUniform, 103);
+  auto hi = lo;
+  for (u32& x : lo) x &= 0x7fffffffu;
+  for (u32& x : hi) x |= 0x80000000u;
+  std::span<const u32> los(lo.data(), lo.size());
+  std::span<const u32> his(hi.data(), hi.size());
+
+  ShardedConfig cfg = sharded_cfg(2);
+  cfg.shard.base.kappa_hook = [](u64 kappa) -> u64 {
+    if (kappa >= (u64{1} << 31))
+      throw std::runtime_error("kappa exchange failed");
+    return kappa;
+  };
+  ShardedTopkServer srv(cfg);
+  const auto lo_id = srv.register_corpus(los);
+  const auto hi_id = srv.register_corpus(his);
+  ASSERT_EQ(srv.corpus_shards(lo_id), 2u);
+  ASSERT_EQ(srv.corpus_shards(hi_id), 2u);
+
+  std::vector<u64> ks;
+  std::vector<std::future<QueryResult>> low, high;
+  for (int i = 0; i < 12; ++i) {
+    const u64 k = 10 + 30 * static_cast<u64>(i % 4);
+    ks.push_back(k);
+    low.push_back(srv.submit(lo_id, k));
+    high.push_back(srv.submit(hi_id, k));
+  }
+  for (size_t i = 0; i < ks.size(); ++i) {
+    EXPECT_EQ(low[i].get().values, widen(topk::reference_topk(los, ks[i])))
+        << "k=" << ks[i];
+    EXPECT_THROW((void)high[i].get(), std::runtime_error) << "k=" << ks[i];
+  }
+  srv.drain();
+  const ShardedStats st = srv.stats();
+  EXPECT_EQ(st.completed, ks.size());
+  EXPECT_EQ(st.merged_queries, ks.size());
+  EXPECT_EQ(st.failed, ks.size());
+  // The merge thread survived: the server still answers.
+  EXPECT_EQ(srv.submit(lo_id, 7).get().values,
+            widen(topk::reference_topk(los, 7)));
 }
 
 TEST(Sharded, SelectionOnlyAndSmallestCriterion) {

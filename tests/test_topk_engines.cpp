@@ -228,36 +228,10 @@ TEST(HeapEngine, RoutedThroughDispatchWithDevicePool) {
   EXPECT_EQ(to_string(Algo::kHeap), "heap");
 }
 
-TEST(ChooseEngine, PrefersRadixAtScaleAndIsStable) {
-  const auto& p = vgpu::GpuProfile::v100s();
-  // At paper-scale shapes the flag radix family dominates (Figures 18/19).
-  EXPECT_EQ(choose_engine(p, u64{1} << 26, 1 << 12), Algo::kRadixFlag);
-  // Deterministic: same shape, same answer.
-  for (u64 k : {u64{1}, u64{64}, u64{1} << 16}) {
-    const Algo a = choose_engine(p, u64{1} << 22, k);
-    EXPECT_EQ(a, choose_engine(p, u64{1} << 22, k));
-  }
-}
-
-TEST(ChooseEngine, CrossoversUnchangedByMergeNetworkRecharge) {
-  // The PR-7 recharge (vgpu::merge_network_cx replacing the full-sort
-  // charge in the batched multi-CTA merge) prices a *stage inside* the
-  // batched engine; the family chooser's roofline sketch is independent of
-  // it. Pin the crossovers so any future coupling of the two shows up.
-  const auto& p = vgpu::GpuProfile::v100s();
-  // Small k at streaming scale: bitonic's 0.5*lg k passes undercut
-  // radix's ~2.5; the flip sits between k=16 (lg=5) and k=32 (lg=6).
-  EXPECT_EQ(choose_engine(p, u64{1} << 24, 16), Algo::kBitonic);
-  EXPECT_EQ(choose_engine(p, u64{1} << 24, 32), Algo::kRadixFlag);
-  // Launch-dominated tiny inputs with large k: sort-and-choose's 8
-  // launches beat radix's 10 and bitonic's 2*lg k.
-  EXPECT_EQ(choose_engine(p, 64, 64), Algo::kSortAndChoose);
-}
-
-TEST(ChooseEngine, MergeNetworkChargeStrictlyBelowResort) {
-  // The new analytic charge itself: a P-way merge network over m elements
-  // arriving as P < m pre-sorted runs must cost strictly less than the
-  // full bitonic sort it replaced, collapse to zero for a single run, and
+TEST(MergeNetwork, ChargeStrictlyBelowResort) {
+  // The batched multi-CTA merge's analytic charge: a P-way merge network
+  // over m elements arriving as P < m pre-sorted runs must cost strictly
+  // less than a full bitonic sort, collapse to zero for a single run, and
   // degenerate to the full sort when every "run" is one element.
   for (u64 m : {u64{64}, u64{1} << 10, u64{1} << 15}) {
     for (u64 pw : {u64{2}, u64{4}, u64{16}}) {
