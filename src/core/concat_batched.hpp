@@ -25,18 +25,9 @@
 //                                land in each segment's own span through
 //                                its own cursor cell.
 //
-// Re-thresholding (the Section 4.3 relaxation guard) is per segment: a
-// retry pass marks untouched segments `skip` — their work items are not
-// even visited — and reuses the touched segments' cached taken counts to
-// gate chunks, exactly like the single-query fused retry but without
-// re-running the segments whose threshold was already exact. The serving
-// layer feeds exact kappas (resolved by the group's batched first top-k),
-// so the guard never fires there; the per-segment capability exists for
-// callers that batch relaxed thresholds. Which segments a retry actually
-// touches is the fidelity policy's decision (core/fidelity.hpp):
-// mark_guard_retry sets `skip` on every segment whose policy tolerates
-// the relaxed threshold, so only exactness-demanding segments pay the
-// re-classification.
+// Each segment's kappa is final: the serving layer resolves exact kappas
+// with the group's batched first top-k, so no segment is ever classified
+// twice.
 //
 // Classification math is identical to core/concat_fused.hpp (same real-
 // prefix rule, same Rule 2/3 tests), so for any segment the produced
@@ -68,9 +59,6 @@ struct BatchedConcatSegment {
   /// tail correction) after classification, exactly as the fused path does.
   std::span<K> cand;
   u64 cand_count = 0;
-  /// Retry passes only: true = this segment's threshold did not change —
-  /// its results are left untouched and none of its work items are visited.
-  bool skip = false;
 };
 
 /// Candidate capacity for one classified segment: every partial taken
@@ -96,15 +84,11 @@ u64 batched_concat_capacity(const BatchedConcatSegment<K>& seg, u64 S,
 /// against every segment's kappa. Work items are (segment, 32-subrange
 /// chunk) pairs, segment-major; per-CTA staging flushes on segment
 /// crossings so each segment's qualified/partial lists and counters fill
-/// through its own global cells. With `reuse_taken` (retry pass), chunks
-/// whose cached taken counts are all zero are skipped per segment, and
-/// segments marked `skip` are not visited at all — the relaxation-guard
-/// re-threshold touches only the segments (and chunks) that need it.
+/// through its own global cells.
 template <class K>
 void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
                                 u64 S, u32 beta, int alpha, u64 n,
-                                std::span<BatchedConcatSegment<K>> segs,
-                                bool reuse_taken = false) {
+                                std::span<BatchedConcatSegment<K>> segs) {
   if (segs.empty() || S == 0) return;
   const u64 len = u64{1} << alpha;
   const u64 chunks = (S + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
@@ -117,8 +101,7 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
   std::span<u64> cspan(cells.data(), cells.size());
 
   auto cfg = acc.device().launch_for_warp_items(
-      items, reuse_taken ? "classify_batched_retry" : "classify_batched", 8,
-      u64{2} * kConcatStageCap * sizeof(u32));
+      items, "classify_batched", 8, u64{2} * kConcatStageCap * sizeof(u32));
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
     // One pair of staging buffers serves every segment the CTA touches:
     // entries always belong to the *current* segment, flushed (one global
@@ -161,7 +144,6 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
       for (u64 i = w.global_id(); i < items; i += w.grid_warps()) {
         const u64 si = i / chunks;
         BatchedConcatSegment<K>& seg = segs[si];
-        if (seg.skip) continue;
         if (si != cur) {
           flush_seg(w);
           cur = si;
@@ -169,13 +151,6 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
         const u64 s0 = (i % chunks) * vgpu::kWarpSize;
         const u32 m = static_cast<u32>(std::min<u64>(vgpu::kWarpSize, S - s0));
         const K kappa = seg.kappa;
-        if (reuse_taken) {
-          std::span<const u8> taken_ro(seg.taken.data(), seg.taken.size());
-          auto prev = w.load_coalesced(taken_ro, s0, m);
-          bool any = false;
-          for (u32 l = 0; l < m; ++l) any = any || prev[l] != 0;
-          if (!any) continue;
-        }
 
         // Coalesced chunk load of the m*beta delegate keys.
         std::array<K, vgpu::kWarpSize * kMaxBeta> keys{};
@@ -234,36 +209,11 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
   });
 
   for (u64 si = 0; si < nsegs; ++si) {
-    if (segs[si].skip) continue;
     segs[si].qualified_count = cells[4 * si + 0];
     segs[si].partial_count = cells[4 * si + 1];
     segs[si].partial_taken = cells[4 * si + 2];
     segs[si].taken_total = cells[4 * si + 3];
   }
-}
-
-/// Drives the per-segment `skip` from the fidelity policy ahead of a
-/// relaxation-guard retry pass: segment i re-classifies at its exact
-/// threshold only when its relaxed taken count blew past the 4k guard AND
-/// its policy demands exactness. Approximate segments keep their relaxed
-/// candidate superset — that is the error budget at work — and are counted
-/// into `guard_skips` when the guard would have fired. Returns the number
-/// of segments left for the retry pass (0 = no retry launch needed).
-template <class K>
-u64 mark_guard_retry(std::span<BatchedConcatSegment<K>> segs,
-                     std::span<const u64> ks,
-                     std::span<const FidelityPolicy> fidelity,
-                     u64* guard_skips = nullptr) {
-  assert(ks.size() >= segs.size() && fidelity.size() >= segs.size());
-  u64 need = 0;
-  for (u64 i = 0; i < segs.size(); ++i) {
-    const bool tripped = segs[i].taken_total > 4 * ks[i];
-    const bool retry = tripped && fidelity[i].exact();
-    segs[i].skip = !retry;
-    if (tripped && !retry && guard_skips) ++*guard_skips;
-    if (retry) ++need;
-  }
-  return need;
 }
 
 /// ONE launch concatenates every segment's candidates: the union of all
@@ -272,8 +222,8 @@ u64 mark_guard_retry(std::span<BatchedConcatSegment<K>> segs,
 /// lands in its segment's span through its segment's cursor cell. Per
 /// segment the logic is exactly concat_candidates_fused's — partial
 /// batches gather + re-threshold listed subranges' delegates, qualified
-/// items stream their subrange with Rule 2 filtering. Segments marked
-/// `skip` contribute no items. Fills each segment's cand_count.
+/// items stream their subrange with Rule 2 filtering. Fills each
+/// segment's cand_count.
 template <class K>
 void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
                                std::span<const K> dkeys, u32 beta, int alpha,
@@ -289,13 +239,9 @@ void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
   std::vector<u64> off(nsegs + 1, 0);
   std::vector<u64> pchunks(nsegs, 0);
   for (u64 si = 0; si < nsegs; ++si) {
-    u64 items = 0;
-    if (!segs[si].skip) {
-      pchunks[si] =
-          (segs[si].partial_count + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
-      items = pchunks[si] + segs[si].qualified_count;
-    }
-    off[si + 1] = off[si] + items;
+    pchunks[si] =
+        (segs[si].partial_count + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
+    off[si + 1] = off[si] + pchunks[si] + segs[si].qualified_count;
   }
   const u64 items = off[nsegs];
   if (items == 0) return;
@@ -350,8 +296,7 @@ void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
     });
   });
 
-  for (u64 si = 0; si < nsegs; ++si)
-    if (!segs[si].skip) segs[si].cand_count = cursors[si];
+  for (u64 si = 0; si < nsegs; ++si) segs[si].cand_count = cursors[si];
 }
 
 }  // namespace drtopk::core

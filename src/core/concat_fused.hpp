@@ -1,10 +1,9 @@
 // Fused single-pass stage 3: subrange classification + concatenation.
 //
-// The original stage 3 read the delegate vector three times — once to
-// classify subranges (with up to three global atomics per taken subrange),
-// once more to emit the taken delegates of partially-taken subranges (one
-// atomic per subrange, divergent single-element stores), and a third full
-// pass whenever the Section 4.3 relaxation guard fired. The fused design
+// The original stage 3 reads the delegate vector twice — once to classify
+// subranges (with up to three global atomics per taken subrange), and once
+// more to emit the taken delegates of partially-taken subranges (one
+// atomic per subrange, divergent single-element stores). The fused design
 // reads delegates once and communicates through a compact per-subrange
 // taken-count array:
 //
@@ -27,17 +26,13 @@
 //   concat_qualified           the qualified-subrange half on its own —
 //                              the legacy three-pass path still uses it.
 //
-// When the relaxation guard fires, the pass is re-run with `reuse_taken`:
-// chunks whose cached taken counts are all zero are skipped outright (the
-// exact kappa only rises, so untouched subranges stay untaken) — only the
-// already-taken fraction of the delegate vector is re-thresholded, not the
-// whole vector. Whether the guard retries at all is the caller's fidelity
-// policy's call (core/fidelity.hpp): an approximate query accepts the
-// relaxed threshold's candidate superset and skips the retry.
+// Every pass runs once per query: the threshold it receives is final. The
+// Section 4.3 relaxation guard decides inside the first top-k
+// (topk::radix_kth_flag's taken-count bound), before classification.
 //
-// Classification itself is also policy-aware: with `rule2 = false`
-// (approximate per-partition mode) every taken subrange lands on the
-// partial list regardless of how many of its delegates cleared kappa, so
+// Classification is policy-aware: with `rule2 = false` (approximate
+// per-partition mode) every taken subrange lands on the partial list
+// regardless of how many of its delegates cleared kappa, so
 // concatenation gathers ONLY taken delegates — no subrange is ever
 // streamed from the input vector and the candidates are exactly the
 // delegates >= kappa — each subrange's top beta, with (subrange count,
@@ -50,7 +45,6 @@
 #pragma once
 
 #include "core/delegate.hpp"
-#include "core/fidelity.hpp"
 
 namespace drtopk::core {
 
@@ -104,17 +98,13 @@ void append_filtered_subrange(vgpu::Warp& w, std::span<const K> v, u64 begin,
 }
 
 /// One pass over the delegate keys: fills cls.taken and the qualified /
-/// partial lists, and the four aggregate counters. With `reuse_taken`,
-/// 32-subrange chunks whose cached taken counts are all zero are skipped
-/// (valid whenever kappa did not decrease since the cached pass); the lists
-/// and counters are rebuilt from scratch either way. With `rule2 = false`
+/// partial lists, and the four aggregate counters. With `rule2 = false`
 /// (approximate fidelity) no subrange ever qualifies — taken subranges all
 /// go to the partial list, so only delegates become candidates.
 template <class K>
 void classify_subranges_fused(topk::Accum& acc, std::span<const K> dkeys,
                               u64 S, u32 beta, int alpha, u64 n, K kappa,
-                              ConcatClassification& cls, bool reuse_taken,
-                              bool rule2 = true) {
+                              ConcatClassification& cls, bool rule2 = true) {
   assert(cls.taken.size() >= S && cls.qualified.size() >= S &&
          cls.partial.size() >= S);
   const u64 len = u64{1} << alpha;
@@ -124,11 +114,9 @@ void classify_subranges_fused(topk::Accum& acc, std::span<const K> dkeys,
   // [2] partial-taken total, [3] taken total.
   std::array<u64, 4> cells{};
   std::span<u64> cspan(cells.data(), cells.size());
-  std::span<const u8> taken_ro(cls.taken.data(), cls.taken.size());
 
   auto cfg = acc.device().launch_for_warp_items(
-      chunks, reuse_taken ? "classify_fused_retry" : "classify_fused", 8,
-      u64{2} * kConcatStageCap * sizeof(u32));
+      chunks, "classify_fused", 8, u64{2} * kConcatStageCap * sizeof(u32));
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
     // Block-aggregated list emission: warps append sids to shared staging;
     // a full (or final) buffer is flushed with ONE global reservation plus
@@ -158,14 +146,6 @@ void classify_subranges_fused(topk::Accum& acc, std::span<const K> dkeys,
       for (u64 c = w.global_id(); c < chunks; c += w.grid_warps()) {
         const u64 s0 = c * vgpu::kWarpSize;
         const u32 m = static_cast<u32>(std::min<u64>(vgpu::kWarpSize, S - s0));
-        if (reuse_taken) {
-          // Cached counts gate the chunk: one 32-byte load instead of
-          // re-thresholding beta keys per subrange.
-          auto prev = w.load_coalesced(taken_ro, s0, m);
-          bool any = false;
-          for (u32 l = 0; l < m; ++l) any = any || prev[l] != 0;
-          if (!any) continue;
-        }
 
         // Coalesced chunk load of the m*beta delegate keys.
         std::array<K, vgpu::kWarpSize * kMaxBeta> keys{};

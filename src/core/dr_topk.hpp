@@ -35,6 +35,7 @@
 #include "core/alpha_tuner.hpp"
 #include "core/concat_fused.hpp"
 #include "core/delegate.hpp"
+#include "core/fidelity.hpp"
 #include "topk/topk.hpp"
 
 namespace drtopk::core {
@@ -86,9 +87,10 @@ struct DrTopkConfig {
   /// pinned, alpha AND beta come from the error budget (approx_geometry —
   /// the fewest delegates whose expected misses fit the budget),
   /// classification is delegates-only (no Rule-2 qualified streaming),
-  /// and the relaxation-guard retry is skipped (counted in
-  /// StageBreakdown::guard_skips). The answer is the top-k of the
-  /// per-subrange top-beta delegates, with E[recall] >= the target.
+  /// and the first top-k keeps its relaxed threshold past the 4k bound
+  /// that exact mode enforces (counted in StageBreakdown::guard_skips).
+  /// The answer is the top-k of the per-subrange top-beta delegates, with
+  /// E[recall] >= the target.
   FidelityPolicy fidelity;
 };
 
@@ -218,7 +220,7 @@ template <class K>
 struct DeferredSecond {
   // Inputs.
   bool have_kappa = false;  ///< stage-2 threshold already resolved (exact:
-                            ///< the relaxation guard never applies)
+                            ///< no relaxation applies)
   K kappa{};
   /// Candidate-vector storage provider (must return >= the requested
   /// length); its arena must outlive the deferred finalization. Unset:
@@ -245,8 +247,9 @@ struct StageBreakdown {
   u32 beta = 1;
   bool second_skipped = false;  ///< Rule 3 fast path (Figure 8b)
   bool fallback_direct = false; ///< k too large for delegation; ran directly
-  u64 guard_trips = 0;  ///< relaxation-guard re-thresholds (tie-heavy data)
-  u64 guard_skips = 0;  ///< guard fires the fidelity policy waved off
+  u64 guard_trips = 0;  ///< declined last-digit skips: > 4k delegates
+                        ///< reached the relaxed prefix (tie-heavy data)
+  u64 guard_skips = 0;  ///< relaxed thresholds a recall target kept past 4k
 
   double total_ms() const {
     return construct_ms + first_ms + concat_ms + second_ms;
@@ -320,9 +323,9 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // A delegate vector that fits one SM's shared memory takes the
   // single-launch sort-and-choose path: exact kappa, one launch, no
   // relaxation needed. Otherwise the Section 4.3 relaxation (skip the last
-  // radix digit) applies — it is incompatible with a kappa_hook: the hook
-  // is a collective exchange that every rank performs exactly once, and
-  // the relaxation guard below may recompute.
+  // radix digit) applies, except under a kappa_hook: the hook exists to
+  // exchange the local k-th delegate across devices (Section 5.4), and a
+  // prefix with its low digit zeroed is a looser bound than that.
   const bool ext_kappa = ds && ds->have_kappa;
   // Approximate fidelity (per-partition mode): the answer is the top-k of
   // the delegates themselves, so classification is delegates-only (Rule 2
@@ -340,6 +343,12 @@ topk::TopkResult<K> dr_topk_from_delegates(
       !ext_kappa && !small_first && cfg.skip_last_first_iter &&
       (beta > 1 || approx) && !cfg.kappa_hook &&
       cfg.first_algo == topk::Algo::kRadixFlag;
+  // Relaxation guard: skipping the last digit only pays when that digit
+  // barely discriminates. On tie-heavy data (e.g. ND, whose whole value
+  // range fits inside one low digit) the relaxed prefix admits nearly every
+  // delegate, so exact fidelity takes the skip only while at most 4k
+  // delegates reach it; the radix otherwise refines the last digit.
+  const u64 guard_bound = 4 * k;
   K kappa;
   {
     // Defaulting stage scope: serve's "calibrate" (plan-cache probes) wins
@@ -347,8 +356,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     vgpu::StageScope stage2("first");
     if (ext_kappa) {
       // Stage 2 already resolved externally — one batched launch covered
-      // the whole admission group's thresholds. The value is exact, so the
-      // relaxation guard below never applies.
+      // the whole admission group's thresholds. The value is exact.
       kappa = ds->kappa;
     } else if (small_first) {
       Accum a2(dev);
@@ -358,8 +366,10 @@ topk::TopkResult<K> dr_topk_from_delegates(
       bd.first_stats = a2.stats();
     } else if (cfg.first_algo == topk::Algo::kRadixFlag) {
       Accum a2(dev);
-      kappa = relax ? topk::radix_kth_flag_relaxed(a2, dkeys, k, 1)
-                    : topk::radix_kth_flag(a2, dkeys, k);
+      bool declined = false;
+      const u64 max_taken = !relax ? 0 : approx ? ~u64{0} : guard_bound;
+      kappa = topk::radix_kth_flag(a2, dkeys, k, max_taken, &declined);
+      if (declined) ++bd.guard_trips;
       bd.first_ms = a2.sim_ms();
       bd.first_stats = a2.stats();
     } else {
@@ -373,8 +383,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     kappa = static_cast<K>(cfg.kappa_hook(static_cast<u64>(kappa)));
 
   // ---- Stage 3: subrange classification + concatenation ----
-  // Named scope (no block): stage 4 below force-overrides it, and the
-  // relaxation guard relabels its recompute back to "first" — but only
+  // Named scope (no block): stage 4 below force-overrides it — but only
   // when this scope actually owns the ambient label (engaged()), so an
   // enclosing "calibrate" is never clobbered.
   vgpu::StageScope stage3("concat");
@@ -405,34 +414,10 @@ topk::TopkResult<K> dr_topk_from_delegates(
     cls.qualified = ws.alloc<u32>(S);
     cls.partial = ws.alloc<u32>(S);
     classify_subranges_fused(a3, dkeys, S, beta, dv.alpha, n, kappa, cls,
-                             /*reuse_taken=*/false, /*rule2=*/!approx);
-    // Relaxation guard: skipping the last digit is only profitable when
-    // that digit barely discriminates. On tie-heavy data (e.g. ND, whose
-    // whole value range fits inside one low digit) the relaxed threshold
-    // admits nearly every delegate; detect the blow-up, pay for the exact
-    // threshold, and re-threshold only the subranges the cached taken
-    // counts say were touched (kappa can only rise, so untaken subranges
-    // stay untaken and their chunks are skipped wholesale). Under
-    // approximate fidelity the retry is waved off (FidelityPolicy): extra
-    // candidates only cost the (small) second top-k, never correctness.
-    if (relax && cls.taken_total > 4 * k) {
-      if (approx) {
-        ++bd.guard_skips;
-      } else {
-        ++bd.guard_trips;
-        {
-          // The exact-threshold recompute is first-top-k work: relabel it
-          // back to "first" (only when stage3 owns the ambient label).
-          vgpu::StageScope guard("first", /*force=*/stage3.engaged());
-          Accum a2b(dev);
-          kappa = topk::radix_kth_flag(a2b, dkeys, k);
-          bd.first_ms += a2b.sim_ms();
-          bd.first_stats += a2b.stats();
-        }
-        classify_subranges_fused(a3, dkeys, S, beta, dv.alpha, n, kappa, cls,
-                                 /*reuse_taken=*/true);
-      }
-    }
+                             /*rule2=*/!approx);
+    // A recall target kept the relaxed threshold whatever its taken count:
+    // extra candidates only cost the (small) second top-k, never recall.
+    if (relax && approx && cls.taken_total > guard_bound) ++bd.guard_skips;
     q_count = cls.qualified_count;
     partial_total = cls.partial_taken;
     bd.taken_delegates = cls.taken_total;
@@ -465,43 +450,27 @@ topk::TopkResult<K> dr_topk_from_delegates(
     std::span<u32> qspan = ws.alloc<u32>(S);
     std::array<u64, 3> counters{};  // [0]=qualified, [1]=partial, [2]=taken
     std::span<u64> cspan(counters.data(), counters.size());
-    const auto classify = [&] {
-      counters = {};
-      auto cfg_l = acc_launch_subranges(dev, S);
-      a3.launch(cfg_l, [&](vgpu::CtaCtx& cta) {
-        cta.for_each_warp([&](vgpu::Warp& w) {
-          for (u64 s = w.global_id(); s < S; s += w.grid_warps()) {
-            const u64 real = std::min<u64>(beta, dv.subrange_len(s, n));
-            auto ks = w.load_coalesced(dkeys, s * beta, beta);
-            auto ss = w.load_coalesced(dsids, s * beta, beta);
-            u32 taken = 0;
-            for (u32 j = 0; j < beta; ++j)
-              if (ss[j] != kInvalidSid && ks[j] >= kappa) ++taken;
-            if (taken == 0) continue;
-            w.atomic_add(cspan, 2, static_cast<u64>(taken));
-            if (taken == real) {
-              const u64 pos = w.atomic_add(cspan, 0, u64{1});
-              w.st(qspan, pos, static_cast<u32>(s));
-            } else {
-              w.atomic_add(cspan, 1, static_cast<u64>(taken));
-            }
+    auto cfg_l = acc_launch_subranges(dev, S);
+    a3.launch(cfg_l, [&](vgpu::CtaCtx& cta) {
+      cta.for_each_warp([&](vgpu::Warp& w) {
+        for (u64 s = w.global_id(); s < S; s += w.grid_warps()) {
+          const u64 real = std::min<u64>(beta, dv.subrange_len(s, n));
+          auto ks = w.load_coalesced(dkeys, s * beta, beta);
+          auto ss = w.load_coalesced(dsids, s * beta, beta);
+          u32 taken = 0;
+          for (u32 j = 0; j < beta; ++j)
+            if (ss[j] != kInvalidSid && ks[j] >= kappa) ++taken;
+          if (taken == 0) continue;
+          w.atomic_add(cspan, 2, static_cast<u64>(taken));
+          if (taken == real) {
+            const u64 pos = w.atomic_add(cspan, 0, u64{1});
+            w.st(qspan, pos, static_cast<u32>(s));
+          } else {
+            w.atomic_add(cspan, 1, static_cast<u64>(taken));
           }
-        });
+        }
       });
-    };
-    classify();
-    // Relaxation guard (legacy form: a full re-classification pass).
-    if (relax && counters[2] > 4 * k) {
-      ++bd.guard_trips;
-      {
-        vgpu::StageScope guard("first", /*force=*/stage3.engaged());
-        Accum a2b(dev);
-        kappa = topk::radix_kth_flag(a2b, dkeys, k);
-        bd.first_ms += a2b.sim_ms();
-        bd.first_stats += a2b.stats();
-      }
-      classify();
-    }
+    });
     q_count = counters[0];
     partial_total = counters[1];
     bd.taken_delegates = counters[2];

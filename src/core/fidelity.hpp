@@ -13,9 +13,10 @@
 //   * the answer is the top-k of the delegates — Rule 2's
 //     qualified-subrange streaming and the second-stage collection over it
 //     are skipped entirely,
-//   * the Section 4.3 relaxation guard never re-thresholds: a relaxed
-//     kappa only widens the candidate superset, which the error budget
-//     already tolerates.
+//   * the first top-k keeps its Section 4.3 relaxed threshold even where
+//     the guard would decline the skip in exact mode: a relaxed kappa only
+//     widens the candidate superset, which the error budget already
+//     tolerates.
 //
 // Recall model: with S subranges and exchangeable value placement, the
 // number of true top-k elements landing in one subrange is

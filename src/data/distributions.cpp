@@ -1,7 +1,6 @@
 #include "data/distributions.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "vgpu/thread_pool.hpp"
 
@@ -53,7 +52,6 @@ void fill_normal(std::span<u32> out, u64 seed, f64 mean, f64 stddev) {
 
 void fill_customized(std::span<u32> out, u64 seed) {
   const u64 n = out.size();
-  assert(n > kCdDecoys && "CD needs room for its decoy elements");
 
   // The target bucket at every level is the top one (index 255), so the
   // k-th element always lives on the all-0xFF prefix path. Each level

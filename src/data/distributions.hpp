@@ -26,13 +26,16 @@ enum class Distribution { kUniform, kNormal, kCustomized };
 std::string to_string(Distribution d);
 
 /// Number of per-level decoy values the CD generator plants (one per
-/// non-target bucket per level; see generate_cd).
+/// non-target bucket per level; see fill_customized).
 inline constexpr u32 kCdLevels = 3;
 inline constexpr u32 kCdBuckets = 256;
 inline constexpr u64 kCdDecoys = static_cast<u64>(kCdLevels) * (kCdBuckets - 1);
 
 /// Fills `out` with n = out.size() values of the given distribution,
-/// deterministically from `seed`, in parallel.
+/// deterministically from `seed`, in parallel. Every element is a pure
+/// function of (seed, i), so a shorter vector is a prefix of a longer one.
+/// CD places its kCdDecoys decoys first and the cluster after them: for
+/// n <= kCdDecoys it is the first n decoys, with no cluster.
 void fill_uniform(std::span<u32> out, u64 seed);
 void fill_normal(std::span<u32> out, u64 seed, f64 mean = 1e8,
                  f64 stddev = 10.0);

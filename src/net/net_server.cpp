@@ -70,6 +70,12 @@ NetServer::NetServer(Backend& backend, NetServerConfig cfg)
       m_responses_dropped_(reg_.counter(
           "net_responses_dropped",
           "Responses completed after their connection died")),
+      m_backend_submit_errors_(reg_.counter(
+          "net_backend_submit_errors",
+          "Requests answered kError because the backend's submit threw")),
+      m_backend_result_errors_(reg_.counter(
+          "net_backend_result_errors",
+          "Admitted requests answered kError because their result failed")),
       m_active_conns_(reg_.gauge("net_active_connections",
                                  "Currently open client connections")),
       m_inflight_gauge_(reg_.gauge("net_inflight",
@@ -359,6 +365,7 @@ void NetServer::handle_topk(Conn& c, std::span<const u8> payload) {
                               req.selection_only != 0, v.fidelity,
                               req.deadline_us);
   } catch (...) {
+    m_backend_submit_errors_.add();
     reject.status = Status::kError;
     deliver(c.fd, c.gen, encode(reject));
     return;
@@ -412,6 +419,7 @@ void NetServer::finisher_loop() {
           wall_us > r.queue_us ? wall_us - r.queue_us : wall_us;
       backend_.note_service_time(job.key, service_us);
     } catch (...) {
+      m_backend_result_errors_.add();
       resp.status = Status::kError;
     }
     deliver(job.fd, job.gen, encode(resp));

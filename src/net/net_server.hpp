@@ -330,6 +330,8 @@ class NetServer {
   obs::Counter& m_shed_deadline_;
   obs::Counter& m_deadline_missed_;
   obs::Counter& m_responses_dropped_;
+  obs::Counter& m_backend_submit_errors_;
+  obs::Counter& m_backend_result_errors_;
   obs::Gauge& m_active_conns_;
   obs::Gauge& m_inflight_gauge_;
   obs::Histogram& m_request_us_;

@@ -61,11 +61,12 @@ struct ServerStats {
                             ///< (classify + concat): ONE pair per group
                             ///< setup, plus a pair per item the setup did
                             ///< not cover — the stage the lpq gate watches
-  u64 relax_guard_trips = 0;  ///< relaxation-guard re-thresholds (tie-heavy
-                              ///< distributions forcing the exact-kappa
-                              ///< recompute; see core/concat_fused.hpp)
-  u64 relax_guard_skips = 0;  ///< guard trips the fidelity policy waved off
-                              ///< (recall-target queries never re-threshold)
+  u64 relax_guard_trips = 0;  ///< relaxed first top-ks whose last-digit
+                              ///< skip the guard declined: > 4k delegates
+                              ///< on the prefix (tie-heavy distributions;
+                              ///< see topk::radix_kth_flag)
+  u64 relax_guard_skips = 0;  ///< relaxed thresholds a recall target kept
+                              ///< past the guard's 4k bound
   u64 approx_queries = 0;     ///< queries executed under a recall target
                               ///< (FidelityPolicy not exact)
   u64 recall_samples = 0;     ///< oracle-measured recall samples recorded
@@ -143,7 +144,7 @@ class StatsCollector {
             "Kernel launches attributed to stage 3 (classify + concat)")),
         m_guard_trips_(reg.counter(
             "serve_relax_guard_trips",
-            "Relaxation-guard re-thresholds (per segment)")),
+            "Relaxed first top-ks whose last-digit skip the guard declined")),
         m_guard_skips_(reg.counter(
             "serve_relax_guard_skips",
             "Guard trips waved off by a recall-target fidelity policy")),

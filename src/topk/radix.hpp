@@ -26,8 +26,18 @@ namespace drtopk::topk {
 
 /// K-selection: value of the k-th largest key (1 <= k <= |v|).
 /// Flag-based in-place algorithm; zero stores to v.
+///
+/// A nonzero `max_taken` enables the paper's "skip the final iteration of
+/// the first top-k" relaxation (Section 4.3): after the penultimate digit
+/// the selection returns the partial prefix, a *lower bound* on the k-th
+/// largest, when at most `max_taken` keys are >= it. That digit's histogram
+/// already holds the count, (k - rem) + hist[chosen]. Otherwise the skip is
+/// declined (`*declined` is set) and the last digit is refined as in the
+/// exact selection, so a relaxed call never launches more kernels than an
+/// exact one.
 template <class K>
-K radix_kth_flag(Accum& acc, std::span<const K> v, u64 k) {
+K radix_kth_flag(Accum& acc, std::span<const K> v, u64 k, u64 max_taken = 0,
+                 bool* declined = nullptr) {
   assert(k >= 1 && k <= v.size());
   constexpr int kDigits = sizeof(K);  // 8 bits each
   K mask = 0, value = 0;
@@ -57,47 +67,13 @@ K radix_kth_flag(Accum& acc, std::span<const K> v, u64 k) {
       return device_find_unique(
           acc, v, [mask, value](K x) { return (x & mask) == value; });
     }
+    if (d == 1 && max_taken > 0) {
+      // Keys above the prefix plus keys on it: every key >= `value`.
+      if (k - rem + hist[chosen] <= max_taken) return value;  // low digit 0
+      if (declined) *declined = true;
+    }
   }
   return value;  // all digits fixed: survivors all equal `value`
-}
-
-/// Stops the MSD refinement `skip_last` digits early and returns the partial
-/// prefix as a *lower bound* on the k-th largest. Used by the paper's
-/// "skip the final iteration of the first top-k" optimization (Section 4.3):
-/// a lower-bound threshold keeps a superset of candidates at lower cost.
-template <class K>
-K radix_kth_flag_relaxed(Accum& acc, std::span<const K> v, u64 k,
-                         int skip_last) {
-  assert(k >= 1 && k <= v.size());
-  constexpr int kDigits = sizeof(K);
-  K mask = 0, value = 0;
-  u64 rem = k;
-  std::array<u64, kRadixBuckets> hist;
-
-  for (int d = kDigits - 1; d >= skip_last; --d) {
-    const u32 shift = static_cast<u32>(d) * kRadixBits;
-    histogram256(
-        acc, v, [mask, value](K x) { return (x & mask) == value; },
-        [shift](K x) { return static_cast<u32>((x >> shift) & 0xFF); }, hist,
-        "radix_flag_hist");
-    u64 cum = 0;
-    u32 chosen = 0;
-    for (int b = kRadixBuckets - 1; b >= 0; --b) {
-      if (cum + hist[b] >= rem) {
-        chosen = static_cast<u32>(b);
-        rem -= cum;
-        break;
-      }
-      cum += hist[b];
-    }
-    value |= static_cast<K>(chosen) << shift;
-    mask |= static_cast<K>(0xFF) << shift;
-    if (hist[chosen] == 1) {
-      return device_find_unique(
-          acc, v, [mask, value](K x) { return (x & mask) == value; });
-    }
-  }
-  return value;  // low `skip_last` digits zero: lower bound on the kth
 }
 
 /// Full top-k with the flag-based engine: k-selection, then collection.

@@ -42,9 +42,9 @@ struct Launch {
 /// established one — so outer context wins: serve's "calibrate" scope keeps
 /// plan-cache probe launches out of the steady-state stage ledger even
 /// though the probes run the regular pipeline underneath. Pass
-/// `force = true` to relabel within an enclosing scope (used for the
-/// stage-3 relaxation guard, whose recomputation is charged back to the
-/// first selection).
+/// `force = true` to relabel within an enclosing scope (used by the
+/// pipeline's second top-k, which follows the stage-3 scope in the same
+/// block).
 class StageScope {
  public:
   explicit StageScope(const char* stage, bool force = false) {

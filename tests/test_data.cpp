@@ -169,6 +169,21 @@ TEST(Distributions, CustomizedMajorityInTopPath) {
   EXPECT_EQ(in_cluster, n - kCdDecoys);
 }
 
+TEST(Distributions, CustomizedBelowItsDecoyCountIsTheFirstDecoys) {
+  // Small CD vectors are prefixes of large ones: n <= kCdDecoys holds only
+  // decoys, and the cluster starts at element kCdDecoys.
+  const auto small = generate(33, Distribution::kCustomized, 7);
+  const auto large = generate(1 << 13, Distribution::kCustomized, 7);
+  EXPECT_TRUE(std::equal(small.begin(), small.end(), large.begin()));
+  const auto in_cluster = [](const vgpu::device_vector<u32>& v) {
+    return std::count_if(v.begin(), v.end(),
+                         [](u32 x) { return x >= 0xFFFFFF00u; });
+  };
+  EXPECT_EQ(in_cluster(generate(kCdDecoys, Distribution::kCustomized, 7)), 0);
+  EXPECT_EQ(in_cluster(generate(kCdDecoys + 1, Distribution::kCustomized, 7)),
+            1);
+}
+
 TEST(Distributions, DeterministicForSameSeed) {
   auto a = generate(4096, Distribution::kUniform, 9);
   auto b = generate(4096, Distribution::kUniform, 9);

@@ -465,28 +465,43 @@ TEST(FusedConcat, ParityOnSelectionOnlyAndKappaHookPaths) {
   }
 }
 
-TEST(FusedConcat, RelaxationGuardRethresholdsOnlyTouchedChunks) {
-  // ND's ties blow up the relaxed threshold; the fused guard must land on
-  // the same classification as a from-scratch exact pass while re-reading
-  // (far) fewer delegates than a second full pass would.
-  const u64 n = 1 << 17;
-  const u64 k = 1 << 9;
-  auto v = data::generate(n, Distribution::kNormal, 55);
-  std::span<const u32> vs(v.data(), v.size());
+TEST(FusedConcat, RelaxationGuardAddsNoLaunches) {
+  // ND's ties and CD's 8-bit cluster put far more than 4k delegates on the
+  // relaxed prefix. The guard must decline the skip inside the first
+  // top-k: same threshold and classification as the exact run, no more
+  // first-stage launches and exactly its stage-3 launches.
+  struct Case {
+    Distribution dist;
+    u64 n, k;
+  };
+  for (const Case& c : {Case{Distribution::kNormal, u64{1} << 17, 1 << 9},
+                        Case{Distribution::kCustomized, u64{1} << 20, 1024},
+                        Case{Distribution::kCustomized, u64{1} << 20, 16384}}) {
+    auto v = data::generate(c.n, c.dist, 55);
+    std::span<const u32> vs(v.data(), v.size());
+    const std::string at = data::to_string(c.dist) + " k=" +
+                           std::to_string(c.k);
 
-  DrTopkConfig relaxed;  // guard path: relaxation on, exact recompute inside
-  relaxed.beta = 2;
-  relaxed.small_input_shared = false;  // keep the radix first stage (relax)
-  DrTopkConfig exact = relaxed;
-  exact.skip_last_first_iter = false;  // straight to the exact threshold
-  StageBreakdown br, be;
-  auto rr = dr_topk_keys<u32>(shared_device(), vs, k, relaxed, &br);
-  auto re = dr_topk_keys<u32>(shared_device(), vs, k, exact, &be);
-  EXPECT_EQ(rr.keys, re.keys);
-  EXPECT_EQ(rr.keys, reference_topk(vs, k));
-  EXPECT_EQ(br.qualified_subranges, be.qualified_subranges);
-  EXPECT_EQ(br.taken_delegates, be.taken_delegates);
-  EXPECT_EQ(br.concat_len, be.concat_len);
+    DrTopkConfig relaxed;  // relaxation on: the guard decides
+    relaxed.beta = 2;
+    relaxed.small_input_shared = false;  // keep the radix first stage (relax)
+    DrTopkConfig exact = relaxed;
+    exact.skip_last_first_iter = false;  // straight to the exact threshold
+    StageBreakdown br, be;
+    auto rr = dr_topk_keys<u32>(shared_device(), vs, c.k, relaxed, &br);
+    auto re = dr_topk_keys<u32>(shared_device(), vs, c.k, exact, &be);
+    EXPECT_EQ(rr.keys, re.keys) << at;
+    EXPECT_EQ(rr.keys, reference_topk(vs, c.k)) << at;
+    EXPECT_EQ(br.qualified_subranges, be.qualified_subranges) << at;
+    EXPECT_EQ(br.taken_delegates, be.taken_delegates) << at;
+    EXPECT_EQ(br.concat_len, be.concat_len) << at;
+    EXPECT_EQ(br.guard_trips, 1u) << at;
+    EXPECT_EQ(be.guard_trips, 0u) << at;
+    EXPECT_LE(br.first_stats.kernels_launched,
+              be.first_stats.kernels_launched) << at;
+    EXPECT_EQ(br.concat_stats.kernels_launched,
+              be.concat_stats.kernels_launched) << at;
+  }
 }
 
 TEST(FusedConcat, LegacyRequestWithoutSidsDegradesToFusedSafely) {
@@ -612,16 +627,16 @@ TEST(KappaHook, IdentityHookCalledExactlyOnceAndStaysExact) {
   };
   auto r = dr_topk_keys<u32>(shared_device(), vs, k, cfg);
   EXPECT_EQ(r.keys, reference_topk(vs, k));
-  // A collective exchange must run exactly once per pipeline invocation —
-  // the Section 4.3 relaxation (whose guard can recompute kappa) is
-  // disabled whenever a hook is installed.
+  // A collective exchange must run exactly once per pipeline invocation,
+  // on the exact local threshold: the Section 4.3 relaxation is disabled
+  // whenever a hook is installed.
   EXPECT_EQ(calls, 1);
   EXPECT_GT(seen_kappa, 0u);
 }
 
 TEST(KappaHook, HookDisablesRelaxationOnTieHeavyData) {
-  // ND's ties are what make the relaxation guard recompute; even there the
-  // hook must fire exactly once.
+  // ND's ties are what make the relaxation guard decline the skip; even
+  // there the hook must fire exactly once.
   auto v = data::generate(1 << 15, Distribution::kNormal, 24);
   std::span<const u32> vs(v.data(), v.size());
   int calls = 0;
@@ -689,7 +704,7 @@ FusedStage3<K> run_fused_stage3(std::span<const K> v, std::span<const K> dkeys,
   f.cls.partial = std::span<u32>(f.partial.data(), f.partial.size());
   topk::Accum acc(shared_device());
   classify_subranges_fused<K>(acc, dkeys, S, beta, alpha, v.size(), kappa,
-                              f.cls, false);
+                              f.cls);
   f.cand.assign(v.size(), K{});
   std::array<u64, 1> cur{};
   concat_candidates_fused<K>(
@@ -730,7 +745,6 @@ struct BatchedScratch {
   /// (what the serving setup allocates from the group arena).
   void size_cand(u64 S, u32 beta, int alpha, u64 n) {
     for (u64 i = 0; i < segs.size(); ++i) {
-      if (segs[i].skip) continue;
       cand[i].assign(batched_concat_capacity(segs[i], S, beta, alpha, n),
                      K{});
       segs[i].cand = std::span<K>(cand[i].data(), cand[i].size());
@@ -820,65 +834,6 @@ TEST(BatchedConcat, MatchesFusedOn64BitKeys) {
   for (u64 i = 0; i < n; ++i) v[i] = data::rand_u64(44, i);
   std::span<const u64> vs(v.data(), v.size());
   expect_batched_matches_fused<u64>(vs, 7, 2, true, {5, 64, 900}, "u64");
-}
-
-TEST(BatchedConcat, PerSegmentRetryLeavesSkippedSegmentsUntouched) {
-  // The relaxation-guard shape: classify at relaxed (lower) thresholds,
-  // then re-threshold ONLY segment 0 at its exact kappa — segment 1 is
-  // marked skip and must keep its relaxed results bit for bit.
-  const u64 n = 1 << 15;
-  auto v = data::generate(n, Distribution::kNormal, 92);
-  std::span<const u32> vs(v.data(), v.size());
-  const int alpha = 6;
-  const u32 beta = 2;
-
-  topk::Accum dacc(shared_device());
-  auto dv = build_delegate_vector<u32>(dacc, vs, alpha, beta);
-  const u64 S = dv.num_subranges;
-  std::vector<u32> dhost(dv.keys.begin(), dv.keys.end());
-  std::span<const u32> dkeys(dhost.data(), dhost.size());
-
-  const std::vector<u32> exact = kappas_for<u32>(dkeys, {64, 300});
-  std::vector<u32> relaxed = exact;
-  for (auto& kp : relaxed) kp = kp - kp / 4;  // a valid lower bound
-
-  BatchedScratch<u32> b(2, S, relaxed);
-  topk::Accum acc(shared_device());
-  classify_subranges_batched<u32>(acc, dkeys, S, beta, alpha, n, b.span());
-  b.size_cand(S, beta, alpha, n);
-  concat_candidates_batched<u32>(acc, vs, dkeys, beta, alpha, true, b.span());
-  const BatchedConcatSegment<u32> seg1_before = b.segs[1];
-  const std::vector<u32> seg1_cand(
-      b.cand[1].begin(), b.cand[1].begin() + b.segs[1].cand_count);
-
-  // Retry: segment 0 re-thresholds at its exact kappa, segment 1 skips.
-  b.segs[0].kappa = exact[0];
-  b.segs[1].skip = true;
-  classify_subranges_batched<u32>(acc, dkeys, S, beta, alpha, n, b.span(),
-                                  /*reuse_taken=*/true);
-  concat_candidates_batched<u32>(acc, vs, dkeys, beta, alpha, true, b.span());
-
-  // Segment 0 now matches a from-scratch fused pass at the exact kappa.
-  const auto f0 = run_fused_stage3<u32>(vs, dkeys, S, beta, alpha, exact[0],
-                                        true);
-  EXPECT_EQ(b.segs[0].qualified_count, f0.cls.qualified_count);
-  EXPECT_EQ(b.segs[0].partial_count, f0.cls.partial_count);
-  EXPECT_EQ(b.segs[0].partial_taken, f0.cls.partial_taken);
-  EXPECT_EQ(b.segs[0].taken_total, f0.cls.taken_total);
-  std::vector<u32> got0(b.cand[0].begin(),
-                        b.cand[0].begin() + b.segs[0].cand_count);
-  std::sort(got0.begin(), got0.end());
-  EXPECT_EQ(got0, f0.cand);
-
-  // Segment 1 is untouched: counters and candidates as the relaxed pass
-  // left them.
-  EXPECT_EQ(b.segs[1].qualified_count, seg1_before.qualified_count);
-  EXPECT_EQ(b.segs[1].partial_count, seg1_before.partial_count);
-  EXPECT_EQ(b.segs[1].taken_total, seg1_before.taken_total);
-  EXPECT_EQ(b.segs[1].cand_count, seg1_before.cand_count);
-  const std::vector<u32> seg1_after(
-      b.cand[1].begin(), b.cand[1].begin() + b.segs[1].cand_count);
-  EXPECT_EQ(seg1_after, seg1_cand);
 }
 
 // ---- Typed frontend ----

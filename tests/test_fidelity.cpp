@@ -7,7 +7,7 @@
 //   2. APPROX MEETS ITS TARGET — a recall-target query's measured recall
 //      against the exact oracle must be >= rho for every rho x
 //      distribution x k tried, at every layer (core, serve, sharded),
-//      while never re-thresholding through the relaxation guard. The
+//      while never declining the relaxed first top-k's skip. The
 //      (subrange count, beta) geometry behind it is checked against a
 //      Monte-Carlo placement and a brute-force search, and every serving
 //      path (plan-cache hit in the same log2(k) bucket, no plan cache,
@@ -22,7 +22,6 @@
 #include <map>
 #include <random>
 
-#include "core/concat_batched.hpp"
 #include "data/distributions.hpp"
 #include "serve/sharded.hpp"
 
@@ -233,8 +232,7 @@ TEST(Fidelity, CoreApproxMeetsRecallTargetAcrossDistributionsAndK) {
         const double rec = recall_of(r.keys, oracle);
         EXPECT_GE(rec, rho) << "dist=" << static_cast<int>(dist)
                             << " k=" << k << " rho=" << rho;
-        // Approx construction follows the closed-form geometry and never
-        // re-thresholds.
+        // Approx construction follows the closed-form geometry.
         const auto geo = core::approx_geometry(n, k, cfg.fidelity);
         EXPECT_EQ(bd.alpha, geo.alpha);
         EXPECT_EQ(bd.beta, geo.beta);
@@ -292,9 +290,9 @@ TEST(Fidelity, CoreApproxAnswersFromRealDelegatesOverTailSubrange) {
 
 TEST(Fidelity, CoreApproxSkipsRelaxationGuard) {
   // All-equal data: every delegate >= kappa, so the Section 4.3 guard
-  // condition (taken_total > 4k) fires. Exact mode re-thresholds
-  // (guard_trips); a recall target waves it off (guard_skips) — the
-  // relaxed superset only helps recall.
+  // condition (taken_total > 4k) fires. Exact mode declines the skip
+  // (guard_trips); a recall target keeps it (guard_skips) — the relaxed
+  // superset only helps recall.
   std::vector<u32> v(u64{1} << 20, 42u);
   std::span<const u32> vs(v.data(), v.size());
   core::DrTopkConfig cfg;
@@ -306,29 +304,6 @@ TEST(Fidelity, CoreApproxSkipsRelaxationGuard) {
   for (u32 key : r.keys) EXPECT_EQ(key, 42u);  // ties: recall is still 1.0
   EXPECT_GE(bd.guard_skips, 1u);
   EXPECT_EQ(bd.guard_trips, 0u);
-}
-
-TEST(Fidelity, MarkGuardRetryHonorsPerSegmentPolicy) {
-  // The batched stage-3 guard helper: only tripped segments whose policy
-  // demands exactness get a retry pass; tripped approx segments are
-  // counted as skips.
-  std::vector<core::BatchedConcatSegment<u32>> segs(3);
-  segs[0].taken_total = 100;  // tripped (4k = 40), exact -> retry
-  segs[1].taken_total = 100;  // tripped, approx -> skip + count
-  segs[2].taken_total = 20;   // not tripped -> skip, not counted
-  const u64 ks[] = {10, 10, 10};
-  const core::FidelityPolicy fids[] = {{}, core::FidelityPolicy::approx(0.9),
-                                       {}};
-  u64 skips = 0;
-  const u64 need = core::mark_guard_retry<u32>(
-      std::span<core::BatchedConcatSegment<u32>>(segs),
-      std::span<const u64>(ks), std::span<const core::FidelityPolicy>(fids),
-      &skips);
-  EXPECT_EQ(need, 1u);
-  EXPECT_EQ(skips, 1u);
-  EXPECT_FALSE(segs[0].skip);
-  EXPECT_TRUE(segs[1].skip);
-  EXPECT_TRUE(segs[2].skip);
 }
 
 TEST(Fidelity, ExactModeBitParityMatrix) {

@@ -1,13 +1,17 @@
 // Fault injection for the network front door: clients that die or stall
 // mid-stream, connections dropped while their queries are parked in a
-// batched finalize window. The invariants under attack: the serving layer
-// always drains (no orphaned group state), every kernel launch stays
-// stage-attributed, orphaned responses are dropped-and-counted rather than
-// misdelivered, and the server keeps answering the well-behaved.
+// batched finalize window, a backend whose submit or result fails. The
+// invariants under attack: the serving layer always drains (no orphaned
+// group state), every kernel launch stays stage-attributed, orphaned
+// responses are dropped-and-counted rather than misdelivered, backend
+// failures reach their caller as a counted kError, and the server keeps
+// answering the well-behaved.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <future>
+#include <stdexcept>
 #include <thread>
 
 #include "data/distributions.hpp"
@@ -198,6 +202,95 @@ TEST(NetFaults, StalledClientDoesNotStallTheServer) {
   EXPECT_EQ(fx.dev.unattributed_launches(), 0u);
   healthy.close();
   fx.await_closed(2);
+}
+
+/// Backend decorator over a SingleBackend: `submit` throws for k ==
+/// throw_k and returns a future holding an exception for k == fail_k;
+/// every other call forwards.
+class FaultyBackend final : public Backend {
+ public:
+  FaultyBackend(Backend& inner, u64 throw_k, u64 fail_k)
+      : inner_(inner), throw_k_(throw_k), fail_k_(fail_k) {}
+
+  bool corpus_len(u32 id, u64& n_out) const override {
+    return inner_.corpus_len(id, n_out);
+  }
+  serve::PlanKey shape_key(u32 id, u64 k, Criterion c,
+                           core::FidelityPolicy f) const override {
+    return inner_.shape_key(id, k, c, f);
+  }
+  std::future<serve::QueryResult> submit(u32 id, u64 k, Criterion c,
+                                         bool selection_only,
+                                         core::FidelityPolicy f,
+                                         u64 deadline_us) override {
+    if (k == throw_k_) throw std::runtime_error("submit failed");
+    if (k == fail_k_) {
+      std::promise<serve::QueryResult> p;
+      p.set_exception(
+          std::make_exception_ptr(std::runtime_error("query failed")));
+      return p.get_future();
+    }
+    return inner_.submit(id, k, c, selection_only, f, deadline_us);
+  }
+  void note_service_time(const serve::PlanKey& key, u64 us) override {
+    inner_.note_service_time(key, us);
+  }
+  u64 service_estimate_us(const serve::PlanKey& key) const override {
+    return inner_.service_estimate_us(key);
+  }
+  u64 queue_wait_quantile_us(double q) const override {
+    return inner_.queue_wait_quantile_us(q);
+  }
+  std::string metrics_prometheus() const override {
+    return inner_.metrics_prometheus();
+  }
+  void drain() override { inner_.drain(); }
+
+ private:
+  Backend& inner_;
+  u64 throw_k_, fail_k_;
+};
+
+TEST(NetFaults, BackendFailuresAnswerErrorAndAreCounted) {
+  vgpu::Device dev;
+  const auto corpus = data::generate(1 << 15, Distribution::kUniform, 73);
+  const std::span<const u32> vs(corpus.data(), corpus.size());
+  serve::TopkServer srv(dev, {});
+  SingleBackend single(srv);
+  single.add_corpus(vs);
+  FaultyBackend backend(single, /*throw_k=*/7, /*fail_k=*/9);
+  NetServer net(backend, {});
+  BlockingClient cli;
+  ASSERT_TRUE(cli.connect(net.port()));
+
+  for (u64 k : {u64{7}, u64{9}}) {
+    TopkRequest req;
+    req.request_id = k;
+    req.k = k;
+    auto resp = cli.call(req);
+    ASSERT_TRUE(resp.has_value()) << "k=" << k;
+    EXPECT_EQ(resp->request_id, k);
+    EXPECT_EQ(resp->status, Status::kError) << "k=" << k;
+  }
+  auto metrics = cli.metrics();
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_NE(metrics->find("\nnet_backend_submit_errors 1\n"),
+            std::string::npos);
+  EXPECT_NE(metrics->find("\nnet_backend_result_errors 1\n"),
+            std::string::npos);
+
+  // The server keeps answering: a normal request matches the oracle.
+  TopkRequest ok;
+  ok.k = 100;
+  auto resp = cli.call(ok);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, Status::kOk);
+  const auto expect = topk::reference_topk(vs, 100);
+  EXPECT_EQ(resp->values, std::vector<u64>(expect.begin(), expect.end()));
+
+  net.drain();
+  srv.drain();
+  EXPECT_EQ(net.in_flight(), 0u);
 }
 
 TEST(NetFaults, ServerStopWithLiveClientsIsClean) {

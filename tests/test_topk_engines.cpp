@@ -153,6 +153,43 @@ TEST(FlagRadixStats, LoadsAtMostDigitsTimesN) {
   EXPECT_GE(acc.stats().global_load_elems, n);
 }
 
+TEST(FlagRadixBounded, SkipsLastDigitOnlyWhileAtMost4kKeysReachThePrefix) {
+  // Section 4.3's relaxation with its guard: the selection returns the
+  // partial prefix (the k-th key with its low digit cleared) only when at
+  // most 4k keys are >= it, and the exact k-th key otherwise.
+  const u64 n = 1 << 16;
+  std::vector<std::pair<std::string, vgpu::device_vector<u32>>> inputs;
+  for (Distribution d : {Distribution::kUniform, Distribution::kNormal,
+                         Distribution::kCustomized})
+    inputs.emplace_back(data::to_string(d), data::generate(n, d, 17));
+  inputs.emplace_back("all-equal", vgpu::device_vector<u32>(n, 42u));
+  for (const auto& [name, v] : inputs) {
+    std::span<const u32> vs(v.data(), v.size());
+    for (u64 k : {u64{1}, u64{64}, u64{1024}}) {
+      const std::string at = name + " k=" + std::to_string(k);
+      const u32 kth = reference_topk(vs, k).back();
+      const auto at_least = [&](u32 t) {
+        return static_cast<u64>(
+            std::count_if(vs.begin(), vs.end(), [t](u32 x) { return x >= t; }));
+      };
+      Accum exact_acc(shared_device()), acc(shared_device());
+      ASSERT_EQ(radix_kth_flag<u32>(exact_acc, vs, k), kth) << at;
+      bool declined = false;
+      const u32 got = radix_kth_flag<u32>(acc, vs, k, 4 * k, &declined);
+      if (at_least(kth & ~0xFFu) > 4 * k) {
+        EXPECT_EQ(got, kth) << at;
+        EXPECT_TRUE(declined) << at;
+      } else {
+        EXPECT_LE(got, kth) << at;
+        EXPECT_LE(at_least(got), 4 * k) << at;
+        EXPECT_FALSE(declined) << at;
+      }
+      EXPECT_LE(acc.stats().kernels_launched,
+                exact_acc.stats().kernels_launched) << at;
+    }
+  }
+}
+
 TEST(GgksInplaceStats, PaysScatteredStores) {
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 2);
