@@ -344,12 +344,14 @@ inline Json launch_breakdown(u64 queries, u64 construct, u64 first,
   return o;
 }
 
-inline void print_title(const char* id, const char* what, const Args& a) {
+/// Banner naming the figure, |V|, the seed and the clock its times are on.
+inline void print_title(const char* id, const char* what, const Args& a,
+                        const char* clock = "simulated V100S ms") {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", id, what);
-  std::printf("|V| = 2^%llu, seed = %llu, times = simulated V100S ms\n",
+  std::printf("|V| = 2^%llu, seed = %llu, times = %s\n",
               static_cast<unsigned long long>(a.logn),
-              static_cast<unsigned long long>(a.seed));
+              static_cast<unsigned long long>(a.seed), clock);
   std::printf("==============================================================\n");
 }
 

@@ -8,7 +8,8 @@ using namespace drtopk;
 int main(int argc, char** argv) {
   auto args = bench::Args::parse(argc, argv);
   args.default_logn(23);
-  bench::print_title("Figure 23", "V100S vs Titan Xp", args);
+  bench::print_title("Figure 23", "V100S vs Titan Xp", args,
+                     "simulated ms on each GPU profile");
   vgpu::Device v100(vgpu::GpuProfile::v100s());
   vgpu::Device xp(vgpu::GpuProfile::titan_xp());
   vgpu::Device a100(vgpu::GpuProfile::a100());

@@ -254,7 +254,8 @@ int main(int argc, char** argv) {
   args.default_logn(16);
   if (args.json.empty()) args.json = "BENCH_PR10.json";
   bench::print_title("Open-loop serving",
-                     "Poisson load + overload degradation over TCP", args);
+                     "Poisson load + overload degradation over TCP", args,
+                     "host wall-clock us");
 
   const u64 n = args.n();
   auto corpus = data::generate(n, data::Distribution::kUniform, args.seed);

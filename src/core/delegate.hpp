@@ -9,7 +9,14 @@
 //    through the subrange keeping a private top-beta, then beta rounds of
 //    shuffle-based max-reduction extract the delegates (31 shuffles per
 //    round for a full warp — Equation 2's communication term, and the
-//    "beta x more shuffles" cost Section 4.3 mentions).
+//    "beta x more shuffles" cost Section 4.3 mentions). Each CTA takes
+//    contiguous tiles of subranges; its warps stage their delegates in a
+//    shared-memory tile and warp 0 writes the tile out with coalesced
+//    stores. Written directly, every delegate is a single-lane store, which
+//    costs a whole 32-byte sector plus a write-allocate fill; staged, the
+//    writes cost about their bytes and construction is bound by the one
+//    read of the input. The unoptimized construction keeps the single-lane
+//    stores as the Section 5.3 baseline.
 //
 //  * Coalesced-load-to-shared + strided-compute path (alpha <= 5,
 //    Section 5.3): one warp loads 32 whole subranges into shared memory
@@ -38,8 +45,13 @@ inline constexpr u32 kMaxBeta = 4;
 /// (subranges of up to 32 elements — one per lane).
 inline constexpr int kSharedPathMaxAlpha = 5;
 
+/// Delegate-construction options. `optimized` selects the Section 5.3
+/// construction: the shared path for alpha <= 5 and coalesced emission of
+/// the warp path's delegates for alpha > 5. Off, every subrange takes the
+/// warp path with single-lane delegate stores, the paper's unoptimized
+/// construction (Figure 15's baseline).
 struct ConstructOpts {
-  bool optimized = true;       ///< use the shared-memory path for small alpha
+  bool optimized = true;       ///< Section 5.3 construction (see above)
   bool shared_padding = true;  ///< pad the shared layout (bank conflicts off)
   /// Store the per-delegate subrange-id array. The fused stage-3 pipeline
   /// derives delegate validity analytically (valid slots are a prefix of
@@ -107,14 +119,14 @@ struct LaneTopBeta {
   }
 };
 
-/// Extracts the top-`rounds` values of the union of 32 per-lane top-beta
-/// sets using shuffle-based max-reductions (charged per round), writing
-/// (key, sid) pairs for subrange `sid` at delegate slot base `out_base`.
-template <class K>
+/// Extracts the top-`real_count` values of the union of 32 per-lane
+/// top-beta sets using shuffle-based max-reductions (charged per round) and
+/// hands each of subrange `sid`'s beta slots to put(r, key, sid): the
+/// delegates in descending order, then (0, kInvalidSid) padding.
+template <class K, class Put>
 void emit_warp_delegates(vgpu::Warp& w,
                          vgpu::LaneArray<LaneTopBeta<K>>& lanes, u32 beta,
-                         u64 real_count, u64 sid, u64 out_base,
-                         std::span<K> dkeys, std::span<u32> dsids) {
+                         u64 real_count, u32 sid, Put&& put) {
   vgpu::LaneArray<u32> ptr{};  // per-lane cursor into its sorted top-beta
   for (u32 r = 0; r < beta; ++r) {
     if (r < real_count) {
@@ -135,11 +147,9 @@ void emit_warp_delegates(vgpu::Warp& w,
         val = prop[lane];
       }
       ++ptr[lane];
-      w.st(dkeys, out_base + r, val);
-      if (!dsids.empty()) w.st(dsids, out_base + r, static_cast<u32>(sid));
+      put(r, val, sid);
     } else {
-      w.st(dkeys, out_base + r, K{});
-      if (!dsids.empty()) w.st(dsids, out_base + r, kInvalidSid);
+      put(r, K{}, kInvalidSid);
     }
   }
 }
@@ -250,23 +260,72 @@ DelegateVector<K> build_delegate_vector(
 
   if (first_tail_subrange < S) {
     // Warp-centric path: one warp per subrange, shuffle-based extraction.
+    // Each CTA takes contiguous tiles of subranges, an even split of the
+    // subranges over the grid capped at kMaxTile. Optimized, the tile's
+    // delegates are staged in shared memory and flushed coalesced.
+    constexpr u64 kMaxTile = 256;  // 12 KB at beta 4 with u64 keys and sids
     const u64 tail_count = S - first_tail_subrange;
     auto cfg = acc.device().launch_for_warp_items(tail_count, "delegate_warp");
+    const u64 tile = std::min<u64>(
+        kMaxTile, (tail_count + cfg.num_ctas - 1) / cfg.num_ctas);
+    const bool staged = opts.optimized;
+    if (staged)
+      cfg.shared_bytes =
+          tile * beta * (sizeof(K) + (emit_sids ? sizeof(u32) : 0));
     acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
-      cta.for_each_warp([&](vgpu::Warp& w) {
-        for (u64 t = w.global_id(); t < tail_count; t += w.grid_warps()) {
-          const u64 s = first_tail_subrange + t;
-          const u64 begin = s * len;
-          const u64 real_len = std::min(len, n - begin);
-          vgpu::LaneArray<detail::LaneTopBeta<K>> tops{};
-          w.scan_coalesced(v, begin, real_len, [&](u32 lane, K x) {
-            tops[lane].insert(x, beta);
-          });
-          detail::emit_warp_delegates(w, tops, beta,
-                                      std::min<u64>(beta, real_len), s,
-                                      s * beta, dkeys, dsids);
+      vgpu::SharedSpan<K> tile_keys;
+      vgpu::SharedSpan<u32> tile_sids;
+      if (staged) tile_keys = cta.shared().alloc<K>(tile * beta);
+      if (staged && emit_sids) tile_sids = cta.shared().alloc<u32>(tile * beta);
+      for (u64 t0 = cta.cta_id() * tile; t0 < tail_count;
+           t0 += cta.num_ctas() * tile) {
+        const u64 count = std::min(tile, tail_count - t0);
+        const u64 s0 = first_tail_subrange + t0;
+        // Each warp takes a contiguous run of the tile's subranges: the host
+        // runs a CTA's warps one after another, so it reads the tile in
+        // address order.
+        const u64 per_warp =
+            (count + cta.warps_per_cta() - 1) / cta.warps_per_cta();
+        cta.for_each_warp([&](vgpu::Warp& w) {
+          const u64 first = (w.global_id() % cta.warps_per_cta()) * per_warp;
+          const u64 last = std::min(count, first + per_warp);
+          for (u64 j = first; j < last; ++j) {
+            const u64 s = s0 + j;
+            const u64 begin = s * len;
+            const u64 real_len = std::min(len, n - begin);
+            vgpu::LaneArray<detail::LaneTopBeta<K>> tops{};
+            w.scan_coalesced(v, begin, real_len, [&](u32 lane, K x) {
+              tops[lane].insert(x, beta);
+            });
+            detail::emit_warp_delegates(
+                w, tops, beta, std::min<u64>(beta, real_len),
+                static_cast<u32>(s), [&](u32 r, K key, u32 sid) {
+                  if (staged) {
+                    tile_keys.st(j * beta + r, key);
+                    if (emit_sids) tile_sids.st(j * beta + r, sid);
+                  } else {
+                    w.st(dkeys, s * beta + r, key);
+                    if (emit_sids) w.st(dsids, s * beta + r, sid);
+                  }
+                });
+          }
+        });
+        if (!staged) continue;
+        // After the CTA barrier, warp 0 writes the tile's slots, which are
+        // contiguous in the delegate arrays.
+        vgpu::Warp w = cta.warp(0);
+        const u64 slots = count * beta;
+        for (u64 off = 0; off < slots; off += vgpu::kWarpSize) {
+          const u32 active =
+              static_cast<u32>(std::min<u64>(vgpu::kWarpSize, slots - off));
+          const auto at = [off](u32 l) { return off + l; };
+          w.store_coalesced(dkeys, s0 * beta + off,
+                            tile_keys.warp_gather(active, at), active);
+          if (emit_sids)
+            w.store_coalesced(dsids, s0 * beta + off,
+                              tile_sids.warp_gather(active, at), active);
         }
-      });
+      }
     });
   }
   return dv;

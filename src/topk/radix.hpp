@@ -62,15 +62,17 @@ K radix_kth_flag(Accum& acc, std::span<const K> v, u64 k, u64 max_taken = 0,
     }
     value |= static_cast<K>(chosen) << shift;
     mask |= static_cast<K>(0xFF) << shift;
+    if (d == 1 && max_taken > 0) {
+      // Keys above the prefix plus keys on it: every key >= `value`. Checked
+      // before the unique-survivor fetch: a lone survivor admits the same k
+      // keys as the prefix, so the fetch would be a wasted launch.
+      if (k - rem + hist[chosen] <= max_taken) return value;  // low digit 0
+      if (declined) *declined = true;
+    }
     if (hist[chosen] == 1) {
       // Unique survivor: fetch it directly instead of refining further.
       return device_find_unique(
           acc, v, [mask, value](K x) { return (x & mask) == value; });
-    }
-    if (d == 1 && max_taken > 0) {
-      // Keys above the prefix plus keys on it: every key >= `value`.
-      if (k - rem + hist[chosen] <= max_taken) return value;  // low digit 0
-      if (declined) *declined = true;
     }
   }
   return value;  // all digits fixed: survivors all equal `value`

@@ -1,7 +1,8 @@
 // Property tests for delegate-vector construction (core/delegate.hpp):
 // the delegates of every subrange are exactly its top-beta multiset, pads
-// are well-formed, the shared-memory and warp paths agree, and the
-// k-selection API matches the full pipeline.
+// are well-formed, the shared-memory and warp paths agree, the warp path
+// writes its delegates coalesced, and the k-selection API matches the full
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +21,28 @@ vgpu::Device& shared_device() {
 }
 
 /// Brute-force delegates: top-`beta` of each subrange, descending.
-std::vector<u32> expected_delegates(std::span<const u32> v, u64 s, int alpha,
-                                    u32 beta) {
+template <class K>
+std::vector<K> expected_delegates(std::span<const K> v, u64 s, int alpha,
+                                  u32 beta) {
   const u64 len = u64{1} << alpha;
   const u64 begin = s * len;
   const u64 real = std::min(len, v.size() - begin);
   return reference_topk(v.subspan(begin, real), std::min<u64>(beta, real));
+}
+
+/// Test keys of width K: the u32 values of `v` for u32, and for u64 the
+/// same values in the high word over a hashed low word, so the order and
+/// duplicates of the high word carry over and ties break arbitrarily.
+template <class K>
+std::vector<K> widen(std::span<const u32> v, u64 seed) {
+  std::vector<K> out(v.size());
+  for (u64 i = 0; i < v.size(); ++i) {
+    if constexpr (sizeof(K) == 4)
+      out[i] = v[i];
+    else
+      out[i] = (u64{v[i]} << 32) | (data::rand_u64(seed, i) >> 32);
+  }
+  return out;
 }
 
 struct ConstructCase {
@@ -33,25 +50,25 @@ struct ConstructCase {
   int alpha;
   u32 beta;
   bool optimized;
+  u32 key_bytes = 4;
 };
 
-class DelegateConstruction
-    : public ::testing::TestWithParam<ConstructCase> {};
-
-TEST_P(DelegateConstruction, DelegatesAreExactSubrangeTopBeta) {
-  const auto& c = GetParam();
+template <class K>
+void expect_exact_delegates(const ConstructCase& c) {
   for (auto d : {data::Distribution::kUniform, data::Distribution::kNormal}) {
-    auto v = data::generate(c.n, d, c.n + c.alpha);
-    std::span<const u32> vs(v.data(), v.size());
+    auto v32 = data::generate(c.n, d, c.n + c.alpha);
+    const std::vector<K> v =
+        widen<K>(std::span<const u32>(v32.data(), v32.size()), c.n);
+    std::span<const K> vs(v.data(), v.size());
     topk::Accum acc(shared_device());
     ConstructOpts opts;
     opts.optimized = c.optimized;
     vgpu::Workspace ws;
-    auto dv = build_delegate_vector<u32>(acc, vs, c.alpha, c.beta, opts, ws);
+    auto dv = build_delegate_vector<K>(acc, vs, c.alpha, c.beta, opts, ws);
 
     ASSERT_EQ(dv.size(), dv.num_subranges * c.beta);
     for (u64 s = 0; s < dv.num_subranges; ++s) {
-      auto expect = expected_delegates(vs, s, c.alpha, c.beta);
+      auto expect = expected_delegates<K>(vs, s, c.alpha, c.beta);
       for (u64 j = 0; j < c.beta; ++j) {
         const u64 slot = s * c.beta + j;
         if (j < expect.size()) {
@@ -60,11 +77,23 @@ TEST_P(DelegateConstruction, DelegatesAreExactSubrangeTopBeta) {
           ASSERT_EQ(dv.sids[slot], static_cast<u32>(s));
         } else {
           // Padded slot (short tail subrange).
+          ASSERT_EQ(dv.keys[slot], K{});
           ASSERT_EQ(dv.sids[slot], kInvalidSid);
         }
       }
     }
   }
+}
+
+class DelegateConstruction
+    : public ::testing::TestWithParam<ConstructCase> {};
+
+TEST_P(DelegateConstruction, DelegatesAreExactSubrangeTopBeta) {
+  const auto& c = GetParam();
+  if (c.key_bytes == 8)
+    expect_exact_delegates<u64>(c);
+  else
+    expect_exact_delegates<u32>(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -78,8 +107,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ConstructCase{(1 << 12) + 5, 4, 2, true},  // tail
                       ConstructCase{(1 << 12) + 1, 4, 4, false},
                       ConstructCase{100, 2, 4, true},  // beta == subrange len
-                      ConstructCase{100, 1, 4, false}  // beta > subrange len
-                      ));
+                      ConstructCase{100, 1, 4, false},  // beta > subrange len
+                      // Staged warp path: tiles over a ragged tail.
+                      ConstructCase{(1 << 16) + 5, 6, 3, true},
+                      ConstructCase{(1 << 16) + 5, 10, 3, true},
+                      ConstructCase{(1 << 16) + 5, 6, 3, true, 8},
+                      ConstructCase{(1 << 16) + 5, 10, 3, true, 8},
+                      ConstructCase{(1 << 16) + 5, 10, 3, false, 8}));
 
 TEST(DelegateConstruction, SharedAndWarpPathsProduceIdenticalVectors) {
   const u64 n = (1 << 15) + 13;
@@ -103,6 +137,59 @@ TEST(DelegateConstruction, SharedAndWarpPathsProduceIdenticalVectors) {
                              dvw.sids.begin(), dvw.sids.end()));
     }
   }
+}
+
+/// Checks the construct launch's store transactions for keys of type K:
+/// staged, about one sector per 32 bytes of delegates; unoptimized, one
+/// single-lane store per key slot and per sid slot.
+template <class K>
+void expect_warp_path_store_txns(std::span<const u32> v32) {
+  const std::vector<K> v = widen<K>(v32, 3);
+  std::span<const K> vs(v.data(), v.size());
+  vgpu::Workspace ws;
+  for (int alpha : {6, 8, 10}) {
+    for (u32 beta : {1u, 2u, 3u, 4u}) {
+      for (bool emit_sids : {false, true}) {
+        for (bool optimized : {true, false}) {
+          vgpu::Workspace::Scope scope(ws);
+          topk::Accum acc(shared_device());
+          ConstructOpts opts;
+          opts.optimized = optimized;
+          opts.emit_sids = emit_sids;
+          auto dv = build_delegate_vector<K>(acc, vs, alpha, beta, opts, ws);
+          const u64 slots = dv.size();
+          const u64 txns = acc.stats().global_store_txns;
+          const std::string at =
+              "K=u" + std::to_string(8 * sizeof(K)) +
+              " alpha=" + std::to_string(alpha) +
+              " beta=" + std::to_string(beta) +
+              " sids=" + std::to_string(emit_sids) +
+              " optimized=" + std::to_string(optimized);
+          ASSERT_EQ(acc.stats().kernels_launched, 1u) << at;
+          if (optimized) {
+            const u64 bytes = slots * (sizeof(K) + (emit_sids ? 4 : 0));
+            const u64 sectors = (bytes + vgpu::kSectorBytes - 1) /
+                                vgpu::kSectorBytes;
+            EXPECT_LE(static_cast<double>(txns),
+                      1.25 * static_cast<double>(sectors) + 8)
+                << at;
+          } else {
+            EXPECT_EQ(txns, slots * (emit_sids ? 2 : 1)) << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DelegateConstruction, WarpPathStoresAreCoalesced) {
+  // A single-lane store costs a whole sector plus a write-allocate fill;
+  // the staged tiles must write the delegate vector at about its bytes.
+  const u64 n = (1 << 16) + 5;
+  auto v = data::generate(n, data::Distribution::kUniform, 21);
+  std::span<const u32> vs(v.data(), v.size());
+  expect_warp_path_store_txns<u32>(vs);
+  expect_warp_path_store_txns<u64>(vs);
 }
 
 TEST(DelegateConstruction, SubrangeLenGeometry) {

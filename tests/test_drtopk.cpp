@@ -287,6 +287,28 @@ TEST(StatsInvariants, ConstructionLoadsInputExactlyOnce) {
   }
 }
 
+TEST(StatsInvariants, ConstructionIsReadBoundAtEveryAlpha) {
+  // Construction reads |V| once and writes |D| keys (the pipeline skips the
+  // sids); with coalesced delegate stores it costs one launch plus those
+  // bytes at DRAM bandwidth, on the warp path as on the shared path.
+  const u64 n = 1 << 20;
+  const u32 beta = 2;
+  auto v = data::generate(n, Distribution::kUniform, 13);
+  std::span<const u32> vs(v.data(), v.size());
+  const double bw_bytes_per_ms =
+      shared_device().profile().mem_bw_gbps * 1e9 / 1e3;
+  for (int alpha = 6; alpha <= 12; ++alpha) {
+    topk::Accum acc(shared_device());
+    ConstructOpts opts;
+    opts.emit_sids = false;
+    auto dv = build_delegate_vector<u32>(acc, vs, alpha, beta, opts);
+    const double bytes = static_cast<double>(n * 4 + dv.size() * 4);
+    EXPECT_LE(acc.sim_ms(), vgpu::CostModel::kKernelLaunchMs +
+                                1.03 * bytes / bw_bytes_per_ms)
+        << "alpha=" << alpha;
+  }
+}
+
 TEST(StatsInvariants, WarpPathUsesShufflesSharedPathDoesNot) {
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 5);
