@@ -360,11 +360,10 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------------
   // Group-wide batched stage 3. 4 admission groups of gsz distinct-k
-  // queries per round on one corpus, under a cross-group finalization
-  // window. With one classify/concat launch pair per group resolved at
-  // setup, member queries launch nothing, so launches/group is
-  // ~construct + kappa + classify + concat (+ the shared finalize)
-  // REGARDLESS of group size. CI gate: lpq <= 1.284 at every swept group
+  // queries per round on one corpus. With one classify/concat launch pair
+  // per group resolved at setup, member queries launch nothing, so
+  // launches/group is ~construct + kappa + classify + concat (+ the
+  // group's finalize) REGARDLESS of group size. CI gate: lpq <= 1.284 at every swept group
   // size (launch counts do not depend on host speed).
   // ------------------------------------------------------------------
   std::printf("\n%-5s | %9s | %8s | %7s | %6s\n", "gsz", "QPS", "lpq",
@@ -374,7 +373,6 @@ int main(int argc, char** argv) {
   double lpq_bc_16 = 0, lpq_bc_64 = 0;
   bool have_bc16 = false, have_bc64 = false;
   bool parity8_all = true;
-  const u64 window8 = 20000;
   for (const u64 gsz : std::vector<u64>{16, 64}) {
     const u64 groups8 = 4, q8 = gsz * groups8;
     std::vector<serve::Query> qs;
@@ -385,8 +383,6 @@ int main(int argc, char** argv) {
     cfg.executors = 4;
     cfg.batch_max = static_cast<u32>(gsz);
     cfg.max_in_flight = static_cast<u32>(q8);
-    cfg.finalize_window_us = static_cast<u32>(window8);
-    cfg.finalize_max_segments = static_cast<u32>(groups8 * gsz);
 
     vgpu::Device ondev(vgpu::GpuProfile::v100s());
     const ServerRun ron = run_server(ondev, cfg, qs, 2);
@@ -431,8 +427,7 @@ int main(int argc, char** argv) {
       .set("logn", args.logn)
       .set("seed", args.seed)
       .set("executors", 4)
-      .set("groups_per_round", 4)
-      .set("window_us", window8);
+      .set("groups_per_round", 4);
   if (have_bc16) creport.set("lpq_batched_concat_at_16", lpq_bc_16);
   if (have_bc64) creport.set("lpq_batched_concat_at_64", lpq_bc_64);
   creport.set("parity", parity8_all).set("rows", std::move(crows));

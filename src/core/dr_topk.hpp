@@ -202,20 +202,17 @@ inline DelegateGeometry resolve_geometry(u64 n, u64 k, const DrTopkConfig& cfg) 
 /// never defers (candidates would die with the call's Scope rewind); the
 /// struct is then a kappa-only channel.
 ///
-/// The deferred span's lifetime is NOT bounded by any notion of "the
-/// group" or "the batch" this call belonged to: with cross-group
-/// finalization windows (serve::ServerConfig::finalize_window_us) spans
-/// park in a staging area *across group boundaries* and are finalized by
-/// an executor that never touched the query, possibly after the group's
-/// last query finished its own phase A. The contract is therefore purely
-/// arena-relative: whoever schedules the deferred second top-k must keep
-/// the arena behind `alloc_cand` alive — and un-rewound past the span —
-/// until the batched launch has consumed it (the serving layer does this
-/// by holding the group, and thus its pooled-workspace lease, in the
-/// staging area until the shared launch returns). A span may also be read
-/// by MORE than one logical query: the serving setup stages one candidate
-/// span per distinct k and every member asking for that k parks a segment
-/// over it, so release must happen after the last reader, not the first.
+/// The contract is purely arena-relative: the deferred second top-k may
+/// run on another thread after this call returns (the serving layer's
+/// group finalization runs on whichever executor finishes the group's
+/// last item), so whoever schedules it must keep the arena behind
+/// `alloc_cand` alive — and un-rewound past the span — until the batched
+/// launch has consumed it (the serving layer holds the group, and thus its
+/// pooled-workspace lease, until its finalization returns). A span may
+/// also be read by MORE than one logical query: the serving setup stages
+/// one candidate span per distinct k and every member asking for that k
+/// parks a segment over it, so release must happen after the last reader,
+/// not the first.
 template <class K>
 struct DeferredSecond {
   // Inputs.

@@ -1,14 +1,11 @@
-// Reduction-topology helpers shared by the distributed pipeline and the
-// sharded serving engine.
+// Reduction-topology helpers for the distributed pipeline.
 //
-// Both `dist::multi_gpu_topk` (Section 5.4's multi-GPU reduction) and
-// `serve::ShardedTopkServer` (cross-shard merge) reduce per-participant
-// winner lists at a primary, optionally through a node-leader pre-merge:
-// participants are packed `group_size` per node, the first rank of each
-// node merges its members' lists, and only leaders talk to the primary.
-// Keeping the rank arithmetic here — instead of inlined at each call
-// site — guarantees the two reductions can never disagree about who
-// leads whom, and lets tests assert the topology in one place.
+// `dist::multi_gpu_topk` (Section 5.4's multi-GPU reduction) reduces
+// per-participant winner lists at a primary, optionally through a
+// node-leader pre-merge: participants are packed `group_size` per node,
+// the first rank of each node merges its members' lists, and only leaders
+// talk to the primary. Keeping the rank arithmetic here — instead of
+// inlined at each call site — lets tests assert the topology in one place.
 #pragma once
 
 #include <algorithm>

@@ -57,6 +57,9 @@ class Backend {
   /// admission uses for service-time estimates and feedback.
   virtual serve::PlanKey shape_key(u32 id, u64 k, data::Criterion c,
                                    core::FidelityPolicy f) const = 0;
+  /// Submits one admitted request. `deadline_us` is the client's budget
+  /// (0 = none); admission has already acted on it, and the in-tree engines
+  /// ignore it.
   virtual std::future<serve::QueryResult> submit(u32 id, u64 k,
                                                  data::Criterion c,
                                                  bool selection_only,
@@ -103,15 +106,13 @@ class SingleBackend final : public Backend {
   std::future<serve::QueryResult> submit(u32 id, u64 k, data::Criterion c,
                                          bool selection_only,
                                          core::FidelityPolicy f,
-                                         u64 deadline_us) override {
+                                         u64 /*deadline_us*/) override {
     const Corpus& co = corpora_[id];
     return co.v64.empty()
                ? srv_.submit(serve::Query::view(co.v32, k, c, selection_only,
-                                                f)
-                                 .with_deadline(deadline_us))
+                                                f))
                : srv_.submit(serve::Query::view(co.v64, k, c, selection_only,
-                                                f)
-                                 .with_deadline(deadline_us));
+                                                f));
   }
 
   void note_service_time(const serve::PlanKey& key, u64 us) override {
@@ -177,8 +178,8 @@ class ShardedBackend final : public Backend {
   std::future<serve::QueryResult> submit(u32 id, u64 k, data::Criterion c,
                                          bool selection_only,
                                          core::FidelityPolicy f,
-                                         u64 deadline_us) override {
-    return srv_.submit(id, k, c, selection_only, f, deadline_us);
+                                         u64 /*deadline_us*/) override {
+    return srv_.submit(id, k, c, selection_only, f);
   }
 
   void note_service_time(const serve::PlanKey& key, u64 us) override {

@@ -1,6 +1,6 @@
 // Per-query tracing: spans covering the full life of a served query —
 // enqueue, queue wait, group formation, phase-A (shared delegate
-// construction), deferred park, window park, batched finalize, fan-out —
+// construction), deferred park, batched finalize, fan-out —
 // recorded into lock-cheap per-lane ring buffers and
 // exportable as Chrome `trace_event` JSON (load the file at
 // chrome://tracing or https://ui.perfetto.dev).

@@ -69,8 +69,7 @@ struct CachedPlan {
   u64 group_ws_bytes = 0;  ///< shared construction (delegate vector, keys)
                            ///< plus the group's deferred candidate spans
                            ///< (shared per distinct k; re-recorded at
-                           ///< finalization, which a cross-group window
-                           ///< flush may run)
+                           ///< finalization)
   u64 exec_ws_bytes = 0;   ///< per-query stages 2-4 scratch and the
                            ///< group-wide classify staging arrays
   /// Cross-shard plan sharing: true when this entry arrived via publish()

@@ -12,7 +12,6 @@
 // core config) — see core/fidelity.hpp for the execution model.
 #pragma once
 
-#include <bit>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -35,16 +34,6 @@ struct Query {
   data::Criterion criterion = data::Criterion::kLargest;
   bool selection_only = false;  ///< k-selection: only the k-th value needed
   core::FidelityPolicy fidelity;  ///< exact (default) or recall target
-  /// Latency budget in wall-clock microseconds from admission; 0 = none.
-  /// Deadlines shape scheduling, not correctness: the answer (exact or at
-  /// the fidelity policy's recall target) is unchanged, but the query's
-  /// *deadline class* (log2 bucket) joins the admission-group signature —
-  /// a tight-deadline query never shares a group with deadline-free peers,
-  /// so it cannot be stalled behind their cross-group finalization window
-  /// (the window is bypassed outright when the group's tightest deadline
-  /// is within an order of magnitude of the window length). The network
-  /// front door (src/net/) sets this from the client's requested deadline.
-  u64 deadline_us = 0;
 
   // Exactly one payload is set (enforced by the factories below). Owned
   // buffers sit behind shared_ptr so Query stays cheaply copyable.
@@ -83,24 +72,6 @@ struct Query {
   Query with_recall(double rho) && {
     fidelity = core::FidelityPolicy::approx(rho);
     return std::move(*this);
-  }
-
-  /// Fluent deadline: `Query::view(v, k).with_deadline(5000)` — a 5 ms
-  /// wall-clock budget from admission (see deadline_us).
-  Query with_deadline(u64 us) && {
-    deadline_us = us;
-    return std::move(*this);
-  }
-
-  /// Log2 bucket of the deadline for the admission-group signature (0 =
-  /// no deadline). Bucketing keeps batching effective — deadlines within
-  /// the same power of two still group — while guaranteeing a group's
-  /// tightest and loosest member deadlines differ by at most 2x, so the
-  /// group-level window-bypass decision is right for every member.
-  u32 deadline_class() const {
-    return deadline_us == 0
-               ? 0
-               : static_cast<u32>(std::bit_width(deadline_us));
   }
 
   KeyWidth width() const {

@@ -1,9 +1,9 @@
 // Admission scheduling for the top-k server.
 //
 // Submitted queries are admitted into *groups*: a query joins the youngest
-// queued group whose compatibility signature (data identity, length,
-// key width, criterion) matches, up to batch_max queries; otherwise it
-// opens a new group. Groups queue FIFO. Executors claim work with
+// queued group whose compatibility signature (data identity, length, key
+// width, criterion, fidelity) matches, up to batch_max queries; otherwise
+// it opens a new group. Groups queue FIFO. Executors claim work with
 // group-granular setup (one executor resolves the plan and builds the
 // shared delegate vector) followed by query-granular stealing: once a
 // group's setup is published, *any* executor can claim its next unclaimed
@@ -55,9 +55,8 @@ struct Pending {
 
 /// A phase-A output parked for batched finalization: the query's stages
 /// 2-3 ran (its candidate span lives in the group's arena, possibly shared
-/// with every member of the same k); stage 4 runs once for the whole group
-/// — or, under a cross-group finalization window, once for several groups
-/// — fulfilling every parked promise.
+/// with every member of the same k); stage 4 runs once for the whole group,
+/// fulfilling every parked promise.
 template <class K>
 struct DeferredItem {
   Pending* item = nullptr;
@@ -82,20 +81,8 @@ struct Group {
   /// group — they need different delegate vectors (beta/alpha differ) and
   /// different stage-3 treatment, and the shared setup is fidelity-wide.
   core::FidelityPolicy fidelity;
-  /// Part of the signature: Query::deadline_class() — a tight-deadline
-  /// query must never share a group with deadline-free (or much looser)
-  /// peers, or group-granular scheduling decisions made for the majority
-  /// (most importantly parking in a cross-group finalization window) would
-  /// stall the tight member past its budget.
-  u32 deadline_class = 0;
-  /// Tightest member deadline in microseconds (0 = none). Same-class
-  /// deadlines differ by at most 2x, so this is representative for the
-  /// whole group; maybe_finalize_group compares it against the window.
-  u64 deadline_min_us = 0;
 
-  u64 seq = 0;          ///< admission order (1-based); trace span grouping
-  u64 park_ts_us = 0;   ///< tracer timestamp when the group parked in the
-                        ///< cross-group finalization window
+  u64 seq = 0;  ///< admission order (1-based); trace span grouping
 
   // Deque: stable element references under late admission (push_back).
   std::deque<Pending> items;
@@ -169,8 +156,7 @@ struct Group {
 
   bool compatible(const Query& q) const {
     return q.data_id() == data_id && q.n() == n && q.width() == width &&
-           q.criterion == criterion && q.fidelity == fidelity &&
-           q.deadline_class() == deadline_class;
+           q.criterion == criterion && q.fidelity == fidelity;
   }
 };
 
@@ -239,22 +225,39 @@ class AdmissionQueue {
   bool next(Claim& out) {
     std::unique_lock lk(mu_);
     for (;;) {
-      if (claim_locked(out)) return true;
+      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        Group& g = **it;
+        if (!g.setup_claimed) {
+          g.setup_claimed = true;
+          g.setup_items = g.items.size();
+          for (const Pending& p : g.items) {
+            g.setup_kmax = std::max(g.setup_kmax, p.query.k);
+            g.setup_ks.push_back(p.query.k);
+          }
+          g.setup_query = g.items.front().query;
+          out.group = *it;
+          out.needs_setup = true;
+          return true;
+        }
+        if (g.runnable && g.next < g.items.size()) {
+          out.group = *it;
+          const u64 index = g.next++;
+          out.item = &g.items[index];
+          out.amortize_over = index < g.setup_items ? g.setup_items : 0;
+          out.needs_setup = false;
+          // Fully claimed: leave the queue (which also ends admission, so
+          // the item count is final — the batched finalizer keys off it).
+          if (g.next == g.items.size()) {
+            g.final_items = g.items.size();
+            g.closed.store(true, std::memory_order_release);
+            queue_.erase(it);
+          }
+          return true;
+        }
+      }
       if (stop_) return false;
       work_cv_.wait(lk);
     }
-  }
-
-  /// Non-blocking next(): claims a unit of work if one is immediately
-  /// available, never waits. This is how a parked finalization-window owner
-  /// keeps the pool live: while waiting out the window it polls for queued
-  /// groups and executes them instead of idling — the PR-6 residual
-  /// single-executor limitation. Claim accounting matches next(): an item
-  /// claim increments running_, so the owner must pair it with
-  /// finish_running() (it resumes its own parked claim around the work).
-  bool try_next(Claim& out) {
-    std::lock_guard lk(mu_);
-    return claim_locked(out);
   }
 
   /// Publishes a group's setup; its items become claimable by any executor.
@@ -264,30 +267,6 @@ class AdmissionQueue {
       g->runnable = true;
     }
     work_cv_.notify_all();
-  }
-
-  /// Marks one claimed item's *execution* finished (the pool_idle()
-  /// counterpart of the ++running_ in next()). Returns true when the pool
-  /// just went idle — no queued groups, no running claims — which is the
-  /// queue-empty early-flush signal for a parked finalization window.
-  bool finish_running() {
-    std::lock_guard lk(mu_);
-    --running_;
-    return queue_.empty() && running_ == 0;
-  }
-
-  /// Re-acquires a running claim (a window owner that released its claim
-  /// with finish_running() before parking takes it back after waking).
-  void resume_running() {
-    std::lock_guard lk(mu_);
-    ++running_;
-  }
-
-  /// True when no group is queued and no claimed item is still executing.
-  /// A group under setup is still queued, so it keeps the pool busy.
-  bool pool_idle() const {
-    std::lock_guard lk(mu_);
-    return queue_.empty() && running_ == 0;
   }
 
   /// Marks one item finished; releases backpressure and drain waiters.
@@ -321,48 +300,6 @@ class AdmissionQueue {
   }
 
  private:
-  /// Claim core (mu_ held), shared by next()/try_next(): FIFO scan for a
-  /// group needing setup or an unclaimed item of a runnable group.
-  bool claim_locked(Claim& out) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      Group& g = **it;
-      if (!g.setup_claimed) {
-        g.setup_claimed = true;
-        g.setup_items = g.items.size();
-        for (const Pending& p : g.items) {
-          g.setup_kmax = std::max(g.setup_kmax, p.query.k);
-          g.setup_ks.push_back(p.query.k);
-        }
-        g.setup_query = g.items.front().query;
-        out.group = *it;
-        out.needs_setup = true;
-        return true;
-      }
-      if (g.runnable && g.next < g.items.size()) {
-        out.group = *it;
-        const u64 index = g.next++;
-        out.item = &g.items[index];
-        out.amortize_over = index < g.setup_items ? g.setup_items : 0;
-        out.needs_setup = false;
-        // Claim accounting for pool_idle(): incremented in the SAME
-        // critical section as the claim, so there is never a moment
-        // where the last item left the queue but is not yet counted as
-        // running (a parked finalize window keying off pool_idle()
-        // would otherwise flush early and split the merge).
-        ++running_;
-        // Fully claimed: leave the queue (which also ends admission, so
-        // the item count is final — the batched finalizer keys off it).
-        if (g.next == g.items.size()) {
-          g.final_items = g.items.size();
-          g.closed.store(true, std::memory_order_release);
-          queue_.erase(it);
-        }
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Admission core (mu_ held): join the open tail group or start a new one.
   std::future<QueryResult> admit_locked(Query q) {
     ++in_flight_;
@@ -385,13 +322,9 @@ class AdmissionQueue {
       }
     }
     const u64 qid = p.id;
-    const u64 ddl = p.query.deadline_us;
     u64 gseq = 0;
     if (host) {
       gseq = host->seq;
-      if (ddl != 0 &&
-          (host->deadline_min_us == 0 || ddl < host->deadline_min_us))
-        host->deadline_min_us = ddl;
       host->items.push_back(std::move(p));
     } else {
       auto g = std::make_shared<Group>();
@@ -402,8 +335,6 @@ class AdmissionQueue {
       g->width = p.query.width();
       g->criterion = p.query.criterion;
       g->fidelity = p.query.fidelity;
-      g->deadline_class = p.query.deadline_class();
-      g->deadline_min_us = ddl;
       g->items.push_back(std::move(p));
       queue_.push_back(std::move(g));
       if (tracer_) tracer_->instant(0, "group-open", qid, gseq);
@@ -422,7 +353,6 @@ class AdmissionQueue {
   std::condition_variable idle_cv_;   // drain(): a query completed
   std::deque<std::shared_ptr<Group>> queue_;
   u64 in_flight_ = 0;
-  u64 running_ = 0;   // claimed items whose execution has not finished
   u64 next_id_ = 0;
   u64 group_seq_ = 0;
   bool stop_ = false;

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "core/concat_batched.hpp"
@@ -98,11 +97,6 @@ TopkServer::TopkServer(vgpu::Device& dev, ServerConfig cfg)
       "serve_queue_wait_us", "Admission-to-claim wait per query (us)");
   group_size_ = &registry_.histogram(
       "serve_group_size", "Queries per admission group at close");
-  // Resolve the window's early-flush segment cap once: the configured value
-  // or the batched engine's capacity-ladder ceiling for this device.
-  stage_cap_ = cfg_.finalize_max_segments
-                   ? cfg_.finalize_max_segments
-                   : topk::batched_segment_cap(dev_.profile());
   const u32 n = std::max(1u, cfg_.executors);
   exec_ws_.reserve(n);
   for (u32 i = 0; i < n; ++i)
@@ -178,56 +172,36 @@ bool TopkServer::dump_trace(const std::string& path) const {
   return tracer_.export_chrome_file(path);
 }
 
-void TopkServer::item_done() {
-  if (!queue_.finish_running()) return;
-  // The pool just went idle: nothing else can join a parked finalization
-  // window, so wake its owner (queue-empty early flush). Taking stage_.mu
-  // orders this notify against the owner's predicate evaluation — the
-  // wakeup cannot fall between its check and its wait.
-  std::lock_guard lk(stage_.mu);
-  if (stage_.owner_waiting) stage_.cv.notify_all();
-}
-
 void TopkServer::executor_loop(u32 executor_id) {
+  const bool tracing = tracer_.enabled();
   AdmissionQueue::Claim c;
   while (queue_.next(c)) {
-    process_claim(c, executor_id);
-    c.group.reset();
-  }
-}
-
-void TopkServer::process_claim(AdmissionQueue::Claim& c, u32 executor_id) {
-  const bool tracing = tracer_.enabled();
-  if (c.needs_setup) {
-    const u64 t0 = tracing ? tracer_.now_us() : 0;
-    setup_group(*c.group, executor_id);
-    queue_.publish(c.group);
-    if (tracing)
-      tracer_.complete(lane(executor_id), "group-setup", 0, c.group->seq,
-                       t0, tracer_.now_us());
-  } else {
-    if (c.item->enqueue_ts_us != 0) {
-      const u64 now = tracer_.now_us();
-      const u64 waited = now - c.item->enqueue_ts_us;
-      c.item->queue_wait_us = waited;
-      if (queue_wait_us_) queue_wait_us_->observe(waited);
+    if (c.needs_setup) {
+      const u64 t0 = tracing ? tracer_.now_us() : 0;
+      setup_group(*c.group, executor_id);
+      queue_.publish(c.group);
       if (tracing)
-        tracer_.complete(lane(executor_id), "queue-wait", c.item->id,
-                         c.group->seq, c.item->enqueue_ts_us, now);
-    }
-    execute_item(*c.group, *c.item, c.amortize_over, executor_id);
-    // Group-completion bookkeeping (and, for the executor completing the
-    // last item, the batched finalization of every parked query) happens
-    // before the in-flight slot is released, so drain() cannot observe a
-    // drained queue with unfulfilled promises. When the group parks in
-    // the cross-group window instead, the slot release moves to the
-    // staging-area flush for the same reason.
-    if (!maybe_finalize_group(c.group, executor_id))
+        tracer_.complete(lane(executor_id), "group-setup", 0, c.group->seq,
+                         t0, tracer_.now_us());
+    } else {
+      if (c.item->enqueue_ts_us != 0) {
+        const u64 now = tracer_.now_us();
+        const u64 waited = now - c.item->enqueue_ts_us;
+        c.item->queue_wait_us = waited;
+        if (queue_wait_us_) queue_wait_us_->observe(waited);
+        if (tracing)
+          tracer_.complete(lane(executor_id), "queue-wait", c.item->id,
+                           c.group->seq, c.item->enqueue_ts_us, now);
+      }
+      execute_item(*c.group, *c.item, c.amortize_over, executor_id);
+      // Group-completion bookkeeping (and, for the executor completing the
+      // last item, the batched finalization of every parked query) happens
+      // before the in-flight slot is released, so drain() cannot observe a
+      // drained queue with unfulfilled promises.
+      maybe_finalize_group(*c.group, executor_id);
       queue_.finish_item(c.group);
-    // Release the claim's running slot LAST — in particular after any
-    // window deposit above — so pool_idle() (the queue-empty early-flush
-    // predicate) can never be true while a deposit is still on its way.
-    item_done();
+    }
+    c.group.reset();
   }
 }
 
@@ -531,9 +505,7 @@ void TopkServer::execute_item(Group& g, Pending& p, u64 amortize_over,
   }
 }
 
-bool TopkServer::maybe_finalize_group(const std::shared_ptr<Group>& gp,
-                                      u32 executor_id) {
-  Group& g = *gp;
+void TopkServer::maybe_finalize_group(Group& g, u32 executor_id) {
   bool finalize = false;
   bool last = false;
   {
@@ -546,208 +518,85 @@ bool TopkServer::maybe_finalize_group(const std::shared_ptr<Group>& gp,
     finalize = last && (!g.def32.empty() || !g.def64.empty());
   }
   if (last && group_size_) group_size_->observe(g.final_items);
-  if (!finalize) return false;
-
-  if (cfg_.finalize_window_us == 0) {
-    // PR-3 behavior: the last finisher finalizes its own group, alone,
-    // before the in-flight slot is released by the caller.
-    finalize_groups({&gp, 1}, executor_id);
-    return false;
-  }
-
-  // Deadline bypass: a group whose tightest member deadline is within an
-  // order of magnitude of the window length cannot afford to park — the
-  // window would eat the whole budget. Finalize immediately, exactly like
-  // the window-off path. deadline_min_us is representative for every
-  // member because the deadline class (log2 bucket) is part of the
-  // admission signature: no deadline-free or much-looser query shares the
-  // group, so this decision is never made for a mixed population.
-  if (g.deadline_min_us != 0 &&
-      g.deadline_min_us <= static_cast<u64>(cfg_.finalize_window_us) * 8) {
-    collector_.record_window_deadline_bypass();
-    finalize_groups({&gp, 1}, executor_id);
-    return false;
-  }
-
-  // Cross-group finalization window: park the group in the staging area.
-  // The first parker becomes the window owner — it blocks here (at most
-  // finalize_window_us, woken early once the parked segments reach the
-  // capacity-ladder cap OR the executor pool drains empty — nothing else
-  // could join) while every other executor keeps draining queries, then
-  // flushes all staged groups in one shared launch sequence. Later parkers
-  // just deposit and go back to claiming work.
-  const bool tracing = tracer_.enabled();
-  std::vector<std::shared_ptr<Group>> staged;
-  bool early = false;
-  {
-    std::unique_lock lk(stage_.mu);
-    if (tracing) g.park_ts_us = tracer_.now_us();
-    stage_.groups.push_back(gp);
-    stage_.segments += g.def32.size() + g.def64.size();
-    if (stage_.owner_waiting) {
-      // The owner flushes (and releases the in-flight slot of) this group.
-      if (stage_.segments >= stage_cap_) stage_.cv.notify_all();
-      return true;
-    }
-    stage_.owner_waiting = true;
-    // Release this claim's running slot before parking: the owner's own
-    // item is done executing, and holding the slot would keep pool_idle()
-    // false forever (the early flush could never fire). Until this line
-    // the slot was held, so no other executor can have observed an idle
-    // pool before owner_waiting was set — the wakeup cannot be missed.
-    queue_.finish_running();
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(cfg_.finalize_window_us);
-    // Parked-owner work stealing: while the window is open the owner
-    // polls the admission queue and executes any claimable work itself —
-    // groups it completes deposit into its own window (the inner
-    // maybe_finalize_group sees owner_waiting) — so a single-executor
-    // server keeps draining instead of stalling queued groups behind the
-    // timer. The wait is sliced so work submitted after the owner goes to
-    // sleep is still picked up within a fraction of the window.
-    const auto slice =
-        std::chrono::microseconds(std::max<u32>(1, cfg_.finalize_window_us / 8));
-    while (stage_.segments < stage_cap_) {
-      AdmissionQueue::Claim wc;
-      if (queue_.try_next(wc)) {
-        lk.unlock();
-        process_claim(wc, executor_id);
-        wc.group.reset();
-        lk.lock();
-        continue;  // re-evaluate cap/idle with the deposit (if any) counted
-      }
-      if (queue_.pool_idle()) {
-        early = true;
-        break;
-      }
-      const auto wake = std::min(deadline,
-                                 std::chrono::steady_clock::now() + slice);
-      if (stage_.cv.wait_until(lk, wake) == std::cv_status::timeout &&
-          wake == deadline)
-        break;
-    }
-    staged.swap(stage_.groups);
-    stage_.segments = 0;
-    stage_.owner_waiting = false;
-  }
-  // Take the running slot back: executor_loop releases it once per claim
-  // (item_done), and the flush below is still this claim's work.
-  queue_.resume_running();
-  if (tracing) {
-    const u64 flush_ts = tracer_.now_us();
-    for (const auto& sg : staged)
-      tracer_.complete(lane(executor_id), "window-park", 0, sg->seq,
-                       sg->park_ts_us, flush_ts);
-  }
-  // Window stats before any promise is fulfilled (snapshot coherence, same
-  // discipline as record_finalize below).
-  collector_.record_window_flush(staged.size(), early);
-  finalize_groups(staged, executor_id);
-  // Release the in-flight slot each staged group's last item was holding
-  // (its claimant skipped finish_item when it parked) — ours included.
-  for (const auto& sg : staged) queue_.finish_item(sg);
-  return true;
+  if (finalize) finalize_group(g, executor_id);
 }
 
-void TopkServer::finalize_groups(std::span<const std::shared_ptr<Group>> gs,
-                                 u32 executor_id) {
-  // One independent attempt per key width: a throw from one width's
-  // batched launch fails only the queries that launch was serving — the
-  // other width's groups (whose separate launch never ran) still get
-  // their answers, matching the blast radius of per-group finalization.
-  const auto run_width = [&](auto width_tag) {
+void TopkServer::finalize_group(Group& g, u32 executor_id) {
+  const auto run = [&](auto width_tag) {
     using T = decltype(width_tag);
     try {
-      finalize_groups_typed<T>(gs, executor_id);
+      finalize_group_typed<T>(g, executor_id);
     } catch (...) {
-      // Fail every parked query of this width that was not yet fulfilled
-      // (delivery nulls each item as it goes, so a mid-loop throw cannot
-      // lead to a double set that would itself throw out of this handler).
-      for (const auto& gp : gs) {
-        for (auto& d : group_deferred<T>(*gp)) {
-          if (!d.item) continue;
-          collector_.record_failure();
-          d.item->promise.set_exception(std::current_exception());
-          d.item = nullptr;
-        }
+      // Fail every parked query that was not yet fulfilled (delivery nulls
+      // each item as it goes, so a mid-loop throw cannot lead to a double
+      // set that would itself throw out of this handler).
+      for (auto& d : group_deferred<T>(g)) {
+        if (!d.item) continue;
+        collector_.record_failure();
+        d.item->promise.set_exception(std::current_exception());
+        d.item = nullptr;
       }
     }
   };
-  run_width(u32{});
-  run_width(u64{});
+  if (g.width == KeyWidth::k64)
+    run(u64{});
+  else
+    run(u32{});
 }
 
 template <class T>
-void TopkServer::finalize_groups_typed(
-    std::span<const std::shared_ptr<Group>> gs, u32 executor_id) {
+void TopkServer::finalize_group_typed(Group& g, u32 executor_id) {
   using Key = typename data::KeyTraits<T>::Key;
-  // Assemble ONE segment list over every staged group's parked items of
-  // this key width (mixed corpora are fine: the engine keys problems by
-  // span identity). No synchronization needed past this point: every item
-  // of every staged group executed, so no thread appends to the deferred
-  // lists or allocates from a group arena anymore.
-  struct Ref {
-    Group* g = nullptr;
-    DeferredItem<Key>* d = nullptr;
-  };
-  std::vector<Ref> refs;
-  u64 ngroups = 0;
-  for (const auto& gp : gs) {
-    auto& parked = group_deferred<Key>(*gp);
-    if (parked.empty()) continue;
-    ++ngroups;
-    for (auto& d : parked) refs.push_back({gp.get(), &d});
-  }
-  if (refs.empty()) return;
+  // No synchronization needed past this point: every item of the group
+  // executed, so no thread appends to the deferred list or allocates from
+  // the group arena anymore. The caller's claim holds the group, and thus
+  // its pooled-arena lease, so every parked candidate span stays valid.
+  std::vector<DeferredItem<Key>>& parked = group_deferred<Key>(g);
+  if (parked.empty()) return;
 
   std::vector<topk::BatchedSegment<Key>> segs;
-  segs.reserve(refs.size());
-  for (const Ref& r : refs)
-    segs.push_back({r.d->cand, r.d->k, r.d->out.id, r.d->selection_only});
+  segs.reserve(parked.size());
+  for (const DeferredItem<Key>& d : parked)
+    segs.push_back({d.cand, d.k, d.out.id, d.selection_only});
 
   const bool tracing = tracer_.enabled();
   const u64 t_flush = tracing ? tracer_.now_us() : 0;
   if (tracing) {
     // Close each parked item's deferred-park span: parked at phase-A
-    // completion, resolved by this flush.
-    for (const Ref& r : refs)
-      tracer_.complete(lane(executor_id), "deferred-park", r.d->out.id,
-                       r.g->seq, r.d->park_ts_us, t_flush);
+    // completion, resolved by this finalization.
+    for (const DeferredItem<Key>& d : parked)
+      tracer_.complete(lane(executor_id), "deferred-park", d.out.id, g.seq,
+                       d.park_ts_us, t_flush);
   }
 
   vgpu::Workspace& ws = *exec_ws_[executor_id];
   vgpu::Workspace::Scope scope(ws);
   topk::Accum acc(dev_);
-  vgpu::StageScope second("second");  // the groups' shared second top-k
+  vgpu::StageScope second("second");  // the group's shared second top-k
   auto br = topk::batched_topk<Key>(
       acc, std::span<const topk::BatchedSegment<Key>>(segs),
       topk::BatchedMode::kAuto, ws);
   if (tracing)
-    tracer_.complete(lane(executor_id), "batched-finalize", 0,
-                     refs.front().g->seq, t_flush, tracer_.now_us());
+    tracer_.complete(lane(executor_id), "batched-finalize", 0, g.seq, t_flush,
+                     tracer_.now_us());
 
   // Batch-level accounting first: every counter must be recorded before
   // the last promise is fulfilled, or a stats() snapshot taken right after
   // the batch completes could miss this finalization.
-  collector_.record_finalize(br.launches, ngroups, refs.size(), acc.stats());
+  collector_.record_finalize(br.launches, parked.size(), acc.stats());
   collector_.record_executor_work(executor_id, acc.sim_ms());
-  // Re-record each group arena's peak now that it holds the deferred
+  // Re-record the group arena's peak now that it holds the deferred
   // candidate spans: the next hit on the shape presizes for them too.
-  for (const auto& gp : gs) {
-    if (group_deferred<Key>(*gp).empty()) continue;
-    if (gp->plan_resolved)
-      plans_.note_workspace(gp->plan_key, gp->ws ? gp->ws->peak_bytes() : 0,
-                            0);
-  }
+  if (g.plan_resolved)
+    plans_.note_workspace(g.plan_key, g.ws ? g.ws->peak_bytes() : 0, 0);
 
-  // One launch sequence served every group; each delivered query's latency
-  // carries an equal share (the kernel counters were recorded once at
-  // batch level above), so the shares sum to exactly the cost paid once.
+  // One launch sequence served every parked query; each delivered query's
+  // latency carries an equal share (the kernel counters were recorded once
+  // at batch level above), so the shares sum to exactly the cost paid once.
   const u64 t_fanout = tracing ? tracer_.now_us() : 0;
-  const double share = acc.sim_ms() / static_cast<double>(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    DeferredItem<Key>& d = *refs[i].d;
+  const double share = acc.sim_ms() / static_cast<double>(parked.size());
+  for (size_t i = 0; i < parked.size(); ++i) {
+    DeferredItem<Key>& d = parked[i];
     d.out.values.reserve(br.keys[i].size());
     for (const Key key : br.keys[i])
       d.out.values.push_back(static_cast<u64>(
@@ -763,8 +612,8 @@ void TopkServer::finalize_groups_typed(
     item->promise.set_value(std::move(d.out));
   }
   if (tracing)
-    tracer_.complete(lane(executor_id), "fan-out", 0, refs.front().g->seq,
-                     t_fanout, tracer_.now_us());
+    tracer_.complete(lane(executor_id), "fan-out", 0, g.seq, t_fanout,
+                     tracer_.now_us());
 }
 
 template <class T>
@@ -806,9 +655,8 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
     // covered several queries, or this is a late joiner riding a pass that
     // others paid for. A singleton group paid full freight — not fused.
     out.fused = g.setup_items > 1 || amortize_over == 0;
-    // Parks the phase-A result: the group's last finisher (or a
-    // cross-group window flush) selects for every parked item in a single
-    // launch, and values/kth arrive there.
+    // Parks the phase-A result: the group's last finisher selects for
+    // every parked item in a single launch, and values/kth arrive there.
     const auto park = [&](std::span<const Key> cand) {
       out.breakdown = bd;
       DeferredItem<Key> d;

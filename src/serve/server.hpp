@@ -24,9 +24,8 @@
 // query shapes. The group setup also resolves every distinct k's stage 2
 // and stage 3 in one batched launch each, so identical ks share one
 // threshold and one candidate span, and the batched finalization sorts
-// each shared span once. Cross-group finalization windows (groups
-// completing within a short window share ONE batched second-top-k launch,
-// even across corpora) ride the same machinery.
+// each shared span once: the executor that finishes a group's last item
+// runs the whole group's second top-k as ONE batched launch.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
@@ -60,7 +59,7 @@ struct ObsOptions {
 /// builds one delegate vector per group, then resolves every distinct k's
 /// threshold (one batched kappa launch) and candidate span (one classify +
 /// one concat launch, core/concat_batched.hpp); items defer stage 4 to ONE
-/// batched selection launch per group or per window (topk/batched.hpp).
+/// batched selection launch per group (topk/batched.hpp).
 /// Every group resolves its delegate geometry through the plan cache,
 /// which tunes alpha only; the engines are base's. Items the setup could
 /// not cover — late joiners, infeasible shapes, groups whose setup fell
@@ -72,35 +71,13 @@ struct ServerConfig {
   u32 batch_max = 16;      ///< max queries per admission group
   u32 max_in_flight = 64;  ///< submit() blocks beyond this (backpressure)
   core::DrTopkConfig base; ///< baseline pipeline configuration
-  /// Cross-group finalization window, in microseconds of host wall clock:
-  /// groups becoming finalization-ready within this window are finalized
-  /// together in ONE shared batched launch per key width present —
-  /// possibly over different corpora (the engine accepts mixed-corpus
-  /// segment lists); u32 and u64 groups sharing a window still take one
-  /// launch each. The first group to park becomes the *window owner* and
-  /// waits (at most this long) while other executors keep draining
-  /// queries; while parked the owner itself also polls the admission queue
-  /// (AdmissionQueue::try_next) and executes queued groups, so even a
-  /// single-executor server keeps making progress — and those groups can
-  /// join the owner's own window instead of waiting behind it. 0
-  /// (default): every group is finalized immediately by its own last
-  /// finisher, exactly the PR-3 behavior.
-  u32 finalize_window_us = 0;
-  /// Parked-segment count at which a window flush fires early (before the
-  /// window elapses) — accumulating past the point where one launch
-  /// already fills the GPU only delays ready results. 0 = auto:
-  /// topk::batched_segment_cap for the server's device. The parked owner
-  /// is also woken as soon as the executor pool goes idle (no queued
-  /// groups, no running items): nothing else can join the window then.
-  u32 finalize_max_segments = 0;
   /// Observability: per-query tracing.
   ObsOptions obs;
 };
 
 /// The batched multi-query top-k server (see the file comment for the
 /// pipeline). Owns the executor threads, the admission queue, the plan
-/// cache, the workspace arenas and the cross-group finalization staging
-/// area; submit()/run_batch() are thread-safe.
+/// cache and the workspace arenas; submit()/run_batch() are thread-safe.
 class TopkServer {
  public:
   explicit TopkServer(vgpu::Device& dev, ServerConfig cfg = {});
@@ -168,25 +145,17 @@ class TopkServer {
 
  private:
   void executor_loop(u32 executor_id);
-  /// Handles one claimed unit of work (group setup or item execution) —
-  /// the executor loop's body, also driven by a parked window owner that
-  /// polls the queue (AdmissionQueue::try_next) while its window is open.
-  void process_claim(AdmissionQueue::Claim& c, u32 executor_id);
   void setup_group(Group& g, u32 executor_id);
   void execute_item(Group& g, Pending& p, u64 amortize_over, u32 executor_id);
   /// Marks one item executed. The executor whose item completes the group
-  /// either finalizes every parked (deferred) query now (window off) or
-  /// parks the group in the cross-group staging area. Returns true when
-  /// responsibility for the item's queue_.finish_item() was transferred to
-  /// the staging-area flush (the caller must then NOT release the slot —
-  /// drain() may not observe an idle queue with unfulfilled promises).
-  bool maybe_finalize_group(const std::shared_ptr<Group>& g, u32 executor_id);
-  /// Finalizes a set of completed groups — one batched launch per key
-  /// width present, segments from all groups assembled into one list (the
-  /// engine handles mixed corpora). A failure in one width's launch fails
-  /// only that width's parked queries.
-  void finalize_groups(std::span<const std::shared_ptr<Group>> groups,
-                       u32 executor_id);
+  /// finalizes every parked (deferred) query of it before returning, so
+  /// the caller releases the item's in-flight slot only after that — drain()
+  /// may not observe an idle queue with unfulfilled promises.
+  void maybe_finalize_group(Group& g, u32 executor_id);
+  /// Finalizes a completed group's parked queries in one batched launch
+  /// over the group's key width. A failed launch fails only the group's
+  /// parked queries that were not yet fulfilled.
+  void finalize_group(Group& g, u32 executor_id);
   /// Returns the setup snapshot's members served from another member's
   /// shared kappa and stage-3 entry (ServerStats::deduped_queries).
   template <class T>
@@ -195,12 +164,7 @@ class TopkServer {
   QueryResult run_item_typed(Group& g, Pending& p, u64 amortize_over,
                              vgpu::Workspace& ws, bool* deferred);
   template <class T>
-  void finalize_groups_typed(std::span<const std::shared_ptr<Group>> groups,
-                             u32 executor_id);
-  /// Releases one claim's running slot (AdmissionQueue::finish_running)
-  /// and, when the pool just went idle, wakes a parked window owner so the
-  /// queue-empty early flush fires.
-  void item_done();
+  void finalize_group_typed(Group& g, u32 executor_id);
   /// Trace lane of an executor (lane 0 is the submit path).
   static u32 lane(u32 executor_id) { return executor_id + 1; }
 
@@ -229,24 +193,6 @@ class TopkServer {
   std::vector<std::unique_ptr<vgpu::Workspace>> exec_ws_;
   AdmissionQueue queue_;
   StatsCollector collector_;
-  /// Cross-group finalization staging area (PR 5): completed groups with
-  /// parked deferred spans wait here up to finalize_window_us for peers;
-  /// the first parker becomes the *window owner* and flushes everyone in
-  /// one shared launch sequence. "Owned by the executor pool": parking
-  /// executors return to claiming work immediately, only the owner blocks
-  /// (bounded by the window, woken early by the segment cap). Staged
-  /// shared_ptr<Group>s keep each group's pooled-arena lease — and thus
-  /// every parked candidate span — alive until the flush has consumed
-  /// them (the DeferredSecond ownership contract in core/dr_topk.hpp).
-  struct FinalizeStage {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::shared_ptr<Group>> groups;
-    u64 segments = 0;  ///< parked deferred segments across staged groups
-    bool owner_waiting = false;
-  };
-  FinalizeStage stage_;
-  u64 stage_cap_ = 0;  ///< resolved finalize_max_segments (0-auto applied)
   std::vector<std::thread> executors_;
 };
 

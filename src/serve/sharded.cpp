@@ -96,8 +96,7 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
                                                    data::Criterion criterion,
                                                    bool selection_only,
                                                    core::FidelityPolicy
-                                                       fidelity,
-                                                   u64 deadline_us) {
+                                                       fidelity) {
   Corpus c;
   {
     std::lock_guard lk(corpora_mu_);
@@ -121,11 +120,9 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
     TopkServer& srv = *shards_[c.first_shard].server;
     return c.width == KeyWidth::k64
                ? srv.submit(Query::view(c.v64, k, criterion, selection_only,
-                                        fidelity)
-                                .with_deadline(deadline_us))
+                                        fidelity))
                : srv.submit(Query::view(c.v32, k, criterion, selection_only,
-                                        fidelity)
-                                .with_deadline(deadline_us));
+                                        fidelity));
   }
 
   // ---- Scatter: one clamped full-top-k sub-query per shard. The local
@@ -167,11 +164,9 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
     job.parts.push_back(
         c.width == KeyWidth::k64
             ? srv.submit(Query::view(c.v64.subspan(lo, len), kk, criterion,
-                                     /*selection_only=*/false, local)
-                             .with_deadline(deadline_us))
+                                     /*selection_only=*/false, local))
             : srv.submit(Query::view(c.v32.subspan(lo, len), kk, criterion,
-                                     /*selection_only=*/false, local)
-                             .with_deadline(deadline_us)));
+                                     /*selection_only=*/false, local)));
   }
   auto fut = job.promise.get_future();
   {
@@ -289,42 +284,15 @@ void ShardedTopkServer::merge_batch_typed(std::vector<MergeJob>& jobs) {
     if (jobs.empty()) return;
   }
 
-  // ---- Merge on the merge device: one batched launch per level for the
-  // WHOLE batch. Level 1 (only when the hierarchy engages) pre-merges
-  // leader groups — dist/topology.hpp's grouping, the serving twin of the
-  // multi-GPU node-leader reduction; the final level selects each query's
-  // global top-k over its (pre-merged) runs. ----
+  // ---- Merge on the merge device: ONE batched launch selects each
+  // query's global top-k over its shard runs for the whole batch. ----
   topk::Accum acc(*merge_dev_);
   vgpu::StageScope stage("merge");
-  u64 launches = 0;
-
-  std::vector<std::vector<std::vector<Key>>> level1(jobs.size());
-  for (size_t ji = 0; ji < jobs.size(); ++ji) {
-    const u32 nruns = static_cast<u32>(in[ji].runs.size());
-    if (!dist::hierarchy_engages(nruns, cfg_.merge_fanin)) continue;
-    std::vector<topk::MergeSegment<Key>> segs;
-    for (u32 leader = 0; leader < nruns; leader += cfg_.merge_fanin) {
-      topk::MergeSegment<Key> seg;
-      u64 total = 0;
-      for (u32 m = leader; m < dist::group_end(leader, cfg_.merge_fanin, nruns);
-           ++m) {
-        seg.runs.emplace_back(in[ji].runs[m]);
-        total += in[ji].runs[m].size();
-      }
-      seg.k = std::min(jobs[ji].k, total);
-      segs.push_back(std::move(seg));
-    }
-    auto r = topk::batched_merge_topk<Key>(acc, segs);
-    launches += r.launches;
-    level1[ji] = std::move(r.keys);
-  }
-
   std::vector<topk::MergeSegment<Key>> finals(jobs.size());
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
-    auto& runs = level1[ji].empty() ? in[ji].runs : level1[ji];
     topk::MergeSegment<Key>& seg = finals[ji];
     u64 total = 0;
-    for (auto& run : runs) {
+    for (auto& run : in[ji].runs) {
       seg.runs.emplace_back(run);
       total += run.size();
     }
@@ -332,7 +300,7 @@ void ShardedTopkServer::merge_batch_typed(std::vector<MergeJob>& jobs) {
     seg.tag = jobs[ji].id;
   }
   auto fr = topk::batched_merge_topk<Key>(acc, finals);
-  launches += fr.launches;
+  const u64 launches = fr.launches;
 
   // ---- Price and fulfil: every merged query carries an equal share of
   // the round's merge time on top of its slowest shard's local latency

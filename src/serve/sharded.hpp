@@ -1,5 +1,5 @@
-// ShardedTopkServer: multi-device top-k serving with a hierarchical
-// cross-shard merge.
+// ShardedTopkServer: multi-device top-k serving with a batched cross-shard
+// merge.
 //
 //   serve::ShardedConfig cfg;            // 2 shards by default
 //   serve::ShardedTopkServer srv(cfg);
@@ -13,8 +13,8 @@
 // confirms the shape). A corpus is registered ONCE and cut into
 // contiguous shards across N devices; every shard owns a full TopkServer
 // — executor pool, shard-local PlanCache, pooled workspaces, admission
-// groups, batched kappa and stage-3 resolution, finalization windows —
-// and serves its sub-span exactly as the single-device engine would.
+// groups, batched kappa, stage-3 and finalization launches — and serves
+// its sub-span exactly as the single-device engine would.
 //
 // Life of a multi-shard query:
 //
@@ -27,9 +27,7 @@
 //                     -> merge thread: shard winner lists are re-keyed to
 //                        the directed-key domain and merged by ONE
 //                        topk::batched_merge_topk launch per key width for
-//                        the whole in-flight batch — optionally two-level
-//                        (leader pre-merge, dist/topology.hpp) when
-//                        merge_fanin says the flat fan-in is too wide
+//                        the whole in-flight batch
 //                     -> global top-k, bit-identical to the single-device
 //                        answer (values are merged as exact multisets).
 //
@@ -42,14 +40,12 @@
 #include <deque>
 #include <thread>
 
-#include "dist/topology.hpp"
 #include "serve/server.hpp"
 
 namespace drtopk::serve {
 
 /// Sharded-deployment knobs. `shard` is the per-shard ServerConfig — every
-/// single-device option (batching, windows, obs) applies per shard
-/// unchanged.
+/// single-device option (batching, obs) applies per shard unchanged.
 struct ShardedConfig {
   u32 num_shards = 2;  ///< devices (and TopkServers) to spread corpora over
   /// Corpora shorter than 2x this stay on one shard: below it the merge
@@ -59,12 +55,6 @@ struct ShardedConfig {
   ServerConfig shard;            ///< per-shard server configuration
   vgpu::GpuProfile profile = vgpu::GpuProfile::v100s();
   u32 host_threads_per_shard = 2;  ///< host threads backing each device
-  /// Cross-shard reduction fan-in: 0 = flat (one merge level over all
-  /// shard lists). A value in (0, shards) groups shards under leaders
-  /// (dist::group_leader) and merges in two levels — the serving twin of
-  /// dist::MultiGpuConfig::hierarchical, worthwhile once the flat fan-in
-  /// exceeds what one merge CTA's shared memory holds.
-  u32 merge_fanin = 0;
 };
 
 /// Aggregate sharded-deployment metrics. Per-shard detail lives in each
@@ -123,16 +113,11 @@ class ShardedTopkServer {
   /// cross-shard merge; a recall target scatters *reduced* shard-local
   /// sub-queries (smaller local k, tightened local target — see submit's
   /// implementation for the budget split) and merges those exactly.
-  /// `deadline_us` (0 = none) is stamped on every scattered sub-query, so
-  /// shard-local scheduling (deadline-class grouping, finalize-window
-  /// bypass — see Query::deadline_us) honors the caller's budget on each
-  /// shard independently.
   std::future<QueryResult> submit(CorpusId corpus, u64 k,
                                   data::Criterion criterion =
                                       data::Criterion::kLargest,
                                   bool selection_only = false,
-                                  core::FidelityPolicy fidelity = {},
-                                  u64 deadline_us = 0);
+                                  core::FidelityPolicy fidelity = {});
 
   /// Blocks until every submitted query (both routes) has completed, then
   /// cross-publishes calibrated plans between shards (share_plans).
@@ -211,10 +196,9 @@ class ShardedTopkServer {
   u32 shards_for(u64 n) const;
   CorpusId add_corpus(Corpus c);
   void merge_loop();
-  /// Merges one batch of jobs of width T: level-1 leader pre-merge when
-  /// the hierarchy engages, then the final merge — one batched launch per
-  /// level for ALL jobs. Fulfils every job's promise: with its merged
-  /// answer, or with the exception of its first failed shard sub-query.
+  /// Merges one batch of jobs of width T in one batched launch for ALL
+  /// jobs. Fulfils every job's promise: with its merged answer, or with
+  /// the exception of its first failed shard sub-query.
   template <class T>
   void merge_batch_typed(std::vector<MergeJob>& jobs);
 

@@ -25,7 +25,7 @@
 namespace drtopk::serve {
 
 /// Aggregate server metrics snapshot (TopkServer::stats()): query counts,
-/// batching/sharing/window counters, simulated-latency percentiles and the
+/// batching/sharing counters, simulated-latency percentiles and the
 /// makespan-based modeled QPS.
 struct ServerStats {
   u64 completed = 0;
@@ -41,22 +41,10 @@ struct ServerStats {
                               ///< exactly one per finalization when the
                               ///< candidate segments fit one SM (the asserted
                               ///< common case), two when the multi-CTA path
-                              ///< runs; a cross-group window flush counts
-                              ///< ONCE for all groups it covers
+                              ///< runs
   u64 deduped_queries = 0;  ///< setup-snapshot members whose k repeats
                             ///< another member's: served from that k's
                             ///< shared kappa and stage-3 entry
-  u64 window_flushes = 0;   ///< cross-group staging-area flushes performed
-  u64 window_merged_groups = 0;  ///< groups whose finalization shared a
-                                 ///< window flush with at least one other
-                                 ///< group (counted per group)
-  u64 window_early_flushes = 0;  ///< window flushes triggered by the
-                                 ///< queue-empty early-flush path rather
-                                 ///< than the timer or the segment cap
-  u64 window_deadline_bypasses = 0;  ///< groups finalized immediately —
-                                     ///< never parked — because their
-                                     ///< member deadline was too tight for
-                                     ///< the cross-group window to be safe
   u64 concat_launches = 0;  ///< kernel launches attributed to stage 3
                             ///< (classify + concat): ONE pair per group
                             ///< setup, plus a pair per item the setup did
@@ -128,17 +116,6 @@ class StatsCollector {
         m_deduped_(reg.counter(
             "serve_deduped_queries",
             "Setup-snapshot queries whose k repeats another member's")),
-        m_window_flushes_(reg.counter("serve_window_flushes",
-                                      "Cross-group staging-area flushes")),
-        m_window_merged_(reg.counter(
-            "serve_window_merged_groups",
-            "Groups that shared a window flush with another group")),
-        m_early_flushes_(reg.counter(
-            "serve_window_early_flushes",
-            "Window flushes triggered by queue-empty early flush")),
-        m_deadline_bypasses_(reg.counter(
-            "serve_window_deadline_bypass",
-            "Groups finalized immediately: deadline too tight to park")),
         m_concat_launches_(reg.counter(
             "serve_concat_launches",
             "Kernel launches attributed to stage 3 (classify + concat)")),
@@ -184,33 +161,18 @@ class StatsCollector {
     stages_ += setup_stages;
   }
 
-  /// One batched finalization: `launches` selection launches served
-  /// `queries` deferred queries across `groups` admission groups
-  /// (1 for a per-group finalization; a cross-group window flush passes
-  /// more). The kernel counters land in the aggregate second-stage stats
-  /// once (per-query breakdowns carry only their sim-ms share, so the
-  /// aggregate stays double-count-free).
-  void record_finalize(u64 launches, u64 groups, u64 queries,
+  /// One group's batched finalization: `launches` selection launches
+  /// served its `queries` deferred queries. The kernel counters land in
+  /// the aggregate second-stage stats once (per-query breakdowns carry only
+  /// their sim-ms share, so the aggregate stays double-count-free).
+  void record_finalize(u64 launches, u64 queries,
                        const vgpu::KernelStats& second_stats) {
-    m_batched_groups_.add(groups);
+    m_batched_groups_.add();
     m_batched_queries_.add(queries);
     m_finalize_launches_.add(launches);
     std::lock_guard lk(mu_);
     stages_.second_stats += second_stats;
   }
-
-  /// One cross-group staging-area flush finalized `groups` groups in a
-  /// shared launch sequence; `early` marks the queue-empty early-flush
-  /// trigger (vs timer expiry or the segment cap).
-  void record_window_flush(u64 groups, bool early = false) {
-    m_window_flushes_.add();
-    if (groups > 1) m_window_merged_.add(groups);
-    if (early) m_early_flushes_.add();
-  }
-
-  /// One group finalized immediately because its tightest member deadline
-  /// could not afford the cross-group finalization window.
-  void record_window_deadline_bypass() { m_deadline_bypasses_.add(); }
 
   /// One query executed under a recall-target fidelity policy (counted at
   /// execution, so deferred items are counted exactly once).
@@ -259,10 +221,6 @@ class StatsCollector {
     s.batched_queries = m_batched_queries_.value();
     s.finalize_launches = m_finalize_launches_.value();
     s.deduped_queries = m_deduped_.value();
-    s.window_flushes = m_window_flushes_.value();
-    s.window_merged_groups = m_window_merged_.value();
-    s.window_early_flushes = m_early_flushes_.value();
-    s.window_deadline_bypasses = m_deadline_bypasses_.value();
     s.approx_queries = m_approx_.value();
     {
       std::lock_guard lk(mu_);
@@ -309,10 +267,6 @@ class StatsCollector {
   obs::Counter& m_batched_queries_;
   obs::Counter& m_finalize_launches_;
   obs::Counter& m_deduped_;
-  obs::Counter& m_window_flushes_;
-  obs::Counter& m_window_merged_;
-  obs::Counter& m_early_flushes_;
-  obs::Counter& m_deadline_bypasses_;
   obs::Counter& m_concat_launches_;
   obs::Counter& m_guard_trips_;
   obs::Counter& m_guard_skips_;

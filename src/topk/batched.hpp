@@ -102,18 +102,6 @@ bool batched_multi_fits(const vgpu::GpuProfile& p, u64 n, u64 k) {
   return merge_total <= cap;
 }
 
-/// The top rung of the capacity ladder, for callers that *accumulate*
-/// segments before one shared launch (the serving layer's cross-group
-/// finalization window): the segment count past which adding more stops
-/// amortizing launch overhead. One single-CTA problem occupies one CTA, so
-/// a few waves' worth of CTAs (4 x num_sms) already hides the ~5 us launch
-/// cost behind compute; parking further work past that only delays results
-/// that are ready to ship. Used as the default
-/// serve::ServerConfig::finalize_max_segments.
-inline u64 batched_segment_cap(const vgpu::GpuProfile& p) {
-  return std::max<u64>(1, static_cast<u64>(p.num_sms) * 4);
-}
-
 namespace detail {
 
 /// Coalesced staging of v[begin, begin+len) into a CTA's shared span at

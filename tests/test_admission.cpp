@@ -1,9 +1,10 @@
 // Tests for deadline-aware admission: the controller's decision ladder in
 // isolation (injected estimators, no sockets), the deadline-conformance
 // matrix end-to-end over live NetServers (tight/loose deadlines x
-// exact/recall-floor clients x single/sharded backends), and the serving-
-// layer regression that a tight-deadline query can never be stalled behind
-// a finalize-window park by sharing a group with patient traffic.
+// exact/recall-floor clients x single/sharded backends), and the serving
+// layer's measured queue wait, which admission predicts separately from
+// service time. Deadlines act only at this front door: the serving layer
+// never sees them.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -292,63 +293,7 @@ TEST(AdmissionE2E, RateLimitShedsAreTyped) {
   net.drain();
 }
 
-// --------------------------------------- serving-layer deadline semantics
-
-TEST(DeadlineGrouping, DeadlineClassJoinsTheAdmissionSignature) {
-  auto corpus = data::generate(1 << 14, Distribution::kUniform, 45);
-  std::span<const u32> cs(corpus.data(), corpus.size());
-
-  serve::ServerConfig cfg;
-  cfg.executors = 1;  // deterministic grouping
-  cfg.batch_max = 8;
-  serve::TopkServer server(shared_device(), cfg);
-
-  // Same shape, wildly different budgets: must NOT share a group — a
-  // mixed group would hold the tight query to the patient one's schedule.
-  std::vector<serve::Query> batch;
-  batch.push_back(serve::Query::view(cs, 100).with_deadline(500));
-  batch.push_back(serve::Query::view(cs, 100).with_deadline(50'000'000));
-  auto results = server.run_batch(batch);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(server.stats().groups, 2u);
-
-  // Same deadline CLASS still batches (the fix splits classes, not every
-  // distinct microsecond value).
-  serve::TopkServer server2(shared_device(), cfg);
-  std::vector<serve::Query> batch2;
-  batch2.push_back(serve::Query::view(cs, 100).with_deadline(5000));
-  batch2.push_back(serve::Query::view(cs, 200).with_deadline(7000));
-  (void)server2.run_batch(batch2);
-  EXPECT_EQ(server2.stats().groups, 1u);
-}
-
-TEST(DeadlineGrouping, TightDeadlineBypassesTheFinalizeWindow) {
-  auto corpus = data::generate(1 << 14, Distribution::kUniform, 46);
-  std::span<const u32> cs(corpus.data(), corpus.size());
-
-  serve::ServerConfig cfg;
-  cfg.executors = 2;
-  cfg.finalize_window_us = 300'000;  // pathologically patient window
-  serve::TopkServer server(shared_device(), cfg);
-
-  // A tight-deadline query must finalize immediately instead of parking
-  // for the window (300ms >> the 2ms budget).
-  const auto t0 = mono_us();
-  auto r = server.submit(serve::Query::view(cs, 100).with_deadline(2000))
-               .get();
-  const u64 wall_us = mono_us() - t0;
-  EXPECT_FALSE(r.values.empty());
-  EXPECT_LT(wall_us, 200'000u) << "query waited out the finalize window";
-  EXPECT_GE(server.stats().window_deadline_bypasses, 1u);
-
-  // A patient query still parks (the bypass is deadline-gated, not
-  // unconditional): no new bypass is recorded for it.
-  const u64 bypasses = server.stats().window_deadline_bypasses;
-  (void)server.submit(serve::Query::view(cs, 100).with_deadline(50'000'000))
-      .get();
-  EXPECT_EQ(server.stats().window_deadline_bypasses, bypasses);
-  server.drain();
-}
+// ------------------------------------------- serving-layer queue wait
 
 TEST(DeadlineGrouping, QueueWaitIsMeasuredIntoQueryResult) {
   auto corpus = data::generate(1 << 14, Distribution::kUniform, 47);

@@ -248,19 +248,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(6, 10, 12),
                        ::testing::Values(1u, 2u, 4u)));
 
-TEST(Batched, SegmentCapScalesWithTheDevice) {
-  // The capacity ladder's top rung: a few waves of single-CTA problems per
-  // device. Must be positive for every profile and ordered by SM count —
-  // the serving layer's finalization window uses it as the default
-  // early-flush cap.
-  const u64 v100s = topk::batched_segment_cap(vgpu::GpuProfile::v100s());
-  const u64 titan = topk::batched_segment_cap(vgpu::GpuProfile::titan_xp());
-  const u64 a100 = topk::batched_segment_cap(vgpu::GpuProfile::a100());
-  EXPECT_GT(titan, 0u);
-  EXPECT_GT(v100s, titan);  // 80 SMs vs 30
-  EXPECT_GT(a100, v100s);   // 108 SMs vs 80
-}
-
 // ---- Cross-run merge entry point (PR 7: the sharded server's reduction
 // kernel) ----
 

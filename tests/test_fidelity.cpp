@@ -12,8 +12,6 @@
 //      Monte-Carlo placement and a brute-force search, and every serving
 //      path (plan-cache hit in the same log2(k) bucket, no plan cache,
 //      streamed late joiners) must size it for the k it serves.
-// Plus the PR-6 residual fix: a parked single-executor window owner must
-// execute queued groups instead of stalling behind the window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -600,51 +598,6 @@ TEST(Fidelity, ShardedApproxMeetsRecallTargetExactStaysBitIdentical) {
   }
   srv.drain();
   EXPECT_EQ(srv.unattributed_launches(), 0u);
-}
-
-TEST(Fidelity, ParkedWindowOwnerExecutesQueuedGroups) {
-  // PR-6 residual fix: a single-executor server with a huge finalize
-  // window and TWO groups queued. The owner of the first group parks with
-  // the second group still un-run — pre-fix it sat out the whole window
-  // (the pool is not idle, so the early flush cannot fire). Post-fix the
-  // parked owner claims and executes the queued group itself; that group
-  // deposits into the owner's open window and the queue-empty early flush
-  // then fires. The wall-clock bound IS the regression test.
-  auto a = data::generate(1 << 15, Distribution::kNormal, 271);
-  auto b = data::generate((1 << 15) + 33, Distribution::kNormal, 272);
-  std::span<const u32> as(a.data(), a.size());
-  std::span<const u32> bs(b.data(), b.size());
-
-  ServerConfig cfg;
-  cfg.executors = 1;
-  cfg.batch_max = 4;
-  cfg.finalize_window_us = 2'000'000;
-  TopkServer server(shared_device(), cfg);
-
-  std::vector<Query> queries;
-  for (u64 k : {u64{32}, u64{64}, u64{96}, u64{128}})
-    queries.push_back(Query::view(as, k));
-  for (u64 k : {u64{48}, u64{80}, u64{112}, u64{144}})
-    queries.push_back(Query::view(bs, k));
-
-  topk::WallTimer wall;
-  auto results = server.run_batch(queries);
-  const double elapsed_ms = wall.ms();
-
-  for (size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(results[i].values, widen(reference_topk(as, queries[i].k)))
-        << i;
-  for (size_t i = 4; i < 8; ++i)
-    EXPECT_EQ(results[i].values, widen(reference_topk(bs, queries[i].k)))
-        << i;
-  EXPECT_LT(elapsed_ms, 1500.0);  // far below the 2 s window
-
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.failed, 0u);
-  EXPECT_EQ(s.groups, 2u);
-  EXPECT_GE(s.window_flushes, 1u);
-  // Both groups landed in the owner's window: one merged flush covers 2.
-  EXPECT_GE(s.window_merged_groups, 2u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Fault injection for the network front door: clients that die or stall
-// mid-stream, connections dropped while their queries are parked in a
-// batched finalize window, a backend whose submit or result fails. The
-// invariants under attack: the serving layer always drains (no orphaned
-// group state), every kernel launch stays stage-attributed, orphaned
-// responses are dropped-and-counted rather than misdelivered, backend
-// failures reach their caller as a counted kError, and the server keeps
-// answering the well-behaved.
+// mid-stream, connections dropped while their queries' groups are still in
+// flight, a backend whose submit or result fails. The invariants under
+// attack: the serving layer always drains (no orphaned group state), every
+// kernel launch stays stage-attributed, orphaned responses are
+// dropped-and-counted rather than misdelivered, backend failures reach
+// their caller as a counted kError, and the server keeps answering the
+// well-behaved.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -127,13 +127,13 @@ TEST(NetFaults, ClientKilledWithRequestsInFlightDropsResponsesCounted) {
   EXPECT_TRUE(next.ping());
 }
 
-TEST(NetFaults, ConnectionsDroppedDuringFinalizeWindow) {
-  // A patient finalize window parks whole groups awaiting cross-group
-  // merges — precisely when a dying client leaves queries in the most
-  // shared state. Drops here must not wedge the window machinery.
+TEST(NetFaults, ConnectionsDroppedWhileGroupsAreInFlight) {
+  // Several admission groups are mid-flight — items parked for their
+  // group's batched finalization — precisely when a dying client leaves
+  // queries in the most shared state. Drops here must not wedge the
+  // serving layer.
   serve::ServerConfig scfg;
   scfg.executors = 2;
-  scfg.finalize_window_us = 50'000;
   Fixture fx(scfg);
 
   constexpr int kClients = 4;
@@ -147,8 +147,8 @@ TEST(NetFaults, ConnectionsDroppedDuringFinalizeWindow) {
       ASSERT_TRUE(clis[c].send(req));
     }
   }
-  // Give the requests time to admit and park in the window, then kill
-  // half the clients mid-window.
+  // Give the requests time to admit, then kill half the clients while
+  // their groups run.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   clis[0].close();
   clis[2].close();

@@ -179,7 +179,6 @@ TEST(ObsServe, SpansWellFormedUnderConcurrentExecutors) {
   vgpu::Device dev(vgpu::GpuProfile::v100s());
   serve::ServerConfig cfg;
   cfg.executors = 4;
-  cfg.finalize_window_us = 200;
   cfg.obs.tracing = true;
   serve::TopkServer server(dev, cfg);
 
@@ -234,7 +233,6 @@ TEST(ObsServe, EveryServedLaunchCarriesAStageLabel) {
   vgpu::Device dev(vgpu::GpuProfile::v100s());
   serve::ServerConfig cfg;
   cfg.executors = 3;
-  cfg.finalize_window_us = 100;
   serve::TopkServer server(dev, cfg);
 
   std::vector<serve::Query> queries;

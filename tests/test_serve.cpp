@@ -364,10 +364,8 @@ TEST(Serve, BatchedFinalizeOneSecondTopkLaunchPerWarmedGroup) {
   // Every query of every warmed group rode the batch.
   EXPECT_EQ(after.batched_queries - warm.batched_queries,
             groups * queries.size());
-  // Distinct ks, window 0: nothing shared a stage-3 entry or a window.
+  // Distinct ks: nothing shared a stage-3 entry.
   EXPECT_EQ(after.deduped_queries, 0u);
-  EXPECT_EQ(after.window_flushes, 0u);
-  EXPECT_EQ(after.window_merged_groups, 0u);
 }
 
 TEST(Serve, BatchedStreamedSubmitsStayExact) {
@@ -477,14 +475,12 @@ TEST(Serve, DedupSelectionOnlySharesTheSpanNotTheEmission) {
   EXPECT_EQ(s.deduped_queries, 5u);
 }
 
-TEST(Serve, WindowMergesTwoCorporaIntoOneFinalizeLaunch) {
-  // Two admission groups on DIFFERENT corpora completing within the window
-  // must be finalized by ONE shared batched launch (the cross-group
-  // staging area): launch-count-asserted extension of the PR-3 regression
-  // test. The segment cap (5: above one group's four segments, at or below
-  // two groups' worth even if a query resolves inline via the Rule-3 fast
-  // path) fires the flush as soon as the second group parks, so the test
-  // never waits out the generous window.
+TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {
+  // Two admission groups on DIFFERENT corpora served concurrently: the
+  // executor that finishes a group's last item finalizes that group's
+  // parked queries in one batched launch of its own, so finalization
+  // launches track finalized groups one for one (small, single-CTA
+  // candidate segments) and never merge across groups.
   const u64 n = 1 << 15;
   auto va = data::generate(n, Distribution::kUniform, 151);
   auto vb = data::generate(n, Distribution::kNormal, 152);
@@ -492,10 +488,8 @@ TEST(Serve, WindowMergesTwoCorporaIntoOneFinalizeLaunch) {
   std::span<const u32> bs(vb.data(), vb.size());
 
   ServerConfig cfg;
-  cfg.executors = 2;  // the window owner blocks; the peer drains the rest
+  cfg.executors = 2;
   cfg.batch_max = 4;
-  cfg.finalize_window_us = 1'000'000;  // cap-triggered long before this
-  cfg.finalize_max_segments = 5;
   TopkServer server(shared_device(), cfg);
 
   std::vector<Query> queries;
@@ -513,20 +507,17 @@ TEST(Serve, WindowMergesTwoCorporaIntoOneFinalizeLaunch) {
 
   const ServerStats s = server.stats();
   EXPECT_EQ(s.failed, 0u);
-  EXPECT_EQ(s.batched_groups, 2u);
-  EXPECT_EQ(s.window_flushes, 1u);
-  EXPECT_EQ(s.window_merged_groups, 2u);
-  // THE assertion: both groups' (small, single-CTA) candidate segments
-  // rode one launch.
-  EXPECT_EQ(s.finalize_launches, 1u);
+  EXPECT_EQ(s.groups, 2u);
+  EXPECT_EQ(s.finalize_launches, s.batched_groups);
 }
 
-TEST(Serve, WindowSpanLifetimeStressAcrossGroups) {
-  // Span-lifetime stress: groups park in the staging area and are
-  // finalized by an executor that never ran them — their arena-backed
-  // candidate spans (shared by repeated ks included) must stay valid until
-  // the shared launch consumes them. Several rounds over four corpora with
-  // duplicate queries; everything must stay exact with zero failures.
+TEST(Serve, SpanLifetimeStressAcrossGroups) {
+  // Span-lifetime stress: executors steal items across groups, so a
+  // group's last finisher finalizes candidate spans that other executors
+  // parked — its arena-backed spans (shared by repeated ks included) must
+  // stay valid until the group's launch consumes them. Several rounds over
+  // four corpora with duplicate queries; everything must stay exact with
+  // zero failures.
   const u64 n = 1 << 14;
   std::vector<vgpu::device_vector<u32>> corpora;
   for (u64 t = 0; t < 4; ++t)
@@ -535,11 +526,6 @@ TEST(Serve, WindowSpanLifetimeStressAcrossGroups) {
   ServerConfig cfg;
   cfg.executors = 3;
   cfg.batch_max = 4;
-  // The window is only the fallback bound: the cap (above one group's
-  // four parked segments, below two groups' worth) drives the flushes,
-  // so a straggler round costs at most 200ms instead of hanging the test.
-  cfg.finalize_window_us = 200'000;
-  cfg.finalize_max_segments = 5;  // force multi-group flushes
   TopkServer server(shared_device(), cfg);
 
   for (int round = 0; round < 4; ++round) {
@@ -562,44 +548,7 @@ TEST(Serve, WindowSpanLifetimeStressAcrossGroups) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.failed, 0u);
   EXPECT_EQ(s.completed, 64u);
-  EXPECT_GE(s.window_merged_groups, 2u);
   EXPECT_GE(s.deduped_queries, 1u);
-}
-
-TEST(Serve, WindowEarlyFlushFiresWhenPoolGoesIdle) {
-  // Queue-empty early flush: a single-executor server with an absurdly
-  // long window must NOT pay it — once the pool is idle (one group, fully
-  // executed, nothing queued) nothing can join the window, so the parked
-  // owner flushes immediately. The wall-clock bound is the whole point:
-  // without the early flush this test would sit out the full two seconds.
-  const u64 n = 1 << 15;
-  auto v = data::generate(n, Distribution::kNormal, 171);
-  std::span<const u32> vs(v.data(), v.size());
-
-  ServerConfig cfg;
-  cfg.executors = 1;
-  cfg.batch_max = 8;
-  cfg.finalize_window_us = 2'000'000;
-  TopkServer server(shared_device(), cfg);
-
-  std::vector<Query> queries;
-  for (int i = 0; i < 8; ++i)
-    queries.push_back(Query::view(vs, 32 + 32 * static_cast<u64>(i)));
-
-  topk::WallTimer wall;
-  auto results = server.run_batch(queries);
-  const double elapsed_ms = wall.ms();
-
-  for (size_t i = 0; i < queries.size(); ++i)
-    EXPECT_EQ(results[i].values, widen(reference_topk(vs, queries[i].k)))
-        << i;
-  EXPECT_LT(elapsed_ms, 1000.0);  // far below the 2 s window
-
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.failed, 0u);
-  EXPECT_GE(s.window_flushes, 1u);
-  EXPECT_GE(s.window_early_flushes, 1u);
-  EXPECT_EQ(s.window_early_flushes, s.window_flushes);
 }
 
 TEST(Serve, ParityMatrixAgainstReference) {

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "data/distributions.hpp"
+#include "dist/topology.hpp"
 #include "serve/sharded.hpp"
 
 namespace drtopk::serve {
@@ -229,29 +230,6 @@ TEST(Sharded, SingleShardCorpusShortCircuits) {
   EXPECT_EQ(st.merge_batches, 0u);  // the merge thread never woke
 }
 
-TEST(Sharded, HierarchicalFaninParityAndExtraLevel) {
-  auto v = data::generate(1 << 15, Distribution::kUniform, 97);
-  std::span<const u32> vs(v.data(), v.size());
-
-  ShardedConfig flat_cfg = sharded_cfg(4);
-  ShardedTopkServer flat(flat_cfg);
-  auto fc = flat.register_corpus(vs);
-  auto fr = flat.submit(fc, 128).get();
-  flat.drain();
-
-  ShardedConfig hier_cfg = sharded_cfg(4);
-  hier_cfg.merge_fanin = 2;  // 4 shards -> 2 leader groups -> final merge
-  ShardedTopkServer hier(hier_cfg);
-  auto hc = hier.register_corpus(vs);
-  auto hr = hier.submit(hc, 128).get();
-  hier.drain();
-
-  EXPECT_EQ(hr.values, fr.values);
-  // The hierarchy spends one extra (pre-merge) launch per round.
-  EXPECT_EQ(flat.stats().merge_launches, 1u);
-  EXPECT_EQ(hier.stats().merge_launches, 2u);
-}
-
 TEST(Sharded, TopologyHelpersMatchReduction) {
   using namespace drtopk::dist;
   EXPECT_EQ(group_leader(5, 4), 4u);
@@ -297,9 +275,7 @@ TEST(Sharded, MetricsCarryShardLabels) {
 TEST(Sharded, UnattributedZeroAcrossAllDevices) {
   auto v = data::generate(1 << 15, Distribution::kUniform, 99);
   std::span<const u32> vs(v.data(), v.size());
-  ShardedConfig cfg = sharded_cfg(3);
-  cfg.merge_fanin = 2;  // exercise both merge levels
-  ShardedTopkServer srv(cfg);
+  ShardedTopkServer srv(sharded_cfg(3));
   auto corpus = srv.register_corpus(vs);
   std::vector<std::future<QueryResult>> fs;
   for (u64 k : {u64{5}, u64{50}, u64{500}}) fs.push_back(srv.submit(corpus, k));

@@ -11,12 +11,15 @@
 //
 // Every knob maps 1:1 onto NetServerConfig / AdmissionController::Config /
 // ServerConfig; run with --help for the list.
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/distributions.hpp"
@@ -42,9 +45,12 @@ struct Options {
   u32 quota = 0;
   u64 max_in_flight = 48;
   double safety = 1.5;
-  u32 finalize_window_us = 0;
   u64 seed = 7;
 };
+
+/// Ceiling on --shards, --executors and --finishers: each builds that many
+/// devices or threads at startup.
+constexpr u64 kMaxThreadsFlag = 256;
 
 void usage(const char* argv0) {
   std::printf(
@@ -65,23 +71,44 @@ void usage(const char* argv0) {
       "  --quota N            per-client in-flight quota, 0 = off\n"
       "  --max-in-flight N    server-wide admission bound (default 48)\n"
       "  --safety F           admission estimate safety factor (default 1.5)\n"
-      "  --finalize-window-us U  serving-layer finalize window (default 0)\n"
       "  --seed S             corpus generator seed (default 7)\n",
       argv0);
 }
 
-std::vector<u64> parse_sizes(const char* s) {
-  std::vector<u64> out;
-  const char* p = s;
-  while (*p) {
-    char* end = nullptr;
-    const u64 v = std::strtoull(p, &end, 10);
-    if (end == p || v == 0) return {};
+/// Whole-string decimal parse of an unsigned flag value: rejects an empty,
+/// signed, non-numeric or trailing-junk value and one above `max`.
+template <class T>
+bool parse_uint(std::string_view s, T& out,
+                u64 max = std::numeric_limits<T>::max()) {
+  u64 v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || v > max) return false;
+  out = static_cast<T>(v);
+  return true;
+}
+
+/// Whole-string parse of a finite, non-negative floating-point flag value.
+bool parse_double(std::string_view s, double& out) {
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v) ||
+      v < 0.0)
+    return false;
+  out = v;
+  return true;
+}
+
+/// Comma-separated list of positive corpus sizes.
+bool parse_sizes(std::string_view s, std::vector<u64>& out) {
+  out.clear();
+  for (;;) {
+    const size_t comma = s.find(',');
+    u64 v = 0;
+    if (!parse_uint(s.substr(0, comma), v) || v == 0) return false;
     out.push_back(v);
-    p = (*end == ',') ? end + 1 : end;
-    if (*end != '\0' && *end != ',') return {};
+    if (comma == std::string_view::npos) return true;
+    s.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 bool parse(int argc, char** argv, Options& o) {
@@ -101,28 +128,29 @@ bool parse(int argc, char** argv, Options& o) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = false;
     if (a == "--help" || a == "-h") return false;
-    else if (a == "--port" && (v = next())) o.port = static_cast<u16>(std::atoi(v));
-    else if (a == "--corpus" && (v = next())) {
-      o.corpus_sizes = parse_sizes(v);
-      if (o.corpus_sizes.empty()) return false;
-    }
-    else if (a == "--shards" && (v = next())) o.shards = std::atoi(v);
-    else if (a == "--executors" && (v = next())) o.executors = std::atoi(v);
-    else if (a == "--batch-max" && (v = next())) o.batch_max = std::atoi(v);
-    else if (a == "--finishers" && (v = next())) o.finishers = std::atoi(v);
+    else if (a == "--port" && (v = next())) ok = parse_uint(v, o.port);
+    else if (a == "--corpus" && (v = next())) ok = parse_sizes(v, o.corpus_sizes);
+    else if (a == "--shards" && (v = next()))
+      ok = parse_uint(v, o.shards, kMaxThreadsFlag);
+    else if (a == "--executors" && (v = next()))
+      ok = parse_uint(v, o.executors, kMaxThreadsFlag);
+    else if (a == "--batch-max" && (v = next())) ok = parse_uint(v, o.batch_max);
+    else if (a == "--finishers" && (v = next()))
+      ok = parse_uint(v, o.finishers, kMaxThreadsFlag);
     else if (a == "--max-connections" && (v = next()))
-      o.max_connections = std::atoi(v);
-    else if (a == "--rate-qps" && (v = next())) o.rate_qps = std::atof(v);
-    else if (a == "--burst" && (v = next())) o.burst = std::atof(v);
-    else if (a == "--quota" && (v = next())) o.quota = std::atoi(v);
+      ok = parse_uint(v, o.max_connections);
+    else if (a == "--rate-qps" && (v = next())) ok = parse_double(v, o.rate_qps);
+    else if (a == "--burst" && (v = next())) ok = parse_double(v, o.burst);
+    else if (a == "--quota" && (v = next())) ok = parse_uint(v, o.quota);
     else if (a == "--max-in-flight" && (v = next()))
-      o.max_in_flight = std::strtoull(v, nullptr, 10);
-    else if (a == "--safety" && (v = next())) o.safety = std::atof(v);
-    else if (a == "--finalize-window-us" && (v = next()))
-      o.finalize_window_us = static_cast<u32>(std::atoll(v));
-    else if (a == "--seed" && (v = next())) o.seed = std::strtoull(v, nullptr, 10);
-    else return false;
+      // The serving layer's bound is this plus 8, and must fit its u32.
+      ok = parse_uint(v, o.max_in_flight,
+                      std::numeric_limits<u32>::max() - u64{8});
+    else if (a == "--safety" && (v = next())) ok = parse_double(v, o.safety);
+    else if (a == "--seed" && (v = next())) ok = parse_uint(v, o.seed);
+    if (!ok) return false;
   }
   return true;
 }
@@ -149,8 +177,7 @@ int main(int argc, char** argv) {
   scfg.batch_max = opt.batch_max;
   // The net layer sheds (typed) at its own bound; the serving layer's
   // blocking bound sits above it so submit() never stalls the event loop.
-  scfg.max_in_flight = static_cast<u32>(opt.max_in_flight) + 8;
-  scfg.finalize_window_us = opt.finalize_window_us;
+  scfg.max_in_flight = static_cast<u32>(opt.max_in_flight + 8);
 
   // The daemon owns whichever engine was asked for; `backend` is the
   // NetServer-facing view of it.
