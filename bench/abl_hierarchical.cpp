@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
       std::printf("MISMATCH at %u GPUs\n", gpus);
       return 1;
     }
-    std::printf("%-8u %14.3f %14u | %14.3f %14u\n", gpus, flat.comm_ms,
-                flat.primary_messages, hier.comm_ms, hier.primary_messages);
+    std::printf("%-8u %14.3f %14llu | %14.3f %14llu\n", gpus, flat.comm_ms,
+                static_cast<unsigned long long>(flat.primary_messages),
+                hier.comm_ms,
+                static_cast<unsigned long long>(hier.primary_messages));
   }
   std::printf("\nThe primary's receive serialization shrinks from #GPUs-1 to"
               " #nodes-1 messages;\nleaders absorb the rest in parallel.\n");

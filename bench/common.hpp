@@ -412,6 +412,8 @@ inline core::DrTopkConfig assisted_config(topk::Algo family) {
     case topk::Algo::kSortAndChoose:
       cfg.second_algo = topk::Algo::kSortAndChoose;
       break;
+    case topk::Algo::kHeap:
+      break;  // a host-side baseline: no device engine family to borrow
   }
   return cfg;
 }

@@ -1,44 +1,81 @@
-// Group-wide batched stage 3: ONE classify + ONE concat launch for many
-// same-delegate-vector selections.
+// Stage 3 (Rule 2/3 classification + concatenation): ONE classify + ONE
+// concat launch for any number of selections over one delegate vector.
+// A single query is the one-segment batch (core::dr_topk_from_delegates);
+// an admission group passes one segment per distinct k, since its members
+// classify the SAME delegate vector and differ only in kappa(k). Work
+// items are segment-tagged, as in topk/batched.hpp (RadiK's multi-query
+// batching, arXiv:2501.14336):
 //
-// The serving layer collapsed stages 2 and 4 into per-group batched
-// launches (topk/batched.hpp), leaving every query its own stage-3
-// classify/concat pair — the dominant per-query fixed cost at serving
-// rates. But within an admission group every query classifies the SAME
-// delegate vector, only against its own threshold kappa(k): the work
-// differs per query by one scalar. This engine runs the whole group's
-// stage 3 as segment-tagged batches, mirroring topk/batched.hpp's design:
+//   classify_subranges_batched   one pass over the delegate keys per
+//                                segment, 32 subranges per warp iteration
+//                                (coalesced chunk loads). Writes taken[s]
+//                                and builds the qualified / partial sid
+//                                lists through per-CTA shared-memory
+//                                staging: one global cursor reservation per
+//                                staged batch and a few counter atomics per
+//                                CTA, flushed into the *current* segment's
+//                                cells whenever the walk crosses a segment.
+//   concat_candidates_batched    one launch over every segment's partial-
+//                                list batches (gather each listed subrange's
+//                                beta delegates, keep those >= kappa) and
+//                                qualified subranges (stream with Rule 2
+//                                filtering); candidates land in each
+//                                segment's span through its own cursor.
+//   concat_qualified             the qualified-subrange half on its own —
+//                                the legacy three-pass path still uses it.
 //
-//   classify_subranges_batched   one launch over (segment x chunk) work
-//                                items. Per-CTA shared-memory staging is
-//                                reused across segments — the staging
-//                                buffers are flushed to the *current*
-//                                segment's qualified/partial lists (each
-//                                with its own global cursor cells) whenever
-//                                the CTA's walk crosses a segment boundary,
-//                                so list emission stays block-aggregated
-//                                while every segment keeps its own offsets.
-//   concat_candidates_batched    one launch over the union of every
-//                                segment's partial-list batches and
-//                                qualified subranges, located through a
-//                                per-segment item-offset table; candidates
-//                                land in each segment's own span through
-//                                its own cursor cell.
-//
-// Each segment's kappa is final: the serving layer resolves exact kappas
-// with the group's batched first top-k, so no segment is ever classified
-// twice.
-//
-// Classification math is identical to core/concat_fused.hpp (same real-
-// prefix rule, same Rule 2/3 tests), so for any segment the produced
-// candidate MULTISET equals the per-query fused path's — the final top-k
-// is bit-identical once selected. Candidate ORDER may differ (different
-// reservation interleavings); every consumer sorts.
+// Each segment's kappa is final (the Section 4.3 guard decides inside the
+// first top-k, and a group's kappas come exact from its batched first
+// top-k), so no segment is ever classified twice. With `rule2 = false` (a
+// recall target's per-partition mode) every taken subrange is partial:
+// the candidates are exactly the delegates >= kappa. Delegate validity is
+// analytic — the real delegates are a prefix of length
+// min(beta, subrange_len) (see DelegateVector) — so classification never
+// loads the sid array. Candidate ORDER depends on reservation
+// interleavings; every consumer sorts.
 #pragma once
 
-#include "core/concat_fused.hpp"
+#include <vector>
+
+#include "core/delegate.hpp"
 
 namespace drtopk::core {
+
+/// Per-CTA staged entries for the qualified/partial lists (u32 sids). Two
+/// buffers of this size fit comfortably in a CTA's shared memory and make
+/// global cursor reservations rare.
+inline constexpr u32 kConcatStageCap = 512;
+
+/// Streams one subrange [begin, begin+slen) of `v` through the warp,
+/// keeps elements >= kappa (all of them when !filter), and appends the
+/// survivors to `cand` with one warp-aggregated cursor reservation per
+/// 32-element batch. Shared by the batched and legacy concatenations.
+template <class K>
+void append_filtered_subrange(vgpu::Warp& w, std::span<const K> v, u64 begin,
+                              u64 slen, K kappa, bool filter,
+                              std::span<K> cand, std::span<u64> cursor) {
+  u64 pos = begin;
+  const u64 end = begin + slen;
+  while (pos < end) {
+    const u32 active =
+        static_cast<u32>(std::min<u64>(vgpu::kWarpSize, end - pos));
+    auto vals = w.load_coalesced(v, pos, active);
+    vgpu::LaneArray<u8> keep{};
+    for (u32 l = 0; l < active; ++l)
+      keep[l] = (!filter || vals[l] >= kappa) ? 1 : 0;
+    const u32 mask = w.ballot(keep, active);
+    const u32 c = std::popcount(mask);
+    if (c) {
+      const u64 base = w.atomic_add(cursor, 0, static_cast<u64>(c));
+      vgpu::LaneArray<K> packed{};
+      u32 j = 0;
+      for (u32 l = 0; l < active; ++l)
+        if (keep[l]) packed[j++] = vals[l];
+      w.store_coalesced(cand, base, packed, c);
+    }
+    pos += active;
+  }
+}
 
 /// One selection problem of a batched stage 3: its threshold, its
 /// caller-allocated per-subrange scratch, its classification outputs, and
@@ -55,23 +92,24 @@ struct BatchedConcatSegment {
   u64 partial_taken = 0;     ///< sum of taken over partial subranges
   u64 taken_total = 0;       ///< delegates >= kappa
   /// Candidate output (concat pass): the caller allocates
-  /// `partial_taken + qualified_count * 2^alpha` (minus the usual ragged-
-  /// tail correction) after classification, exactly as the fused path does.
+  /// batched_concat_capacity() after classification.
   std::span<K> cand;
   u64 cand_count = 0;
 };
 
 /// Candidate capacity for one classified segment: every partial taken
-/// delegate plus the full length of every qualified subrange, shortened
-/// when the ragged tail subrange itself qualified. Shared by the serving
-/// setup and the tests so the sizing rule cannot drift from the fused
-/// path's.
+/// delegate plus the full length of every qualified subrange. The only
+/// subrange that can be short is the last one; its cached taken count
+/// tells whether it qualified. Without qualified subranges (always so
+/// under `rule2 = false`) a fully taken tail is a partial one and needs no
+/// correction. Shared by the pipeline, the serving setup and the tests so
+/// the sizing rule cannot drift.
 template <class K>
 u64 batched_concat_capacity(const BatchedConcatSegment<K>& seg, u64 S,
                             u32 beta, int alpha, u64 n) {
   const u64 len = u64{1} << alpha;
   u64 qual_len = seg.qualified_count * len;
-  if (S > 0) {
+  if (seg.qualified_count > 0 && S > 0) {
     const u64 tail_len = n - (S - 1) * len;
     const u64 tail_real = std::min<u64>(beta, tail_len);
     if (tail_len < len && tail_real > 0 && seg.taken[S - 1] == tail_real)
@@ -84,11 +122,14 @@ u64 batched_concat_capacity(const BatchedConcatSegment<K>& seg, u64 S,
 /// against every segment's kappa. Work items are (segment, 32-subrange
 /// chunk) pairs, segment-major; per-CTA staging flushes on segment
 /// crossings so each segment's qualified/partial lists and counters fill
-/// through its own global cells.
+/// through its own global cells. With `rule2 = false` (approximate
+/// fidelity) no subrange ever qualifies — taken subranges all go to the
+/// partial list, so only delegates become candidates.
 template <class K>
 void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
                                 u64 S, u32 beta, int alpha, u64 n,
-                                std::span<BatchedConcatSegment<K>> segs) {
+                                std::span<BatchedConcatSegment<K>> segs,
+                                bool rule2 = true) {
   if (segs.empty() || S == 0) return;
   const u64 len = u64{1} << alpha;
   const u64 chunks = (S + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
@@ -105,8 +146,9 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
     // One pair of staging buffers serves every segment the CTA touches:
     // entries always belong to the *current* segment, flushed (one global
-    // reservation + coalesced stores, same shape as the fused path) on a
-    // segment crossing, on capacity, and at the epilogue.
+    // reservation + coalesced stores) on a segment crossing, on capacity,
+    // and at the epilogue. Warps of a CTA run warp-synchronously between
+    // barriers, so the staging cursors live in registers of the leader.
     auto stage_q = cta.shared().alloc<u32>(kConcatStageCap);
     auto stage_p = cta.shared().alloc<u32>(kConcatStageCap);
     u32 qn = 0, pn = 0;
@@ -175,7 +217,7 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
           tarr[l] = static_cast<u8>(t);
           if (t == 0) continue;
           cta_taken += t;
-          if (t == real) {
+          if (rule2 && t == real) {
             isq[l] = 1;
             ++qc;
           } else {
@@ -201,7 +243,9 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
       }
     });
 
-    // Epilogue: the leader warp drains whatever segment is still staged.
+    // Epilogue: the leader warp drains whatever segment is still staged —
+    // a fixed handful of atomics per CTA regardless of how many subranges
+    // it classified.
     {
       vgpu::Warp w = cta.warp(0);
       flush_seg(w);
@@ -219,11 +263,10 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
 /// ONE launch concatenates every segment's candidates: the union of all
 /// segments' partial-list batches and qualified subranges forms the work-
 /// item space, located through a per-segment offset table; each candidate
-/// lands in its segment's span through its segment's cursor cell. Per
-/// segment the logic is exactly concat_candidates_fused's — partial
-/// batches gather + re-threshold listed subranges' delegates, qualified
-/// items stream their subrange with Rule 2 filtering. Fills each
-/// segment's cand_count.
+/// lands in its segment's span through its segment's cursor cell. Partial
+/// batches gather + re-threshold their listed subranges' delegates (one
+/// sector per subrange); qualified items stream their subrange from the
+/// input with Rule 2 filtering. Fills each segment's cand_count.
 template <class K>
 void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
                                std::span<const K> dkeys, u32 beta, int alpha,
@@ -297,6 +340,29 @@ void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
   });
 
   for (u64 si = 0; si < nsegs; ++si) segs[si].cand_count = cursors[si];
+}
+
+/// Warp-centric concatenation of the qualified subranges with Rule 2
+/// filtering (elements >= kappa) and warp-aggregated cursor reservation —
+/// one atomic per surviving 32-element batch. The legacy three-pass
+/// stage 3's last pass (DrTopkConfig::fused_concat = false).
+template <class K>
+void concat_qualified(topk::Accum& acc, std::span<const K> v, u64 len,
+                      K kappa, bool filter, std::span<const u32> qualified,
+                      u64 q_count, std::span<K> cand, std::span<u64> cursor) {
+  if (q_count == 0) return;
+  const u64 n = v.size();
+  auto cfg = acc.device().launch_for_warp_items(q_count, "concat");
+  acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
+    cta.for_each_warp([&](vgpu::Warp& w) {
+      for (u64 i = w.global_id(); i < q_count; i += w.grid_warps()) {
+        const u32 sid = w.ld(qualified, i);
+        const u64 begin = static_cast<u64>(sid) * len;
+        append_filtered_subrange(w, v, begin, std::min(len, n - begin),
+                                 kappa, filter, cand, cursor);
+      }
+    });
+  });
 }
 
 }  // namespace drtopk::core

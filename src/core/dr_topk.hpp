@@ -33,9 +33,10 @@
 #include <functional>
 
 #include "core/alpha_tuner.hpp"
-#include "core/concat_fused.hpp"
+#include "core/concat_batched.hpp"
 #include "core/delegate.hpp"
 #include "core/fidelity.hpp"
+#include "topk/batched.hpp"
 #include "topk/topk.hpp"
 
 namespace drtopk::core {
@@ -49,19 +50,20 @@ struct DrTopkConfig {
   double tuner_const = 3.0;  ///< Rule 4 Const (paper-tuned value)
   bool filtering = true;     ///< Rule 2 delegate-top-k-enabled filtering
   bool skip_last_first_iter = true;  ///< Section 4.3 first top-k relaxation
-  /// Fused single-pass stage 3 (core/concat_fused.hpp): one delegate pass
-  /// writing a compact per-subrange taken-count array, block-aggregated
-  /// list emission, partial-list-driven delegate concatenation. `false`
-  /// replays the original three-pass stage 3 — kept as the measurable
-  /// baseline and exercised by the parity tests.
+  /// Fused stage 3: the one-segment batched classify + concat pair
+  /// (core/concat_batched.hpp) — one delegate pass writing a compact
+  /// per-subrange taken-count array, block-aggregated list emission,
+  /// partial-list-driven delegate concatenation. `false` replays the
+  /// original three-pass stage 3 — kept as the measurable baseline and
+  /// exercised by the parity tests.
   bool fused_concat = true;
-  /// Single-launch shared-memory sort-and-choose (topk/small.hpp) for the
-  /// first/second top-k whenever their input fits one SM's shared memory.
-  /// The later pipeline stages run on inputs orders of magnitude smaller
-  /// than |V|; at serving rates they are launch-overhead bound, and one
-  /// launch beats a multi-pass radix refinement. Applies only when the
-  /// stage's algorithm is the kRadixFlag default, so engine-comparison
-  /// figures measure what they claim to.
+  /// Single-launch shared-memory sort-and-choose — a one-segment
+  /// topk::batched_topk — for the first/second top-k whenever their input
+  /// fits one SM's shared memory. The later pipeline stages run on inputs
+  /// orders of magnitude smaller than |V|; at serving rates they are
+  /// launch-overhead bound, and one launch beats a multi-pass radix
+  /// refinement. Applies only when the stage's algorithm is the kRadixFlag
+  /// default, so engine-comparison figures measure what they claim to.
   bool small_input_shared = true;
   ConstructOpts construct;
   topk::Algo first_algo = topk::Algo::kRadixFlag;
@@ -223,11 +225,9 @@ struct DeferredSecond {
   /// length); its arena must outlive the deferred finalization. Unset:
   /// candidates come from the call's workspace and deferral is disabled.
   std::function<std::span<K>(u64)> alloc_cand;
-  bool defer = true;  ///< request stage-4 deferral (false: kappa-only use)
   // Outputs.
   bool deferred = false;    ///< stage 4 was deferred; result.keys is empty
   std::span<const K> cand;  ///< the candidate span (see contract above)
-  u64 cand_count = 0;
 };
 
 /// Per-stage accounting: the quantities plotted in Figures 6/7/10/13/15
@@ -288,8 +288,8 @@ inline vgpu::Launch acc_launch_subranges(vgpu::Device& dev, u64 subranges) {
 /// queries over the same data share one construction pass. All scratch
 /// (taken counts, sid lists, the candidate vector, engine buffers) comes
 /// from `ws` and is rewound before returning, so steady-state callers with
-/// a warmed workspace do zero heap allocations here. The returned result
-/// (and breakdown) covers stages 2-4 only; the caller owns the construction
+/// a warmed workspace never grow it here. The returned result (and
+/// breakdown) covers stages 2-4 only; the caller owns the construction
 /// accounting.
 template <class K>
 topk::TopkResult<K> dr_topk_from_delegates(
@@ -357,8 +357,8 @@ topk::TopkResult<K> dr_topk_from_delegates(
       kappa = ds->kappa;
     } else if (small_first) {
       Accum a2(dev);
-      kappa = topk::small_topk_shared(a2, dkeys, k, /*selection_only=*/true)
-                  .kth;
+      const topk::BatchedSegment<K> seg{dkeys, k, 0, /*selection_only=*/true};
+      kappa = topk::batched_topk<K>(a2, {&seg, 1}, ws).keys[0][0];
       bd.first_ms = a2.sim_ms();
       bd.first_stats = a2.stats();
     } else if (cfg.first_algo == topk::Algo::kRadixFlag) {
@@ -386,10 +386,9 @@ topk::TopkResult<K> dr_topk_from_delegates(
   vgpu::StageScope stage3("concat");
   Accum a3(dev);
   const u64 S = dv.num_subranges;
-  u64 q_count = 0, partial_total = 0;
+  u64 q_count = 0;
   std::span<K> cand;
   u64 cand_count = 0;
-  std::span<u64> ccount(&cand_count, 1);
   // Candidate storage: the caller's arena when deferral is in play (the
   // span must outlive this call), the call's workspace otherwise.
   const auto cand_alloc = [&](u64 cap) {
@@ -403,48 +402,36 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // three-pass stage stays a faithful exact baseline.
   const bool run_fused = cfg.fused_concat || dsids.empty() || approx;
   if (run_fused) {
-    // Fused single-pass design (core/concat_fused.hpp): one delegate pass
-    // produces the per-subrange taken-count array plus the qualified and
-    // partial sid lists; concatenation then touches only listed subranges.
-    ConcatClassification cls;
-    cls.taken = ws.alloc<u8>(S);
-    cls.qualified = ws.alloc<u32>(S);
-    cls.partial = ws.alloc<u32>(S);
-    classify_subranges_fused(a3, dkeys, S, beta, dv.alpha, n, kappa, cls,
-                             /*rule2=*/!approx);
+    // The query is a one-segment batch (core/concat_batched.hpp): one
+    // delegate pass produces the per-subrange taken-count array plus the
+    // qualified and partial sid lists; concatenation then touches only
+    // listed subranges.
+    BatchedConcatSegment<K> seg;
+    seg.kappa = kappa;
+    seg.taken = ws.alloc<u8>(S);
+    seg.qualified = ws.alloc<u32>(S);
+    seg.partial = ws.alloc<u32>(S);
+    std::span<BatchedConcatSegment<K>> one(&seg, 1);
+    classify_subranges_batched<K>(a3, dkeys, S, beta, dv.alpha, n, one,
+                                  /*rule2=*/!approx);
     // A recall target kept the relaxed threshold whatever its taken count:
     // extra candidates only cost the (small) second top-k, never recall.
-    if (relax && approx && cls.taken_total > guard_bound) ++bd.guard_skips;
-    q_count = cls.qualified_count;
-    partial_total = cls.partial_taken;
-    bd.taken_delegates = cls.taken_total;
+    if (relax && approx && seg.taken_total > guard_bound) ++bd.guard_skips;
+    q_count = seg.qualified_count;
+    bd.taken_delegates = seg.taken_total;
     bd.qualified_subranges = q_count;
-
-    // Candidate capacity: every partial taken delegate + the full length
-    // of every qualified subrange. The only subrange that can be short is
-    // the last one; its cached taken count tells whether it qualified.
-    u64 qual_len = q_count * len;
-    if (q_count > 0 && S > 0) {
-      const u64 tail_len = dv.subrange_len(S - 1, n);
-      const u64 tail_real = std::min<u64>(beta, tail_len);
-      if (tail_len < len && tail_real > 0 && cls.taken[S - 1] == tail_real)
-        qual_len -= len - tail_len;
-    }
-    cand = cand_alloc(partial_total + qual_len);
-    concat_candidates_fused(a3, v, dkeys, beta, dv.alpha, kappa,
-                            cfg.filtering,
-                            std::span<const u32>(cls.qualified.data(),
-                                                 cls.qualified.size()),
-                            q_count,
-                            std::span<const u32>(cls.partial.data(),
-                                                 cls.partial.size()),
-                            cls.partial_count, cand, ccount);
+    seg.cand = cand = cand_alloc(
+        batched_concat_capacity(seg, S, beta, dv.alpha, n));
+    concat_candidates_batched<K>(a3, v, dkeys, beta, dv.alpha, cfg.filtering,
+                                 one);
+    cand_count = seg.cand_count;
   } else {
     // Legacy three-pass stage 3 (the PR-1 baseline, kept measurable):
     // classify, re-scan for partial emission, concatenate. Requires the
     // delegate sid tags to detect padding (run_fused above degrades to the
     // fused path when they were not materialized).
     std::span<u32> qspan = ws.alloc<u32>(S);
+    std::span<u64> ccount(&cand_count, 1);
     std::array<u64, 3> counters{};  // [0]=qualified, [1]=partial, [2]=taken
     std::span<u64> cspan(counters.data(), counters.size());
     auto cfg_l = acc_launch_subranges(dev, S);
@@ -469,7 +456,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
       });
     });
     q_count = counters[0];
-    partial_total = counters[1];
+    const u64 partial_total = counters[1];
     bd.taken_delegates = counters[2];
     bd.qualified_subranges = q_count;
 
@@ -524,9 +511,8 @@ topk::TopkResult<K> dr_topk_from_delegates(
   bd.second_skipped = (q_count == 0 && bd.taken_delegates == k);
   // Deferral requires caller-owned candidate storage: without alloc_cand
   // the span lives in this call's scratch scope and would dangle.
-  if (ds)
-    ds->deferred =
-        ds->defer && static_cast<bool>(ds->alloc_cand) && !bd.second_skipped;
+  if (ds) ds->deferred = ds->alloc_cand && !bd.second_skipped;
+  const std::span<const K> cview(cand.data(), cand_count);
   const bool small_second =
       !bd.second_skipped && cfg.small_input_shared &&
       cfg.second_algo == topk::Algo::kRadixFlag &&
@@ -535,31 +521,28 @@ topk::TopkResult<K> dr_topk_from_delegates(
     // Deferred finalization: hand the candidates back. The caller owns the
     // second top-k (typically one batched launch covering a whole admission
     // group) and the arena the span lives in; keys/kth are left empty.
-    ds->cand = std::span<const K>(cand.data(), cand_count);
-    ds->cand_count = cand_count;
+    ds->cand = cview;
   } else if (bd.second_skipped) {
     result.keys.assign(cand.begin(), cand.begin() + static_cast<i64>(k));
     std::sort(result.keys.begin(), result.keys.end(), std::greater<>());
     if (cfg.selection_only) result.keys = {result.keys.back()};
   } else if (small_second) {
     // Candidate vector fits one SM: single-launch sort-and-choose (full
-    // top-k and pure selection alike).
-    std::span<const K> cview(cand.data(), cand_count);
+    // top-k and pure selection alike), as a one-segment batch.
+    const topk::BatchedSegment<K> seg{cview, k, 0, cfg.selection_only};
     topk::Accum a4(dev);
-    auto sr = topk::small_topk_shared(a4, cview, k, cfg.selection_only);
+    auto br = topk::batched_topk<K>(a4, {&seg, 1}, ws);
     bd.second_ms = a4.sim_ms();
     bd.second_stats = a4.stats();
-    result.keys = std::move(sr.keys);
+    result.keys = std::move(br.keys[0]);
   } else if (cfg.selection_only) {
     // Pure k-selection on the candidates: no collection pass at all.
-    std::span<const K> cview(cand.data(), cand_count);
     topk::Accum a4(dev);
     const K kth = topk::radix_kth_flag(a4, cview, k);
     bd.second_ms = a4.sim_ms();
     bd.second_stats = a4.stats();
     result.keys = {kth};
   } else {
-    std::span<const K> cview(cand.data(), cand_count);
     auto sr = topk::run_topk_keys(dev, cview, k, cfg.second_algo, ws);
     bd.second_ms = sr.sim_ms;
     bd.second_stats = sr.stats;

@@ -356,8 +356,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
           // "concat" on the device's stage ledger.
           vgpu::StageScope first("first");
           br = topk::batched_topk<Key>(
-              acc2, std::span<const topk::BatchedSegment<Key>>(segs),
-              topk::BatchedMode::kAuto, ews);
+              acc2, std::span<const topk::BatchedSegment<Key>>(segs), ews);
         }
         for (size_t i = 0; i < ks.size(); ++i) {
           g.kappa_ks.push_back(ks[i]);
@@ -574,8 +573,7 @@ void TopkServer::finalize_group_typed(Group& g, u32 executor_id) {
   topk::Accum acc(dev_);
   vgpu::StageScope second("second");  // the group's shared second top-k
   auto br = topk::batched_topk<Key>(
-      acc, std::span<const topk::BatchedSegment<Key>>(segs),
-      topk::BatchedMode::kAuto, ws);
+      acc, std::span<const topk::BatchedSegment<Key>>(segs), ws);
   if (tracing)
     tracer_.complete(lane(executor_id), "batched-finalize", 0, g.seq, t_flush,
                      tracer_.now_us());

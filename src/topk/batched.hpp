@@ -11,9 +11,10 @@
 //
 //   * single-CTA path — one CTA per segment inside ONE launch: stage the
 //     segment into the SM's shared memory (coalesced), bitonically sort it
-//     there (charged analytically, as topk/small.hpp does), emit the top-k.
-//     Generalizes small_topk_shared from "one launch, one segment" to
-//     "one launch, all segments".
+//     there (the network is charged analytically, like topk/bitonic.hpp),
+//     emit the top-k. A lone small input is the one-segment batch: the
+//     core pipeline's first and second top-k take this path whenever their
+//     input fits (DrTopkConfig::small_input_shared).
 //   * multi-CTA path — segments larger than one SM's shared memory get a
 //     two-level treatment: several CTAs each sort one shared-memory-sized
 //     slice and keep its top-k prefix (any global top-k element is in its
@@ -22,8 +23,7 @@
 //     lifting the one-SM capacity cap by the slice count while staying in
 //     the single-digit-launch regime.
 //   * per-segment fallback — segments too large even for the two-level
-//     path run the regular flag-radix engine, one at a time. Also the
-//     measurable "no batching" baseline (BatchedMode::kPerSegment).
+//     path run the regular flag-radix engine, one at a time.
 //
 // Segments that view the *same* underlying span (many queries selecting
 // over one shared delegate vector — "queries sharing a corpus") are
@@ -54,17 +54,6 @@ struct BatchedSegment {
   bool selection_only = false;  ///< emit only the k-th key
 };
 
-/// Execution-path policy. kAuto picks single-CTA / multi-CTA / per-segment
-/// per problem from the capacity ladder — both capacity checks are O(1)
-/// closed forms, so pre-recorded "expected path" hints (an earlier design
-/// fed them from serve::PlanCache's per-shape stats) cannot beat it, only
-/// mispredict; they were dropped. kPerSegment is the one hard switch: it
-/// disables batching entirely and is the measurable per-query baseline.
-enum class BatchedMode : u8 {
-  kAuto,        ///< single-CTA -> multi-CTA -> per-segment, by capacity
-  kPerSegment,  ///< no batching: per-segment engine runs (the baseline)
-};
-
 /// Per-batch output: each segment's selected keys plus path/launch
 /// accounting (the serving layer's launch-count regression tests key off
 /// `launches`).
@@ -80,12 +69,18 @@ struct BatchedResult {
   u64 shared_sorts = 0;  ///< segments that rode another segment's sort
 };
 
-/// The single-CTA capacity bound — exactly small_topk_fits's bound
-/// (small_topk_cap), so the batched classification and the per-query
-/// small-input path can never drift apart.
+/// Elements of key type K that fit one CTA's shared-memory staging on `p`
+/// — the single source of the one-SM capacity bound.
 template <class K>
 u64 batched_single_cap(const vgpu::GpuProfile& p) {
-  return small_topk_cap<K>(p);
+  return p.shared_bytes_per_sm / sizeof(K);
+}
+
+/// True when an n-element input of key type K fits the single-CTA path on
+/// `p` — the core pipeline's gate for its small first/second top-k.
+template <class K>
+bool small_topk_fits(const vgpu::GpuProfile& p, u64 n) {
+  return n > 0 && n <= batched_single_cap<K>(p);
 }
 
 /// True when an n-element segment selecting up to k fits the two-level
@@ -106,8 +101,8 @@ namespace detail {
 
 /// Coalesced staging of v[begin, begin+len) into a CTA's shared span at
 /// shared offset [sh_off, sh_off+len) (every warp of the CTA copies its
-/// slice, as in small_topk_shared). The offset form lets one CTA stage
-/// several disjoint runs side by side (the merge entry point below).
+/// slice). The offset form lets one CTA stage several disjoint runs side
+/// by side (the merge entry point below).
 template <class K>
 void batched_stage_shared(vgpu::CtaCtx& cta, std::span<const K> v, u64 begin,
                           u64 len, vgpu::SharedSpan<K>& sh, u64 sh_off = 0) {
@@ -149,7 +144,6 @@ void batched_emit_shared(vgpu::Warp& w, vgpu::SharedSpan<K>& sh,
 template <class K>
 BatchedResult<K> batched_topk(Accum& acc,
                               std::span<const BatchedSegment<K>> segs,
-                              BatchedMode mode = BatchedMode::kAuto,
                               vgpu::Workspace& ws = vgpu::tls_workspace()) {
   // Defaulting scope: serve's "first"/"second" call-site labels win.
   vgpu::StageScope stage_scope("batched");
@@ -206,13 +200,13 @@ BatchedResult<K> batched_topk(Accum& acc,
     host->seg_ids.push_back(static_cast<u32>(i));
   }
 
-  // ---- Classify each problem by capacity (or the forced mode). ----
+  // ---- Classify each problem by capacity: single-CTA -> multi-CTA ->
+  // per-segment. Both checks are O(1) closed forms, so no recorded path
+  // hint can beat them. ----
   vgpu::Workspace::Scope scope(ws);
   u64 part_sum = 0;
   for (Problem& pb : probs) {
-    if (mode == BatchedMode::kPerSegment) {
-      pb.path = Path::kFallback;
-    } else if (pb.n <= cap) {
+    if (pb.n <= cap) {
       pb.path = Path::kSingle;
     } else if (batched_multi_fits<K>(prof, pb.n, pb.kmax)) {
       pb.path = Path::kMulti;

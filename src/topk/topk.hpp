@@ -14,7 +14,6 @@
 #include "topk/bucket.hpp"
 #include "topk/heap.hpp"
 #include "topk/radix.hpp"
-#include "topk/small.hpp"
 #include "topk/sort.hpp"
 
 namespace drtopk::topk {

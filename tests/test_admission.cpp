@@ -99,8 +99,9 @@ TEST(Admission, DeadlineConformanceMatrix) {
         c.decide(exact, floor, tc.deadline_us, tc.floor_bp, true, true, 0);
     EXPECT_EQ(v.status, tc.want)
         << "deadline=" << tc.deadline_us << " floor=" << tc.floor_bp;
-    if (v.admitted())
+    if (v.admitted()) {
       EXPECT_EQ(v.fidelity_bp, tc.want_bp) << "deadline=" << tc.deadline_us;
+    }
   }
 }
 

@@ -152,25 +152,6 @@ TEST(Batched, FallbackWhenMergeSetOverflows) {
   expect_segment_exact(segs[0], r.keys[0], "fallback");
 }
 
-TEST(Batched, PerSegmentModeIsTheMeasurableBaseline) {
-  auto v = data::generate(3000, Distribution::kUniform, 61);
-  std::span<const u32> vs(v.data(), v.size());
-  std::vector<BatchedSegment<u32>> segs;
-  for (u64 i = 0; i < 4; ++i)
-    segs.push_back({vs.subspan(i * 700, 700), 50 + i, i, false});
-
-  Accum batched_acc(shared_device());
-  auto batched = batched_topk<u32>(batched_acc, segs);
-  Accum per_acc(shared_device());
-  auto per = batched_topk<u32>(per_acc, segs, BatchedMode::kPerSegment);
-  for (size_t i = 0; i < segs.size(); ++i) {
-    EXPECT_EQ(batched.keys[i], per.keys[i]) << i;  // bit-identical paths
-  }
-  EXPECT_EQ(batched.launches, 1u);
-  EXPECT_GT(per.launches, batched.launches);
-  EXPECT_EQ(per.fallback, segs.size());
-}
-
 TEST(Batched, U64KeysAndLaneArrayPacking) {
   std::vector<u64> v(20000);
   for (u64 i = 0; i < v.size(); ++i) v[i] = data::rand_u64(71, i);
@@ -226,7 +207,7 @@ TEST_P(DeferredParity, BatchedFinalizeMatchesInlineSecondTopk) {
     std::vector<u32> keys;
     if (ds.deferred) {
       EXPECT_TRUE(deferred_r.keys.empty());
-      EXPECT_GE(ds.cand_count, k);
+      EXPECT_GE(ds.cand.size(), k);
       BatchedSegment<u32> seg{ds.cand, k, 0, false};
       Accum facc(dev);
       auto br = batched_topk<u32>(
@@ -383,8 +364,7 @@ TEST(Deferred, ExternalKappaSkipsStageTwo) {
 
   core::DeferredSecond<u32> ds;
   ds.have_kappa = true;
-  ds.kappa = kappa;
-  ds.defer = false;  // kappa-only use: stage 4 runs inline
+  ds.kappa = kappa;  // kappa-only use (no alloc_cand): stage 4 runs inline
   core::StageBreakdown bd;
   auto r = core::dr_topk_from_delegates<u32>(dev, vs, k, dv, {}, &bd, ws,
                                              &ds);

@@ -541,18 +541,21 @@ TEST(FusedConcat, LegacyRequestWithoutSidsDegradesToFusedSafely) {
 }
 
 TEST(SmallTopk, SingleLaunchMatchesReference) {
+  // The pipeline's small first/second top-k: a one-segment batch.
   vgpu::Device& dev = shared_device();
   for (u64 n : {u64{33}, u64{1000}, u64{1} << 13}) {
     auto v = data::generate(n, Distribution::kCustomized, n);
     std::span<const u32> vs(v.data(), v.size());
     for (u64 k : {u64{1}, u64{7}, n / 2, n}) {
+      const topk::BatchedSegment<u32> full{vs, k, 0, false};
       topk::Accum acc(dev);
-      auto r = topk::small_topk_shared<u32>(acc, vs, k);
-      EXPECT_EQ(r.keys, reference_topk(vs, k)) << "n=" << n << " k=" << k;
-      EXPECT_EQ(r.stats.kernels_launched, 1u);  // the whole point
-      topk::Accum sel(dev);
-      EXPECT_EQ(topk::small_topk_shared<u32>(sel, vs, k, true).kth,
-                reference_topk(vs, k).back());
+      auto r = topk::batched_topk<u32>(acc, {&full, 1});
+      EXPECT_EQ(r.keys[0], reference_topk(vs, k)) << "n=" << n << " k=" << k;
+      EXPECT_EQ(acc.stats().kernels_launched, 1u);  // the whole point
+      const topk::BatchedSegment<u32> sel{vs, k, 0, true};
+      topk::Accum sacc(dev);
+      EXPECT_EQ(topk::batched_topk<u32>(sacc, {&sel, 1}).keys[0],
+                std::vector<u32>{reference_topk(vs, k).back()});
     }
   }
 }
@@ -701,44 +704,50 @@ TEST(KappaHook, SharpenedThresholdShrinksCandidatesAndStaysExact) {
   EXPECT_LE(bd_hook.taken_delegates, bd_plain.taken_delegates);
 }
 
-// ---- Group-wide batched stage 3 (core/concat_batched.hpp) ----
+// ---- Stage 3 (core/concat_batched.hpp) ----
 
-/// One per-query fused stage 3 (classify + concat) for a single threshold:
-/// the reference the batched engine must reproduce segment by segment.
+/// Stage 3 by its definition, on the host, for one threshold: the reference
+/// the batched engine must reproduce segment by segment.
 template <class K>
-struct FusedStage3 {
-  ConcatClassification cls;
-  std::vector<u8> taken;
-  std::vector<u32> qualified, partial;
+struct Stage3Oracle {
+  std::vector<u8> taken;  ///< real delegates >= kappa, per subrange
+  u64 qualified = 0, partial = 0, partial_taken = 0, taken_total = 0;
   std::vector<K> cand;  ///< sorted candidate multiset
 };
 
+/// Per subrange, counts the real delegates >= kappa. A subrange whose real
+/// delegates are all taken qualifies (under rule2) and contributes its
+/// elements >= kappa, or all of them without filtering; any other taken
+/// subrange contributes its taken delegates.
 template <class K>
-FusedStage3<K> run_fused_stage3(std::span<const K> v, std::span<const K> dkeys,
-                                u64 S, u32 beta, int alpha, K kappa,
-                                bool filter) {
-  FusedStage3<K> f;
-  f.taken.assign(S, 0);
-  f.qualified.assign(S, 0);
-  f.partial.assign(S, 0);
-  f.cls.taken = std::span<u8>(f.taken.data(), f.taken.size());
-  f.cls.qualified = std::span<u32>(f.qualified.data(), f.qualified.size());
-  f.cls.partial = std::span<u32>(f.partial.data(), f.partial.size());
-  topk::Accum acc(shared_device());
-  classify_subranges_fused<K>(acc, dkeys, S, beta, alpha, v.size(), kappa,
-                              f.cls);
-  f.cand.assign(v.size(), K{});
-  std::array<u64, 1> cur{};
-  concat_candidates_fused<K>(
-      acc, v, dkeys, beta, alpha, kappa, filter,
-      std::span<const u32>(f.qualified.data(), f.qualified.size()),
-      f.cls.qualified_count,
-      std::span<const u32>(f.partial.data(), f.partial.size()),
-      f.cls.partial_count, std::span<K>(f.cand.data(), f.cand.size()),
-      std::span<u64>(cur.data(), 1));
-  f.cand.resize(cur[0]);
-  std::sort(f.cand.begin(), f.cand.end());
-  return f;
+Stage3Oracle<K> stage3_oracle(std::span<const K> v, std::span<const K> dkeys,
+                              u64 S, u32 beta, int alpha, K kappa,
+                              bool filter, bool rule2) {
+  const u64 len = u64{1} << alpha;
+  Stage3Oracle<K> o;
+  o.taken.assign(S, 0);
+  for (u64 s = 0; s < S; ++s) {
+    const u64 begin = s * len;
+    const u64 slen = std::min(len, v.size() - begin);
+    const auto real = dkeys.subspan(s * beta, std::min<u64>(beta, slen));
+    u64 t = 0;
+    for (const K d : real) t += d >= kappa;
+    o.taken[s] = static_cast<u8>(t);
+    o.taken_total += t;
+    if (t == 0) continue;
+    if (rule2 && t == real.size()) {
+      ++o.qualified;
+      for (const K x : v.subspan(begin, slen))
+        if (!filter || x >= kappa) o.cand.push_back(x);
+    } else {
+      ++o.partial;
+      o.partial_taken += t;
+      for (const K d : real)
+        if (d >= kappa) o.cand.push_back(d);
+    }
+  }
+  std::sort(o.cand.begin(), o.cand.end());
+  return o;
 }
 
 /// Scratch + segment descriptors for one batched stage-3 run.
@@ -790,9 +799,10 @@ std::vector<K> kappas_for(std::span<const K> dkeys,
 }
 
 template <class K>
-void expect_batched_matches_fused(std::span<const K> vs, int alpha, u32 beta,
-                                  bool filter, const std::vector<u64>& ks,
-                                  const std::string& tag) {
+void expect_batched_matches_definition(std::span<const K> vs, int alpha,
+                                       u32 beta, bool filter, bool rule2,
+                                       const std::vector<u64>& ks,
+                                       const std::string& tag) {
   topk::Accum dacc(shared_device());
   auto dv = build_delegate_vector<K>(dacc, vs, alpha, beta);
   const u64 S = dv.num_subranges;
@@ -804,30 +814,30 @@ void expect_batched_matches_fused(std::span<const K> vs, int alpha, u32 beta,
 
   topk::Accum acc(shared_device());
   classify_subranges_batched<K>(acc, dkeys, S, beta, alpha, vs.size(),
-                                b.span());
+                                b.span(), rule2);
   b.size_cand(S, beta, alpha, vs.size());
   concat_candidates_batched<K>(acc, vs, dkeys, beta, alpha, filter, b.span());
   // The whole point: one classify + one concat launch for ALL segments.
   EXPECT_EQ(acc.stats().kernels_launched, 2u) << tag;
 
   for (u64 i = 0; i < kappas.size(); ++i) {
-    const auto f =
-        run_fused_stage3<K>(vs, dkeys, S, beta, alpha, kappas[i], filter);
+    const auto o = stage3_oracle<K>(vs, dkeys, S, beta, alpha, kappas[i],
+                                    filter, rule2);
     const std::string at = tag + " seg=" + std::to_string(i);
-    EXPECT_EQ(b.segs[i].qualified_count, f.cls.qualified_count) << at;
-    EXPECT_EQ(b.segs[i].partial_count, f.cls.partial_count) << at;
-    EXPECT_EQ(b.segs[i].partial_taken, f.cls.partial_taken) << at;
-    EXPECT_EQ(b.segs[i].taken_total, f.cls.taken_total) << at;
-    EXPECT_EQ(b.taken[i], f.taken) << at;
+    EXPECT_EQ(b.segs[i].qualified_count, o.qualified) << at;
+    EXPECT_EQ(b.segs[i].partial_count, o.partial) << at;
+    EXPECT_EQ(b.segs[i].partial_taken, o.partial_taken) << at;
+    EXPECT_EQ(b.segs[i].taken_total, o.taken_total) << at;
+    EXPECT_EQ(b.taken[i], o.taken) << at;
     ASSERT_LE(b.segs[i].cand_count, b.cand[i].size()) << at;
     std::vector<K> got(b.cand[i].begin(),
                        b.cand[i].begin() + b.segs[i].cand_count);
     std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, f.cand) << at;  // same candidate MULTISET per segment
+    EXPECT_EQ(got, o.cand) << at;  // same candidate MULTISET per segment
   }
 }
 
-TEST(BatchedConcat, MatchesFusedPerSegmentAcrossDistributions) {
+TEST(BatchedConcat, MatchesDefinitionPerSegmentAcrossDistributions) {
   // Distinct AND duplicate ks in one batch (the serving setup feeds one
   // segment per distinct k, but duplicates must also stay correct).
   const std::vector<u64> ks = {1, 16, 16, 333, 1000};
@@ -838,24 +848,29 @@ TEST(BatchedConcat, MatchesFusedPerSegmentAcrossDistributions) {
     std::span<const u32> vs(v.data(), v.size());
     for (int alpha : {6, 8}) {
       for (u32 beta : {1u, 2u, 4u}) {
-        expect_batched_matches_fused<u32>(
-            vs, alpha, beta, true, ks,
-            data::to_string(d) + " a" + std::to_string(alpha) + " b" +
-                std::to_string(beta));
+        // rule2 = false: the approximate mode's delegates-only stage 3.
+        for (bool rule2 : {true, false}) {
+          expect_batched_matches_definition<u32>(
+              vs, alpha, beta, true, rule2, ks,
+              data::to_string(d) + " a" + std::to_string(alpha) + " b" +
+                  std::to_string(beta) + (rule2 ? "" : " delegates-only"));
+        }
       }
     }
     // No Rule-2 filtering: qualified subranges stream whole.
-    expect_batched_matches_fused<u32>(vs, 6, 2, false, ks,
-                                      data::to_string(d) + " nofilt");
+    expect_batched_matches_definition<u32>(vs, 6, 2, false, true, ks,
+                                           data::to_string(d) + " nofilt");
   }
 }
 
-TEST(BatchedConcat, MatchesFusedOn64BitKeys) {
+TEST(BatchedConcat, MatchesDefinitionOn64BitKeys) {
   const u64 n = 1 << 15;
   std::vector<u64> v(n);
   for (u64 i = 0; i < n; ++i) v[i] = data::rand_u64(44, i);
   std::span<const u64> vs(v.data(), v.size());
-  expect_batched_matches_fused<u64>(vs, 7, 2, true, {5, 64, 900}, "u64");
+  for (bool rule2 : {true, false})
+    expect_batched_matches_definition<u64>(vs, 7, 2, true, rule2,
+                                           {5, 64, 900}, "u64");
 }
 
 // ---- Typed frontend ----

@@ -286,6 +286,28 @@ TEST(Fidelity, CoreApproxAnswersFromRealDelegatesOverTailSubrange) {
   EXPECT_GE(bd.concat_len, k);
 }
 
+TEST(Fidelity, CoreApproxSizesCandidatesForAFullyTakenShortTail) {
+  // The maximum sits alone in the one-element tail subrange, so its only
+  // real delegate is always taken. Delegates-only classification lists it
+  // as partial; sizing the candidates as if a qualified short tail had to
+  // be shortened would underflow the capacity.
+  const u64 n = (u64{1} << 17) + 1;
+  auto v = data::generate(n, Distribution::kUniform, 7);
+  std::iter_swap(std::max_element(v.begin(), v.end()), v.end() - 1);
+  std::span<const u32> vs(v.data(), v.size());
+  for (u64 k : {u64{64}, u64{1024}, u64{4098}}) {
+    const auto oracle = reference_topk(vs, k);
+    for (double rho : {0.5, 0.9, 0.99}) {
+      core::DrTopkConfig cfg;
+      cfg.fidelity = core::FidelityPolicy::approx(rho);
+      auto r = core::dr_topk_keys<u32>(shared_device(), vs, k, cfg);
+      ASSERT_EQ(r.keys.size(), k) << "k=" << k << " rho=" << rho;
+      EXPECT_EQ(r.keys.front(), v.back()) << "k=" << k << " rho=" << rho;
+      EXPECT_GE(recall_of(r.keys, oracle), rho) << "k=" << k << " rho=" << rho;
+    }
+  }
+}
+
 TEST(Fidelity, CoreApproxSkipsRelaxationGuard) {
   // All-equal data: every delegate >= kappa, so the Section 4.3 guard
   // condition (taken_total > 4k) fires. Exact mode declines the skip

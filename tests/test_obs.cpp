@@ -35,7 +35,9 @@ TEST(ObsHistogram, BucketMathInvariants) {
                 u64{1} << 40, ~u64{0}}) {
     const u32 b = Histogram::bucket_of(v);
     EXPECT_LE(v, Histogram::bucket_limit(b));
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_limit(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_limit(b - 1));
+    }
     // Relative bucket width <= 1/8.
     EXPECT_LE(static_cast<double>(Histogram::bucket_limit(b)),
               static_cast<double>(v) * 1.125 + 1.0);

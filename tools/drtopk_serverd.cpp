@@ -6,8 +6,8 @@
 // the 0-based order of the --corpus list — registration is out of band by
 // design (the daemon owns the data plane; clients only reference ids).
 //
-//   $ drtopk_serverd --port 7411 --corpus 1048576,4194304 --shards 2 \
-//       --rate-qps 200 --max-in-flight 48
+//   $ drtopk_serverd --port 7411 --corpus 1048576,4194304 --shards 2
+//                    --rate-qps 200 --max-in-flight 48
 //
 // Every knob maps 1:1 onto NetServerConfig / AdmissionController::Config /
 // ServerConfig; run with --help for the list.
