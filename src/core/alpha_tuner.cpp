@@ -62,4 +62,33 @@ int oracle_alpha(vgpu::Device& dev, std::span<const u32> v, u64 k,
   return best_alpha;
 }
 
+AlphaWalk walk_alpha(u64 n, u64 k, u32 beta, int start,
+                     const std::function<double(int)>& probe) {
+  AlphaWalk w;
+  const int a0 = clamp_alpha(n, k, beta, start);
+  if (a0 < 0) return w;
+  const auto run = [&](int a) {
+    const double t = probe(a);
+    w.probe_ms += t;
+    ++w.probes;
+    return t;
+  };
+  w.alpha = a0;
+  w.best_ms = run(a0);
+  // One direction of the descent; true when it moved off the start.
+  const auto descend = [&](int step) {
+    bool moved = false;
+    for (int a = a0 + step; clamp_alpha(n, k, beta, a) == a; a += step) {
+      const double t = run(a);
+      if (!(t < w.best_ms)) break;
+      w.best_ms = t;
+      w.alpha = a;
+      moved = true;
+    }
+    return moved;
+  };
+  if (!descend(+1)) descend(-1);
+  return w;
+}
+
 }  // namespace drtopk::core

@@ -7,10 +7,13 @@
 //   * rule4_alpha    — the closed form (auto-tuned alpha of Figure 14),
 //   * analytic_const — Const from a GpuProfile's cycle costs (Eq. 11),
 //   * predicted_ms   — Equation 6 evaluated directly (Figure 13's model),
-//   * oracle_alpha   — exhaustive sweep, the "oracle" of Figure 14.
+//   * oracle_alpha   — exhaustive sweep, the "oracle" of Figure 14,
+//   * walk_alpha     — a measured descent of the time curve from Rule 4,
+//                      the serving plan cache's calibration.
 #pragma once
 
 #include <cmath>
+#include <functional>
 #include <span>
 
 #include "vgpu/device.hpp"
@@ -19,6 +22,8 @@ namespace drtopk::core {
 
 struct DrTopkConfig;  // core/dr_topk.hpp
 
+/// Rule 4's closed form plus the Equation-6 model behind it: the
+/// reproduction's alpha choice (`dr_topk_keys` with alpha auto).
 struct AlphaTuner {
   /// Rule 4's Const. The paper tunes this to 3 on V100S; analytic_const()
   /// gives the first-principles part (the Delta' correction is empirical).
@@ -59,5 +64,28 @@ int clamp_alpha(u64 n, u64 k, u32 beta, int alpha);
 int oracle_alpha(vgpu::Device& dev, std::span<const u32> v, u64 k,
                  const DrTopkConfig& cfg, int lo, int hi,
                  std::vector<double>* times_out = nullptr);
+
+/// What one walk_alpha run picked and spent.
+struct AlphaWalk {
+  int alpha = -1;         ///< fastest probed alpha; -1 = none feasible
+  double best_ms = 0.0;   ///< its measured time
+  double probe_ms = 0.0;  ///< summed time of every probe
+  u32 probes = 0;         ///< pipeline runs the walk made
+};
+
+/// Measured alpha: walks the time curve, which Section 5.2 proves convex,
+/// from `start` (Rule 4) clamped to the feasible range. It probes the start,
+/// then steps up one alpha at a time while each probe is strictly faster
+/// than the best so far; if the first step up did not improve, it steps
+/// down from start - 1 the same way. A walk stops at the first probe that
+/// is not strictly faster or at the first alpha clamp_alpha rejects, so it
+/// runs at most |pick - start| + 3 probes; where a measured curve has a
+/// step instead of a bowl, that first rise can stop it short of the
+/// argmin. Up goes first because the alphas below the start build larger
+/// delegate vectors (n / 2^alpha), so their scratch is paid only when
+/// stepping up did not help. `probe` runs the pipeline at the given alpha
+/// and returns its time.
+AlphaWalk walk_alpha(u64 n, u64 k, u32 beta, int start,
+                     const std::function<double(int)>& probe);
 
 }  // namespace drtopk::core

@@ -306,8 +306,11 @@ void NetServer::handle_topk(Conn& c, std::span<const u8> payload) {
   TopkResponse reject;
   reject.request_id = req.request_id;
 
+  // A full answer must fit one response frame; selection-only requests
+  // carry just the k-th value.
   u64 n = 0;
-  if (!backend_.corpus_len(req.corpus, n) || req.k > n) {
+  if (!backend_.corpus_len(req.corpus, n) || req.k > n ||
+      (req.selection_only == 0 && req.k > kMaxResponseValues)) {
     reject.status = Status::kBadRequest;
     m_requests_bad_.add();
     deliver(c.fd, c.gen, encode(reject));

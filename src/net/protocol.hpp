@@ -81,6 +81,16 @@ struct TopkResponse {
                              ///< by the server (0 for pre-admission sheds)
 };
 
+/// Payload bytes of a TopkResponse ahead of its values: type, request id,
+/// status, fidelity, kth, server_us and the value count.
+inline constexpr u64 kTopkResponseFixedBytes = 34;
+
+/// Most values one TopkResponse frame can carry (131,067): a request whose
+/// answer lists more cannot be answered in one frame, so the server rejects
+/// it with kBadRequest instead of sending a frame the client must drop.
+inline constexpr u64 kMaxResponseValues =
+    (kMaxFrame - kTopkResponseFixedBytes) / sizeof(u64);
+
 /// Serializes a TopkRequest as one wire frame.
 inline std::vector<u8> encode(const TopkRequest& r) {
   Writer w;

@@ -4,22 +4,25 @@
 // Rule-4 evaluation — let alone probing — per query is wasted work. The
 // cache key is (log2 |V|, log2 k, key width, criterion, distribution
 // fingerprint); the value is a core::ExecPlan (alpha, beta) resolved once
-// by one-time calibration: probe the Rule-4 closed form and its
-// ±kProbeRadius neighbours on a prefix subsample with k scaled to preserve
-// log2|V| - log2 k (the quantity Rule 4 depends on), and keep the measured
-// argmin. This recovers the oracle-vs-Rule-4 gap of Figure 14 at a
-// fraction of a query's cost. Engines are not tuned: every stage runs the
-// engine the server's base configuration names.
+// by one-time calibration: core::walk_alpha runs the whole pipeline on the
+// full vector at the group's kmax, starting at Rule 4's clamped alpha and
+// stepping up (then down) while the time falls, and keeps the measured
+// argmin. Probing at full size is what makes the pick carry over: on a small
+// prefix fixed launch costs dominate and rank the alphas differently. This
+// recovers the oracle-vs-Rule-4 gap of Figure 14. Engines are not tuned:
+// every stage runs the engine the server's base configuration names.
 //
 // Steady-state queries hit the cache and skip tuning entirely; the probes'
 // simulated cost is charged to whichever executor resolves the miss, so
-// server throughput numbers honestly include cold-start calibration.
+// server throughput numbers honestly include cold-start calibration. The
+// probes' scratch comes from the caller's arena: the server passes the
+// group arena that the shape's construction reuses right after.
 #pragma once
 
 #include <atomic>
 #include <bit>
-#include <limits>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "core/dr_topk.hpp"
@@ -62,6 +65,7 @@ struct PlanKeyHash {
 struct CachedPlan {
   core::ExecPlan plan;
   double probe_sim_ms = 0.0;  ///< one-time calibration cost paid on miss
+  u32 probes = 0;             ///< full-size pipeline runs that cost bought
   /// Workspace high-water marks observed while executing this shape,
   /// fed back via PlanCache::note_workspace. Executors and group
   /// workspaces presize from these on a hit, so a recurring shape never
@@ -105,21 +109,26 @@ u32 data_fingerprint(std::span<const T> v) {
   return max_width * 64 + distinct;
 }
 
-/// The (shape -> calibrated plan) map: resolve() replays on a hit and
-/// runs the one-time probe calibration on a miss; publish()/entries()
-/// expose the cross-shard sharing surface.
+/// The (shape -> calibrated plan) map: find() replays on a hit and
+/// calibrate() resolves a miss with the one-time full-size walk;
+/// publish()/entries() expose the cross-shard sharing surface.
 class PlanCache {
  public:
-  /// Returns the cached plan for the query's shape, running the one-time
-  /// calibration on a miss. `hit_out` reports which path was taken. Misses
-  /// probe outside the lock, so two executors racing on a brand-new shape
-  /// may both calibrate; the insert is idempotent and the duplicated probe
-  /// cost is charged to whoever paid it.
+  /// The cached plan for `key`, counted as a hit (its probe cost zeroed:
+  /// the miss paid it), or nullopt on a miss — the caller then leases the
+  /// arena the probes should use and calls calibrate().
+  std::optional<CachedPlan> find(const PlanKey& key);
+
+  /// Resolves a miss on `key` (make_key of the same v, k, criterion and
+  /// base.fidelity): calibrates the shape with every probe's scratch in
+  /// `ws`, rewound after each probe, then caches and returns the plan.
+  /// Calibration runs outside the lock, so two executors racing on a
+  /// brand-new shape may both calibrate; the insert is idempotent and the
+  /// duplicated probe cost is charged to whoever paid it.
   template <class T>
-  CachedPlan resolve(vgpu::Device& dev, std::span<const T> v, u64 k,
-                     data::Criterion criterion,
-                     const core::DrTopkConfig& base, bool* hit_out = nullptr,
-                     vgpu::Workspace& ws = vgpu::tls_workspace());
+  CachedPlan calibrate(const PlanKey& key, vgpu::Device& dev,
+                       std::span<const T> v, u64 k, data::Criterion criterion,
+                       const core::DrTopkConfig& base, vgpu::Workspace& ws);
 
   /// Records workspace high-water marks observed while serving `key`
   /// (max-merged; zero means "no update"). Future hits presize from them.
@@ -188,6 +197,7 @@ class PlanCache {
       it->second.published = true;
       it->second.skip_counted = false;
       it->second.probe_sim_ms = 0.0;  // this cache never paid the probes
+      it->second.probes = 0;
     }
     return inserted;
   }
@@ -207,16 +217,11 @@ class PlanCache {
   }
 
  private:
-  /// Calibration probes alpha in [rule4 - kProbeRadius, rule4 +
-  /// kProbeRadius] on a prefix subsample of at most kProbeSample elements.
-  static constexpr int kProbeRadius = 1;
-  static constexpr u64 kProbeSample = u64{1} << 15;
-
   template <class T>
-  static CachedPlan calibrate(vgpu::Device& dev, std::span<const T> v, u64 k,
-                              data::Criterion criterion,
-                              const core::DrTopkConfig& base,
-                              vgpu::Workspace& ws);
+  static CachedPlan measure(vgpu::Device& dev, std::span<const T> v, u64 k,
+                            data::Criterion criterion,
+                            const core::DrTopkConfig& base,
+                            vgpu::Workspace& ws);
 
   mutable std::mutex mu_;
   std::unordered_map<PlanKey, CachedPlan, PlanKeyHash> map_;
@@ -228,45 +233,43 @@ class PlanCache {
   std::atomic<u64> probes_skipped_{0};
 };
 
-template <class T>
-CachedPlan PlanCache::resolve(vgpu::Device& dev, std::span<const T> v, u64 k,
-                              data::Criterion criterion,
-                              const core::DrTopkConfig& base, bool* hit_out,
-                              vgpu::Workspace& ws) {
-  const PlanKey key = make_key(v, k, criterion, base.fidelity);
-  {
-    std::lock_guard lk(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      // First hit on a shared-in plan: this is when local calibration
-      // would have fired — one probe set skipped thanks to the sibling.
-      if (it->second.published && !it->second.skip_counted) {
-        it->second.skip_counted = true;
-        probes_skipped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (hit_out) *hit_out = true;
-      CachedPlan hit = it->second;
-      hit.probe_sim_ms = 0.0;  // already paid by the miss
-      return hit;
-    }
+inline std::optional<CachedPlan> PlanCache::find(const PlanKey& key) {
+  std::lock_guard lk(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  // First hit on a shared-in plan: this is when local calibration would
+  // have fired — one probe set skipped thanks to the sibling.
+  if (it->second.published && !it->second.skip_counted) {
+    it->second.skip_counted = true;
+    probes_skipped_.fetch_add(1, std::memory_order_relaxed);
   }
-  CachedPlan fresh = calibrate(dev, v, k, criterion, base, ws);
+  CachedPlan hit = it->second;
+  hit.probe_sim_ms = 0.0;  // already paid by the miss
+  hit.probes = 0;
+  return hit;
+}
+
+template <class T>
+CachedPlan PlanCache::calibrate(const PlanKey& key, vgpu::Device& dev,
+                                std::span<const T> v, u64 k,
+                                data::Criterion criterion,
+                                const core::DrTopkConfig& base,
+                                vgpu::Workspace& ws) {
+  CachedPlan fresh = measure(dev, v, k, criterion, base, ws);
   {
     std::lock_guard lk(mu_);
     map_.emplace(key, fresh);  // idempotent under races
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (hit_out) *hit_out = false;
   return fresh;
 }
 
 template <class T>
-CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
-                                u64 k, data::Criterion criterion,
-                                const core::DrTopkConfig& base,
-                                vgpu::Workspace& ws) {
-  const u64 n = v.size();
+CachedPlan PlanCache::measure(vgpu::Device& dev, std::span<const T> v, u64 k,
+                              data::Criterion criterion,
+                              const core::DrTopkConfig& base,
+                              vgpu::Workspace& ws) {
   CachedPlan out;
 
   // An approximate entry keeps only its workspace marks, never probes and
@@ -280,46 +283,30 @@ CachedPlan PlanCache::calibrate(vgpu::Device& dev, std::span<const T> v,
     out.plan.beta = base.beta;
     return out;
   }
-  const core::DelegateGeometry geo = core::resolve_geometry(n, k, base);
+  const core::DelegateGeometry geo = core::resolve_geometry(v.size(), k, base);
   out.plan.beta = geo.beta;
   // Infeasible delegation is cached as the explicit direct sentinel so a
   // replay goes straight to the direct top-k instead of re-tuning.
   out.plan.alpha = geo.alpha < 0 ? core::kDirectAlpha : geo.alpha;
   // An explicitly pinned base.alpha wins (resolve_geometry's contract):
   // there is nothing to search.
-  if (base.alpha >= 0) return out;
-
-  // Probe on a prefix subsample with k scaled to preserve the ratio Rule 4
-  // depends on; the alpha ranking transfers to full size.
-  const u64 m = std::min(n, std::max<u64>(kProbeSample, 64));
-  const u64 kp = std::clamp<u64>(
-      static_cast<u64>(static_cast<double>(k) * static_cast<double>(m) /
-                       static_cast<double>(n)),
-      1, std::max<u64>(1, m / 4));
-  std::span<const T> sample = v.subspan(0, m);
+  if (base.alpha >= 0 || geo.alpha < 0) return out;
 
   // Probes are purely local measurements: never fire a configured
   // kappa_hook (a collective whose once-per-invocation contract a variable
   // number of probes would break) and measure the full pipeline, not the
-  // selection-only shortcut.
+  // selection-only shortcut. dr_topk rewinds its scratch in `ws` on return.
   core::DrTopkConfig cfg = base;
   cfg.kappa_hook = nullptr;
   cfg.selection_only = false;
-
-  const int a0 = core::AlphaTuner{base.tuner_const}.rule4_alpha(n, k);
-  double best_ms = std::numeric_limits<double>::infinity();
-  for (int a = a0 - kProbeRadius; a <= a0 + kProbeRadius; ++a) {
-    // A candidate alpha must be feasible at probe scale *and* full scale.
-    if (core::clamp_alpha(m, kp, out.plan.beta, a) != a) continue;
-    if (core::clamp_alpha(n, k, out.plan.beta, a) != a) continue;
-    cfg.alpha = a;
-    auto r = core::dr_topk<T>(dev, sample, kp, criterion, cfg, nullptr, ws);
-    out.probe_sim_ms += r.sim_ms;
-    if (r.sim_ms < best_ms) {
-      best_ms = r.sim_ms;
-      out.plan.alpha = a;
-    }
-  }
+  const core::AlphaWalk w = core::walk_alpha(
+      v.size(), k, geo.beta, geo.alpha, [&](int a) {
+        cfg.alpha = a;
+        return core::dr_topk<T>(dev, v, k, criterion, cfg, nullptr, ws).sim_ms;
+      });
+  out.plan.alpha = w.alpha;
+  out.probe_sim_ms = w.probe_ms;
+  out.probes = w.probes;
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "core/concat_batched.hpp"
@@ -251,28 +252,34 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
 
   // Plan: cache hit replays the calibrated alpha; miss pays the probes.
   g.plan_key = PlanCache::make_key(values, kmax, g.criterion, g.fidelity);
-  bool hit = false;
-  CachedPlan cp;
-  {
-    // Probe launches are one-time tuning, not steady-state pipeline work:
-    // the ambient label keeps them out of the per-stage breakdown (the
-    // probes' internal stage scopes all default to it).
+  std::optional<CachedPlan> cp = plans_.find(g.plan_key);
+  g.plan_hit = cp.has_value();
+  if (!cp) {
+    // A miss calibrates in the group arena that this shape's construction
+    // reuses right after, so the full-size probes need no scratch arena of
+    // their own. Affinity: prefer the pooled arena this executor last
+    // returned (first-touch locality groundwork for NUMA pinning). Probe
+    // launches are one-time tuning, not steady-state pipeline work: the
+    // ambient label keeps them out of the per-stage breakdown (the probes'
+    // internal stage scopes all default to it).
+    g.ws = group_ws_.acquire(0, executor_id);
     vgpu::StageScope calibrate("calibrate");
-    cp = plans_.resolve<T>(dev_, values, kmax, g.criterion, base, &hit, ews);
+    cp = plans_.calibrate<T>(g.plan_key, dev_, values, kmax, g.criterion,
+                             base, *g.ws);
   }
-  g.plan = cp.plan;
-  g.plan_hit = hit;
+  g.plan = cp->plan;
   g.plan_resolved = true;
-  executor_work += cp.probe_sim_ms;
-  if (cp.probe_sim_ms > 0) collector_.record_calibration(cp.probe_sim_ms);
+  executor_work += cp->probe_sim_ms;
+  if (cp->probes)
+    collector_.record_calibration(cp->probe_sim_ms, cp->probes);
   // Presize from the shape's recorded peaks so arenas meeting a recurring
   // shape for the first time usually skip organic growth (capacity-based
   // reserve is best effort: an already-fragmented arena may still grow
   // once before converging). The per-query peak is stashed on the group
   // so EVERY executor that later claims one of its items (not just this
   // setup executor) presizes before running.
-  g.plan_exec_ws = cp.exec_ws_bytes;
-  if (cp.exec_ws_bytes) ews.reserve_bytes(cp.exec_ws_bytes);
+  g.plan_exec_ws = cp->exec_ws_bytes;
+  if (cp->exec_ws_bytes) ews.reserve_bytes(cp->exec_ws_bytes);
 
   // Shared construction: one delegate vector serves every query of the
   // group. Its (alpha, beta) is resolved in one call for the group's
@@ -285,10 +292,12 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
       core::resolve_geometry(g.n, kmax, core::apply_plan(base, g.plan));
   const int alpha = geo.alpha;
   const u32 beta = geo.beta;
-  if (alpha >= 0) {
-    // Affinity: prefer the pooled arena this executor last returned
-    // (first-touch locality groundwork for NUMA pinning).
-    g.ws = group_ws_.acquire(cp.group_ws_bytes, executor_id);
+  if (alpha < 0) {
+    g.ws = {};  // direct: nothing to construct, so hold no arena
+  } else {
+    // A hit leases at the shape's recorded peak, so the pool's capacity-
+    // first pick prefers an arena already large enough for construction.
+    if (!g.ws) g.ws = group_ws_.acquire(cp->group_ws_bytes, executor_id);
     g.ws->reset_peak();  // measure THIS shape's construction footprint
     topk::Accum acc(dev_);
     std::span<const Key> keyspan;

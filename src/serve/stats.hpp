@@ -63,6 +63,7 @@ struct ServerStats {
 
   double total_sim_ms = 0.0;     ///< summed per-query simulated latency
   double calibration_sim_ms = 0.0;  ///< plan-cache probe work (cold starts)
+  u64 calibration_probes = 0;  ///< full-size pipeline runs calibration made
   double makespan_sim_ms = 0.0;  ///< max per-executor simulated work
   double p50_sim_ms = 0.0;
   double p99_sim_ms = 0.0;
@@ -128,6 +129,9 @@ class StatsCollector {
         m_approx_(reg.counter(
             "serve_approx_queries",
             "Queries executed under a recall-target fidelity policy")),
+        m_calibration_probes_(reg.counter(
+            "serve_calibration_probes",
+            "Full-size pipeline runs spent calibrating plan-cache misses")),
         recall_bp_(reg.histogram(
             "serve_recall_measured_bp",
             "Oracle-measured recall per sampled query (basis points)")) {}
@@ -190,9 +194,11 @@ class StatsCollector {
     ++recall_samples_;
   }
 
-  /// One-time plan-calibration probe work (not part of any query's
-  /// latency, but part of some executor's makespan).
-  void record_calibration(double sim_ms) {
+  /// One plan-cache miss's calibration: `probes` full-size pipeline runs
+  /// costing `sim_ms` (not part of any query's latency, but part of some
+  /// executor's makespan).
+  void record_calibration(double sim_ms, u64 probes) {
+    m_calibration_probes_.add(probes);
     std::lock_guard lk(mu_);
     calibration_sim_ms_ += sim_ms;
   }
@@ -222,6 +228,7 @@ class StatsCollector {
     s.finalize_launches = m_finalize_launches_.value();
     s.deduped_queries = m_deduped_.value();
     s.approx_queries = m_approx_.value();
+    s.calibration_probes = m_calibration_probes_.value();
     {
       std::lock_guard lk(mu_);
       s.total_sim_ms = total_sim_ms_;
@@ -271,6 +278,7 @@ class StatsCollector {
   obs::Counter& m_guard_trips_;
   obs::Counter& m_guard_skips_;
   obs::Counter& m_approx_;
+  obs::Counter& m_calibration_probes_;
   obs::Histogram& recall_bp_;
 };
 

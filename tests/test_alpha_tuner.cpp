@@ -153,5 +153,71 @@ TEST(Oracle, MeasuredCurveIsRoughlyUnimodal) {
   EXPECT_GT(times.back(), best);
 }
 
+/// A walk over a synthetic convex curve (x - argmin)^2 + 1 that logs
+/// every alpha it probed.
+AlphaWalk walk_bowl(u64 n, u64 k, int start, int argmin,
+                    std::vector<int>* probed) {
+  return walk_alpha(n, k, 2, start, [&](int a) {
+    probed->push_back(a);
+    return static_cast<double>((a - argmin) * (a - argmin)) + 1.0;
+  });
+}
+
+TEST(Walk, StepsUpFirstAndStopsAtTheFirstRise) {
+  const u64 n = u64{1} << 20, k = 4096;
+  std::vector<int> probed;
+  const AlphaWalk w = walk_bowl(n, k, 5, 7, &probed);
+  EXPECT_EQ(w.alpha, 7);
+  EXPECT_EQ(probed, (std::vector<int>{5, 6, 7, 8}));
+  EXPECT_EQ(w.probes, 4u);
+  EXPECT_DOUBLE_EQ(w.best_ms, 1.0);
+  EXPECT_DOUBLE_EQ(w.probe_ms, 5.0 + 2.0 + 1.0 + 2.0);
+}
+
+TEST(Walk, StepsDownOnlyWhenTheFirstStepUpLoses) {
+  const u64 n = u64{1} << 20, k = 4096;
+  std::vector<int> probed;
+  AlphaWalk w = walk_bowl(n, k, 6, 4, &probed);
+  EXPECT_EQ(w.alpha, 4);
+  EXPECT_EQ(probed, (std::vector<int>{6, 7, 5, 4, 3}));
+  // At the minimum already: both neighbours, three probes.
+  probed.clear();
+  w = walk_bowl(n, k, 6, 6, &probed);
+  EXPECT_EQ(w.alpha, 6);
+  EXPECT_EQ(probed, (std::vector<int>{6, 7, 5}));
+}
+
+TEST(Walk, StaysInsideTheFeasibleRange) {
+  // k = 4096 of 2^16 at beta 2 allows alpha 1..5: the start clamps to 5 and
+  // the walk never probes past either end.
+  const u64 n = u64{1} << 16, k = 4096;
+  ASSERT_EQ(clamp_alpha(n, k, 2, 64), 5);
+  std::vector<int> probed;
+  AlphaWalk w = walk_bowl(n, k, 9, 12, &probed);
+  EXPECT_EQ(w.alpha, 5);
+  EXPECT_EQ(probed, (std::vector<int>{5, 4}));
+  probed.clear();
+  w = walk_bowl(n, k, 3, -4, &probed);
+  EXPECT_EQ(w.alpha, 1);
+  EXPECT_EQ(probed, (std::vector<int>{3, 4, 2, 1}));
+  // No feasible alpha at all: no probe, no pick.
+  probed.clear();
+  w = walk_bowl(1000, 600, 5, 5, &probed);
+  EXPECT_EQ(w.alpha, -1);
+  EXPECT_EQ(w.probes, 0u);
+  EXPECT_TRUE(probed.empty());
+}
+
+TEST(Walk, AFlatStepEndsTheWalk) {
+  // Only a strictly faster probe moves the pick: ties keep the start.
+  std::vector<int> probed;
+  const AlphaWalk w = walk_alpha(u64{1} << 20, 4096, 2, 6, [&](int a) {
+    probed.push_back(a);
+    return 1.0;
+  });
+  EXPECT_EQ(w.alpha, 6);
+  EXPECT_EQ(probed, (std::vector<int>{6, 7, 5}));
+}
+
 }  // namespace
 }  // namespace drtopk::core

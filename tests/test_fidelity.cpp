@@ -581,10 +581,13 @@ TEST(Fidelity, PlanCacheKeysOnFidelity) {
   cfg.executors = 1;
   TopkServer server(shared_device(), cfg);
   server.submit(Query::view(vs, 128)).get();
+  const u64 exact_probes = server.stats().calibration_probes;
+  EXPECT_GE(exact_probes, 2u);
   server.submit(Query::view(vs, 128).with_recall(0.9)).get();
   const ServerStats cold = server.stats();
   EXPECT_EQ(cold.plan_misses, 2u);
   EXPECT_EQ(cold.plan_hits, 0u);
+  EXPECT_EQ(cold.calibration_probes, exact_probes);  // the approx miss
   server.submit(Query::view(vs, 128)).get();
   server.submit(Query::view(vs, 128).with_recall(0.9)).get();
   const ServerStats warm = server.stats();

@@ -9,6 +9,8 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <thread>
 
@@ -168,6 +170,9 @@ TEST(Protocol, TopkResponseRoundTrip) {
   EXPECT_EQ(out.kth, in.kth);
   EXPECT_EQ(out.values, in.values);
   EXPECT_EQ(out.server_us, in.server_us);
+  // The frame-size bound the server admits by: fixed bytes plus 8 a value.
+  EXPECT_EQ(wire.size(),
+            kFrameHeader + kTopkResponseFixedBytes + 8 * in.values.size());
 }
 
 TEST(Protocol, RequestDecodeRejectsOutOfDomainFields) {
@@ -319,8 +324,8 @@ struct LiveServer {
   SingleBackend backend;
   NetServer net;
 
-  explicit LiveServer(NetServerConfig cfg = {})
-      : corpus(data::generate(1 << 14, Distribution::kUniform, 99)),
+  explicit LiveServer(NetServerConfig cfg = {}, u64 n = 1 << 14)
+      : corpus(data::generate(n, Distribution::kUniform, 99)),
         srv(dev),
         backend(srv),
         net(backend, cfg) {
@@ -372,6 +377,46 @@ TEST(NetServer, UnknownCorpusAndBadFramesAreTyped) {
   auto resp3 = cli.call(req);
   ASSERT_TRUE(resp3.has_value());
   EXPECT_EQ(resp3->status, Status::kOk);
+}
+
+TEST(NetServer, AnswerLargerThanOneFrameIsATypedBadRequest) {
+  // 34 fixed bytes + 8 per value: k = 131,067 is the largest full answer
+  // one kMaxFrame response carries.
+  ASSERT_EQ(kMaxResponseValues, 131067u);
+  LiveServer live({}, u64{1} << 18);
+  BlockingClient cli;
+  ASSERT_TRUE(cli.connect(live.net.port()));
+  const obs::Counter& bad = live.net.metrics().counter("net_requests_bad");
+
+  TopkRequest req;
+  req.request_id = 1;
+  req.k = kMaxResponseValues;
+  auto fits = cli.call(req);
+  ASSERT_TRUE(fits.has_value());
+  EXPECT_EQ(fits->status, Status::kOk);
+  EXPECT_EQ(fits->values.size(), kMaxResponseValues);
+  EXPECT_EQ(bad.value(), 0u);
+
+  req.request_id = 2;
+  req.k = kMaxResponseValues + 1;
+  auto too_big = cli.call(req);
+  ASSERT_TRUE(too_big.has_value()) << "connection dropped, no typed reply";
+  EXPECT_EQ(too_big->request_id, 2u);
+  EXPECT_EQ(too_big->status, Status::kBadRequest);
+  EXPECT_EQ(bad.value(), 1u);
+
+  // Selection-only answers carry one value, so any k <= n stays allowed.
+  req.request_id = 3;
+  req.selection_only = 1;
+  auto kth = cli.call(req);
+  ASSERT_TRUE(kth.has_value());
+  EXPECT_EQ(kth->status, Status::kOk);
+  EXPECT_LE(kth->values.size(), 1u);
+  std::vector<u32> sorted(live.corpus.begin(), live.corpus.end());
+  std::nth_element(sorted.begin(), sorted.begin() + (req.k - 1), sorted.end(),
+                   std::greater<u32>());
+  EXPECT_EQ(kth->kth, sorted[req.k - 1]);
+  EXPECT_EQ(bad.value(), 1u);
 }
 
 TEST(NetServer, PingAndMetricsOverTheSocket) {

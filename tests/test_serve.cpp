@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <thread>
 
 #include "data/distributions.hpp"
@@ -194,6 +195,82 @@ TEST(Serve, PlanCacheKeysOnShapeAndDistribution) {
   EXPECT_GE(server.stats().plan_hits, 1u);
 }
 
+/// The alpha a server's plan cache holds for a top-k of `v` at `k`.
+int planned_alpha(const TopkServer& server, std::span<const u32> v, u64 k) {
+  const PlanKey key = PlanCache::make_key(v, k, Criterion::kLargest);
+  for (const auto& [entry_key, plan] : server.plan_cache().entries())
+    if (entry_key == key) return plan.plan.alpha;
+  ADD_FAILURE() << "no plan cached for n=" << v.size() << " k=" << k;
+  return -1;
+}
+
+TEST(Serve, CalibrationFindsTheFullSizeOracleAlpha) {
+  // serve-exact's two shapes. Rule 4 gives alpha 5 and 4 here; the
+  // full-size optimum is two steps up, beyond a +-1 probe on a 2^15 prefix,
+  // where fixed launch costs dominate the ranking.
+  const u64 k = 4096;
+  for (const auto& [logn, want] : {std::pair{20, 7}, std::pair{18, 6}}) {
+    const u64 n = u64{1} << logn;
+    auto v = data::generate(n, Distribution::kUniform, 71);
+    std::span<const u32> vs(v.data(), v.size());
+    ServerConfig cfg;
+    cfg.executors = 1;
+    TopkServer server(shared_device(), cfg);
+    const auto r = server.run_batch({Query::view(vs, k)});
+    EXPECT_EQ(r[0].values, widen(reference_topk(vs, k)));
+
+    const core::DrTopkConfig base;
+    const int hi = core::clamp_alpha(n, k, base.beta, 64);
+    const int oracle = core::oracle_alpha(shared_device(), vs, k, base, 1, hi);
+    EXPECT_EQ(planned_alpha(server, vs, k), oracle) << "n=2^" << logn;
+    EXPECT_EQ(oracle, want) << "n=2^" << logn;
+  }
+}
+
+TEST(Serve, CalibrationNeverLosesToRule4AndWalksShort) {
+  // Every exact plan is measured against the closed form it starts from:
+  // its full-size time is never above Rule 4's, and the walk spends at most
+  // |pick - Rule 4| + 3 full-size runs (ServerStats::calibration_probes).
+  const core::DrTopkConfig base;
+  const auto full_ms = [&](std::span<const u32> v, u64 k, int alpha) {
+    core::DrTopkConfig cfg = base;
+    cfg.alpha = alpha;
+    return core::dr_topk<u32>(shared_device(), v, k, Criterion::kLargest, cfg)
+        .sim_ms;
+  };
+  for (const int logn : {16, 17, 18}) {
+    const u64 n = u64{1} << logn;
+    for (const Distribution d : {Distribution::kUniform, Distribution::kNormal,
+                                 Distribution::kCustomized}) {
+      auto v = data::generate(n, d, 73);
+      std::span<const u32> vs(v.data(), v.size());
+      for (const u64 k : {u64{64}, u64{1024}, u64{4096}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=2^" << logn << " dist=" << static_cast<int>(d)
+                     << " k=" << k);
+        ServerConfig cfg;
+        cfg.executors = 1;
+        TopkServer server(shared_device(), cfg);
+        const auto r = server.run_batch({Query::view(vs, k)});
+        ASSERT_EQ(r[0].values, widen(reference_topk(vs, k)));
+
+        const int rule4 = core::clamp_alpha(
+            n, k, base.beta,
+            core::AlphaTuner{base.tuner_const}.rule4_alpha(n, k));
+        const int pick = planned_alpha(server, vs, k);
+        ASSERT_GE(rule4, 1);
+        ASSERT_GE(pick, 1);
+        EXPECT_LE(full_ms(vs, k, pick), full_ms(vs, k, rule4));
+        const ServerStats st = server.stats();
+        EXPECT_GE(st.calibration_probes, 2u);  // Rule 4 and a neighbour
+        EXPECT_LE(st.calibration_probes,
+                  static_cast<u64>(std::abs(pick - rule4) + 3));
+        EXPECT_GT(st.calibration_sim_ms, 0.0);
+      }
+    }
+  }
+}
+
 TEST(Serve, PinnedAlphaWinsOverCalibration) {
   // An explicit base.alpha is a contract (resolve_geometry: "an explicit
   // cfg.alpha pins the geometry"); the plan cache must not probe its way
@@ -208,6 +285,7 @@ TEST(Serve, PinnedAlphaWinsOverCalibration) {
   auto r = server.submit(Query::view(vs, 64)).get();
   EXPECT_EQ(r.values, widen(reference_topk(vs, 64)));
   EXPECT_EQ(r.breakdown.alpha, 9);
+  EXPECT_EQ(server.stats().calibration_probes, 0u);
 }
 
 TEST(Serve, BackpressureBoundsInFlightAndStaysExact) {
@@ -706,6 +784,7 @@ TEST(Serve, FallbackWhenDelegationInfeasible) {
   auto r = server.submit(Query::view(vs, 1800)).get();
   EXPECT_EQ(r.values, widen(reference_topk(vs, 1800)));
   EXPECT_FALSE(r.fused);
+  EXPECT_EQ(server.stats().calibration_probes, 0u);  // nothing to walk
 }
 
 }  // namespace
