@@ -15,11 +15,24 @@
 //    the subrange is skipped entirely and only its taken delegates remain
 //    candidates.
 //
-// The taken set is "every delegate >= kappa" — a superset of the exact
-// top-k(D) that preserves all three rules and allows the first top-k to
-// stop its radix refinement one digit early (Section 4.3's skipped last
-// iteration), trading a slightly larger candidate set for a cheaper first
-// top-k.
+// As the paper states them (and as the legacy three-pass stage 3, the
+// Rule-2 ablation, a kappa hook and a recall target still run them), the
+// taken set is "every delegate >= kappa": a superset of the exact top-k(D)
+// that lets the first top-k stop its radix refinement one digit early
+// (Section 4.3's skipped last iteration).
+//
+// The default exact pipeline runs them tie-aware (tie_aware_stage3): taken
+// means "> kappa", a subrange streams only when every real delegate is
+// > kappa, and the candidates are G = {x in V : x > kappa} — a subrange
+// whose smallest real delegate is <= kappa holds no non-delegate above
+// kappa. Every kappa the pipeline derives from its own vector (the exact
+// k-th delegate, a Section 4.3 relaxed prefix of it, a group's batched
+// exact selection) has at least k keys >= it, so the answer is the top-k of
+// G when |G| > k, and otherwise G padded to k with copies of kappa
+// (expand_skipped_answer), with no second top-k at all. On tie-heavy data
+// (CD's ~65K copies of the maximum key) this drops every copy of kappa from
+// stage 3 and 4; a kappa equal to the key type's maximum leaves G empty and
+// stage 3 launches nothing.
 //
 // Entry points:
 //  * dr_topk_keys      — the full pipeline (stages 1-4);
@@ -30,7 +43,10 @@
 //    e.g. from serve::PlanCache, that skips the alpha tuner.
 #pragma once
 
+#include <algorithm>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "core/alpha_tuner.hpp"
 #include "core/concat_batched.hpp"
@@ -193,7 +209,8 @@ inline DelegateGeometry resolve_geometry(u64 n, u64 k, const DrTopkConfig& cfg) 
 /// stage 4 be *deferred*: the call stops after concatenation and hands the
 /// candidate span back instead of launching the second top-k, so the caller
 /// can finalize many queries' candidates with one batched selection launch
-/// (topk/batched.hpp).
+/// (topk/batched.hpp). A call that needs no second top-k (second_skipped)
+/// answers itself and does not defer.
 ///
 /// Ownership contract: deferral REQUIRES `alloc_cand` — the candidate
 /// vector is carved out of whatever arena the callback allocates from (the
@@ -236,13 +253,19 @@ struct StageBreakdown {
   double construct_ms = 0, first_ms = 0, concat_ms = 0, second_ms = 0;
   vgpu::KernelStats construct_stats, first_stats, concat_stats, second_stats;
   u64 delegate_len = 0;  ///< |D| — the first top-k's workload
-  u64 concat_len = 0;    ///< candidate count — the second top-k's workload
+  u64 concat_len = 0;    ///< candidate count — the second top-k's workload:
+                         ///< keys > kappa (tie-aware), >= kappa otherwise
   u64 num_subranges = 0;
-  u64 qualified_subranges = 0;  ///< subranges concatenated (Rule 3 survivors)
-  u64 taken_delegates = 0;      ///< delegates >= kappa
+  u64 qualified_subranges = 0;  ///< subranges streamed (Rule 3 survivors):
+                                ///< every real delegate > kappa (tie-aware)
+                                ///< or >= kappa
+  u64 taken_delegates = 0;      ///< delegates > kappa (tie-aware) or >= kappa
   int alpha = 0;
   u32 beta = 1;
-  bool second_skipped = false;  ///< Rule 3 fast path (Figure 8b)
+  bool second_skipped = false;  ///< no second top-k: tie-aware, at most k
+                                ///< candidates (the answer is them padded
+                                ///< with kappa); otherwise the Rule 3 fast
+                                ///< path (Figure 8b)
   bool fallback_direct = false; ///< k too large for delegation; ran directly
   u64 guard_trips = 0;  ///< declined last-digit skips: > 4k delegates
                         ///< reached the relaxed prefix (tie-heavy data)
@@ -274,6 +297,34 @@ struct StageBreakdown {
     return *this;
   }
 };
+
+/// Whether stage 3 runs tie-aware (see the file comment): the fused engine
+/// under exact fidelity with Rule 2 filtering and no kappa hook. A hook may
+/// return a value above this vector's own k-th (Section 5.4), so padding
+/// with it could invent keys; the legacy three-pass stage 3 and the Rule 2
+/// ablation stay the paper's inclusive baselines; a recall target answers
+/// from the delegates >= kappa.
+inline bool tie_aware_stage3(const DrTopkConfig& cfg) {
+  return cfg.fused_concat && cfg.filtering && cfg.fidelity.exact() &&
+         !cfg.kappa_hook;
+}
+
+/// The answer of a skipped second top-k: the at most k candidates sorted
+/// descending and padded to k with copies of kappa (only tie-aware
+/// candidates, the keys strictly above kappa, ever fall short of k);
+/// selection-only keeps the k-th key alone.
+template <class K>
+std::vector<K> expand_skipped_answer(std::span<const K> cand, K kappa, u64 k,
+                                     bool selection_only) {
+  assert(cand.size() <= k);
+  if (selection_only)
+    return {cand.size() < k ? kappa
+                            : *std::min_element(cand.begin(), cand.end())};
+  std::vector<K> keys(cand.begin(), cand.end());
+  std::sort(keys.begin(), keys.end(), std::greater<>());
+  keys.resize(k, kappa);
+  return keys;
+}
 
 /// Launch geometry for one-warp-per-subrange classification kernels.
 inline vgpu::Launch acc_launch_subranges(vgpu::Device& dev, u64 subranges) {
@@ -384,6 +435,12 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // when this scope actually owns the ambient label (engaged()), so an
   // enclosing "calibrate" is never clobbered.
   vgpu::StageScope stage3("concat");
+  // Tie-aware: the batched kernels keep their >= test against kappa + 1.
+  // Nothing lies strictly above the key type's maximum, so that kappa
+  // leaves the candidate set empty without a launch.
+  const bool tie_aware = tie_aware_stage3(cfg);
+  const bool nothing_above =
+      tie_aware && kappa == std::numeric_limits<K>::max();
   Accum a3(dev);
   const u64 S = dv.num_subranges;
   u64 q_count = 0;
@@ -401,13 +458,15 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // path: its delegates-only classification lives there, and the legacy
   // three-pass stage stays a faithful exact baseline.
   const bool run_fused = cfg.fused_concat || dsids.empty() || approx;
-  if (run_fused) {
+  if (nothing_above) {
+    // G is empty: the answer is k copies of kappa.
+  } else if (run_fused) {
     // The query is a one-segment batch (core/concat_batched.hpp): one
     // delegate pass produces the per-subrange taken-count array plus the
     // qualified and partial sid lists; concatenation then touches only
     // listed subranges.
     BatchedConcatSegment<K> seg;
-    seg.kappa = kappa;
+    seg.kappa = tie_aware ? static_cast<K>(kappa + 1) : kappa;
     seg.taken = ws.alloc<u8>(S);
     seg.qualified = ws.alloc<u32>(S);
     seg.partial = ws.alloc<u32>(S);
@@ -503,12 +562,14 @@ topk::TopkResult<K> dr_topk_from_delegates(
   bd.concat_stats = a3.stats();
   bd.concat_len = cand_count;
 
-  // ---- Stage 4: second top-k (skipped entirely when Rule 3 leaves the
-  // taken delegates as the exact answer — Figure 8b) ----
+  // ---- Stage 4: second top-k (skipped entirely when at most k tie-aware
+  // candidates remain, or when Rule 3 leaves the taken delegates as the
+  // exact answer — Figure 8b) ----
   // Force-override stage3's ambient label; a defaulting scope would leave
   // stage-4 launches charged to "concat". No launches follow this region.
   vgpu::StageScope stage4("second", /*force=*/stage3.engaged());
-  bd.second_skipped = (q_count == 0 && bd.taken_delegates == k);
+  bd.second_skipped = tie_aware ? cand_count <= k
+                                : (q_count == 0 && bd.taken_delegates == k);
   // Deferral requires caller-owned candidate storage: without alloc_cand
   // the span lives in this call's scratch scope and would dangle.
   if (ds) ds->deferred = ds->alloc_cand && !bd.second_skipped;
@@ -523,9 +584,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     // group) and the arena the span lives in; keys/kth are left empty.
     ds->cand = cview;
   } else if (bd.second_skipped) {
-    result.keys.assign(cand.begin(), cand.begin() + static_cast<i64>(k));
-    std::sort(result.keys.begin(), result.keys.end(), std::greater<>());
-    if (cfg.selection_only) result.keys = {result.keys.back()};
+    result.keys = expand_skipped_answer<K>(cview, kappa, k, cfg.selection_only);
   } else if (small_second) {
     // Candidate vector fits one SM: single-launch sort-and-choose (full
     // top-k and pure selection alike), as a one-segment batch.

@@ -34,6 +34,8 @@ struct Span {
   u64 ts_us = 0;   ///< start, microseconds since tracer epoch
   u64 dur_us = 0;  ///< duration in microseconds (complete spans only)
   bool instant = false;
+  std::string detail;  ///< free text (e.g. a caught exception's message);
+                       ///< empty on every steady-state span
 };
 
 /// Ring-buffered trace recorder. Disabled tracers make every record call a
@@ -78,8 +80,10 @@ class Tracer {
     push(lane, s);
   }
 
-  /// Records an instant (point) event on `lane` stamped with now().
-  void instant(u32 lane, const char* name, u64 query, u64 group) {
+  /// Records an instant (point) event on `lane` stamped with now(),
+  /// optionally carrying free-text `detail` (exported as args.detail).
+  void instant(u32 lane, const char* name, u64 query, u64 group,
+               std::string detail = {}) {
     if (!enabled_) return;
     Span s;
     s.name = name;
@@ -87,6 +91,7 @@ class Tracer {
     s.group = group;
     s.ts_us = now_us();
     s.instant = true;
+    s.detail = std::move(detail);
     push(lane, s);
   }
 
@@ -140,8 +145,16 @@ class Tracer {
       if (!s.instant) os << ",\"dur\":" << s.dur_us;
       os << ",\"pid\":" << pid << ",\"tid\":" << lane;
       if (s.instant) os << ",\"s\":\"t\"";
-      os << ",\"args\":{\"query\":" << s.query << ",\"group\":" << s.group
-         << "}}";
+      os << ",\"args\":{\"query\":" << s.query << ",\"group\":" << s.group;
+      if (!s.detail.empty()) {
+        os << ",\"detail\":\"";
+        for (const char c : s.detail) {
+          if (c == '"' || c == '\\') os << '\\' << c;
+          else if (static_cast<unsigned char>(c) >= 0x20) os << c;
+        }
+        os << '"';
+      }
+      os << "}}";
     }
     return lead;
   }

@@ -132,15 +132,18 @@ struct Group {
   /// whole group's classify + concat as ONE launch pair over the shared
   /// delegate vector, so an item whose k matches performs ZERO launches —
   /// it parks a DeferredItem referencing the group-arena candidate span
-  /// (or, on the Rule-3 fast path, self-serves with a host sort). Written
-  /// single-threaded before publish; read-only afterwards. Only the span
-  /// matching the group's key width is set.
+  /// (or, when no second top-k is needed, self-serves on the host with
+  /// core::expand_skipped_answer). Written single-threaded before publish;
+  /// read-only afterwards. Only the span matching the group's key width is
+  /// set.
   struct Stage3Entry {
     u64 k = 0;
+    u64 kappa = 0;               ///< stage-2 threshold; pads a short answer
     u64 cand_count = 0;
-    u64 taken_total = 0;         ///< delegates >= kappa (breakdown metadata)
+    u64 taken_total = 0;         ///< taken delegates (breakdown metadata)
     u64 qualified = 0;           ///< Rule-3 qualified subranges
-    bool second_skipped = false; ///< q==0 && taken==k: candidates ARE the answer
+    bool second_skipped = false; ///< at most k candidates: they, padded with
+                                 ///< kappa, ARE the answer
     std::span<const u32> cand32;
     std::span<const u64> cand64;
   };

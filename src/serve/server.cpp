@@ -1,8 +1,10 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/concat_batched.hpp"
 #include "obs/export.hpp"
@@ -208,14 +210,23 @@ void TopkServer::executor_loop(u32 executor_id) {
 
 void TopkServer::setup_group(Group& g, u32 executor_id) {
   u64 deduped = 0;
+  std::optional<std::string> failure;
   try {
     deduped = g.width == KeyWidth::k64 ? setup_group_typed<u64>(g, executor_id)
                                        : setup_group_typed<u32>(g, executor_id);
+  } catch (const std::exception& e) {
+    failure = e.what();
   } catch (...) {
-    // Setup is an optimization; a failure (e.g. a calibration probe hitting
-    // an engine edge case) degrades the group to unfused per-query
-    // execution rather than failing its queries.
+    failure = "non-standard exception";
+  }
+  if (failure) {
+    // Setup is an optimization; a failure (e.g. a failed launch)
+    // degrades the group to unfused per-query execution rather than
+    // failing its queries — counted, and traced with the reason.
     g.has_delegates = false;
+    collector_.record_setup_fallback();
+    tracer_.instant(lane(executor_id), "setup-fallback", 0, g.seq,
+                    std::move(*failure));
   }
   collector_.record_group(g.setup_stages, deduped);
 }
@@ -392,6 +403,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
             std::copy(br.keys[i].begin(), br.keys[i].end(), cand.begin());
             Group::Stage3Entry e;
             e.k = ks[i];
+            e.kappa = g.kappa_vals[i];
             e.cand_count = ks[i];
             e.taken_total = ks[i];
             e.qualified = 0;
@@ -414,40 +426,55 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
           // coalesces same-span segments into one sort). Items whose k was
           // precomputed then launch NOTHING. (Approx groups staged their
           // entries above — the classify/concat pass has nothing left to
-          // compute for them.)
+          // compute for them.) Tie-aware, as in core::dr_topk_from_delegates:
+          // each segment classifies against kappa + 1, and a k whose kappa
+          // is the maximum key gets no segment (its candidate set is empty).
           vgpu::StageScope concat("concat");
           topk::Accum acc3(dev_);
           const u64 S = group_dv<Key>(g).num_subranges;
           ews.reset_peak();  // record the batched classify scratch footprint
           vgpu::Workspace::Scope scratch(ews);
-          std::vector<core::BatchedConcatSegment<Key>> csegs(ks.size());
+          const bool tie_aware = core::tie_aware_stage3(base);
+          std::vector<core::BatchedConcatSegment<Key>> csegs;
+          std::vector<size_t> seg_of(ks.size(), ks.size());  // ks.size(): none
           for (size_t i = 0; i < ks.size(); ++i) {
-            csegs[i].kappa = static_cast<Key>(g.kappa_vals[i]);
-            csegs[i].taken = ews.alloc<u8>(S);
-            csegs[i].qualified = ews.alloc<u32>(S);
-            csegs[i].partial = ews.alloc<u32>(S);
+            const Key kappa = static_cast<Key>(g.kappa_vals[i]);
+            if (tie_aware && kappa == std::numeric_limits<Key>::max())
+              continue;
+            seg_of[i] = csegs.size();
+            core::BatchedConcatSegment<Key>& seg = csegs.emplace_back();
+            seg.kappa = tie_aware ? static_cast<Key>(kappa + 1) : kappa;
+            seg.taken = ews.alloc<u8>(S);
+            seg.qualified = ews.alloc<u32>(S);
+            seg.partial = ews.alloc<u32>(S);
           }
           std::span<core::BatchedConcatSegment<Key>> cspan(csegs);
           core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
                                                 g.plan.alpha, g.n, cspan);
-          for (size_t i = 0; i < ks.size(); ++i)
-            csegs[i].cand = g.ws->alloc<Key>(core::batched_concat_capacity(
-                csegs[i], S, beta, g.plan.alpha, g.n));
+          for (auto& seg : csegs)
+            seg.cand = g.ws->alloc<Key>(core::batched_concat_capacity(
+                seg, S, beta, g.plan.alpha, g.n));
           core::concat_candidates_batched<Key>(
               acc3, keyspan, dkeys, beta, g.plan.alpha, cfg_.base.filtering,
               cspan);
+          const core::BatchedConcatSegment<Key> empty;
           for (size_t i = 0; i < ks.size(); ++i) {
+            const auto& seg = seg_of[i] < csegs.size() ? csegs[seg_of[i]]
+                                                       : empty;
             Group::Stage3Entry e;
             e.k = ks[i];
-            e.cand_count = csegs[i].cand_count;
-            e.taken_total = csegs[i].taken_total;
-            e.qualified = csegs[i].qualified_count;
-            // Rule-3 fast path: exactly k delegates met kappa and no
-            // subrange fully qualified — the candidates ARE the answer.
-            e.second_skipped =
-                csegs[i].qualified_count == 0 && csegs[i].taken_total == e.k;
-            std::span<const Key> cand(csegs[i].cand.data(),
-                                      csegs[i].cand_count);
+            e.kappa = g.kappa_vals[i];
+            e.cand_count = seg.cand_count;
+            e.taken_total = seg.taken_total;
+            e.qualified = seg.qualified_count;
+            // No second top-k when the candidates (padded with kappa, if
+            // tie-aware) already are the answer; inclusive, that is Rule
+            // 3's fast path: exactly k delegates met kappa and no subrange
+            // fully qualified.
+            e.second_skipped = tie_aware ? e.cand_count <= e.k
+                                         : (e.qualified == 0 &&
+                                            e.taken_total == e.k);
+            std::span<const Key> cand(seg.cand.data(), seg.cand_count);
             if constexpr (std::is_same_v<Key, u64>)
               e.cand64 = cand;
             else
@@ -712,14 +739,11 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
       bd.qualified_subranges = pre->qualified;
       bd.second_skipped = pre->second_skipped;
       if (!pre->second_skipped) return park(stage3_cand<Key>(*pre));
-      // Rule-3 fast path: exactly k delegates met the exact threshold
-      // and no subrange fully qualified — the candidate span IS the
-      // answer (same semantics as dr_topk's second_skipped host sort).
-      std::span<const Key> cand = stage3_cand<Key>(*pre);
-      std::vector<Key> keys(cand.begin(), cand.begin() + q.k);
-      std::sort(keys.begin(), keys.end(), std::greater<Key>());
-      if (cfg.selection_only && keys.size() > 1)
-        keys.erase(keys.begin(), keys.end() - 1);
+      // At most k candidates: they, padded with kappa, ARE the answer
+      // (dr_topk's second_skipped host expansion).
+      const std::vector<Key> keys = core::expand_skipped_answer<Key>(
+          stage3_cand<Key>(*pre), static_cast<Key>(pre->kappa), q.k,
+          cfg.selection_only);
       out.values.reserve(keys.size());
       for (const Key key : keys)
         out.values.push_back(static_cast<u64>(

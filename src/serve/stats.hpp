@@ -55,6 +55,8 @@ struct ServerStats {
                               ///< see topk::radix_kth_flag)
   u64 relax_guard_skips = 0;  ///< relaxed thresholds a recall target kept
                               ///< past the guard's 4k bound
+  u64 setup_fallbacks = 0;    ///< group setups that threw: their members ran
+                              ///< the unshared per-query pipeline instead
   u64 approx_queries = 0;     ///< queries executed under a recall target
                               ///< (FidelityPolicy not exact)
   u64 recall_samples = 0;     ///< oracle-measured recall samples recorded
@@ -132,6 +134,9 @@ class StatsCollector {
         m_calibration_probes_(reg.counter(
             "serve_calibration_probes",
             "Full-size pipeline runs spent calibrating plan-cache misses")),
+        m_setup_fallbacks_(reg.counter(
+            "serve_setup_fallbacks",
+            "Group setups that threw; members ran unshared per query")),
         recall_bp_(reg.histogram(
             "serve_recall_measured_bp",
             "Oracle-measured recall per sampled query (basis points)")) {}
@@ -164,6 +169,10 @@ class StatsCollector {
     std::lock_guard lk(mu_);
     stages_ += setup_stages;
   }
+
+  /// One group setup that threw and left its members to the unshared
+  /// per-query pipeline.
+  void record_setup_fallback() { m_setup_fallbacks_.add(); }
 
   /// One group's batched finalization: `launches` selection launches
   /// served its `queries` deferred queries. The kernel counters land in
@@ -229,6 +238,7 @@ class StatsCollector {
     s.deduped_queries = m_deduped_.value();
     s.approx_queries = m_approx_.value();
     s.calibration_probes = m_calibration_probes_.value();
+    s.setup_fallbacks = m_setup_fallbacks_.value();
     {
       std::lock_guard lk(mu_);
       s.total_sim_ms = total_sim_ms_;
@@ -279,6 +289,7 @@ class StatsCollector {
   obs::Counter& m_guard_skips_;
   obs::Counter& m_approx_;
   obs::Counter& m_calibration_probes_;
+  obs::Counter& m_setup_fallbacks_;
   obs::Histogram& recall_bp_;
 };
 

@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -180,17 +181,37 @@ class Device {
 
     const double ms = cost_.kernel_ms(s);
     const char* stage = cfg.stage ? cfg.stage : StageScope::active();
+    const char* label = stage ? stage : "unattributed";
     {
       std::lock_guard lk(mu_);
+      if (fault_budget_ > 0 && fault_stage_ == label) {
+        --fault_budget_;
+        throw std::runtime_error(
+            std::string("vgpu: injected launch failure (stage ") + label +
+            ")");
+      }
       total_ += s;
       total_sim_ms_ += ms;
       // The stage ledger adds the *same* KernelStats under the *same* lock,
       // so per-stage totals reconcile exactly with total_stats().
-      StageSlot& slot = stages_[stage ? stage : "unattributed"];
+      StageSlot& slot = stages_[label];
       slot.stats += s;
       slot.sim_ms += ms;
     }
     return s;
+  }
+
+  /// Deterministic fault seam, off by default: the next `count` launches
+  /// whose resolved stage label (the explicit one, else the ambient
+  /// StageScope, else "unattributed") equals `stage` throw
+  /// std::runtime_error in place of recording their stats, so the device
+  /// totals and the stage ledger never see them. A call replaces the
+  /// previous setting; count 0 disarms it. Tests drive the failure paths of
+  /// the layers above with it.
+  void fail_next_launches(std::string stage, u64 count) {
+    std::lock_guard lk(mu_);
+    fault_stage_ = std::move(stage);
+    fault_budget_ = count;
   }
 
   /// Simulated milliseconds for a stats snapshot under this device's profile.
@@ -271,6 +292,8 @@ class Device {
   KernelStats total_;
   double total_sim_ms_ = 0.0;
   std::map<std::string, StageSlot> stages_;
+  std::string fault_stage_;  ///< fail_next_launches state, under mu_
+  u64 fault_budget_ = 0;
 };
 
 /// std::vector that skips zero-initialization on resize — the device-buffer

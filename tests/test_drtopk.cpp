@@ -42,6 +42,7 @@ TEST(PaperExamples, Figure5MaximumDelegateTop2) {
   std::span<const u32> vs(v.data(), v.size());
   DrTopkConfig cfg = exact_cfg();
   cfg.beta = 1;
+  cfg.fused_concat = false;  // the paper's inclusive >= kappa walkthrough
   StageBreakdown bd;
   auto r = dr_topk_keys<u32>(shared_device(), vs, 2, cfg, &bd);
   EXPECT_EQ(r.keys, (std::vector<u32>{3210, 3012}));
@@ -52,6 +53,26 @@ TEST(PaperExamples, Figure5MaximumDelegateTop2) {
   // Rule 2 filtering: only {3012, 3210} survive into the concatenated
   // vector (Section 4.2's walkthrough of this exact example).
   EXPECT_EQ(bd.concat_len, 2u);
+}
+
+TEST(PaperExamples, Figure5TieAwareStreamsOneSubrangeAndPadsWithKappa) {
+  // The default pipeline on the same example: kappa = 3012, and only keys
+  // strictly above it are candidates. Subrange 2 (delegate 3210) streams
+  // and keeps {3210}; subrange 0's delegate equals kappa, so it is not
+  // taken. One candidate for k = 2: the answer is it padded with kappa,
+  // with no second top-k.
+  auto v = figure_vector();
+  std::span<const u32> vs(v.data(), v.size());
+  DrTopkConfig cfg = exact_cfg();
+  cfg.beta = 1;
+  StageBreakdown bd;
+  auto r = dr_topk_keys<u32>(shared_device(), vs, 2, cfg, &bd);
+  EXPECT_EQ(r.keys, (std::vector<u32>{3210, 3012}));
+  EXPECT_EQ(bd.qualified_subranges, 1u);
+  EXPECT_EQ(bd.taken_delegates, 1u);
+  EXPECT_EQ(bd.concat_len, 1u);
+  EXPECT_TRUE(bd.second_skipped);
+  EXPECT_EQ(bd.second_stats.kernels_launched, 0u);
 }
 
 TEST(PaperExamples, Figure5WithoutFilteringConcatenatesWholeSubranges) {
@@ -72,6 +93,7 @@ TEST(PaperExamples, Figure8aBetaDelegateTop3) {
   std::span<const u32> vs(v.data(), v.size());
   DrTopkConfig cfg = exact_cfg();
   cfg.beta = 2;
+  cfg.fused_concat = false;  // the paper's inclusive >= kappa walkthrough
   StageBreakdown bd;
   auto r = dr_topk_keys<u32>(shared_device(), vs, 3, cfg, &bd);
   EXPECT_EQ(r.keys, (std::vector<u32>{3210, 3012, 3010}));
@@ -392,6 +414,145 @@ TEST(StatsInvariants, WorkloadRatioShrinksWithN) {
   }
 }
 
+// ---- Stage 3 by its definition ----
+
+/// Stage 3 by its definition, on the host, for one threshold: the reference
+/// the pipeline and the batched engine must reproduce field by field.
+template <class K>
+struct Stage3Oracle {
+  std::vector<u8> taken;  ///< real delegates above kappa, per subrange
+  u64 qualified = 0, partial = 0, partial_taken = 0, taken_total = 0;
+  std::vector<K> cand;  ///< sorted candidate multiset
+};
+
+/// Per subrange, counts the real delegates above kappa: >= kappa (the
+/// paper's inclusive rule) or, with `strict` (the tie-aware rule), >
+/// kappa. A subrange whose real delegates are all taken qualifies (under
+/// rule2) and contributes its elements above kappa, or all of them without
+/// filtering; any other taken subrange contributes its taken delegates.
+template <class K>
+Stage3Oracle<K> stage3_oracle(std::span<const K> v, std::span<const K> dkeys,
+                              u64 S, u32 beta, int alpha, K kappa,
+                              bool filter, bool rule2, bool strict = false) {
+  const auto above = [&](K x) { return strict ? x > kappa : x >= kappa; };
+  const u64 len = u64{1} << alpha;
+  Stage3Oracle<K> o;
+  o.taken.assign(S, 0);
+  for (u64 s = 0; s < S; ++s) {
+    const u64 begin = s * len;
+    const u64 slen = std::min(len, v.size() - begin);
+    const auto real = dkeys.subspan(s * beta, std::min<u64>(beta, slen));
+    u64 t = 0;
+    for (const K d : real) t += above(d);
+    o.taken[s] = static_cast<u8>(t);
+    o.taken_total += t;
+    if (t == 0) continue;
+    if (rule2 && t == real.size()) {
+      ++o.qualified;
+      for (const K x : v.subspan(begin, slen))
+        if (!filter || above(x)) o.cand.push_back(x);
+    } else {
+      ++o.partial;
+      o.partial_taken += t;
+      for (const K d : real)
+        if (above(d)) o.cand.push_back(d);
+    }
+  }
+  std::sort(o.cand.begin(), o.cand.end());
+  return o;
+}
+
+/// A delegate vector with a host copy of its keys.
+template <class K>
+struct BuiltDelegates {
+  DelegateVector<K> dv;
+  std::vector<K> keys;
+};
+
+/// Builds the delegate vector `cfg` resolves for (|v|, k).
+template <class K>
+BuiltDelegates<K> build_for(std::span<const K> v, u64 k,
+                            const DrTopkConfig& cfg) {
+  const DelegateGeometry geo = resolve_geometry(v.size(), k, cfg);
+  topk::Accum acc(shared_device());
+  ConstructOpts copts = cfg.construct;
+  copts.emit_sids = !cfg.fused_concat;
+  BuiltDelegates<K> b;
+  b.dv = build_delegate_vector<K>(acc, v, geo.alpha, geo.beta, copts);
+  b.keys.assign(b.dv.keys.begin(), b.dv.keys.end());
+  return b;
+}
+
+/// The oracle for the exact k-th delegate of `b` (what a first top-k
+/// without the Section 4.3 relaxation resolves).
+template <class K>
+Stage3Oracle<K> oracle_for(std::span<const K> v, u64 k,
+                           const BuiltDelegates<K>& b, bool filter,
+                           bool rule2, bool strict) {
+  std::span<const K> dkeys(b.keys.data(), b.keys.size());
+  return stage3_oracle<K>(v, dkeys, b.dv.num_subranges, b.dv.beta,
+                          b.dv.alpha, reference_topk(dkeys, k).back(),
+                          filter, rule2, strict);
+}
+
+/// Checks one breakdown's stage-3 counts against the oracle.
+template <class K>
+void expect_stage3_fields(const StageBreakdown& bd, const Stage3Oracle<K>& o,
+                          const std::string& at) {
+  EXPECT_EQ(bd.qualified_subranges, o.qualified) << at;
+  EXPECT_EQ(bd.taken_delegates, o.taken_total) << at;
+  EXPECT_EQ(bd.concat_len, o.cand.size()) << at;
+}
+
+/// Runs stages 2-4 of `cfg` over `v` with an exact first top-k and checks
+/// them against stage3_oracle: the qualified and taken counts, the
+/// candidate count and multiset (captured through DeferredSecond's storage
+/// provider), the stage-4 skip rule, and the answer against
+/// reference_topk (exact fidelity only).
+template <class K>
+void expect_pipeline_matches_oracle(std::span<const K> v, u64 k,
+                                    DrTopkConfig cfg, bool strict,
+                                    const std::string& at) {
+  cfg.skip_last_first_iter = false;  // kappa = the exact k-th delegate
+  const auto expect_answer = [&](const std::vector<K>& keys) {
+    if (!cfg.fidelity.exact()) return;
+    std::vector<K> want = reference_topk(v, k);
+    if (cfg.selection_only) want = {want.back()};
+    EXPECT_EQ(keys, want) << at;
+  };
+  if (resolve_geometry(v.size(), k, cfg).alpha < 0) {
+    expect_answer(dr_topk_keys<K>(shared_device(), v, k, cfg).keys);
+    return;
+  }
+  const BuiltDelegates<K> b = build_for<K>(v, k, cfg);
+  const auto o = oracle_for<K>(v, k, b, cfg.filtering, cfg.fidelity.exact(),
+                               strict);
+  std::vector<K> store;
+  DeferredSecond<K> ds;
+  ds.alloc_cand = [&](u64 cap) {
+    store.assign(cap, K{});
+    return std::span<K>(store.data(), store.size());
+  };
+  StageBreakdown bd;
+  auto r = dr_topk_from_delegates<K>(shared_device(), v, k, b.dv, cfg, &bd,
+                                     vgpu::tls_workspace(), &ds);
+  expect_stage3_fields<K>(bd, o, at);
+  ASSERT_EQ(bd.concat_len, o.cand.size()) << at;
+  ASSERT_LE(bd.concat_len, store.size()) << at;
+  std::vector<K> got(store.begin(),
+                     store.begin() + static_cast<i64>(bd.concat_len));
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, o.cand) << at;
+  if (strict) {
+    EXPECT_EQ(bd.second_skipped, o.cand.size() <= k) << at;
+    if (bd.second_skipped) {
+      EXPECT_EQ(bd.second_stats.kernels_launched, 0u) << at;
+    }
+  }
+  expect_answer(ds.deferred ? dr_topk_keys<K>(shared_device(), v, k, cfg).keys
+                            : r.keys);
+}
+
 // ---- Fused single-pass stage 3 vs the legacy three-pass baseline ----
 
 /// PR-1 baseline configuration: three-pass stage 3, multi-pass radix for
@@ -421,12 +582,23 @@ TEST(FusedConcat, BitIdenticalAndCheaperAcrossDistributions) {
         StageBreakdown bf, bl;
         auto rf = dr_topk_keys<u32>(shared_device(), vs, k, fused, &bf);
         auto rl = dr_topk_keys<u32>(shared_device(), vs, k, legacy, &bl);
-        ASSERT_EQ(rf.keys, rl.keys)
-            << data::to_string(d) << " k=" << k << " beta=" << beta;
+        const std::string at = data::to_string(d) + " k=" +
+                               std::to_string(k) + " beta=" +
+                               std::to_string(beta);
+        ASSERT_EQ(rf.keys, rl.keys) << at;
         EXPECT_EQ(rf.keys, reference_topk(vs, k));
-        EXPECT_EQ(bf.qualified_subranges, bl.qualified_subranges);
-        EXPECT_EQ(bf.taken_delegates, bl.taken_delegates);
-        EXPECT_EQ(bf.concat_len, bl.concat_len);
+        // The fused pass classifies tie-aware (> kappa), the legacy pass by
+        // the paper's inclusive rule (>= kappa); each matches its oracle.
+        expect_stage3_fields<u32>(
+            bf,
+            oracle_for<u32>(vs, k, build_for<u32>(vs, k, fused), true, true,
+                            /*strict=*/true),
+            at + " fused");
+        expect_stage3_fields<u32>(
+            bl,
+            oracle_for<u32>(vs, k, build_for<u32>(vs, k, legacy), true, true,
+                            /*strict=*/false),
+            at + " legacy");
         // The fused pass must not cost more concatenation traffic.
         EXPECT_LE(bf.concat_stats.atomic_ops, bl.concat_stats.atomic_ops);
         EXPECT_LE(bf.concat_stats.global_load_txns,
@@ -704,51 +876,117 @@ TEST(KappaHook, SharpenedThresholdShrinksCandidatesAndStaysExact) {
   EXPECT_LE(bd_hook.taken_delegates, bd_plain.taken_delegates);
 }
 
-// ---- Stage 3 (core/concat_batched.hpp) ----
+// ---- Tie-aware stage 3 (default exact pipeline) ----
 
-/// Stage 3 by its definition, on the host, for one threshold: the reference
-/// the batched engine must reproduce segment by segment.
-template <class K>
-struct Stage3Oracle {
-  std::vector<u8> taken;  ///< real delegates >= kappa, per subrange
-  u64 qualified = 0, partial = 0, partial_taken = 0, taken_total = 0;
-  std::vector<K> cand;  ///< sorted candidate multiset
-};
+/// The sweep's inputs: the paper's three distributions plus two tie-only
+/// layouts, all-equal values and four distinct values.
+std::vector<u32> tie_sweep_input(const std::string& name, u64 n) {
+  const auto gen = [n](Distribution d, u64 seed) {
+    const auto g = data::generate(n, d, seed);
+    return std::vector<u32>(g.begin(), g.end());
+  };
+  if (name == "UD") return gen(Distribution::kUniform, 61);
+  if (name == "ND") return gen(Distribution::kNormal, 62);
+  if (name == "CD") return gen(Distribution::kCustomized, 63);
+  std::vector<u32> v(n, 42u);
+  if (name == "four")
+    for (u64 i = 0; i < n; ++i)
+      v[i] = 1000u * (1 + static_cast<u32>(data::rand_u32(64, i) % 4));
+  return v;
+}
 
-/// Per subrange, counts the real delegates >= kappa. A subrange whose real
-/// delegates are all taken qualifies (under rule2) and contributes its
-/// elements >= kappa, or all of them without filtering; any other taken
-/// subrange contributes its taken delegates.
-template <class K>
-Stage3Oracle<K> stage3_oracle(std::span<const K> v, std::span<const K> dkeys,
-                              u64 S, u32 beta, int alpha, K kappa,
-                              bool filter, bool rule2) {
-  const u64 len = u64{1} << alpha;
-  Stage3Oracle<K> o;
-  o.taken.assign(S, 0);
-  for (u64 s = 0; s < S; ++s) {
-    const u64 begin = s * len;
-    const u64 slen = std::min(len, v.size() - begin);
-    const auto real = dkeys.subspan(s * beta, std::min<u64>(beta, slen));
-    u64 t = 0;
-    for (const K d : real) t += d >= kappa;
-    o.taken[s] = static_cast<u8>(t);
-    o.taken_total += t;
-    if (t == 0) continue;
-    if (rule2 && t == real.size()) {
-      ++o.qualified;
-      for (const K x : v.subspan(begin, slen))
-        if (!filter || x >= kappa) o.cand.push_back(x);
-    } else {
-      ++o.partial;
-      o.partial_taken += t;
-      for (const K d : real)
-        if (d >= kappa) o.cand.push_back(d);
+TEST(TieAware, Stage3MatchesStrictOracleAcrossInputs) {
+  for (const std::string name : {"UD", "ND", "CD", "equal", "four"}) {
+    for (const u64 n : {u64{1} << 17, (u64{1} << 17) + 5}) {
+      const std::vector<u32> v = tie_sweep_input(name, n);
+      std::span<const u32> vs(v.data(), v.size());
+      // The same values as u64 keys (x * (2^32 + 1) keeps order and ties,
+      // and maps the u32 maximum to the u64 maximum), and as the directed
+      // keys of a smallest-k query.
+      std::vector<u64> w(v.begin(), v.end());
+      for (u64& x : w) x *= 0x1'0000'0001ull;
+      std::vector<u32> flipped(v.begin(), v.end());
+      for (u32& x : flipped) x = ~x;
+      std::vector<u32> ascending(v.begin(), v.end());
+      std::sort(ascending.begin(), ascending.end());
+      for (const u64 k : {u64{1}, u64{16}, u64{1024}, u64{16384}}) {
+        const std::string at =
+            name + " n=" + std::to_string(n) + " k=" + std::to_string(k);
+        for (u32 beta = 1; beta <= 4; ++beta) {
+          DrTopkConfig cfg;
+          cfg.beta = beta;
+          expect_pipeline_matches_oracle<u32>(
+              vs, k, cfg, true, at + " beta=" + std::to_string(beta));
+        }
+        DrTopkConfig sel;
+        sel.selection_only = true;
+        expect_pipeline_matches_oracle<u32>(vs, k, sel, true,
+                                            at + " selection-only");
+        expect_pipeline_matches_oracle<u64>(std::span<const u64>(w), k, {},
+                                            true, at + " u64");
+        // kSmallest runs the pipeline on the directed keys ~x.
+        std::span<const u32> fs(flipped.data(), flipped.size());
+        expect_pipeline_matches_oracle<u32>(fs, k, {}, true,
+                                            at + " smallest keys");
+        const auto r = dr_topk<u32>(shared_device(), vs, k,
+                                    data::Criterion::kSmallest);
+        EXPECT_EQ(r.values, std::vector<u32>(ascending.begin(),
+                                             ascending.begin() + k))
+            << at << " smallest";
+      }
     }
   }
-  std::sort(o.cand.begin(), o.cand.end());
-  return o;
 }
+
+TEST(TieAware, MaxKeyKappaLaunchesNoStage3Kernel) {
+  // Nothing lies strictly above the key type's maximum: a kappa equal to
+  // it leaves no candidate, so stage 3 and stage 4 launch nothing and the
+  // answer is k copies of kappa.
+  const auto check = [](auto vs, u64 k, const std::string& at) {
+    StageBreakdown bd;
+    const auto r = dr_topk_keys(shared_device(), vs, k, DrTopkConfig{}, &bd);
+    EXPECT_EQ(r.keys, reference_topk(vs, k)) << at;
+    EXPECT_EQ(bd.concat_stats.kernels_launched, 0u) << at;
+    EXPECT_EQ(bd.concat_len, 0u) << at;
+    EXPECT_EQ(bd.taken_delegates, 0u) << at;
+    EXPECT_TRUE(bd.second_skipped) << at;
+    EXPECT_EQ(bd.second_stats.kernels_launched, 0u) << at;
+  };
+  const std::vector<u32> max32(1 << 17, ~0u);
+  check(std::span<const u32>(max32), 1024, "all 0xFFFFFFFF");
+  const std::vector<u64> max64(1 << 17, ~u64{0});
+  check(std::span<const u64>(max64), 1024, "all ~0 u64");
+  // CD holds 2^20 / 256 = 4096 copies of 0xFFFFFFFF.
+  const auto cd = data::generate(1 << 20, Distribution::kCustomized, 65);
+  check(std::span<const u32>(cd.data(), cd.size()), 64, "CD 2^20");
+}
+
+TEST(TieAware, HookNoFilteringAndRecallTargetKeepInclusiveCounts) {
+  // A kappa hook, the Rule 2 ablation and a recall target keep the paper's
+  // >= kappa classification: same qualified and taken counts and the same
+  // candidate multiset as the inclusive oracle.
+  for (const Distribution d : {Distribution::kUniform, Distribution::kNormal,
+                               Distribution::kCustomized}) {
+    const auto v = data::generate(1 << 17, d, 66);
+    std::span<const u32> vs(v.data(), v.size());
+    for (const u64 k : {u64{16}, u64{1024}}) {
+      const std::string at = data::to_string(d) + " k=" + std::to_string(k);
+      DrTopkConfig hook;
+      hook.kappa_hook = [](u64 kappa) { return kappa; };
+      expect_pipeline_matches_oracle<u32>(vs, k, hook, false, at + " hook");
+      DrTopkConfig nofilt;
+      nofilt.filtering = false;
+      expect_pipeline_matches_oracle<u32>(vs, k, nofilt, false,
+                                          at + " no filtering");
+      DrTopkConfig approx;
+      approx.fidelity = FidelityPolicy::approx(0.9);
+      expect_pipeline_matches_oracle<u32>(vs, k, approx, false,
+                                          at + " recall 0.9");
+    }
+  }
+}
+
+// ---- Stage 3 (core/concat_batched.hpp) ----
 
 /// Scratch + segment descriptors for one batched stage-3 run.
 template <class K>

@@ -172,9 +172,18 @@ TEST(ObsTracer, ConcurrentLanesLoseNothing) {
 
 // ------------------------------------------------- serve-layer integration
 
+/// Plants 256 distinct keys above every other one in a contiguous run, so
+/// more than k keys lie strictly above the stage-2 threshold for every
+/// k < 256 and the group's batched second top-k runs.
+void plant_hot_run(std::span<u32> v) {
+  for (u64 i = 0; i < 256; ++i) v[1024 + i] = 0xFFFF0000u + static_cast<u32>(i);
+}
+
 TEST(ObsServe, SpansWellFormedUnderConcurrentExecutors) {
   auto a = data::generate(1 << 15, data::Distribution::kUniform, 31);
   auto b = data::generate(1 << 14, data::Distribution::kNormal, 32);
+  plant_hot_run(a);
+  plant_hot_run(b);
   std::span<const u32> as(a.data(), a.size());
   std::span<const u32> bs(b.data(), b.size());
 
@@ -223,11 +232,14 @@ TEST(ObsServe, SpansWellFormedUnderConcurrentExecutors) {
 }
 
 TEST(ObsServe, EveryServedLaunchCarriesAStageLabel) {
-  // Mixed corpora/distributions so the run exercises the deferred stage-4
-  // path too (uniform data with an exact radix kappa can skip stage 4
-  // entirely — candidates == k — which would leave "second" untested).
+  // Mixed corpora/distributions, each with a planted run of top keys, so
+  // the run exercises the deferred stage-4 path too (with at most k keys
+  // above an exact kappa, stage 4 is skipped entirely, which would leave
+  // "second" untested).
   auto a = data::generate(1 << 15, data::Distribution::kUniform, 31);
   auto b = data::generate(1 << 14, data::Distribution::kNormal, 32);
+  plant_hot_run(a);
+  plant_hot_run(b);
   std::span<const u32> as(a.data(), a.size());
   std::span<const u32> bs(b.data(), b.size());
 

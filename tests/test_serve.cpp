@@ -46,6 +46,14 @@ std::vector<u64> oracle(const Query& q) {
   return top;
 }
 
+/// Plants `len` distinct keys above every other one in a contiguous run
+/// starting at `at`. The run fills a few subranges, each holding more than
+/// beta of the top keys, so for every k < len more than k keys lie strictly
+/// above the stage-2 threshold and the group's batched second top-k runs.
+void plant_hot_run(std::span<u32> v, u64 at, u64 len) {
+  for (u64 i = 0; i < len; ++i) v[at + i] = 0xFFFF0000u + static_cast<u32>(i);
+}
+
 TEST(Serve, SingleQueryMatchesSingleQueryPath) {
   auto v = data::generate(1 << 16, Distribution::kUniform, 11);
   std::span<const u32> vs(v.data(), v.size());
@@ -271,6 +279,35 @@ TEST(Serve, CalibrationNeverLosesToRule4AndWalksShort) {
   }
 }
 
+TEST(Serve, CalibrationLandsNearTheOracleOnUdK64) {
+  // 2^20 UD at k = 64: under the inclusive stage 3 a stage-4 launch fired
+  // at alpha 8 although exactly 64 candidates survived, a step in the time
+  // curve that led the walk to alpha 11, 16.2% slower than the oracle's 7.
+  // The tie-aware rule skips that launch at every alpha, and the walk
+  // reaches the oracle.
+  const u64 n = u64{1} << 20, k = 64;
+  auto v = data::generate(n, Distribution::kUniform, 11);
+  std::span<const u32> vs(v.data(), v.size());
+  ServerConfig cfg;
+  cfg.executors = 1;
+  TopkServer server(shared_device(), cfg);
+  const auto r = server.run_batch({Query::view(vs, k)});
+  EXPECT_EQ(r[0].values, widen(reference_topk(vs, k)));
+
+  core::DrTopkConfig base;
+  const int hi = core::clamp_alpha(n, k, base.beta, 64);
+  const int oracle_a = core::oracle_alpha(shared_device(), vs, k, base, 1, hi);
+  const auto full_ms = [&](int alpha) {
+    core::DrTopkConfig c = base;
+    c.alpha = alpha;
+    return core::dr_topk<u32>(shared_device(), vs, k, Criterion::kLargest, c)
+        .sim_ms;
+  };
+  const int pick = planned_alpha(server, vs, k);
+  EXPECT_LE(full_ms(pick), 1.03 * full_ms(oracle_a))
+      << "pick=" << pick << " oracle=" << oracle_a;
+}
+
 TEST(Serve, PinnedAlphaWinsOverCalibration) {
   // An explicit base.alpha is a contract (resolve_geometry: "an explicit
   // cfg.alpha pins the geometry"); the plan cache must not probe its way
@@ -412,6 +449,7 @@ TEST(Serve, BatchedFinalizeOneSecondTopkLaunchPerWarmedGroup) {
   // must perform exactly ONE second-top-k launch per admission group.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 103);
+  plant_hot_run(v, 4096, 256);  // more than k candidates for every member
   std::span<const u32> vs(v.data(), v.size());
 
   ServerConfig cfg;
@@ -473,6 +511,7 @@ TEST(Serve, DedupIdenticalQueriesShareOneStage3Entry) {
   // span, and the batched finalization sorts it once for all of them.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 131);
+  plant_hot_run(v, 4096, 256);  // more than k candidates: stage 4 runs
   std::span<const u32> vs(v.data(), v.size());
   const auto expect = widen(reference_topk(vs, 100));
 
@@ -551,6 +590,84 @@ TEST(Serve, DedupSelectionOnlySharesTheSpanNotTheEmission) {
   }
   const ServerStats s = server.stats();
   EXPECT_EQ(s.deduped_queries, 5u);
+}
+
+TEST(Serve, TieAwareGroupSelfServesWithPaddingOnCd) {
+  // CD holds 2^18 / 256 = 1024 copies of the maximum key, so every
+  // member's exact kappa is that maximum: no key lies strictly above it,
+  // the setup's batched stage 3 gets no segment, and every member answers
+  // k copies of kappa on the host. No concat and no finalize launch.
+  auto v = data::generate(1 << 18, Distribution::kCustomized, 141);
+  std::span<const u32> vs(v.data(), v.size());
+
+  ServerConfig cfg;
+  cfg.executors = 1;  // deterministic grouping: one group
+  cfg.batch_max = 8;
+  TopkServer server(shared_device(), cfg);
+
+  std::vector<Query> queries;
+  for (const u64 k : {u64{16}, u64{64}, u64{256}, u64{64}})
+    queries.push_back(Query::view(vs, k));
+  queries.push_back(Query::view(vs, 64, Criterion::kLargest,
+                                /*selection_only=*/true));
+  auto results = server.run_batch(queries);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(results[i].values, oracle(queries[i])) << i;
+    EXPECT_TRUE(results[i].breakdown.second_skipped) << i;
+    EXPECT_EQ(results[i].breakdown.concat_len, 0u) << i;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.completed, queries.size());
+  EXPECT_EQ(s.groups, 1u);
+  EXPECT_EQ(s.finalize_launches, 0u);
+  EXPECT_EQ(s.batched_groups, 0u);
+  EXPECT_EQ(s.concat_launches, 0u);
+}
+
+TEST(Serve, SetupFailureFallsBackCountedAndTraced) {
+  // One failed construct launch in a served group's setup: the group falls
+  // back to the unshared per-query pipeline, every member still answers
+  // oracle-exact, and the fallback shows in ServerStats, the Prometheus
+  // text and a trace instant carrying the exception text.
+  auto v = data::generate(1 << 16, Distribution::kUniform, 143);
+  std::span<const u32> vs(v.data(), v.size());
+
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private launch ledger
+  ServerConfig cfg;
+  cfg.executors = 1;  // deterministic grouping: one group
+  cfg.batch_max = 8;
+  cfg.obs.tracing = true;
+  TopkServer server(dev, cfg);
+  dev.fail_next_launches("construct", 1);
+
+  std::vector<Query> queries;
+  for (const u64 k : {u64{16}, u64{100}, u64{100}, u64{700}})
+    queries.push_back(Query::view(vs, k));
+  auto results = server.run_batch(queries);
+  server.drain();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(results[i].values, oracle(queries[i])) << i;
+    EXPECT_FALSE(results[i].fused) << i;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.setup_fallbacks, 1u);
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_NE(server.metrics_prometheus().find("serve_setup_fallbacks 1\n"),
+            std::string::npos);
+  EXPECT_EQ(dev.unattributed_launches(), 0u);
+  u64 instants = 0;
+  for (const auto& [lane, span] : server.tracer().snapshot()) {
+    if (std::string_view(span.name) != "setup-fallback") continue;
+    ++instants;
+    EXPECT_NE(span.detail.find("injected launch failure (stage construct)"),
+              std::string::npos)
+        << span.detail;
+  }
+  EXPECT_EQ(instants, 1u);
+
+  // The seam is spent: the next group sets up normally.
+  (void)server.run_batch(queries);
+  EXPECT_EQ(server.stats().setup_fallbacks, 1u);
 }
 
 TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {

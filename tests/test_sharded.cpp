@@ -73,6 +73,28 @@ TEST(Sharded, ParityAcrossDistributionsKAndShardCounts) {
   }
 }
 
+TEST(Sharded, TieAwareParityOnNdAndCd) {
+  // Tie-heavy corpora: each shard answers from the keys strictly above its
+  // kappa padded with copies of kappa (CD's maximum key alone has about
+  // n / 256 copies), and the merge must keep every copy.
+  const u64 n = (u64{1} << 17) + 333;
+  for (auto dist : {Distribution::kNormal, Distribution::kCustomized}) {
+    auto v = data::generate(n, dist, 95);
+    std::span<const u32> vs(v.data(), v.size());
+    for (u32 shards : {2u, 4u}) {
+      ShardedTopkServer srv(sharded_cfg(shards));
+      auto corpus = srv.register_corpus(vs);
+      ASSERT_EQ(srv.corpus_shards(corpus), shards);
+      for (u64 k : {u64{1}, u64{64}, u64{1000}, u64{5000}}) {
+        const auto expect = oracle(vs, k);
+        ASSERT_EQ(srv.submit(corpus, k).get().values, expect)
+            << "dist=" << data::to_string(dist) << " shards=" << shards
+            << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(Sharded, KLargerThanShardWinnersAndRaggedLastShard) {
   // 4 shards over 3*4096+5 elements: the last shard holds 5 elements, and
   // k = 9000 exceeds every shard's length — each sub-query clamps to its
