@@ -14,6 +14,13 @@
 // answers are compared bit for bit with the CPU reference oracle
 // (topk::reference_topk). Results land in BENCH_PR7.json section
 // "serve_sharded"; CI gates on that parity and the 2-shard gain.
+//
+// Both sides admit each round as one burst: the single device through
+// TopkServer::run_batch, the sharded deployments through
+// ShardedTopkServer::submit_many, so every shard sees the round's queries
+// in its admission groups exactly as the single device does. An ungated
+// "streamed" row repeats the launch-bound 4-shard run with one submit per
+// query, which shows what a burst saves over one-at-a-time arrivals.
 #include "common.hpp"
 #include "serve/sharded.hpp"
 
@@ -72,9 +79,12 @@ double balanced_ms(const serve::ServerStats& after,
          static_cast<double>(executors);
 }
 
+/// One deployment over `shards` devices. `burst` admits each round through
+/// submit_many (the gated rows); otherwise one submit per query.
 DeployRun run_sharded(u32 shards, std::span<const u32> corpus,
                       const std::vector<u64>& ks, int rounds,
-                      const serve::ServerConfig& shard_cfg) {
+                      const serve::ServerConfig& shard_cfg,
+                      bool burst = true) {
   serve::ShardedConfig cfg;
   cfg.num_shards = shards;
   cfg.min_shard_elems = 1;  // spread the corpus over every shard
@@ -84,8 +94,12 @@ DeployRun run_sharded(u32 shards, std::span<const u32> corpus,
 
   auto round = [&] {
     std::vector<std::future<serve::QueryResult>> fs;
-    fs.reserve(ks.size());
-    for (u64 k : ks) fs.push_back(srv.submit(corpus_id, k));
+    if (burst) {
+      fs = srv.submit_many(corpus_id, ks);
+    } else {
+      fs.reserve(ks.size());
+      for (u64 k : ks) fs.push_back(srv.submit(corpus_id, k));
+    }
     std::vector<std::vector<u64>> vals;
     vals.reserve(fs.size());
     for (auto& f : fs) vals.push_back(f.get().values);
@@ -250,8 +264,11 @@ int main(int argc, char** argv) {
 
   const DeployRun lb_single = run_single(lb_corpus, lb_ks, rounds, shard_cfg);
   const DeployRun lb_four = run_sharded(4, lb_corpus, lb_ks, rounds, shard_cfg);
+  const DeployRun lb_streamed =
+      run_sharded(4, lb_corpus, lb_ks, rounds, shard_cfg, /*burst=*/false);
 
   const double lb_gain4 = lb_four.qps / lb_single.qps;
+  const double lb_gain4_streamed = lb_streamed.qps / lb_single.qps;
   const auto lb_expect = oracle_answers(lb_corpus, lb_ks);
   const bool lb_parity = matches_oracle(lb_single, lb_expect) &&
                          matches_oracle(lb_four, lb_expect);
@@ -263,6 +280,9 @@ int main(int argc, char** argv) {
   std::printf("%10s %10s %10s %8s\n", "single", "4-shard", "gain", "parity");
   std::printf("%10.1f %10.1f %9.2fx %8s\n", lb_single.qps, lb_four.qps,
               lb_gain4, lb_parity ? "ok" : "FAIL");
+  std::printf("streamed, one submit per query (ungated): %10.1f %9.2fx %8s\n",
+              lb_streamed.qps, lb_gain4_streamed,
+              matches_oracle(lb_streamed, lb_expect) ? "ok" : "FAIL");
   std::printf("single-device launches/query: %.2f\n", lb_lpq_single);
 
   // ------------------------------------------------------------------

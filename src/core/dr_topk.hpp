@@ -36,9 +36,10 @@
 //
 // Entry points:
 //  * dr_topk_keys      — the full pipeline (stages 1-4);
-//  * dr_topk_from_delegates — stages 2-4 over a prebuilt delegate vector,
-//    the re-entrant seam the serving layer uses to share one construction
-//    pass across a batch of queries on the same data;
+//  * dr_topk_from_delegates — stages 2-4 of one query over a prebuilt
+//    delegate vector (dr_topk_keys' second half). The serving layer does
+//    not call it: a group setup runs stages 2-3 for all of its members as
+//    batched launches (topk::batched_topk, core/concat_batched.hpp);
 //  * ExecPlan          — an externally supplied (alpha, beta) geometry,
 //    e.g. from serve::PlanCache, that skips the alpha tuner.
 #pragma once
@@ -203,50 +204,6 @@ inline DelegateGeometry resolve_geometry(u64 n, u64 k, const DrTopkConfig& cfg) 
   return {clamp_alpha(n, k, beta, alpha), beta};
 }
 
-/// Batched-serving seam for dr_topk_from_delegates: lets the serving layer
-/// (a) supply an exact stage-2 threshold resolved elsewhere — one batched
-/// launch covers a whole admission group's kappas — and (b) request that
-/// stage 4 be *deferred*: the call stops after concatenation and hands the
-/// candidate span back instead of launching the second top-k, so the caller
-/// can finalize many queries' candidates with one batched selection launch
-/// (topk/batched.hpp). A call that needs no second top-k (second_skipped)
-/// answers itself and does not defer.
-///
-/// Ownership contract: deferral REQUIRES `alloc_cand` — the candidate
-/// vector is carved out of whatever arena the callback allocates from (the
-/// serving group's pooled workspace) instead of the call's scratch
-/// workspace, so the span outlives the call's own scratch scope and stays
-/// valid until that arena is rewound or released. The caller owns both the
-/// finalization and the arena lifetime. Without `alloc_cand` the call
-/// never defers (candidates would die with the call's Scope rewind); the
-/// struct is then a kappa-only channel.
-///
-/// The contract is purely arena-relative: the deferred second top-k may
-/// run on another thread after this call returns (the serving layer's
-/// group finalization runs on whichever executor finishes the group's
-/// last item), so whoever schedules it must keep the arena behind
-/// `alloc_cand` alive — and un-rewound past the span — until the batched
-/// launch has consumed it (the serving layer holds the group, and thus its
-/// pooled-workspace lease, until its finalization returns). A span may
-/// also be read by MORE than one logical query: the serving setup stages
-/// one candidate span per distinct k and every member asking for that k
-/// parks a segment over it, so release must happen after the last reader,
-/// not the first.
-template <class K>
-struct DeferredSecond {
-  // Inputs.
-  bool have_kappa = false;  ///< stage-2 threshold already resolved (exact:
-                            ///< no relaxation applies)
-  K kappa{};
-  /// Candidate-vector storage provider (must return >= the requested
-  /// length); its arena must outlive the deferred finalization. Unset:
-  /// candidates come from the call's workspace and deferral is disabled.
-  std::function<std::span<K>(u64)> alloc_cand;
-  // Outputs.
-  bool deferred = false;    ///< stage 4 was deferred; result.keys is empty
-  std::span<const K> cand;  ///< the candidate span (see contract above)
-};
-
 /// Per-stage accounting: the quantities plotted in Figures 6/7/10/13/15
 /// (stage times) and Figures 20/21 (workload = vector sizes).
 struct StageBreakdown {
@@ -335,20 +292,17 @@ inline vgpu::Launch acc_launch_subranges(vgpu::Device& dev, u64 subranges) {
 /// Stages 2-4 of the pipeline over a prebuilt delegate vector: first top-k
 /// on the delegates, Rule 2/3 classification + concatenation, second top-k.
 /// Re-entrant — safe to call concurrently on one Device as long as each
-/// caller passes its own workspace — and the seam that lets a batch of
-/// queries over the same data share one construction pass. All scratch
-/// (taken counts, sid lists, the candidate vector, engine buffers) comes
-/// from `ws` and is rewound before returning, so steady-state callers with
-/// a warmed workspace never grow it here. The returned result (and
-/// breakdown) covers stages 2-4 only; the caller owns the construction
-/// accounting.
+/// caller passes its own workspace. All scratch (taken counts, sid lists,
+/// the candidate vector, engine buffers) comes from `ws` and is rewound
+/// before returning, so steady-state callers with a warmed workspace never
+/// grow it here. The returned result (and breakdown) covers stages 2-4
+/// only; the caller owns the construction accounting.
 template <class K>
 topk::TopkResult<K> dr_topk_from_delegates(
     vgpu::Device& dev, std::span<const K> v, u64 k,
     const DelegateVector<K>& dv, const DrTopkConfig& cfg = {},
     StageBreakdown* bd_out = nullptr,
-    vgpu::Workspace& ws = vgpu::tls_workspace(),
-    DeferredSecond<K>* ds = nullptr) {
+    vgpu::Workspace& ws = vgpu::tls_workspace()) {
   using topk::Accum;
   topk::WallTimer wall;
   const u64 n = v.size();
@@ -374,21 +328,20 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // radix digit) applies, except under a kappa_hook: the hook exists to
   // exchange the local k-th delegate across devices (Section 5.4), and a
   // prefix with its low digit zeroed is a looser bound than that.
-  const bool ext_kappa = ds && ds->have_kappa;
   // Approximate fidelity (per-partition mode): the answer is the top-k of
   // the delegates themselves, so classification is delegates-only (Rule 2
   // never streams a subrange) and a relaxed threshold needs no guard — it
   // only widens the candidate superset the error budget already covers.
   const bool approx = !cfg.fidelity.exact();
   const bool small_first =
-      !ext_kappa && cfg.small_input_shared &&
+      cfg.small_input_shared &&
       cfg.first_algo == topk::Algo::kRadixFlag &&
       topk::small_topk_fits<K>(dev.profile(), dkeys.size());
   // The relaxation needs beta > 1 for the exact rules to absorb the looser
   // threshold; under approximate fidelity it is always sound (any
   // kappa <= the exact one keeps every top-k delegate a candidate).
   const bool relax =
-      !ext_kappa && !small_first && cfg.skip_last_first_iter &&
+      !small_first && cfg.skip_last_first_iter &&
       (beta > 1 || approx) && !cfg.kappa_hook &&
       cfg.first_algo == topk::Algo::kRadixFlag;
   // Relaxation guard: skipping the last digit only pays when that digit
@@ -402,11 +355,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     // Defaulting stage scope: serve's "calibrate" (plan-cache probes) wins
     // when present; otherwise first-top-k launches are charged to "first".
     vgpu::StageScope stage2("first");
-    if (ext_kappa) {
-      // Stage 2 already resolved externally — one batched launch covered
-      // the whole admission group's thresholds. The value is exact.
-      kappa = ds->kappa;
-    } else if (small_first) {
+    if (small_first) {
       Accum a2(dev);
       const topk::BatchedSegment<K> seg{dkeys, k, 0, /*selection_only=*/true};
       kappa = topk::batched_topk<K>(a2, {&seg, 1}, ws).keys[0][0];
@@ -446,11 +395,6 @@ topk::TopkResult<K> dr_topk_from_delegates(
   u64 q_count = 0;
   std::span<K> cand;
   u64 cand_count = 0;
-  // Candidate storage: the caller's arena when deferral is in play (the
-  // span must outlive this call), the call's workspace otherwise.
-  const auto cand_alloc = [&](u64 cap) {
-    return ds && ds->alloc_cand ? ds->alloc_cand(cap) : ws.alloc<K>(cap);
-  };
 
   // The legacy path needs the sid tags; a delegate vector built without
   // them (emit_sids=false) can only run fused — degrade gracefully rather
@@ -479,8 +423,8 @@ topk::TopkResult<K> dr_topk_from_delegates(
     q_count = seg.qualified_count;
     bd.taken_delegates = seg.taken_total;
     bd.qualified_subranges = q_count;
-    seg.cand = cand = cand_alloc(
-        batched_concat_capacity(seg, S, beta, dv.alpha, n));
+    seg.cand = cand =
+        ws.alloc<K>(batched_concat_capacity(seg, S, beta, dv.alpha, n));
     concat_candidates_batched<K>(a3, v, dkeys, beta, dv.alpha, cfg.filtering,
                                  one);
     cand_count = seg.cand_count;
@@ -526,7 +470,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
         break;
       }
     }
-    cand = cand_alloc(partial_total + qual_len);
+    cand = ws.alloc<K>(partial_total + qual_len);
 
     // Phase B1: partial subranges contribute their taken delegates
     // (full delegate re-scan, one atomic + divergent stores per subrange).
@@ -570,20 +514,12 @@ topk::TopkResult<K> dr_topk_from_delegates(
   vgpu::StageScope stage4("second", /*force=*/stage3.engaged());
   bd.second_skipped = tie_aware ? cand_count <= k
                                 : (q_count == 0 && bd.taken_delegates == k);
-  // Deferral requires caller-owned candidate storage: without alloc_cand
-  // the span lives in this call's scratch scope and would dangle.
-  if (ds) ds->deferred = ds->alloc_cand && !bd.second_skipped;
   const std::span<const K> cview(cand.data(), cand_count);
   const bool small_second =
       !bd.second_skipped && cfg.small_input_shared &&
       cfg.second_algo == topk::Algo::kRadixFlag &&
       topk::small_topk_fits<K>(dev.profile(), cand_count);
-  if (ds && ds->deferred) {
-    // Deferred finalization: hand the candidates back. The caller owns the
-    // second top-k (typically one batched launch covering a whole admission
-    // group) and the arena the span lives in; keys/kth are left empty.
-    ds->cand = cview;
-  } else if (bd.second_skipped) {
+  if (bd.second_skipped) {
     result.keys = expand_skipped_answer<K>(cview, kappa, k, cfg.selection_only);
   } else if (small_second) {
     // Candidate vector fits one SM: single-launch sort-and-choose (full
@@ -607,7 +543,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     bd.second_stats = sr.stats;
     result.keys = std::move(sr.keys);
   }
-  if (!result.keys.empty()) result.kth = result.keys.back();
+  result.kth = result.keys.back();
   result.stats = bd.total_stats();
   result.sim_ms = bd.total_ms();
   result.wall_ms = wall.ms();

@@ -1,32 +1,31 @@
 // Admission scheduling for the top-k server.
 //
 // Submitted queries are admitted into *groups*: a query joins the youngest
-// queued group whose compatibility signature (data identity, length, key
-// width, criterion, fidelity) matches, up to batch_max queries; otherwise
-// it opens a new group. Groups queue FIFO. Executors claim work with
-// group-granular setup (one executor resolves the plan and builds the
-// shared delegate vector) followed by query-granular stealing: once a
-// group's setup is published, *any* executor can claim its next unclaimed
-// query via the group's cursor, so a large batch is drained cooperatively
-// rather than pinned to one executor.
+// queued group that still admits and whose compatibility signature (data
+// identity, length, key width, criterion, fidelity) matches, up to
+// batch_max queries; otherwise it opens a new group. Groups queue FIFO.
+// Executors claim work with group-granular setup (one executor resolves
+// the plan, builds the shared delegate vector and stages every member's
+// stages 2-3) followed by query-granular stealing: once a group's setup is
+// published, *any* executor can claim its next unclaimed query via the
+// group's cursor, so a large batch is drained cooperatively rather than
+// pinned to one executor.
 //
-// A group stays open for admission for as long as it is queued — in
-// particular *while its setup is running*, which is exactly the expensive
-// window worth amortizing: a client streaming compatible queries one at a
-// time joins the group whose construction is already in flight and rides
-// the shared delegate vector for free (items live in a deque, so references
-// handed to executors stay valid across late admissions; a late query
-// whose k exceeds the built delegate capacity — or, under a recall
-// target, whose miss budget the approximate geometry does not meet —
-// simply falls back to the unfused path). The setup itself covers the
-// items present at claim time (kmax snapshot); every deque traversal
-// happens under the queue mutex.
+// A group admits until its setup has built the shared delegate vector —
+// the construction pass is the expensive window worth amortizing, so a
+// client streaming compatible queries one at a time joins the group whose
+// construction is in flight. Setup then closes admission (close_admission)
+// and resolves every member's k in one batched kappa launch and one
+// classify + concat pair; a query arriving after the close opens a new
+// group. publish() closes a group that is still admitting (a direct shape,
+// a setup that threw). Items live in a deque, so references handed to
+// executors stay valid across admissions; every deque traversal happens
+// under the queue mutex.
 //
 // The queue bounds in-flight queries: submit() blocks while the bound is
 // reached — backpressure toward the client instead of unbounded memory.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <future>
@@ -53,8 +52,8 @@ struct Pending {
                              ///< QueryResult::queue_us
 };
 
-/// A phase-A output parked for batched finalization: the query's stages
-/// 2-3 ran (its candidate span lives in the group's arena, possibly shared
+/// A riding member parked for batched finalization: the group setup staged
+/// its stages 2-3 (its candidate span lives in the group's arena, shared
 /// with every member of the same k); stage 4 runs once for the whole group,
 /// fulfilling every parked promise.
 template <class K>
@@ -88,14 +87,17 @@ struct Group {
   std::deque<Pending> items;
 
   // Scheduling state, guarded by the owning queue's mutex.
+  bool admitting = true;       ///< new compatible queries may join
   bool setup_claimed = false;  ///< one executor is resolving plan/delegates
   bool runnable = false;       ///< setup published; items may be claimed
   u64 next = 0;                ///< stealing cursor: next unclaimed item
-  u64 setup_items = 0;         ///< items present when setup was claimed
-  u64 setup_kmax = 1;          ///< max k over those items
-  std::vector<u64> setup_ks;   ///< their k values (delegate sizing decides
-                               ///< the largest *feasible* k to build for)
+  std::vector<u64> setup_ks;   ///< ks of the items present at claim: they
+                               ///< size the plan key, calibration and
+                               ///< delegate vector
   Query setup_query;           ///< snapshot for the setup's data access
+  /// items.size() frozen when admission closed; written under the queue
+  /// mutex before publish, so every item claim observes it.
+  u64 final_items = 0;
 
   // Execution state, written single-threaded during setup, read-only after
   // `runnable` is published.
@@ -113,29 +115,18 @@ struct Group {
   vgpu::WorkspacePool::Lease ws;
   core::DelegateVector<u32> dv32;
   core::DelegateVector<u64> dv64;
-  std::span<const u32> keys32;  ///< directed keys (non-identity criteria)
-  std::span<const u64> keys64;
-  bool keys_materialized = false;
   double setup_sim_ms = 0.0;  ///< construction + key conversion, shared by
                               ///< the whole group (amortized into latency)
   core::StageBreakdown setup_stages;
 
-  // --- Batched second-stage selection (PR 3) ---
-  /// Exact stage-2 thresholds resolved by the setup's batched launch over
-  /// the shared delegate vector, one per distinct feasible k of the setup
-  /// snapshot (parallel arrays; values carried as u64 regardless of width).
-  std::vector<u64> kappa_ks;
-  std::vector<u64> kappa_vals;
-
-  // --- Group-wide batched stage 3 (PR 8) ---
-  /// One precomputed stage-3 result per distinct feasible k: setup ran the
-  /// whole group's classify + concat as ONE launch pair over the shared
-  /// delegate vector, so an item whose k matches performs ZERO launches —
-  /// it parks a DeferredItem referencing the group-arena candidate span
-  /// (or, when no second top-k is needed, self-serves on the host with
-  /// core::expand_skipped_answer). Written single-threaded before publish;
-  /// read-only afterwards. Only the span matching the group's key width is
-  /// set.
+  /// One precomputed stage-2/3 result per distinct k that rides the shared
+  /// delegate vector: setup resolved every member's kappa in one batched
+  /// launch and ran the whole group's classify + concat as ONE launch pair,
+  /// so a riding item performs ZERO launches — it parks a DeferredItem
+  /// referencing the group-arena candidate span (or, when no second top-k
+  /// is needed, self-serves on the host with core::expand_skipped_answer).
+  /// Written single-threaded before publish; read-only afterwards. Only the
+  /// span matching the group's key width is set.
   struct Stage3Entry {
     u64 k = 0;
     u64 kappa = 0;               ///< stage-2 threshold; pads a short answer
@@ -148,12 +139,10 @@ struct Group {
     std::span<const u64> cand64;
   };
   std::vector<Stage3Entry> stage3;
-  /// Guards the deferred lists, the executed counter and group-arena
-  /// candidate allocations (executors park phase-A results concurrently).
+  /// Guards the deferred lists and the executed counter (executors park
+  /// phase-A results concurrently).
   std::mutex batch_mu;
-  u64 executed = 0;     ///< items whose phase A (or full pipeline) finished
-  u64 final_items = 0;  ///< items.size() frozen when admission closed
-  std::atomic<bool> closed{false};  ///< fully claimed; final_items is valid
+  u64 executed = 0;  ///< items whose phase A (or full pipeline) finished
   std::vector<DeferredItem<u32>> def32;
   std::vector<DeferredItem<u64>> def64;
 
@@ -211,14 +200,10 @@ class AdmissionQueue {
     return futures;
   }
 
+  /// One unit of executor work: a group to set up, or one of its items.
   struct Claim {
     std::shared_ptr<Group> group;
     Pending* item = nullptr;  ///< valid when !needs_setup
-    /// How many queries split the group's shared setup cost: the setup-time
-    /// snapshot for items it covered, 0 for late joiners (their marginal
-    /// construction cost is zero — the pass was already paid for). Shares
-    /// across a group thus sum to exactly the cost paid once.
-    u64 amortize_over = 0;
     bool needs_setup = false;
   };
 
@@ -232,11 +217,7 @@ class AdmissionQueue {
         Group& g = **it;
         if (!g.setup_claimed) {
           g.setup_claimed = true;
-          g.setup_items = g.items.size();
-          for (const Pending& p : g.items) {
-            g.setup_kmax = std::max(g.setup_kmax, p.query.k);
-            g.setup_ks.push_back(p.query.k);
-          }
+          for (const Pending& p : g.items) g.setup_ks.push_back(p.query.k);
           g.setup_query = g.items.front().query;
           out.group = *it;
           out.needs_setup = true;
@@ -246,15 +227,10 @@ class AdmissionQueue {
           out.group = *it;
           const u64 index = g.next++;
           out.item = &g.items[index];
-          out.amortize_over = index < g.setup_items ? g.setup_items : 0;
           out.needs_setup = false;
-          // Fully claimed: leave the queue (which also ends admission, so
-          // the item count is final — the batched finalizer keys off it).
-          if (g.next == g.items.size()) {
-            g.final_items = g.items.size();
-            g.closed.store(true, std::memory_order_release);
-            queue_.erase(it);
-          }
+          // Fully claimed: leave the queue. Admission closed before
+          // publish, so nothing joins after this.
+          if (g.next == g.items.size()) queue_.erase(it);
           return true;
         }
       }
@@ -263,10 +239,21 @@ class AdmissionQueue {
     }
   }
 
-  /// Publishes a group's setup; its items become claimable by any executor.
+  /// Ends a group's admission: later compatible queries open a new group.
+  /// Freezes Group::final_items and returns every member's k, in admission
+  /// order. The group setup calls it once the shared delegate vector is
+  /// built; publish() calls it for a group still admitting.
+  std::vector<u64> close_admission(Group& g) {
+    std::lock_guard lk(mu_);
+    return close_locked(g);
+  }
+
+  /// Publishes a group's setup (closing its admission if the setup did
+  /// not); its items become claimable by any executor.
   void publish(const std::shared_ptr<Group>& g) {
     {
       std::lock_guard lk(mu_);
+      if (g->admitting) (void)close_locked(*g);
       g->runnable = true;
     }
     work_cv_.notify_all();
@@ -303,7 +290,18 @@ class AdmissionQueue {
   }
 
  private:
-  /// Admission core (mu_ held): join the open tail group or start a new one.
+  /// close_admission with mu_ held.
+  std::vector<u64> close_locked(Group& g) {
+    g.admitting = false;
+    g.final_items = g.items.size();
+    std::vector<u64> ks;
+    ks.reserve(g.items.size());
+    for (const Pending& p : g.items) ks.push_back(p.query.k);
+    return ks;
+  }
+
+  /// Admission core (mu_ held): join the youngest admitting group or start
+  /// a new one.
   std::future<QueryResult> admit_locked(Query q) {
     ++in_flight_;
     Pending p;
@@ -314,12 +312,13 @@ class AdmissionQueue {
     if (tracer_) p.enqueue_ts_us = tracer_->now_us();
     auto fut = p.promise.get_future();
 
-    // Youngest-first scan over the queued (hence still-open) groups, so
+    // Youngest-first scan over the queued groups still admitting, so
     // interleaved streams — e.g. round-robin over several corpora — still
     // coalesce per corpus instead of opening a singleton group each time.
     Group* host = nullptr;
     for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-      if ((*it)->items.size() < batch_max_ && (*it)->compatible(p.query)) {
+      if ((*it)->admitting && (*it)->items.size() < batch_max_ &&
+          (*it)->compatible(p.query)) {
         host = it->get();
         break;
       }

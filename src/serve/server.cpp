@@ -38,9 +38,11 @@ core::DelegateVector<u64>& group_dv<u64>(Group& g) {
 
 /// Whether a member asking for k is served from the group's shared
 /// delegate vector: the vector must exist and hold a top-k, and under a
-/// recall target its geometry must also meet this k's miss budget (a late
-/// joiner may ask for a larger k than the geometry was sized for; expected
-/// misses grow faster than k) with k real delegates to answer from.
+/// recall target its geometry must also meet this k's miss budget (a
+/// member that joined during construction may ask for a larger k than the
+/// geometry was sized for; expected misses grow faster than k) with k real
+/// delegates to answer from. Setup stages a stage-3 entry for exactly the
+/// members this accepts.
 template <class K>
 bool rides_shared(Group& g, u64 k) {
   if (!g.has_delegates) return false;
@@ -49,17 +51,6 @@ bool rides_shared(Group& g, u64 k) {
   return k <= core::real_delegate_count(g.n, dv.alpha, dv.beta) &&
          core::approx_expected_misses(k, dv.num_subranges, dv.beta) <=
              core::approx_miss_budget(k, g.fidelity);
-}
-
-template <class T>
-std::span<const T>& group_keys(Group& g);
-template <>
-std::span<const u32>& group_keys<u32>(Group& g) {
-  return g.keys32;
-}
-template <>
-std::span<const u64>& group_keys<u64>(Group& g) {
-  return g.keys64;
 }
 
 template <class K>
@@ -84,14 +75,31 @@ std::vector<DeferredItem<u64>>& group_deferred<u64>(Group& g) {
   return g.def64;
 }
 
+/// The batched stages 2-4 implement the radix engines without a kappa
+/// hook; a base asking for anything else is rejected up front.
+const ServerConfig& validated(const ServerConfig& cfg) {
+  if (cfg.base.first_algo != topk::Algo::kRadixFlag ||
+      cfg.base.second_algo != topk::Algo::kRadixFlag)
+    throw std::invalid_argument(
+        "TopkServer: ServerConfig::base must use the radix first and second "
+        "top-k engines");
+  if (cfg.base.kappa_hook)
+    throw std::invalid_argument(
+        "TopkServer: ServerConfig::base must not set a kappa hook");
+  return cfg;
+}
+
+void validate(const Query& q) {
+  const u64 n = q.n();
+  if (n == 0 || q.k < 1 || q.k > n)
+    throw std::invalid_argument("TopkServer: query requires 1 <= k <= |V|");
+}
+
 }  // namespace
 
 TopkServer::TopkServer(vgpu::Device& dev, ServerConfig cfg)
     : dev_(dev),
-      cfg_(cfg),
-      batched_eligible_(!cfg.base.kappa_hook &&
-                        cfg.base.first_algo == topk::Algo::kRadixFlag &&
-                        cfg.base.second_algo == topk::Algo::kRadixFlag),
+      cfg_(validated(cfg)),
       tracer_(cfg.obs.tracing, std::max(1u, cfg.executors) + 1,
               kTraceSpansPerLane),
       queue_(cfg.batch_max, cfg.max_in_flight, &tracer_),
@@ -129,24 +137,19 @@ TopkServer::~TopkServer() {
   for (auto& t : executors_) t.join();
 }
 
-namespace {
-
-void validate(const Query& q) {
-  const u64 n = q.n();
-  if (n == 0 || q.k < 1 || q.k > n)
-    throw std::invalid_argument("TopkServer: query requires 1 <= k <= |V|");
-}
-
-}  // namespace
-
 std::future<QueryResult> TopkServer::submit(Query q) {
   validate(q);
   return queue_.submit(std::move(q));
 }
 
-std::vector<QueryResult> TopkServer::run_batch(std::vector<Query> queries) {
+std::vector<std::future<QueryResult>> TopkServer::submit_many(
+    std::vector<Query> queries) {
   for (const auto& q : queries) validate(q);
-  auto futures = queue_.submit_many(std::move(queries));
+  return queue_.submit_many(std::move(queries));
+}
+
+std::vector<QueryResult> TopkServer::run_batch(std::vector<Query> queries) {
+  auto futures = submit_many(std::move(queries));
   std::vector<QueryResult> results;
   results.reserve(futures.size());
   for (auto& f : futures) results.push_back(f.get());
@@ -196,7 +199,7 @@ void TopkServer::executor_loop(u32 executor_id) {
           tracer_.complete(lane(executor_id), "queue-wait", c.item->id,
                            c.group->seq, c.item->enqueue_ts_us, now);
       }
-      execute_item(*c.group, *c.item, c.amortize_over, executor_id);
+      execute_item(*c.group, *c.item, executor_id);
       // Group-completion bookkeeping (and, for the executor completing the
       // last item, the batched finalization of every parked query) happens
       // before the in-flight slot is released, so drain() cannot observe a
@@ -234,10 +237,11 @@ void TopkServer::setup_group(Group& g, u32 executor_id) {
 template <class T>
 u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   using Key = typename data::KeyTraits<T>::Key;
-  // Setup works from the snapshot the queue took at claim time (the group
-  // may still be admitting; the deque itself is only traversed under the
-  // queue's mutex). Late joiners whose k the shared vector cannot serve
-  // (run_item_typed's rides_shared) fall back to the unfused path per item.
+  // The snapshot the queue took at claim time sizes the plan key, the
+  // calibration and the delegate vector. The group keeps admitting while
+  // the vector is built; close_admission then returns every member's k, and
+  // the batched stages 2-3 below cover all of them (the deque itself is
+  // only traversed under the queue's mutex).
   const std::span<const T> values = query_data<T>(g.setup_query);
 
   // The group's effective base config: the server baseline with the
@@ -255,7 +259,8 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   for (const u64 k : g.setup_ks)
     if (core::resolve_geometry(g.n, k, base).alpha >= 0)
       kmax = std::max(kmax, k);
-  if (kmax == 0) kmax = g.setup_kmax;  // none feasible: plan caches direct
+  if (kmax == 0)  // none feasible: plan caches direct
+    kmax = *std::max_element(g.setup_ks.begin(), g.setup_ks.end());
 
   double executor_work = 0.0;
   u64 deduped = 0;
@@ -316,14 +321,11 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
       // Key conversion + shared delegate construction are the group's
       // phase-A pass: both charge to "construct".
       vgpu::StageScope construct("construct");
-      if (topk::key_is_identity<T>(g.criterion)) {
-        keyspan = values;  // Key == T for u32/u64
-      } else {
-        group_keys<Key>(g) =
-            topk::make_directed_keys(acc, values, g.criterion, *g.ws);
-        g.keys_materialized = true;
-        keyspan = group_keys<Key>(g);
-      }
+      // Directed keys live in the group arena; only this setup reads them.
+      keyspan = topk::key_is_identity<T>(g.criterion)
+                    ? values  // Key == T for u32/u64
+                    : topk::make_directed_keys(acc, values, g.criterion,
+                                               *g.ws);
       core::ConstructOpts copts = cfg_.base.construct;
       if (cfg_.base.fused_concat) copts.emit_sids = false;
       group_dv<Key>(g) = core::build_delegate_vector<Key>(acc, keyspan,
@@ -338,162 +340,155 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     g.setup_stages.construct_stats = acc.stats();
     executor_work += acc.sim_ms();
 
-    // Batched stage 2: ONE launch resolves the exact threshold kappa for
-    // every distinct feasible k of the setup snapshot. All segments view
-    // the same delegate vector, so the batched engine sorts it once and
-    // emits each k's k-th key — N same-corpus selections for the price of
-    // one sort. Per-query execution then skips its own first top-k.
-    // Same gate as run_item_typed's deferral: if no member will consume
-    // the batched kappas, don't pay the launch.
-    if (batched_eligible_) {
-      // Exactly the ks the per-item path will serve from the shared
-      // delegate vector (run_item_typed's rides_shared), each once.
-      std::vector<u64> ks;
-      u64 covered = 0;
-      for (const u64 k : g.setup_ks) {
-        if (!rides_shared<Key>(g, k)) continue;
-        ++covered;
-        if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
+    // Admission closes here: members that joined while the vector was
+    // built are covered too, and later queries open a new group. Every
+    // member whose k rides the shared vector (rides_shared) gets its stages
+    // 2-3 below; the rest take the unfused pipeline per item.
+    std::vector<u64> ks;
+    u64 covered = 0;
+    for (const u64 k : queue_.close_admission(g)) {
+      if (!rides_shared<Key>(g, k)) continue;
+      ++covered;
+      if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
+    }
+    if (!ks.empty()) {
+      // Batched stage 2: ONE launch resolves the exact threshold kappa for
+      // every distinct k. All segments view the same delegate vector, so
+      // the batched engine sorts it once and emits each k's k-th key — N
+      // same-corpus selections for the price of one sort.
+      const auto& dvk = group_dv<Key>(g).keys;
+      std::span<const Key> dkeys(dvk.data(), dvk.size());
+      // Recall-target groups: the per-partition answer IS the top-k of
+      // the delegate vector, so the batched stage-2 launch asks for the
+      // full sorted top-k per distinct k (selection_only=false) instead
+      // of just the threshold — the same one launch then doubles as the
+      // whole group's stage 3 AND stage 4 (see the approx branch below).
+      const bool approx_group = !g.fidelity.exact();
+      std::vector<topk::BatchedSegment<Key>> segs;
+      segs.reserve(ks.size());
+      for (const u64 k : ks)
+        segs.push_back({dkeys, k, k, /*selection_only=*/!approx_group});
+      topk::Accum acc2(dev_);
+      topk::BatchedResult<Key> br;
+      {
+        // The batched kappa launch is the group's shared first top-k.
+        // Its scope ends here so the concat pass below is charged to
+        // "concat" on the device's stage ledger.
+        vgpu::StageScope first("first");
+        br = topk::batched_topk<Key>(
+            acc2, std::span<const topk::BatchedSegment<Key>>(segs), ews);
       }
-      if (!ks.empty()) {
-        const auto& dvk = group_dv<Key>(g).keys;
-        std::span<const Key> dkeys(dvk.data(), dvk.size());
-        // Recall-target groups: the per-partition answer IS the top-k of
-        // the delegate vector, so the batched stage-2 launch asks for the
-        // full sorted top-k per distinct k (selection_only=false) instead
-        // of just the threshold — the same one launch then doubles as the
-        // whole group's stage 3 AND stage 4 (see the approx branch below).
-        const bool approx_group = !g.fidelity.exact();
-        std::vector<topk::BatchedSegment<Key>> segs;
-        segs.reserve(ks.size());
-        for (const u64 k : ks)
-          segs.push_back({dkeys, k, k, /*selection_only=*/!approx_group});
-        topk::Accum acc2(dev_);
-        topk::BatchedResult<Key> br;
-        {
-          // The batched kappa launch is the group's shared first top-k.
-          // Its scope ends here so the concat pass below is charged to
-          // "concat" on the device's stage ledger.
-          vgpu::StageScope first("first");
-          br = topk::batched_topk<Key>(
-              acc2, std::span<const topk::BatchedSegment<Key>>(segs), ews);
-        }
-        for (size_t i = 0; i < ks.size(); ++i) {
-          g.kappa_ks.push_back(ks[i]);
-          g.kappa_vals.push_back(
-              static_cast<u64>(br.keys[i].back()));  // k-th = kappa
-        }
-        // The group paid its members' first top-k here: amortized into
-        // their latencies with the construction pass.
-        g.setup_sim_ms += acc2.sim_ms();
-        g.setup_stages.first_ms = acc2.sim_ms();
-        g.setup_stages.first_stats = acc2.stats();
-        executor_work += acc2.sim_ms();
+      std::vector<Key> kappas;
+      kappas.reserve(ks.size());
+      for (const auto& keys : br.keys) kappas.push_back(keys.back());
+      // The group paid its members' first top-k here: amortized into
+      // their latencies with the construction pass.
+      g.setup_sim_ms += acc2.sim_ms();
+      g.setup_stages.first_ms = acc2.sim_ms();
+      g.setup_stages.first_stats = acc2.stats();
+      executor_work += acc2.sim_ms();
 
-        if (approx_group) {
-          // Approximate stage 3+4, already paid for: the batched launch
-          // above returned each distinct k's sorted top-k *of the
-          // delegates* — under the per-partition policy that is the
-          // answer. Stage each as a precomputed second_skipped entry in
-          // the group arena; items whose k matches self-serve with a host
-          // copy and launch NOTHING (run_item_typed's Rule-3 fast path —
-          // the same code path, same accounting).
-          for (size_t i = 0; i < ks.size(); ++i) {
-            auto cand = g.ws->alloc<Key>(ks[i]);
-            std::copy(br.keys[i].begin(), br.keys[i].end(), cand.begin());
-            Group::Stage3Entry e;
-            e.k = ks[i];
-            e.kappa = g.kappa_vals[i];
-            e.cand_count = ks[i];
-            e.taken_total = ks[i];
-            e.qualified = 0;
-            e.second_skipped = true;
-            std::span<const Key> cspan(cand.data(), ks[i]);
-            if constexpr (std::is_same_v<Key, u64>)
-              e.cand64 = cspan;
-            else
-              e.cand32 = cspan;
-            g.stage3.push_back(e);
-          }
-        } else {
-          // Group-wide batched stage 3: the kappas above are exact, so
-          // every member's classification is already decidable — run the
-          // whole group's classify + concat as ONE launch pair over the
-          // shared delegate vector (core/concat_batched.hpp). Per-subrange
-          // scratch is executor-arena transient; the candidate spans land
-          // in the group arena, where the deferred finalization machinery
-          // consumes them (identical ks share a span, and batched_topk
-          // coalesces same-span segments into one sort). Items whose k was
-          // precomputed then launch NOTHING. (Approx groups staged their
-          // entries above — the classify/concat pass has nothing left to
-          // compute for them.) Tie-aware, as in core::dr_topk_from_delegates:
-          // each segment classifies against kappa + 1, and a k whose kappa
-          // is the maximum key gets no segment (its candidate set is empty).
-          vgpu::StageScope concat("concat");
-          topk::Accum acc3(dev_);
-          const u64 S = group_dv<Key>(g).num_subranges;
-          ews.reset_peak();  // record the batched classify scratch footprint
-          vgpu::Workspace::Scope scratch(ews);
-          const bool tie_aware = core::tie_aware_stage3(base);
-          std::vector<core::BatchedConcatSegment<Key>> csegs;
-          std::vector<size_t> seg_of(ks.size(), ks.size());  // ks.size(): none
-          for (size_t i = 0; i < ks.size(); ++i) {
-            const Key kappa = static_cast<Key>(g.kappa_vals[i]);
-            if (tie_aware && kappa == std::numeric_limits<Key>::max())
-              continue;
-            seg_of[i] = csegs.size();
-            core::BatchedConcatSegment<Key>& seg = csegs.emplace_back();
-            seg.kappa = tie_aware ? static_cast<Key>(kappa + 1) : kappa;
-            seg.taken = ews.alloc<u8>(S);
-            seg.qualified = ews.alloc<u32>(S);
-            seg.partial = ews.alloc<u32>(S);
-          }
-          std::span<core::BatchedConcatSegment<Key>> cspan(csegs);
-          core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
-                                                g.plan.alpha, g.n, cspan);
-          for (auto& seg : csegs)
-            seg.cand = g.ws->alloc<Key>(core::batched_concat_capacity(
-                seg, S, beta, g.plan.alpha, g.n));
-          core::concat_candidates_batched<Key>(
-              acc3, keyspan, dkeys, beta, g.plan.alpha, cfg_.base.filtering,
-              cspan);
-          const core::BatchedConcatSegment<Key> empty;
-          for (size_t i = 0; i < ks.size(); ++i) {
-            const auto& seg = seg_of[i] < csegs.size() ? csegs[seg_of[i]]
-                                                       : empty;
-            Group::Stage3Entry e;
-            e.k = ks[i];
-            e.kappa = g.kappa_vals[i];
-            e.cand_count = seg.cand_count;
-            e.taken_total = seg.taken_total;
-            e.qualified = seg.qualified_count;
-            // No second top-k when the candidates (padded with kappa, if
-            // tie-aware) already are the answer; inclusive, that is Rule
-            // 3's fast path: exactly k delegates met kappa and no subrange
-            // fully qualified.
-            e.second_skipped = tie_aware ? e.cand_count <= e.k
-                                         : (e.qualified == 0 &&
-                                            e.taken_total == e.k);
-            std::span<const Key> cand(seg.cand.data(), seg.cand_count);
-            if constexpr (std::is_same_v<Key, u64>)
-              e.cand64 = cand;
-            else
-              e.cand32 = cand;
-            g.stage3.push_back(e);
-          }
-          g.setup_sim_ms += acc3.sim_ms();
-          g.setup_stages.concat_ms = acc3.sim_ms();
-          g.setup_stages.concat_stats = acc3.stats();
-          executor_work += acc3.sim_ms();
-          // The wider batched staging arrays raise the plan's executor-
-          // workspace high-water mark; re-record so future groups of this
-          // shape presize instead of growing.
-          plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
+      if (approx_group) {
+        // Approximate stage 3+4, already paid for: the batched launch
+        // above returned each distinct k's sorted top-k *of the
+        // delegates* — under the per-partition policy that is the
+        // answer. Stage each as a precomputed second_skipped entry in
+        // the group arena; members self-serve with a host copy and launch
+        // NOTHING (run_item_typed's skipped-second path — the same code
+        // path, same accounting).
+        for (size_t i = 0; i < ks.size(); ++i) {
+          auto cand = g.ws->alloc<Key>(ks[i]);
+          std::copy(br.keys[i].begin(), br.keys[i].end(), cand.begin());
+          Group::Stage3Entry e;
+          e.k = ks[i];
+          e.kappa = kappas[i];
+          e.cand_count = ks[i];
+          e.taken_total = ks[i];
+          e.qualified = 0;
+          e.second_skipped = true;
+          std::span<const Key> cspan(cand.data(), ks[i]);
+          if constexpr (std::is_same_v<Key, u64>)
+            e.cand64 = cspan;
+          else
+            e.cand32 = cspan;
+          g.stage3.push_back(e);
         }
-        // Members whose k repeats another's ride that k's kappa and
-        // stage-3 entry: the sharing the counter reports.
-        deduped = covered - ks.size();
+      } else {
+        // Group-wide batched stage 3: the kappas above are exact, so
+        // every member's classification is already decidable — run the
+        // whole group's classify + concat as ONE launch pair over the
+        // shared delegate vector (core/concat_batched.hpp). Per-subrange
+        // scratch is executor-arena transient; the candidate spans land
+        // in the group arena, where the batched finalization consumes
+        // them (identical ks share a span, and batched_topk coalesces
+        // same-span segments into one sort). Tie-aware, as in the
+        // single-query pipeline (core::tie_aware_stage3): each segment
+        // classifies against kappa + 1, and a k whose kappa is the
+        // maximum key gets no segment (its candidate set is empty).
+        vgpu::StageScope concat("concat");
+        topk::Accum acc3(dev_);
+        const u64 S = group_dv<Key>(g).num_subranges;
+        ews.reset_peak();  // record the batched classify scratch footprint
+        vgpu::Workspace::Scope scratch(ews);
+        const bool tie_aware = core::tie_aware_stage3(base);
+        std::vector<core::BatchedConcatSegment<Key>> csegs;
+        std::vector<size_t> seg_of(ks.size(), ks.size());  // ks.size(): none
+        for (size_t i = 0; i < ks.size(); ++i) {
+          const Key kappa = kappas[i];
+          if (tie_aware && kappa == std::numeric_limits<Key>::max())
+            continue;
+          seg_of[i] = csegs.size();
+          core::BatchedConcatSegment<Key>& seg = csegs.emplace_back();
+          seg.kappa = tie_aware ? static_cast<Key>(kappa + 1) : kappa;
+          seg.taken = ews.alloc<u8>(S);
+          seg.qualified = ews.alloc<u32>(S);
+          seg.partial = ews.alloc<u32>(S);
+        }
+        std::span<core::BatchedConcatSegment<Key>> cspan(csegs);
+        core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
+                                              g.plan.alpha, g.n, cspan);
+        for (auto& seg : csegs)
+          seg.cand = g.ws->alloc<Key>(core::batched_concat_capacity(
+              seg, S, beta, g.plan.alpha, g.n));
+        core::concat_candidates_batched<Key>(
+            acc3, keyspan, dkeys, beta, g.plan.alpha, cfg_.base.filtering,
+            cspan);
+        const core::BatchedConcatSegment<Key> empty;
+        for (size_t i = 0; i < ks.size(); ++i) {
+          const auto& seg = seg_of[i] < csegs.size() ? csegs[seg_of[i]]
+                                                     : empty;
+          Group::Stage3Entry e;
+          e.k = ks[i];
+          e.kappa = kappas[i];
+          e.cand_count = seg.cand_count;
+          e.taken_total = seg.taken_total;
+          e.qualified = seg.qualified_count;
+          // No second top-k when the candidates (padded with kappa, if
+          // tie-aware) already are the answer; inclusive, that is Rule
+          // 3's fast path: exactly k delegates met kappa and no subrange
+          // fully qualified.
+          e.second_skipped = tie_aware ? e.cand_count <= e.k
+                                       : (e.qualified == 0 &&
+                                          e.taken_total == e.k);
+          std::span<const Key> cand(seg.cand.data(), seg.cand_count);
+          if constexpr (std::is_same_v<Key, u64>)
+            e.cand64 = cand;
+          else
+            e.cand32 = cand;
+          g.stage3.push_back(e);
+        }
+        g.setup_sim_ms += acc3.sim_ms();
+        g.setup_stages.concat_ms = acc3.sim_ms();
+        g.setup_stages.concat_stats = acc3.stats();
+        executor_work += acc3.sim_ms();
+        // The wider batched staging arrays raise the plan's executor-
+        // workspace high-water mark; re-record so future groups of this
+        // shape presize instead of growing.
+        plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
       }
+      // Members whose k repeats another's ride that k's kappa and
+      // stage-3 entry: the sharing the counter reports.
+      deduped = covered - ks.size();
     }
     plans_.note_workspace(g.plan_key, g.ws->peak_bytes(), 0);
   }
@@ -501,8 +496,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   return deduped;
 }
 
-void TopkServer::execute_item(Group& g, Pending& p, u64 amortize_over,
-                              u32 executor_id) {
+void TopkServer::execute_item(Group& g, Pending& p, u32 executor_id) {
   bool deferred = false;
   try {
     if (!p.query.fidelity.exact()) collector_.record_approx();
@@ -512,18 +506,17 @@ void TopkServer::execute_item(Group& g, Pending& p, u64 amortize_over,
     const u64 t0 = tracer_.enabled() ? tracer_.now_us() : 0;
     QueryResult r =
         g.width == KeyWidth::k64
-            ? run_item_typed<u64>(g, p, amortize_over, ws, &deferred)
-            : run_item_typed<u32>(g, p, amortize_over, ws, &deferred);
+            ? run_item_typed<u64>(g, p, ws, &deferred)
+            : run_item_typed<u32>(g, p, ws, &deferred);
     if (tracer_.enabled())
       tracer_.complete(lane(executor_id), "phase-a", p.id, g.seq, t0,
                        tracer_.now_us());
     if (g.plan_resolved)
       plans_.note_workspace(g.plan_key, 0, ws.peak_bytes());
-    // Work actually performed here: a fused item's breakdown holds only its
-    // stages 2-4 (the group's construction was charged at setup); an
-    // unfused item's latency is exactly its own full pipeline. A deferred
-    // item parked its result — its stage-4 share is charged to whichever
-    // executor finalizes the group.
+    // Work actually performed here: a riding item launched nothing (its
+    // stages 1-3 were charged at setup, its stage-4 share goes to whichever
+    // executor finalizes the group); an unfused item's latency is exactly
+    // its own full pipeline.
     collector_.record_executor_work(
         executor_id, r.fused ? r.breakdown.total_ms() : r.latency_sim_ms);
     if (!deferred) {
@@ -546,10 +539,10 @@ void TopkServer::maybe_finalize_group(Group& g, u32 executor_id) {
   {
     std::lock_guard lk(g.batch_mu);
     ++g.executed;
-    // Admission closed (final_items frozen) and every item's phase A done:
-    // the group is complete. Exactly one executor observes the transition.
-    last = g.closed.load(std::memory_order_acquire) &&
-           g.executed == g.final_items;
+    // Every item's phase A done (admission closed before publish, so
+    // final_items is frozen): the group is complete. Exactly one executor
+    // observes the transition.
+    last = g.executed == g.final_items;
     finalize = last && (!g.def32.empty() || !g.def64.empty());
   }
   if (last && group_size_) group_size_->observe(g.final_items);
@@ -651,7 +644,7 @@ void TopkServer::finalize_group_typed(Group& g, u32 executor_id) {
 }
 
 template <class T>
-QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
+QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
                                        vgpu::Workspace& ws, bool* deferred) {
   using Key = typename data::KeyTraits<T>::Key;
   const Query& q = p.query;
@@ -661,42 +654,47 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
   out.plan_cache_hit = g.plan_hit;
   *deferred = false;
 
-  // A resolved plan accelerates both paths: fused execution replays its
-  // alpha/beta via the shared delegate vector, and the unfused fallback
-  // still reuses the calibrated alpha (dr_topk re-clamps per k).
-  core::DrTopkConfig cfg = cfg_.base;
-  if (g.plan_resolved) {
-    cfg = core::apply_plan(cfg, g.plan);
-    // The direct sentinel encodes infeasibility at the *group's* planning
-    // k; an individual item re-resolves for its own k (closed form only —
-    // a small k sharing a group with a near-n outlier still delegates).
-    if (cfg.alpha == core::kDirectAlpha) cfg.alpha = cfg_.base.alpha;
-  }
-  cfg.selection_only = q.selection_only;
-  // The query's fidelity governs every stage it runs itself (delegate
-  // sizing on the unfused path, delegates-only classification, guard
-  // skip); group-shared state was built under the same policy because
-  // fidelity is part of the admission signature.
-  cfg.fidelity = q.fidelity;
-
   core::StageBreakdown bd;
   if (rides_shared<Key>(g, q.k)) {
-    const std::span<const T> values = query_data<T>(q);
-    std::span<const Key> keyspan = g.keys_materialized
-                                       ? group_keys<Key>(g)
-                                       : std::span<const Key>(values);
-    // "Fused" means construction was genuinely shared: either the setup
-    // covered several queries, or this is a late joiner riding a pass that
-    // others paid for. A singleton group paid full freight — not fused.
-    out.fused = g.setup_items > 1 || amortize_over == 0;
-    // Parks the phase-A result: the group's last finisher selects for
-    // every parked item in a single launch, and values/kth arrive there.
-    const auto park = [&](std::span<const Key> cand) {
+    // The group setup resolved this k's kappa and stage 3 for every
+    // member, so phase A is DONE — no launch, no scratch. The item either
+    // parks a deferred segment referencing the shared group-arena
+    // candidate span (identical ks coalesce into one sort in the batched
+    // finalization) or, when no second top-k is needed, self-serves with a
+    // host sort of the at most k candidates.
+    const Group::Stage3Entry* pre = nullptr;
+    for (const auto& e : g.stage3) {
+      if (e.k == q.k) {
+        pre = &e;
+        break;
+      }
+    }
+    if (pre == nullptr)
+      throw std::logic_error(
+          "TopkServer: a member riding the shared delegate vector has no "
+          "stage-3 entry");
+    // "Fused" means construction was genuinely shared; a singleton group
+    // paid full freight. Its latency is purely its share of the group's
+    // construction + kappa + classify/concat passes.
+    out.fused = g.final_items > 1;
+    out.latency_sim_ms =
+        g.setup_sim_ms / static_cast<double>(g.final_items);
+    bd.alpha = g.plan.alpha;
+    bd.beta = g.plan.beta;
+    bd.delegate_len = group_dv<Key>(g).size();
+    bd.num_subranges = group_dv<Key>(g).num_subranges;
+    bd.concat_len = pre->cand_count;
+    bd.taken_delegates = pre->taken_total;
+    bd.qualified_subranges = pre->qualified;
+    bd.second_skipped = pre->second_skipped;
+    if (!pre->second_skipped) {
+      // Park the phase-A result: the group's last finisher selects for
+      // every parked item in a single launch, and values/kth arrive there.
       out.breakdown = bd;
       DeferredItem<Key> d;
       d.item = &p;
       d.out = out;
-      d.cand = cand;
+      d.cand = stage3_cand<Key>(*pre);
       d.k = q.k;
       d.criterion = q.criterion;
       d.selection_only = q.selection_only;
@@ -707,97 +705,34 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
       }
       *deferred = true;
       return out;
-    };
-
-    // Group-wide batched stage 3: if setup already classified and
-    // concatenated for this k, phase A is DONE — no launch, no scratch.
-    // The item either parks a deferred segment referencing the shared
-    // group-arena candidate span (identical ks coalesce into one sort in
-    // the batched finalization) or, on the Rule-3 fast path, self-serves
-    // with a host sort of the exactly-k candidates.
-    const Group::Stage3Entry* pre = nullptr;
-    if (batched_eligible_) {
-      for (const auto& e : g.stage3) {
-        if (e.k == q.k) {
-          pre = &e;
-          break;
-        }
-      }
     }
-    if (pre != nullptr) {
-      // This item launched nothing: its latency is purely its share of
-      // the group's construction + kappa + classify/concat passes.
-      if (amortize_over > 0)
-        out.latency_sim_ms =
-            g.setup_sim_ms / static_cast<double>(amortize_over);
-      bd.alpha = g.plan.alpha;
-      bd.beta = g.plan.beta;
-      bd.delegate_len = group_dv<Key>(g).size();
-      bd.num_subranges = group_dv<Key>(g).num_subranges;
-      bd.concat_len = pre->cand_count;
-      bd.taken_delegates = pre->taken_total;
-      bd.qualified_subranges = pre->qualified;
-      bd.second_skipped = pre->second_skipped;
-      if (!pre->second_skipped) return park(stage3_cand<Key>(*pre));
-      // At most k candidates: they, padded with kappa, ARE the answer
-      // (dr_topk's second_skipped host expansion).
-      const std::vector<Key> keys = core::expand_skipped_answer<Key>(
-          stage3_cand<Key>(*pre), static_cast<Key>(pre->kappa), q.k,
-          cfg.selection_only);
-      out.values.reserve(keys.size());
-      for (const Key key : keys)
-        out.values.push_back(static_cast<u64>(
-            data::value_from_directed_key<T>(key, q.criterion)));
-      out.kth = out.values.back();
-    } else {
-      // The setup did not cover this item — a late joiner whose k missed
-      // the setup snapshot, or any item when base names a non-radix engine
-      // or installs a kappa hook — so it runs stages 2-3 itself over the
-      // shared delegate vector. On the radix engines it replays the
-      // setup's exact kappa when one exists, allocates its candidate span
-      // from the group arena so it outlives this call, and defers stage 4.
-      core::DeferredSecond<Key> dsec;
-      core::DeferredSecond<Key>* dsp = nullptr;
-      if (batched_eligible_) {
-        for (size_t i = 0; i < g.kappa_ks.size(); ++i) {
-          if (g.kappa_ks[i] == q.k) {
-            dsec.have_kappa = true;
-            dsec.kappa = static_cast<Key>(g.kappa_vals[i]);
-            break;
-          }
-        }
-        dsec.alloc_cand = [&g](u64 cap) {
-          std::lock_guard lk(g.batch_mu);
-          return g.ws->alloc<Key>(cap);
-        };
-        dsp = &dsec;
-      }
-      auto r = core::dr_topk_from_delegates<Key>(dev_, keyspan, q.k,
-                                                 group_dv<Key>(g), cfg, &bd,
-                                                 ws, dsp);
-      // Latency: this query's stages plus its share of the group's
-      // single construction (+ batched first top-k) pass. Late joiners
-      // (amortize_over == 0) ride passes that were already paid for, so
-      // the shares across a group sum to exactly the cost charged once
-      // at setup.
-      out.latency_sim_ms = r.sim_ms;
-      if (amortize_over > 0)
-        out.latency_sim_ms +=
-            g.setup_sim_ms / static_cast<double>(amortize_over);
-      if (dsp && dsec.deferred) return park(dsec.cand);
-      out.values.reserve(r.keys.size());
-      for (const Key key : r.keys)
-        out.values.push_back(static_cast<u64>(
-            data::value_from_directed_key<T>(key, q.criterion)));
-      out.kth = static_cast<u64>(
-          data::value_from_directed_key<T>(r.kth, q.criterion));
-    }
+    // At most k candidates: they, padded with kappa, ARE the answer
+    // (dr_topk's second_skipped host expansion).
+    const std::vector<Key> keys = core::expand_skipped_answer<Key>(
+        stage3_cand<Key>(*pre), static_cast<Key>(pre->kappa), q.k,
+        q.selection_only);
+    out.values.reserve(keys.size());
+    for (const Key key : keys)
+      out.values.push_back(static_cast<u64>(
+          data::value_from_directed_key<T>(key, q.criterion)));
+    out.kth = out.values.back();
   } else {
     // Unfused fallback: delegation infeasible for this shape (or setup
-    // degraded, or a recall-target k whose budget the group's geometry
-    // misses); the full single-query pipeline, still plan-accelerated
-    // when a plan resolved. A recall-target item resolves its own
-    // geometry: g.plan holds the group's, sized for another k's budget.
+    // degraded, or a k the shared vector cannot serve); the full
+    // single-query pipeline, still plan-accelerated when a plan resolved:
+    // it replays the calibrated alpha (dr_topk re-clamps per k). The
+    // direct sentinel encodes infeasibility at the *group's* planning k,
+    // so an item re-resolves for its own k (closed form only — a small k
+    // sharing a group with a near-n outlier still delegates). A
+    // recall-target item resolves its own geometry: g.plan holds the
+    // group's, sized for another k's budget.
+    core::DrTopkConfig cfg = cfg_.base;
+    if (g.plan_resolved) {
+      cfg = core::apply_plan(cfg, g.plan);
+      if (cfg.alpha == core::kDirectAlpha) cfg.alpha = cfg_.base.alpha;
+    }
+    cfg.selection_only = q.selection_only;
+    cfg.fidelity = q.fidelity;
     if (!q.fidelity.exact()) {
       cfg.alpha = cfg_.base.alpha;
       cfg.beta = cfg_.base.beta;

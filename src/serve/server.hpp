@@ -13,19 +13,21 @@
 //            -> admission groups (compatible queries batch together)
 //            -> executor threads claim work: one resolves the group's plan
 //               via the PlanCache (calibrated alpha, skipping the tuner on
-//               hits) and builds ONE shared delegate vector for
-//               the whole group; then all executors cooperatively drain the
-//               group's queries through core::dr_topk_from_delegates on the
+//               hits), builds ONE shared delegate vector for the whole
+//               group, closes the group's admission and resolves every
+//               member's stages 2-3 in one batched launch each; then all
+//               executors cooperatively drain the group's queries on the
 //               shared Device (whose thread pool multiplexes the kernels).
 //
 // Batching wins because delegate construction — the dominant stage of the
 // pipeline (Figure 15) — is paid once per group instead of once per query;
 // the plan cache wins by replaying calibrated decisions for recurring
-// query shapes. The group setup also resolves every distinct k's stage 2
-// and stage 3 in one batched launch each, so identical ks share one
-// threshold and one candidate span, and the batched finalization sorts
-// each shared span once: the executor that finishes a group's last item
-// runs the whole group's second top-k as ONE batched launch.
+// query shapes. The group setup resolves every distinct k's stage 2 and
+// stage 3 in one batched launch each, so identical ks share one threshold
+// and one candidate span, and the batched finalization sorts each shared
+// span once: the executor that finishes a group's last item runs the whole
+// group's second top-k as ONE batched launch. A member the shared vector
+// cannot serve runs the unshared core::dr_topk pipeline.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
@@ -56,15 +58,18 @@ struct ObsOptions {
 };
 
 /// Server tuning knobs. The serving path itself has no switches: setup
-/// builds one delegate vector per group, then resolves every distinct k's
-/// threshold (one batched kappa launch) and candidate span (one classify +
-/// one concat launch, core/concat_batched.hpp); items defer stage 4 to ONE
-/// batched selection launch per group (topk/batched.hpp).
-/// Every group resolves its delegate geometry through the plan cache,
-/// which tunes alpha only; the engines are base's. Items the setup could
-/// not cover — late joiners, infeasible shapes, groups whose setup fell
-/// back, and every item when base names a non-radix engine or installs a
-/// kappa hook — run their own stages. docs/ARCHITECTURE.md walks the whole
+/// builds one delegate vector per group, closes the group's admission,
+/// then resolves every member's distinct k's threshold (one batched kappa
+/// launch) and candidate span (one classify + one concat launch,
+/// core/concat_batched.hpp); items defer stage 4 to ONE batched selection
+/// launch per group (topk/batched.hpp). Every group resolves its delegate
+/// geometry through the plan cache, which tunes alpha only. Members the
+/// shared vector cannot serve — infeasible shapes, groups whose setup fell
+/// back, a k above the delegate count, a recall-target k outside the
+/// geometry's budget — run the unshared core::dr_topk pipeline.
+/// `base` must keep the radix engines and no kappa hook: the batched
+/// stages implement exactly those (TopkServer's constructor throws
+/// std::invalid_argument otherwise). docs/ARCHITECTURE.md walks the whole
 /// path.
 struct ServerConfig {
   u32 executors = 2;       ///< concurrent query executors
@@ -77,9 +82,12 @@ struct ServerConfig {
 
 /// The batched multi-query top-k server (see the file comment for the
 /// pipeline). Owns the executor threads, the admission queue, the plan
-/// cache and the workspace arenas; submit()/run_batch() are thread-safe.
+/// cache and the workspace arenas; submit()/submit_many()/run_batch() are
+/// thread-safe.
 class TopkServer {
  public:
+  /// Throws std::invalid_argument when cfg.base names a non-radix
+  /// first/second engine or sets a kappa hook (see ServerConfig).
   explicit TopkServer(vgpu::Device& dev, ServerConfig cfg = {});
   ~TopkServer();
 
@@ -89,8 +97,14 @@ class TopkServer {
   /// Admits a query; blocks while max_in_flight queries are pending.
   std::future<QueryResult> submit(Query q);
 
-  /// Convenience: submit a whole batch and wait for every result, returned
-  /// in submission order.
+  /// Admits a burst: validates every query, then admits them in one
+  /// critical section per in-flight window (AdmissionQueue::submit_many), so
+  /// compatible queries share groups before any executor claims one.
+  /// Returns the futures in submission order.
+  std::vector<std::future<QueryResult>> submit_many(std::vector<Query> queries);
+
+  /// Convenience: submit_many and wait for every result, returned in
+  /// submission order.
   std::vector<QueryResult> run_batch(std::vector<Query> queries);
 
   /// Blocks until every admitted query has completed.
@@ -146,7 +160,7 @@ class TopkServer {
  private:
   void executor_loop(u32 executor_id);
   void setup_group(Group& g, u32 executor_id);
-  void execute_item(Group& g, Pending& p, u64 amortize_over, u32 executor_id);
+  void execute_item(Group& g, Pending& p, u32 executor_id);
   /// Marks one item executed. The executor whose item completes the group
   /// finalizes every parked (deferred) query of it before returning, so
   /// the caller releases the item's in-flight slot only after that — drain()
@@ -156,13 +170,13 @@ class TopkServer {
   /// over the group's key width. A failed launch fails only the group's
   /// parked queries that were not yet fulfilled.
   void finalize_group(Group& g, u32 executor_id);
-  /// Returns the setup snapshot's members served from another member's
-  /// shared kappa and stage-3 entry (ServerStats::deduped_queries).
+  /// Returns the members served from another member's shared kappa and
+  /// stage-3 entry (ServerStats::deduped_queries).
   template <class T>
   u64 setup_group_typed(Group& g, u32 executor_id);
   template <class T>
-  QueryResult run_item_typed(Group& g, Pending& p, u64 amortize_over,
-                             vgpu::Workspace& ws, bool* deferred);
+  QueryResult run_item_typed(Group& g, Pending& p, vgpu::Workspace& ws,
+                             bool* deferred);
   template <class T>
   void finalize_group_typed(Group& g, u32 executor_id);
   /// Trace lane of an executor (lane 0 is the submit path).
@@ -170,13 +184,6 @@ class TopkServer {
 
   vgpu::Device& dev_;
   ServerConfig cfg_;
-  /// THE batched-selection eligibility gate, fixed by cfg_.base (a plan
-  /// replays alpha and beta only): one value shared by the group setup
-  /// (does a batched kappa launch pay off?) and per-item execution (may
-  /// this query defer its stage 4?), so the two sites cannot disagree. A
-  /// non-radix engine or a caller-installed kappa hook runs every item on
-  /// its own stages.
-  const bool batched_eligible_;
   PlanCache plans_;
   /// Declared before queue_/collector_: the queue holds a tracer pointer
   /// and the collector registers its metrics here (member init order).

@@ -97,6 +97,13 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
                                                    bool selection_only,
                                                    core::FidelityPolicy
                                                        fidelity) {
+  return std::move(
+      submit_many(id, {k}, criterion, selection_only, fidelity).front());
+}
+
+std::vector<std::future<QueryResult>> ShardedTopkServer::submit_many(
+    CorpusId id, const std::vector<u64>& ks, data::Criterion criterion,
+    bool selection_only, core::FidelityPolicy fidelity) {
   Corpus c;
   {
     std::lock_guard lk(corpora_mu_);
@@ -105,24 +112,34 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
     c = corpora_[id];
   }
   const u64 n = c.width == KeyWidth::k64 ? c.v64.size() : c.v32.size();
-  if (k < 1 || k > n)
-    throw std::invalid_argument(
-        "ShardedTopkServer: query requires 1 <= k <= |V|");
+  for (const u64 k : ks)
+    if (k < 1 || k > n)
+      throw std::invalid_argument(
+          "ShardedTopkServer: query requires 1 <= k <= |V|");
+  // One shard's burst over [lo, lo + len) with sub-query k = local_k(k).
+  const auto shard_burst = [&](u32 s, u64 lo, u64 len, auto local_k,
+                               bool sel, core::FidelityPolicy f) {
+    std::vector<Query> qs;
+    qs.reserve(ks.size());
+    for (const u64 k : ks)
+      qs.push_back(c.width == KeyWidth::k64
+                       ? Query::view(c.v64.subspan(lo, len), local_k(k),
+                                     criterion, sel, f)
+                       : Query::view(c.v32.subspan(lo, len), local_k(k),
+                                     criterion, sel, f));
+    return shards_[s].server->submit_many(std::move(qs));
+  };
 
   // ---- Single-shard route: today's TopkServer path, zero overhead. ----
   if (c.shards == 1) {
-    m_single_.add();
+    m_single_.add(ks.size());
     {
       std::lock_guard lk(stats_mu_);
-      ++agg_.single_shard_queries;
-      ++agg_.completed;
+      agg_.single_shard_queries += ks.size();
+      agg_.completed += ks.size();
     }
-    TopkServer& srv = *shards_[c.first_shard].server;
-    return c.width == KeyWidth::k64
-               ? srv.submit(Query::view(c.v64, k, criterion, selection_only,
-                                        fidelity))
-               : srv.submit(Query::view(c.v32, k, criterion, selection_only,
-                                        fidelity));
+    return shard_burst(c.first_shard, 0, n, [](u64 k) { return k; },
+                       selection_only, fidelity);
   }
 
   // ---- Scatter: one clamped full-top-k sub-query per shard. The local
@@ -139,44 +156,51 @@ std::future<QueryResult> ShardedTopkServer::submit(CorpusId id, u64 k,
   // caps how lopsided a shard's share can get). The merge itself stays the
   // exact engine either way — it sees smaller, approximate local lists.
   core::FidelityPolicy local = fidelity;
-  u64 reduced_k = k;
-  if (!fidelity.exact()) {
+  if (!fidelity.exact())
     local = core::FidelityPolicy::approx(
         1.0 - (1.0 - fidelity.recall_target) / 2.0);
+  const auto reduced = [&](u64 k) {
+    if (fidelity.exact()) return k;
     const double mu = static_cast<double>(k) / static_cast<double>(c.shards);
-    reduced_k = static_cast<u64>(std::ceil(
+    return static_cast<u64>(std::ceil(
         mu + 2.0 * std::sqrt(mu * std::log(static_cast<double>(c.shards) +
                                            1.0)) +
         8.0));
+  };
+  const auto t_submit = std::chrono::steady_clock::now();
+  std::vector<MergeJob> jobs(ks.size());
+  for (size_t i = 0; i < ks.size(); ++i) {
+    MergeJob& job = jobs[i];
+    job.k = ks[i];
+    job.criterion = criterion;
+    job.selection_only = selection_only;
+    job.width = c.width;
+    job.t_submit = t_submit;
+    job.parts.reserve(c.shards);
   }
-  MergeJob job;
-  job.k = k;
-  job.criterion = criterion;
-  job.selection_only = selection_only;
-  job.width = c.width;
-  job.t_submit = std::chrono::steady_clock::now();
-  job.parts.reserve(c.shards);
   for (u32 s = 0; s < c.shards; ++s) {
     const u64 lo = static_cast<u64>(s) * c.shard_len;
     const u64 len = std::min(c.shard_len, n - lo);
-    const u64 kk = std::min({k, reduced_k, len});
-    TopkServer& srv = *shards_[s].server;
-    job.parts.push_back(
-        c.width == KeyWidth::k64
-            ? srv.submit(Query::view(c.v64.subspan(lo, len), kk, criterion,
-                                     /*selection_only=*/false, local))
-            : srv.submit(Query::view(c.v32.subspan(lo, len), kk, criterion,
-                                     /*selection_only=*/false, local)));
+    auto parts = shard_burst(
+        s, lo, len,
+        [&](u64 k) { return std::min({k, reduced(k), len}); },
+        /*selection_only=*/false, local);
+    for (size_t i = 0; i < ks.size(); ++i)
+      jobs[i].parts.push_back(std::move(parts[i]));
   }
-  auto fut = job.promise.get_future();
+  std::vector<std::future<QueryResult>> futs;
+  futs.reserve(ks.size());
+  for (MergeJob& job : jobs) futs.push_back(job.promise.get_future());
   {
     std::lock_guard lk(jobs_mu_);
-    job.id = next_id_++;
-    ++jobs_in_flight_;
-    jobs_.push_back(std::move(job));
+    for (MergeJob& job : jobs) {
+      job.id = next_id_++;
+      ++jobs_in_flight_;
+      jobs_.push_back(std::move(job));
+    }
   }
   jobs_cv_.notify_one();
-  return fut;
+  return futs;
 }
 
 void ShardedTopkServer::merge_loop() {

@@ -6,6 +6,7 @@
 //   auto corpus = srv.register_corpus(big_span);   // sharded once, here
 //   auto f = srv.submit(corpus, 100);
 //   auto r = f.get();                    // bit-identical to one TopkServer
+//   auto fs = srv.submit_many(corpus, {16, 64, 256});  // one burst
 //
 // One vgpu::Device tops out at its SM and memory budget; past that,
 // throughput comes from partition-local selection plus a cheap merge (the
@@ -18,12 +19,14 @@
 //
 // Life of a multi-shard query:
 //
-//   submit(corpus, k) -> scatter: one sub-query per shard, k clamped to
-//                        the shard's length (a shard's local top-k is a
-//                        superset of its members of the global top-k)
-//                     -> each shard resolves its candidates through the
-//                        DeferredSecond seam and finalizes LOCALLY (the
-//                        existing batched machinery, unchanged)
+//   submit_many(corpus, ks) -> scatter: per shard, one burst of
+//                        sub-queries (TopkServer::submit_many), each k
+//                        clamped to the shard's length (a shard's local
+//                        top-k is a superset of its members of the global
+//                        top-k); submit(corpus, k) is the one-k burst
+//                     -> each shard serves its burst through its admission
+//                        groups and finalizes LOCALLY (the single-device
+//                        batched machinery, unchanged)
 //                     -> merge thread: shard winner lists are re-keyed to
 //                        the directed-key domain and merged by ONE
 //                        topk::batched_merge_topk launch per key width for
@@ -31,9 +34,9 @@
 //                     -> global top-k, bit-identical to the single-device
 //                        answer (values are merged as exact multisets).
 //
-// Single-shard corpora short-circuit: submit() forwards straight to the
-// owning shard's TopkServer and returns ITS future — zero added latency,
-// no merge hop. docs/ARCHITECTURE.md walks the full path.
+// Single-shard corpora short-circuit: the burst goes straight to the
+// owning shard's TopkServer and the caller gets ITS futures — zero added
+// latency, no merge hop. docs/ARCHITECTURE.md walks the full path.
 #pragma once
 
 #include <condition_variable>
@@ -88,11 +91,14 @@ struct ShardedStats {
 
 /// N-device sharded serving front end (see the file comment). Owns the
 /// shard devices, their TopkServers, the merge device and the merge
-/// thread; register_corpus()/submit()/drain() are thread-safe.
+/// thread; register_corpus()/submit()/submit_many()/drain() are
+/// thread-safe.
 class ShardedTopkServer {
  public:
   using CorpusId = u32;
 
+  /// Throws std::invalid_argument when cfg.shard is a ServerConfig that
+  /// TopkServer rejects (a non-radix engine or a kappa hook in its base).
   explicit ShardedTopkServer(ShardedConfig cfg = {});
   ~ShardedTopkServer();
 
@@ -106,18 +112,29 @@ class ShardedTopkServer {
   CorpusId register_corpus(std::span<const u32> v);
   CorpusId register_corpus(std::span<const u64> v);
 
-  /// Top-k over a registered corpus. Multi-shard corpora scatter one
-  /// clamped sub-query per shard and merge; single-shard corpora forward
-  /// to the owning TopkServer (zero overhead — the returned future IS that
-  /// server's future). Exact fidelity (the default) keeps the bit-exact
-  /// cross-shard merge; a recall target scatters *reduced* shard-local
-  /// sub-queries (smaller local k, tightened local target — see submit's
-  /// implementation for the budget split) and merges those exactly.
+  /// Top-k over a registered corpus: the one-k call of submit_many.
   std::future<QueryResult> submit(CorpusId corpus, u64 k,
                                   data::Criterion criterion =
                                       data::Criterion::kLargest,
                                   bool selection_only = false,
                                   core::FidelityPolicy fidelity = {});
+
+  /// One top-k per entry of `ks` over a registered corpus, scattered as a
+  /// burst: every k is validated first (std::invalid_argument, nothing
+  /// submitted), then each shard admits its sub-queries in one
+  /// TopkServer::submit_many — so they share admission groups exactly as a
+  /// single-device run_batch would — and every merge job is enqueued under
+  /// one lock. Multi-shard corpora scatter one clamped sub-query per shard
+  /// and k and merge; single-shard corpora forward to the owning TopkServer
+  /// (zero overhead — the returned futures ARE that server's). Exact
+  /// fidelity (the default) keeps the bit-exact cross-shard merge; a recall
+  /// target scatters *reduced* shard-local sub-queries (smaller local k,
+  /// tightened local target — see the implementation for the budget split)
+  /// and merges those exactly. Futures come back in the order of `ks`.
+  std::vector<std::future<QueryResult>> submit_many(
+      CorpusId corpus, const std::vector<u64>& ks,
+      data::Criterion criterion = data::Criterion::kLargest,
+      bool selection_only = false, core::FidelityPolicy fidelity = {});
 
   /// Blocks until every submitted query (both routes) has completed, then
   /// cross-publishes calibrated plans between shards (share_plans).

@@ -42,13 +42,14 @@ struct ServerStats {
                               ///< candidate segments fit one SM (the asserted
                               ///< common case), two when the multi-CTA path
                               ///< runs
-  u64 deduped_queries = 0;  ///< setup-snapshot members whose k repeats
-                            ///< another member's: served from that k's
-                            ///< shared kappa and stage-3 entry
+  u64 deduped_queries = 0;  ///< group members whose k repeats another
+                            ///< member's: served from that k's shared
+                            ///< kappa and stage-3 entry
   u64 concat_launches = 0;  ///< kernel launches attributed to stage 3
                             ///< (classify + concat): ONE pair per group
-                            ///< setup, plus a pair per item the setup did
-                            ///< not cover — the stage the lpq gate watches
+                            ///< setup, plus whatever the unfused pipeline
+                            ///< of a member the shared vector cannot serve
+                            ///< launches — the stage the lpq gate watches
   u64 relax_guard_trips = 0;  ///< relaxed first top-ks whose last-digit
                               ///< skip the guard declined: > 4k delegates
                               ///< on the prefix (tie-heavy distributions;
@@ -157,8 +158,8 @@ class StatsCollector {
 
   void record_failure() { m_failed_.add(); }
 
-  /// One group setup; `deduped` of its snapshot members repeat another
-  /// member's k and ride that k's shared kappa and stage-3 entry.
+  /// One group setup; `deduped` of its members repeat another member's k
+  /// and ride that k's shared kappa and stage-3 entry.
   void record_group(const core::StageBreakdown& setup_stages, u64 deduped) {
     m_groups_.add();
     if (deduped) m_deduped_.add(deduped);

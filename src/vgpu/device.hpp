@@ -145,6 +145,11 @@ class CtaCtx {
   SharedMem shared_;
 };
 
+/// One simulated GPU: a profile and its cost model, a host thread pool
+/// that runs the CTAs of each launch, the running KernelStats and
+/// simulated-time totals with a per-stage ledger, and a deterministic
+/// launch fault seam (fail_next_launches). launch() is thread-safe, so many
+/// executors can share one Device.
 class Device {
  public:
   explicit Device(GpuProfile profile = GpuProfile::v100s(),

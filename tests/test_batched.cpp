@@ -1,13 +1,11 @@
-// Tests for the batched multi-segment selection engine (topk/batched.hpp)
-// and the deferred-finalization seam of the core pipeline: batched-vs-
-// per-query parity across distributions, alpha/beta, k values and ragged
+// Tests for the batched multi-segment selection engine (topk/batched.hpp):
+// batched-vs-per-query parity across distributions, k values and ragged
 // segment widths (empty and k > width included), the two-level multi-CTA
 // merge path, the same-corpus sort sharing, and launch-count budgets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/dr_topk.hpp"
 #include "data/distributions.hpp"
 #include "topk/batched.hpp"
 
@@ -166,69 +164,6 @@ TEST(Batched, U64KeysAndLaneArrayPacking) {
     expect_segment_exact(segs[i], r.keys[i], "u64");
 }
 
-// ---------------------------------------------------------------------------
-// Deferred finalization through the core pipeline: dr_topk_from_delegates
-// stops after concatenation, the batched engine finalizes — results must be
-// bit-identical to the inline stage 4, across alpha/beta/k/distributions.
-// ---------------------------------------------------------------------------
-
-class DeferredParity
-    : public ::testing::TestWithParam<std::tuple<Distribution, int, u32>> {};
-
-TEST_P(DeferredParity, BatchedFinalizeMatchesInlineSecondTopk) {
-  const auto [dist, alpha, beta] = GetParam();
-  const u64 n = 1 << 16;
-  auto v = data::generate(n, dist, 97);
-  std::span<const u32> vs(v.data(), v.size());
-  vgpu::Device& dev = shared_device();
-
-  core::DrTopkConfig cfg;
-  cfg.alpha = alpha;
-  cfg.beta = beta;
-
-  vgpu::Workspace ws;
-  vgpu::Workspace cand_ws;  // stands in for the serving group's arena
-  for (const u64 k : {u64{1}, u64{17}, u64{128}, u64{1024}}) {
-    vgpu::Workspace::Scope scope(ws);
-    topk::Accum acc(dev);
-    core::ConstructOpts copts;
-    copts.emit_sids = false;
-    auto dv = core::build_delegate_vector<u32>(acc, vs, alpha, beta, copts,
-                                               ws);
-    if (dv.size() < k) continue;
-
-    auto inline_r = core::dr_topk_from_delegates<u32>(dev, vs, k, dv, cfg,
-                                                      nullptr, ws);
-
-    core::DeferredSecond<u32> ds;
-    ds.alloc_cand = [&](u64 cap) { return cand_ws.alloc<u32>(cap); };
-    auto deferred_r = core::dr_topk_from_delegates<u32>(dev, vs, k, dv, cfg,
-                                                        nullptr, ws, &ds);
-    std::vector<u32> keys;
-    if (ds.deferred) {
-      EXPECT_TRUE(deferred_r.keys.empty());
-      EXPECT_GE(ds.cand.size(), k);
-      BatchedSegment<u32> seg{ds.cand, k, 0, false};
-      Accum facc(dev);
-      auto br = batched_topk<u32>(
-          facc, std::span<const BatchedSegment<u32>>(&seg, 1));
-      keys = std::move(br.keys[0]);
-    } else {
-      keys = std::move(deferred_r.keys);  // Rule-3 fast path finished inline
-    }
-    EXPECT_EQ(keys, inline_r.keys) << "k=" << k;
-    cand_ws.reset();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, DeferredParity,
-    ::testing::Combine(::testing::Values(Distribution::kUniform,
-                                         Distribution::kNormal,
-                                         Distribution::kCustomized),
-                       ::testing::Values(6, 10, 12),
-                       ::testing::Values(1u, 2u, 4u)));
-
 // ---- Cross-run merge entry point (PR 7: the sharded server's reduction
 // kernel) ----
 
@@ -341,37 +276,6 @@ TEST(BatchedMerge, MergeNetworkChargeBeatsFullResort) {
   EXPECT_EQ(mr.keys[0], sr.keys[0]);
   EXPECT_LT(merge_acc.stats().shared_loads + merge_acc.stats().shared_stores,
             sort_acc.stats().shared_loads + sort_acc.stats().shared_stores);
-}
-
-TEST(Deferred, ExternalKappaSkipsStageTwo) {
-  // An externally supplied exact threshold must zero out stage-2 work and
-  // keep the pipeline exact (the batched serving path's contract).
-  const u64 n = 1 << 16;
-  auto v = data::generate(n, Distribution::kUniform, 101);
-  std::span<const u32> vs(v.data(), v.size());
-  vgpu::Device& dev = shared_device();
-  const u64 k = 256;
-
-  vgpu::Workspace ws;
-  vgpu::Workspace::Scope scope(ws);
-  topk::Accum acc(dev);
-  core::ConstructOpts copts;
-  copts.emit_sids = false;
-  auto dv = core::build_delegate_vector<u32>(acc, vs, 9, 2, copts, ws);
-
-  std::span<const u32> dkeys(dv.keys.data(), dv.keys.size());
-  const u32 kappa = reference_topk(dkeys, k).back();
-
-  core::DeferredSecond<u32> ds;
-  ds.have_kappa = true;
-  ds.kappa = kappa;  // kappa-only use (no alloc_cand): stage 4 runs inline
-  core::StageBreakdown bd;
-  auto r = core::dr_topk_from_delegates<u32>(dev, vs, k, dv, {}, &bd, ws,
-                                             &ds);
-  EXPECT_FALSE(ds.deferred);
-  EXPECT_EQ(bd.first_ms, 0.0);
-  EXPECT_EQ(bd.first_stats.kernels_launched, 0u);
-  EXPECT_EQ(r.keys, reference_topk(vs, k));
 }
 
 }  // namespace

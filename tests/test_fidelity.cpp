@@ -367,23 +367,26 @@ TEST(Fidelity, ExactModeBitParityMatrix) {
 
 TEST(Fidelity, ServeApproxMeetsRecallTargetAndExportsCounters) {
   // Approx queries through the server (both the launch-free batched-group
-  // path and the per-item core path a non-radix base engine takes) must
-  // hit their recall targets; the oracle-measured recall is fed back via
-  // record_recall and must surface in ServerStats and the Prometheus
+  // path and the per-item core path a failed group setup falls back to)
+  // must hit their recall targets; the oracle-measured recall is fed back
+  // via record_recall and must surface in ServerStats and the Prometheus
   // exposition.
   const u64 n = u64{1} << 17;
   auto v = data::generate(n, Distribution::kUniform, 231);
   std::span<const u32> vs(v.data(), v.size());
   for (bool per_item : {false, true}) {
+    vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
     ServerConfig cfg;
     cfg.batch_max = 8;
-    if (per_item) cfg.base.second_algo = topk::Algo::kSortAndChoose;
-    TopkServer server(shared_device(), cfg);
+    TopkServer server(dev, cfg);
     u64 submitted = 0;
     for (double rho : {0.8, 0.9, 0.99}) {
       std::vector<Query> queries;
       for (u64 k : {u64{64}, u64{512}})
         queries.push_back(Query::view(vs, k).with_recall(rho));
+      // The per-item arm fails the group's construct launch, so setup
+      // falls back and every member runs its own pipeline.
+      if (per_item) dev.fail_next_launches("construct", 1);
       auto results = server.run_batch(queries);
       submitted += queries.size();
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -509,10 +512,10 @@ TEST(Fidelity, ApproxPlanHitInSameBucketResizesGeometry) {
 TEST(Fidelity, StreamedApproxLateJoinersMeetRecallTarget) {
   // One-at-a-time submits: the first query of each round opens a group
   // whose setup snapshot may hold only k = 64, and the rest join while
-  // that setup runs. A recall-target late joiner whose k exceeds the k
-  // the group's geometry was sized for must run its own pipeline — riding
-  // a vector sized for k = 64 at k = 1024 misses far beyond the budget —
-  // so every single answer must meet its target.
+  // that setup builds its delegate vector. A recall-target joiner whose k
+  // exceeds the k the group's geometry was sized for must run its own
+  // pipeline — riding a vector sized for k = 64 at k = 1024 misses far
+  // beyond the budget — so every single answer must meet its target.
   const u64 n = u64{1} << 18;
   auto v = data::generate(n, Distribution::kUniform, 281);
   std::span<const u32> vs(v.data(), v.size());

@@ -485,8 +485,9 @@ TEST(Serve, BatchedFinalizeOneSecondTopkLaunchPerWarmedGroup) {
 }
 
 TEST(Serve, BatchedStreamedSubmitsStayExact) {
-  // One-at-a-time submissions (late joiners ride in-flight groups) through
-  // the batched path: deferral bookkeeping must close every group.
+  // One-at-a-time submissions (queries join groups whose construction is
+  // in flight) through the batched path: deferral bookkeeping must close
+  // every group.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 121);
   std::span<const u32> vs(v.data(), v.size());
@@ -844,17 +845,17 @@ TEST(Serve, RelaxationGuardTripsAreCountedAndExported) {
   std::vector<u32> v(1 << 20, 42u);
   std::span<const u32> vs(v.data(), v.size());
 
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
   ServerConfig cfg;
   cfg.executors = 1;
-  // A non-radix second engine keeps the group off the batched setup (a
-  // plan tunes alpha only, never the engines): the item runs its own
-  // relaxed stage 2.
-  cfg.base.second_algo = topk::Algo::kSortAndChoose;
   // Pin a small subrange size: the delegate vector must outgrow the
   // single-launch shared-memory first top-k (which is exact and would
   // bypass the relaxation entirely).
   cfg.base.alpha = 5;
-  TopkServer server(shared_device(), cfg);
+  TopkServer server(dev, cfg);
+  // The group's construct launch fails, so setup falls back and the item
+  // runs the unshared pipeline with its own relaxed stage 2.
+  dev.fail_next_launches("construct", 1);
   auto r = server.submit(Query::view(vs, 16)).get();
   EXPECT_EQ(r.values, std::vector<u64>(16, 42u));
 
@@ -864,11 +865,11 @@ TEST(Serve, RelaxationGuardTripsAreCountedAndExported) {
             std::string::npos);
 }
 
-TEST(Serve, BatchedConcatStreamedLateJoinersStayExact) {
-  // Streamed one-at-a-time submits: late joiners whose k missed the
-  // group's precomputed stage 3 fall back to the per-item deferred path
-  // inside the same group; everything stays exact across duplicate and
-  // distinct ks.
+TEST(Serve, StreamedJoinersRideTheGroupSetupAndStayExact) {
+  // Streamed one-at-a-time submits: queries that join while a group's
+  // delegate vector is being built are covered by that group's batched
+  // stages 2-3, so no member launches a first top-k or a stage-3 kernel of
+  // its own; everything stays exact across duplicate and distinct ks.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kNormal, 193);
   std::span<const u32> vs(v.data(), v.size());
@@ -884,12 +885,90 @@ TEST(Serve, BatchedConcatStreamedLateJoinersStayExact) {
       ks.push_back(k);
       futures.push_back(server.submit(Query::view(vs, k)));
     }
-    for (size_t i = 0; i < futures.size(); ++i)
-      EXPECT_EQ(futures[i].get().values, widen(reference_topk(vs, ks[i])))
+    for (size_t i = 0; i < futures.size(); ++i) {
+      const QueryResult r = futures[i].get();
+      EXPECT_EQ(r.values, widen(reference_topk(vs, ks[i])))
           << "round " << round << " query " << i;
+      if (!r.fused) continue;
+      EXPECT_EQ(r.breakdown.first_ms, 0.0) << "round " << round << " " << i;
+      EXPECT_EQ(r.breakdown.concat_ms, 0.0) << "round " << round << " " << i;
+    }
   }
   EXPECT_EQ(server.stats().completed, 36u);
   EXPECT_EQ(server.stats().failed, 0u);
+}
+
+TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
+  // Deterministic, with no executor thread: a group admits while its setup
+  // runs, close_admission freezes its members, a later compatible query
+  // opens a new group, and publish closes a group whose setup never did.
+  auto v = data::generate(1 << 12, Distribution::kUniform, 211);
+  std::span<const u32> vs(v.data(), v.size());
+  AdmissionQueue q(/*batch_max=*/8, /*max_in_flight=*/64);
+
+  auto f1 = q.submit(Query::view(vs, 10));
+  AdmissionQueue::Claim setup1;
+  ASSERT_TRUE(q.next(setup1));
+  ASSERT_TRUE(setup1.needs_setup);
+  const std::shared_ptr<Group> g1 = setup1.group;
+  EXPECT_EQ(g1->setup_ks, std::vector<u64>{10});
+
+  // Setup claimed, vector not built yet: a compatible query joins.
+  auto f2 = q.submit(Query::view(vs, 20));
+  EXPECT_EQ(g1->items.size(), 2u);
+
+  // Setup closes admission once the vector is built: every member's k.
+  EXPECT_EQ(q.close_admission(*g1), (std::vector<u64>{10, 20}));
+  EXPECT_EQ(g1->final_items, 2u);
+
+  // The next compatible query opens a second group.
+  auto f3 = q.submit(Query::view(vs, 30));
+  EXPECT_EQ(g1->items.size(), 2u);
+  AdmissionQueue::Claim setup2;
+  ASSERT_TRUE(q.next(setup2));
+  ASSERT_TRUE(setup2.needs_setup);
+  const std::shared_ptr<Group> g2 = setup2.group;
+  ASSERT_NE(g2, g1);
+  EXPECT_EQ(g2->setup_ks, std::vector<u64>{30});
+
+  // publish closes a group still admitting (a direct shape, a setup that
+  // threw): its one item becomes claimable and the next query opens a
+  // third group.
+  q.publish(g2);
+  EXPECT_EQ(g2->final_items, 1u);
+  auto f4 = q.submit(Query::view(vs, 40));
+  EXPECT_EQ(g2->items.size(), 1u);
+  AdmissionQueue::Claim item;
+  ASSERT_TRUE(q.next(item));
+  EXPECT_FALSE(item.needs_setup);
+  EXPECT_EQ(item.group, g2);
+  EXPECT_EQ(item.item->query.k, 30u);
+  AdmissionQueue::Claim setup3;
+  ASSERT_TRUE(q.next(setup3));
+  ASSERT_TRUE(setup3.needs_setup);
+  EXPECT_NE(setup3.group, g1);
+  EXPECT_NE(setup3.group, g2);
+  EXPECT_EQ(setup3.group->setup_ks, std::vector<u64>{40});
+  EXPECT_EQ(q.in_flight(), 4u);
+}
+
+TEST(Serve, ConstructorRejectsBasesTheBatchedStagesCannotServe) {
+  // The group setup's batched stages 2-4 are the radix engines with no
+  // kappa hook; a base naming anything else is the caller's error,
+  // reported before any executor starts.
+  ServerConfig first;
+  first.base.first_algo = topk::Algo::kBucketInplace;
+  EXPECT_THROW({ TopkServer s(shared_device(), first); },
+               std::invalid_argument);
+  ServerConfig second;
+  second.base.second_algo = topk::Algo::kSortAndChoose;
+  EXPECT_THROW({ TopkServer s(shared_device(), second); },
+               std::invalid_argument);
+  ServerConfig hook;
+  hook.base.kappa_hook = [](u64 kappa) { return kappa; };
+  EXPECT_THROW({ TopkServer s(shared_device(), hook); },
+               std::invalid_argument);
+  EXPECT_NO_THROW({ TopkServer s(shared_device()); });
 }
 
 TEST(Serve, FallbackWhenDelegationInfeasible) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -160,41 +161,36 @@ TEST(Sharded, RejectsInvalidQueries) {
 TEST(Sharded, FailedShardSubQueryFailsOnlyItsOwnQuery) {
   // A shard sub-query that throws fails only the query it belongs to, with
   // that shard's exception: the merge thread keeps merging the rest of its
-  // batch, drain() returns and the stats count only merged answers. The
-  // kappa hook throws for every kappa at or above 2^31, so each sub-query
-  // over the high corpus fails and none over the low one does.
-  const u64 n = u64{1} << 16;
-  auto lo = data::generate(n, Distribution::kUniform, 103);
-  auto hi = lo;
-  for (u32& x : lo) x &= 0x7fffffffu;
-  for (u32& x : hi) x |= 0x80000000u;
-  std::span<const u32> los(lo.data(), lo.size());
-  std::span<const u32> his(hi.data(), hi.size());
+  // batch, drain() returns and the stats count only merged answers. Every
+  // construct launch on shard 1 fails: a sub-query over the 2^16 corpus
+  // falls back from its group setup, then its own construction throws. The
+  // 128-element corpus has 64-element shards, which answer k 40-64 with the
+  // direct top-k and construct nothing, so none of its sub-queries fails.
+  auto big = data::generate(u64{1} << 16, Distribution::kUniform, 103);
+  auto small = data::generate(128, Distribution::kUniform, 104);
+  std::span<const u32> bigs(big.data(), big.size());
+  std::span<const u32> smalls(small.data(), small.size());
 
-  ShardedConfig cfg = sharded_cfg(2);
-  cfg.shard.base.kappa_hook = [](u64 kappa) -> u64 {
-    if (kappa >= (u64{1} << 31))
-      throw std::runtime_error("kappa exchange failed");
-    return kappa;
-  };
-  ShardedTopkServer srv(cfg);
-  const auto lo_id = srv.register_corpus(los);
-  const auto hi_id = srv.register_corpus(his);
-  ASSERT_EQ(srv.corpus_shards(lo_id), 2u);
-  ASSERT_EQ(srv.corpus_shards(hi_id), 2u);
+  ShardedTopkServer srv(sharded_cfg(2));
+  const auto big_id = srv.register_corpus(bigs);
+  const auto small_id = srv.register_corpus(smalls);
+  ASSERT_EQ(srv.corpus_shards(big_id), 2u);
+  ASSERT_EQ(srv.corpus_shards(small_id), 2u);
+  srv.shard_device(1).fail_next_launches("construct", 1000);
 
   std::vector<u64> ks;
-  std::vector<std::future<QueryResult>> low, high;
+  std::vector<std::future<QueryResult>> answered, failed;
   for (int i = 0; i < 12; ++i) {
-    const u64 k = 10 + 30 * static_cast<u64>(i % 4);
+    const u64 k = 40 + 8 * static_cast<u64>(i % 4);
     ks.push_back(k);
-    low.push_back(srv.submit(lo_id, k));
-    high.push_back(srv.submit(hi_id, k));
+    answered.push_back(srv.submit(small_id, k));
+    failed.push_back(srv.submit(big_id, k));
   }
   for (size_t i = 0; i < ks.size(); ++i) {
-    EXPECT_EQ(low[i].get().values, widen(topk::reference_topk(los, ks[i])))
+    EXPECT_EQ(answered[i].get().values,
+              widen(topk::reference_topk(smalls, ks[i])))
         << "k=" << ks[i];
-    EXPECT_THROW((void)high[i].get(), std::runtime_error) << "k=" << ks[i];
+    EXPECT_THROW((void)failed[i].get(), std::runtime_error) << "k=" << ks[i];
   }
   srv.drain();
   const ShardedStats st = srv.stats();
@@ -202,8 +198,88 @@ TEST(Sharded, FailedShardSubQueryFailsOnlyItsOwnQuery) {
   EXPECT_EQ(st.merged_queries, ks.size());
   EXPECT_EQ(st.failed, ks.size());
   // The merge thread survived: the server still answers.
-  EXPECT_EQ(srv.submit(lo_id, 7).get().values,
-            widen(topk::reference_topk(los, 7)));
+  srv.shard_device(1).fail_next_launches("construct", 0);
+  EXPECT_EQ(srv.submit(big_id, 7).get().values,
+            widen(topk::reference_topk(bigs, 7)));
+}
+
+TEST(Sharded, BurstScatterMatchesReference) {
+  // submit_many scatters one burst per shard and enqueues every merge job
+  // under one lock; each answer must still be bit-identical to the oracle
+  // in the order of `ks`, on every route: exact, selection-only,
+  // kSmallest, 64-bit keys, a recall target and a single-shard corpus.
+  auto v = data::generate((1 << 16) + 77, Distribution::kNormal, 105);
+  std::span<const u32> vs(v.data(), v.size());
+  const std::vector<u64> ks = {1, 16, 16, 100, 333, 1000, 64, 2048};
+  ShardedTopkServer srv(sharded_cfg(3));
+  const auto id = srv.register_corpus(vs);
+  for (const auto c : {Criterion::kLargest, Criterion::kSmallest}) {
+    for (const bool sel : {false, true}) {
+      auto fs = srv.submit_many(id, ks, c, sel);
+      ASSERT_EQ(fs.size(), ks.size());
+      for (size_t i = 0; i < ks.size(); ++i)
+        EXPECT_EQ(fs[i].get().values, oracle(vs, ks[i], c, sel))
+            << "k=" << ks[i] << " smallest=" << (c == Criterion::kSmallest)
+            << " selection-only=" << sel;
+    }
+  }
+
+  std::vector<u64> w(1 << 15);
+  for (u64 i = 0; i < w.size(); ++i) w[i] = data::rand_u64(106, i);
+  std::span<const u64> ws(w.data(), w.size());
+  const auto wid = srv.register_corpus(ws);
+  auto wf = srv.submit_many(wid, {5, 200, 200, 999});
+  const std::vector<u64> wks = {5, 200, 200, 999};
+  for (size_t i = 0; i < wks.size(); ++i)
+    EXPECT_EQ(wf[i].get().values, topk::reference_topk(ws, wks[i]))
+        << "u64 k=" << wks[i];
+
+  auto rf = srv.submit_many(id, {64, 512}, Criterion::kLargest, false,
+                            core::FidelityPolicy::approx(0.9));
+  const std::vector<u64> rks = {64, 512};
+  for (size_t i = 0; i < rks.size(); ++i) {
+    std::vector<u64> got = rf[i].get().values;
+    ASSERT_EQ(got.size(), rks[i]);
+    std::vector<u64> want = oracle(vs, rks[i]);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    std::vector<u64> hits;
+    std::set_intersection(got.begin(), got.end(), want.begin(), want.end(),
+                          std::back_inserter(hits));
+    EXPECT_GE(static_cast<double>(hits.size()) / static_cast<double>(rks[i]),
+              0.9)
+        << "recall target k=" << rks[i];
+  }
+
+  ShardedConfig one;
+  one.num_shards = 3;  // default min_shard_elems keeps 1k elements on one
+  ShardedTopkServer single(one);
+  auto small = data::generate(1 << 10, Distribution::kUniform, 107);
+  std::span<const u32> ss(small.data(), small.size());
+  const auto sid = single.register_corpus(ss);
+  ASSERT_EQ(single.corpus_shards(sid), 1u);
+  auto sf = single.submit_many(sid, {3, 25, 25, 500});
+  const std::vector<u64> sks = {3, 25, 25, 500};
+  for (size_t i = 0; i < sks.size(); ++i)
+    EXPECT_EQ(sf[i].get().values, oracle(ss, sks[i])) << "single k=" << sks[i];
+  single.drain();
+  EXPECT_EQ(single.stats().single_shard_queries, sks.size());
+  EXPECT_EQ(single.stats().merge_batches, 0u);
+
+  // Validation happens before anything is submitted.
+  EXPECT_THROW((void)srv.submit_many(id, {10, 0}), std::invalid_argument);
+  EXPECT_THROW((void)srv.submit_many(id + 99, {10}), std::invalid_argument);
+  srv.drain();
+  EXPECT_EQ(srv.stats().failed, 0u);
+}
+
+TEST(Sharded, ConstructorRejectsAShardBaseTopkServerRejects) {
+  ShardedConfig hook = sharded_cfg(2);
+  hook.shard.base.kappa_hook = [](u64 kappa) { return kappa; };
+  EXPECT_THROW({ ShardedTopkServer srv(hook); }, std::invalid_argument);
+  ShardedConfig engine = sharded_cfg(2);
+  engine.shard.base.first_algo = topk::Algo::kBitonic;
+  EXPECT_THROW({ ShardedTopkServer srv(engine); }, std::invalid_argument);
 }
 
 TEST(Sharded, SelectionOnlyAndSmallestCriterion) {
