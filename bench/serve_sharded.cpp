@@ -29,12 +29,11 @@ using namespace drtopk;
 namespace {
 
 /// The benchmark's query mix: a handful of distinct-k queries per round.
-/// Distinct ks give every query its own stage-3 entry, and a SMALL
-/// round keeps each query's cost dominated by its share of the corpus-
-/// proportional construction scan — the regime data sharding targets. The
-/// opposite regime (many tiny queries, per-query launch overhead bound) is
-/// what bench_serve_throughput measures; sharding cannot help there and
-/// this benchmark does not pretend otherwise.
+/// A SMALL round keeps each query's cost dominated by its share of the
+/// corpus-proportional construction scan — the regime data sharding
+/// targets. The opposite regime (many tiny queries, per-query launch
+/// overhead bound) is what bench_serve_throughput measures; sharding
+/// cannot help there and this benchmark does not pretend otherwise.
 std::vector<u64> query_ks() { return {64, 128, 256, 512}; }
 
 struct DeployRun {

@@ -433,10 +433,10 @@ int main(int argc, char** argv) {
   creport.set("parity", parity8_all).set("rows", std::move(crows));
   bench::write_json_section(json8, "serve_batched_concat", creport);
 
-  std::printf("\nbatched concat: ONE classify + ONE concat launch cover every"
-              " distinct k of an\nadmission group (core/concat_batched.hpp);"
-              " member queries reuse the precomputed\ncandidate spans and"
-              " launch nothing.\n");
+  std::printf("\nbatched concat: ONE classify + ONE concat launch build an"
+              " admission group's\none candidate set at its largest k"
+              " (core/concat_batched.hpp); member queries\nanswer from it"
+              " and launch nothing.\n");
 
   // ------------------------------------------------------------------
   // Observability. (a) tracing overhead: the same workload on fresh

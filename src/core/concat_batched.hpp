@@ -1,32 +1,28 @@
-// Stage 3 (Rule 2/3 classification + concatenation): ONE classify + ONE
-// concat launch for any number of selections over one delegate vector.
-// A single query is the one-segment batch (core::dr_topk_from_delegates);
-// an admission group passes one segment per distinct k, since its members
-// classify the SAME delegate vector and differ only in kappa(k). Work
-// items are segment-tagged, as in topk/batched.hpp (RadiK's multi-query
-// batching, arXiv:2501.14336):
+// Stage 3 (Rule 2/3 classification + concatenation) of one selection over
+// a delegate vector as ONE classify + ONE concat launch. A single query
+// (core::dr_topk_from_delegates) and an admission group (serve::TopkServer's
+// setup, which classifies once at its largest riding k and answers every
+// member from that one candidate set) both pass exactly one segment:
 //
-//   classify_subranges_batched   one pass over the delegate keys per
-//                                segment, 32 subranges per warp iteration
-//                                (coalesced chunk loads). Writes taken[s]
-//                                and builds the qualified / partial sid
-//                                lists through per-CTA shared-memory
-//                                staging: one global cursor reservation per
-//                                staged batch and a few counter atomics per
-//                                CTA, flushed into the *current* segment's
-//                                cells whenever the walk crosses a segment.
-//   concat_candidates_batched    one launch over every segment's partial-
-//                                list batches (gather each listed subrange's
-//                                beta delegates, keep those >= kappa) and
+//   classify_subranges_batched   one pass over the delegate keys, 32
+//                                subranges per warp iteration (coalesced
+//                                chunk loads). Writes taken[s] and builds
+//                                the qualified / partial sid lists through
+//                                per-CTA shared-memory staging: one global
+//                                cursor reservation per staged batch and a
+//                                few counter atomics per CTA.
+//   concat_candidates_batched    one launch over the partial-list batches
+//                                (gather each listed subrange's beta
+//                                delegates, keep those >= kappa) and the
 //                                qualified subranges (stream with Rule 2
-//                                filtering); candidates land in each
-//                                segment's span through its own cursor.
+//                                filtering); candidates land in the
+//                                segment's span through one cursor.
 //   concat_qualified             the qualified-subrange half on its own —
 //                                the legacy three-pass path still uses it.
 //
-// Each segment's kappa is final (the Section 4.3 guard decides inside the
-// first top-k, and a group's kappas come exact from its batched first
-// top-k), so no segment is ever classified twice. With `rule2 = false` (a
+// The segment's kappa is final (the Section 4.3 guard decides inside the
+// first top-k, and a group's kappa comes exact from its batched first
+// top-k), so nothing is ever classified twice. With `rule2 = false` (a
 // recall target's per-partition mode) every taken subrange is partial:
 // the candidates are exactly the delegates >= kappa. Delegate validity is
 // analytic — the real delegates are a prefix of length
@@ -35,7 +31,7 @@
 // interleavings; every consumer sorts.
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "core/delegate.hpp"
 
@@ -77,13 +73,13 @@ void append_filtered_subrange(vgpu::Warp& w, std::span<const K> v, u64 begin,
   }
 }
 
-/// One selection problem of a batched stage 3: its threshold, its
+/// The one selection problem of a stage-3 launch pair: its threshold, its
 /// caller-allocated per-subrange scratch, its classification outputs, and
 /// (for the concat pass) its caller-sized candidate span. Scratch spans
 /// must each hold >= S entries.
 template <class K>
 struct BatchedConcatSegment {
-  K kappa{};                 ///< this segment's stage-2 threshold
+  K kappa{};                 ///< the stage-2 threshold (kappa + 1 tie-aware)
   std::span<u8> taken;       ///< per-subrange taken count (scratch, >= S)
   std::span<u32> qualified;  ///< Rule-3 fully-taken sid list (scratch)
   std::span<u32> partial;    ///< partially-taken sid list (scratch)
@@ -118,41 +114,38 @@ u64 batched_concat_capacity(const BatchedConcatSegment<K>& seg, u64 S,
   return seg.partial_taken + qual_len;
 }
 
-/// ONE launch classifies every subrange of the shared delegate vector
-/// against every segment's kappa. Work items are (segment, 32-subrange
-/// chunk) pairs, segment-major; per-CTA staging flushes on segment
-/// crossings so each segment's qualified/partial lists and counters fill
-/// through its own global cells. With `rule2 = false` (approximate
-/// fidelity) no subrange ever qualifies — taken subranges all go to the
-/// partial list, so only delegates become candidates.
+/// ONE launch classifies every subrange of the delegate vector against the
+/// segment's kappa. Work items are 32-subrange chunks; per-CTA staging
+/// batches the qualified/partial list entries, and each CTA reaches the
+/// global cells with one cursor reservation per staged batch and a few
+/// counter atomics. With `rule2 = false` (approximate fidelity) no subrange
+/// ever qualifies — taken subranges all go to the partial list, so only
+/// delegates become candidates.
 template <class K>
 void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
                                 u64 S, u32 beta, int alpha, u64 n,
-                                std::span<BatchedConcatSegment<K>> segs,
+                                BatchedConcatSegment<K>& seg,
                                 bool rule2 = true) {
-  if (segs.empty() || S == 0) return;
+  if (S == 0) return;
   const u64 len = u64{1} << alpha;
   const u64 chunks = (S + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
-  const u64 nsegs = segs.size();
-  const u64 items = nsegs * chunks;
+  const K kappa = seg.kappa;
 
-  // Four global cells per segment: [0] qualified cursor, [1] partial
-  // cursor, [2] partial-taken total, [3] taken total.
-  std::vector<u64> cells(4 * nsegs, 0);
-  std::span<u64> cspan(cells.data(), cells.size());
+  // Global cells: [0] qualified cursor, [1] partial cursor, [2] partial-
+  // taken total, [3] taken total.
+  std::array<u64, 4> cells{};
+  std::span<u64> cspan(cells);
 
   auto cfg = acc.device().launch_for_warp_items(
-      items, "classify_batched", 8, u64{2} * kConcatStageCap * sizeof(u32));
+      chunks, "classify_batched", 8, u64{2} * kConcatStageCap * sizeof(u32));
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
-    // One pair of staging buffers serves every segment the CTA touches:
-    // entries always belong to the *current* segment, flushed (one global
-    // reservation + coalesced stores) on a segment crossing, on capacity,
-    // and at the epilogue. Warps of a CTA run warp-synchronously between
-    // barriers, so the staging cursors live in registers of the leader.
+    // Staged entries are flushed (one global reservation + coalesced
+    // stores) on capacity and at the epilogue. Warps of a CTA run
+    // warp-synchronously between barriers, so the staging cursors live in
+    // registers of the leader.
     auto stage_q = cta.shared().alloc<u32>(kConcatStageCap);
     auto stage_p = cta.shared().alloc<u32>(kConcatStageCap);
     u32 qn = 0, pn = 0;
-    u64 cur = ~u64{0};  ///< segment the staged entries/counters belong to
     u64 cta_taken = 0, cta_partial_taken = 0;
 
     const auto flush_list = [&](vgpu::Warp& w, vgpu::SharedSpan<u32>& stage,
@@ -168,31 +161,11 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
       }
       count = 0;
     };
-    const auto flush_seg = [&](vgpu::Warp& w) {
-      if (cur == ~u64{0}) return;
-      flush_list(w, stage_q, qn, 4 * cur + 0, segs[cur].qualified);
-      flush_list(w, stage_p, pn, 4 * cur + 1, segs[cur].partial);
-      if (cta_partial_taken) {
-        w.atomic_add(cspan, 4 * cur + 2, cta_partial_taken);
-        cta_partial_taken = 0;
-      }
-      if (cta_taken) {
-        w.atomic_add(cspan, 4 * cur + 3, cta_taken);
-        cta_taken = 0;
-      }
-    };
 
     cta.for_each_warp([&](vgpu::Warp& w) {
-      for (u64 i = w.global_id(); i < items; i += w.grid_warps()) {
-        const u64 si = i / chunks;
-        BatchedConcatSegment<K>& seg = segs[si];
-        if (si != cur) {
-          flush_seg(w);
-          cur = si;
-        }
-        const u64 s0 = (i % chunks) * vgpu::kWarpSize;
+      for (u64 i = w.global_id(); i < chunks; i += w.grid_warps()) {
+        const u64 s0 = i * vgpu::kWarpSize;
         const u32 m = static_cast<u32>(std::min<u64>(vgpu::kWarpSize, S - s0));
-        const K kappa = seg.kappa;
 
         // Coalesced chunk load of the m*beta delegate keys.
         std::array<K, vgpu::kWarpSize * kMaxBeta> keys{};
@@ -230,81 +203,63 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
 
         if (qc) {
           if (qn + qc > kConcatStageCap)
-            flush_list(w, stage_q, qn, 4 * cur + 0, seg.qualified);
+            flush_list(w, stage_q, qn, 0, seg.qualified);
           for (u32 l = 0; l < m; ++l)
             if (isq[l]) stage_q.st(qn++, static_cast<u32>(s0 + l));
         }
         if (pc) {
           if (pn + pc > kConcatStageCap)
-            flush_list(w, stage_p, pn, 4 * cur + 1, seg.partial);
+            flush_list(w, stage_p, pn, 1, seg.partial);
           for (u32 l = 0; l < m; ++l)
             if (isp[l]) stage_p.st(pn++, static_cast<u32>(s0 + l));
         }
       }
     });
 
-    // Epilogue: the leader warp drains whatever segment is still staged —
-    // a fixed handful of atomics per CTA regardless of how many subranges
-    // it classified.
-    {
-      vgpu::Warp w = cta.warp(0);
-      flush_seg(w);
-    }
+    // Epilogue: the leader warp drains whatever is still staged — a fixed
+    // handful of atomics per CTA regardless of how many subranges it
+    // classified.
+    vgpu::Warp w = cta.warp(0);
+    flush_list(w, stage_q, qn, 0, seg.qualified);
+    flush_list(w, stage_p, pn, 1, seg.partial);
+    if (cta_partial_taken) w.atomic_add(cspan, 2, cta_partial_taken);
+    if (cta_taken) w.atomic_add(cspan, 3, cta_taken);
   });
 
-  for (u64 si = 0; si < nsegs; ++si) {
-    segs[si].qualified_count = cells[4 * si + 0];
-    segs[si].partial_count = cells[4 * si + 1];
-    segs[si].partial_taken = cells[4 * si + 2];
-    segs[si].taken_total = cells[4 * si + 3];
-  }
+  seg.qualified_count = cells[0];
+  seg.partial_count = cells[1];
+  seg.partial_taken = cells[2];
+  seg.taken_total = cells[3];
 }
 
-/// ONE launch concatenates every segment's candidates: the union of all
-/// segments' partial-list batches and qualified subranges forms the work-
-/// item space, located through a per-segment offset table; each candidate
-/// lands in its segment's span through its segment's cursor cell. Partial
-/// batches gather + re-threshold their listed subranges' delegates (one
-/// sector per subrange); qualified items stream their subrange from the
-/// input with Rule 2 filtering. Fills each segment's cand_count.
+/// ONE launch concatenates the segment's candidates: the partial-list
+/// batches followed by the qualified subranges form the work-item space,
+/// and every candidate lands in the segment's span through one cursor.
+/// Partial batches gather + re-threshold their listed subranges' delegates
+/// (one sector per subrange); qualified items stream their subrange from
+/// the input with Rule 2 filtering. Fills cand_count.
 template <class K>
 void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
                                std::span<const K> dkeys, u32 beta, int alpha,
-                               bool filter,
-                               std::span<BatchedConcatSegment<K>> segs) {
-  if (segs.empty()) return;
+                               bool filter, BatchedConcatSegment<K>& seg) {
   const u64 n = v.size();
   const u64 len = u64{1} << alpha;
-  const u64 nsegs = segs.size();
-
-  // Item layout: per segment, pchunks 32-entry partial batches followed by
-  // its qualified subranges; `off[si]` is the segment's first item.
-  std::vector<u64> off(nsegs + 1, 0);
-  std::vector<u64> pchunks(nsegs, 0);
-  for (u64 si = 0; si < nsegs; ++si) {
-    pchunks[si] =
-        (segs[si].partial_count + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
-    off[si + 1] = off[si] + pchunks[si] + segs[si].qualified_count;
-  }
-  const u64 items = off[nsegs];
+  const K kappa = seg.kappa;
+  const u64 pchunks =
+      (seg.partial_count + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
+  const u64 items = pchunks + seg.qualified_count;
   if (items == 0) return;
 
-  std::vector<u64> cursors(nsegs, 0);
-  std::span<u64> curspan(cursors.data(), cursors.size());
+  u64 count_cell = 0;
+  std::span<u64> cursor(&count_cell, 1);
 
   auto cfg = acc.device().launch_for_warp_items(items, "concat_batched");
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
     cta.for_each_warp([&](vgpu::Warp& w) {
-      u64 si = 0;  // items ascend per warp stride; resume the scan in place
       for (u64 i = w.global_id(); i < items; i += w.grid_warps()) {
-        while (i >= off[si + 1]) ++si;
-        BatchedConcatSegment<K>& seg = segs[si];
-        const K kappa = seg.kappa;
-        std::span<u64> cursor = curspan.subspan(si, 1);
-        const u64 rel = i - off[si];
-        if (rel < pchunks[si]) {
+        if (i < pchunks) {
           // Partial-list batch: taken delegates of 32 listed subranges.
-          const u64 p0 = rel * vgpu::kWarpSize;
+          const u64 p0 = i * vgpu::kWarpSize;
           const u32 m = static_cast<u32>(
               std::min<u64>(vgpu::kWarpSize, seg.partial_count - p0));
           std::span<const u32> plist(seg.partial.data(), seg.partial.size());
@@ -331,7 +286,7 @@ void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
         }
         // Qualified subrange: stream + filter + warp-aggregated append.
         std::span<const u32> qlist(seg.qualified.data(), seg.qualified.size());
-        const u32 sid = w.ld(qlist, rel - pchunks[si]);
+        const u32 sid = w.ld(qlist, i - pchunks);
         const u64 begin = static_cast<u64>(sid) * len;
         append_filtered_subrange(w, v, begin, std::min(len, n - begin),
                                  kappa, filter, seg.cand, cursor);
@@ -339,7 +294,7 @@ void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
     });
   });
 
-  for (u64 si = 0; si < nsegs; ++si) segs[si].cand_count = cursors[si];
+  seg.cand_count = count_cell;
 }
 
 /// Warp-centric concatenation of the qualified subranges with Rule 2

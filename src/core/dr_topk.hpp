@@ -38,8 +38,9 @@
 //  * dr_topk_keys      — the full pipeline (stages 1-4);
 //  * dr_topk_from_delegates — stages 2-4 of one query over a prebuilt
 //    delegate vector (dr_topk_keys' second half). The serving layer does
-//    not call it: a group setup runs stages 2-3 for all of its members as
-//    batched launches (topk::batched_topk, core/concat_batched.hpp);
+//    not call it: a group setup runs stages 2-3 once, at its largest
+//    riding k, and answers every member from that one candidate set
+//    (topk::batched_topk, core/concat_batched.hpp);
 //  * ExecPlan          — an externally supplied (alpha, beta) geometry,
 //    e.g. from serve::PlanCache, that skips the alpha tuner.
 #pragma once
@@ -67,7 +68,7 @@ struct DrTopkConfig {
   double tuner_const = 3.0;  ///< Rule 4 Const (paper-tuned value)
   bool filtering = true;     ///< Rule 2 delegate-top-k-enabled filtering
   bool skip_last_first_iter = true;  ///< Section 4.3 first top-k relaxation
-  /// Fused stage 3: the one-segment batched classify + concat pair
+  /// Fused stage 3: the classify + concat launch pair
   /// (core/concat_batched.hpp) — one delegate pass writing a compact
   /// per-subrange taken-count array, block-aggregated list emission,
   /// partial-list-driven delegate concatenation. `false` replays the
@@ -405,7 +406,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
   if (nothing_above) {
     // G is empty: the answer is k copies of kappa.
   } else if (run_fused) {
-    // The query is a one-segment batch (core/concat_batched.hpp): one
+    // One classify + one concat launch (core/concat_batched.hpp): one
     // delegate pass produces the per-subrange taken-count array plus the
     // qualified and partial sid lists; concatenation then touches only
     // listed subranges.
@@ -414,8 +415,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     seg.taken = ws.alloc<u8>(S);
     seg.qualified = ws.alloc<u32>(S);
     seg.partial = ws.alloc<u32>(S);
-    std::span<BatchedConcatSegment<K>> one(&seg, 1);
-    classify_subranges_batched<K>(a3, dkeys, S, beta, dv.alpha, n, one,
+    classify_subranges_batched<K>(a3, dkeys, S, beta, dv.alpha, n, seg,
                                   /*rule2=*/!approx);
     // A recall target kept the relaxed threshold whatever its taken count:
     // extra candidates only cost the (small) second top-k, never recall.
@@ -426,7 +426,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
     seg.cand = cand =
         ws.alloc<K>(batched_concat_capacity(seg, S, beta, dv.alpha, n));
     concat_candidates_batched<K>(a3, v, dkeys, beta, dv.alpha, cfg.filtering,
-                                 one);
+                                 seg);
     cand_count = seg.cand_count;
   } else {
     // Legacy three-pass stage 3 (the PR-1 baseline, kept measurable):

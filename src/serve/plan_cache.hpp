@@ -71,11 +71,10 @@ struct CachedPlan {
   /// workspaces presize from these on a hit, so a recurring shape never
   /// grows an arena mid-query.
   u64 group_ws_bytes = 0;  ///< shared construction (delegate vector, keys)
-                           ///< plus the group's deferred candidate spans
-                           ///< (shared per distinct k; re-recorded at
-                           ///< finalization)
+                           ///< plus the group's one candidate set
+                           ///< (re-recorded at finalization)
   u64 exec_ws_bytes = 0;   ///< per-query stages 2-4 scratch and the
-                           ///< group-wide classify staging arrays
+                           ///< group's classify staging arrays
   /// Cross-shard plan sharing: true when this entry arrived via publish()
   /// (a sibling shard calibrated it) rather than local calibration. The
   /// PlanKey is shard-independent — same log2-shape and distribution

@@ -5,8 +5,8 @@
 // identity, length, key width, criterion, fidelity) matches, up to
 // batch_max queries; otherwise it opens a new group. Groups queue FIFO.
 // Executors claim work with group-granular setup (one executor resolves
-// the plan, builds the shared delegate vector and stages every member's
-// stages 2-3) followed by query-granular stealing: once a group's setup is
+// the plan, builds the shared delegate vector and the group's one
+// candidate set) followed by query-granular stealing: once a group's setup is
 // published, *any* executor can claim its next unclaimed query via the
 // group's cursor, so a large batch is drained cooperatively rather than
 // pinned to one executor.
@@ -15,12 +15,13 @@
 // the construction pass is the expensive window worth amortizing, so a
 // client streaming compatible queries one at a time joins the group whose
 // construction is in flight. Setup then closes admission (close_admission)
-// and resolves every member's k in one batched kappa launch and one
-// classify + concat pair; a query arriving after the close opens a new
-// group. publish() closes a group that is still admitting (a direct shape,
-// a setup that threw). Items live in a deque, so references handed to
-// executors stay valid across admissions; every deque traversal happens
-// under the queue mutex.
+// and runs stages 2-3 once, at the largest k among the members: one kappa
+// launch and one classify + concat pair whose candidate set answers every
+// member; a query arriving after the close opens a new group. publish()
+// closes a group that is still admitting (a direct shape, a setup that
+// threw). Items live in a deque, so references handed to executors stay
+// valid across admissions; every deque traversal happens under the queue
+// mutex.
 //
 // The queue bounds in-flight queries: submit() blocks while the bound is
 // reached — backpressure toward the client instead of unbounded memory.
@@ -31,6 +32,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "serve/plan_cache.hpp"
@@ -52,10 +54,10 @@ struct Pending {
                              ///< QueryResult::queue_us
 };
 
-/// A riding member parked for batched finalization: the group setup staged
-/// its stages 2-3 (its candidate span lives in the group's arena, shared
-/// with every member of the same k); stage 4 runs once for the whole group,
-/// fulfilling every parked promise.
+/// A riding member parked for batched finalization: its candidate span is
+/// the group's one candidate set (group-arena memory, shared by every
+/// parked member); stage 4 runs once for the whole group, fulfilling every
+/// parked promise.
 template <class K>
 struct DeferredItem {
   Pending* item = nullptr;
@@ -119,26 +121,27 @@ struct Group {
                               ///< the whole group (amortized into latency)
   core::StageBreakdown setup_stages;
 
-  /// One precomputed stage-2/3 result per distinct k that rides the shared
-  /// delegate vector: setup resolved every member's kappa in one batched
-  /// launch and ran the whole group's classify + concat as ONE launch pair,
-  /// so a riding item performs ZERO launches — it parks a DeferredItem
-  /// referencing the group-arena candidate span (or, when no second top-k
-  /// is needed, self-serves on the host with core::expand_skipped_answer).
-  /// Written single-threaded before publish; read-only afterwards. Only the
-  /// span matching the group's key width is set.
-  struct Stage3Entry {
-    u64 k = 0;
-    u64 kappa = 0;               ///< stage-2 threshold; pads a short answer
-    u64 cand_count = 0;
-    u64 taken_total = 0;         ///< taken delegates (breakdown metadata)
-    u64 qualified = 0;           ///< Rule-3 qualified subranges
-    bool second_skipped = false; ///< at most k candidates: they, padded with
-                                 ///< kappa, ARE the answer
+  /// The group's one stage-2/3 result, built at kride — the largest k among
+  /// the members that ride the shared delegate vector. Setup selected the
+  /// exact kride-th delegate as kappa in one launch and classified and
+  /// concatenated once against it, so every riding member answers from
+  /// this one candidate set (Rule 2: kappa only falls as k grows, so the
+  /// set holds every smaller member's answer) and launches nothing: it pads
+  /// on the host when the set holds at most k keys, takes a k-prefix of a
+  /// sorted set, and otherwise parks a DeferredItem on the set's span, which
+  /// the batched finalization sorts once for every parked member. Written
+  /// single-threaded before publish; read-only afterwards. Only the span
+  /// matching the group's key width is set.
+  struct CandidateSet {
+    u64 kappa = 0;          ///< the stage-2 threshold; pads a short answer
+    u64 taken_total = 0;    ///< taken delegates (breakdown metadata)
+    u64 qualified = 0;      ///< Rule-3 qualified subranges
+    bool sorted = false;    ///< the top-kride of a recall-target group's
+                            ///< delegates, best first
     std::span<const u32> cand32;
     std::span<const u64> cand64;
   };
-  std::vector<Stage3Entry> stage3;
+  std::optional<CandidateSet> shared;
   /// Guards the deferred lists and the executed counter (executors park
   /// phase-A results concurrently).
   std::mutex batch_mu;

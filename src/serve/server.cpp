@@ -41,8 +41,8 @@ core::DelegateVector<u64>& group_dv<u64>(Group& g) {
 /// recall target its geometry must also meet this k's miss budget (a
 /// member that joined during construction may ask for a larger k than the
 /// geometry was sized for; expected misses grow faster than k) with k real
-/// delegates to answer from. Setup stages a stage-3 entry for exactly the
-/// members this accepts.
+/// delegates to answer from. Setup builds the group's candidate set at the
+/// largest k this accepts, and exactly these members answer from it.
 template <class K>
 bool rides_shared(Group& g, u64 k) {
   if (!g.has_delegates) return false;
@@ -54,14 +54,14 @@ bool rides_shared(Group& g, u64 k) {
 }
 
 template <class K>
-std::span<const K> stage3_cand(const Group::Stage3Entry& e);
+std::span<const K> set_cand(const Group::CandidateSet& s);
 template <>
-std::span<const u32> stage3_cand<u32>(const Group::Stage3Entry& e) {
-  return e.cand32;
+std::span<const u32> set_cand<u32>(const Group::CandidateSet& s) {
+  return s.cand32;
 }
 template <>
-std::span<const u64> stage3_cand<u64>(const Group::Stage3Entry& e) {
-  return e.cand64;
+std::span<const u64> set_cand<u64>(const Group::CandidateSet& s) {
+  return s.cand64;
 }
 
 template <class K>
@@ -342,45 +342,38 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
 
     // Admission closes here: members that joined while the vector was
     // built are covered too, and later queries open a new group. Every
-    // member whose k rides the shared vector (rides_shared) gets its stages
-    // 2-3 below; the rest take the unfused pipeline per item.
+    // member whose k rides the shared vector (rides_shared) answers from
+    // the one candidate set built below at kride, the largest such k; the
+    // rest take the unfused pipeline per item.
     std::vector<u64> ks;
-    u64 covered = 0;
-    for (const u64 k : queue_.close_admission(g)) {
-      if (!rides_shared<Key>(g, k)) continue;
-      ++covered;
-      if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
-    }
+    for (const u64 k : queue_.close_admission(g))
+      if (rides_shared<Key>(g, k)) ks.push_back(k);
     if (!ks.empty()) {
-      // Batched stage 2: ONE launch resolves the exact threshold kappa for
-      // every distinct k. All segments view the same delegate vector, so
-      // the batched engine sorts it once and emits each k's k-th key — N
-      // same-corpus selections for the price of one sort.
+      std::sort(ks.begin(), ks.end());
+      const u64 kride = ks.back();
+      // Members whose k repeats another's: the sharing the counter reports.
+      deduped = static_cast<u64>(ks.end() - std::unique(ks.begin(), ks.end()));
+
+      // Stage 2: ONE launch selects kappa, the exact kride-th delegate, so
+      // at least kride keys are >= kappa. Recall-target groups: a member's
+      // per-partition answer IS the top-k of the delegate vector, a prefix
+      // of the top-kride, so the launch emits the full sorted top-kride
+      // (selection_only = false) and doubles as the group's stages 3 and 4.
       const auto& dvk = group_dv<Key>(g).keys;
       std::span<const Key> dkeys(dvk.data(), dvk.size());
-      // Recall-target groups: the per-partition answer IS the top-k of
-      // the delegate vector, so the batched stage-2 launch asks for the
-      // full sorted top-k per distinct k (selection_only=false) instead
-      // of just the threshold — the same one launch then doubles as the
-      // whole group's stage 3 AND stage 4 (see the approx branch below).
       const bool approx_group = !g.fidelity.exact();
-      std::vector<topk::BatchedSegment<Key>> segs;
-      segs.reserve(ks.size());
-      for (const u64 k : ks)
-        segs.push_back({dkeys, k, k, /*selection_only=*/!approx_group});
+      const topk::BatchedSegment<Key> kseg{dkeys, kride, 0,
+                                           /*selection_only=*/!approx_group};
       topk::Accum acc2(dev_);
       topk::BatchedResult<Key> br;
       {
-        // The batched kappa launch is the group's shared first top-k.
-        // Its scope ends here so the concat pass below is charged to
-        // "concat" on the device's stage ledger.
+        // The kappa launch is the group's shared first top-k. Its scope
+        // ends here so the concat pass below is charged to "concat" on the
+        // device's stage ledger.
         vgpu::StageScope first("first");
-        br = topk::batched_topk<Key>(
-            acc2, std::span<const topk::BatchedSegment<Key>>(segs), ews);
+        br = topk::batched_topk<Key>(acc2, {&kseg, 1}, ews);
       }
-      std::vector<Key> kappas;
-      kappas.reserve(ks.size());
-      for (const auto& keys : br.keys) kappas.push_back(keys.back());
+      const Key kappa = br.keys[0].back();
       // The group paid its members' first top-k here: amortized into
       // their latencies with the construction pass.
       g.setup_sim_ms += acc2.sim_ms();
@@ -388,107 +381,61 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
       g.setup_stages.first_stats = acc2.stats();
       executor_work += acc2.sim_ms();
 
+      Group::CandidateSet set;
+      set.kappa = kappa;
+      std::span<const Key> cand;
+      const bool tie_aware = core::tie_aware_stage3(base);
       if (approx_group) {
-        // Approximate stage 3+4, already paid for: the batched launch
-        // above returned each distinct k's sorted top-k *of the
-        // delegates* — under the per-partition policy that is the
-        // answer. Stage each as a precomputed second_skipped entry in
-        // the group arena; members self-serve with a host copy and launch
-        // NOTHING (run_item_typed's skipped-second path — the same code
-        // path, same accounting).
-        for (size_t i = 0; i < ks.size(); ++i) {
-          auto cand = g.ws->alloc<Key>(ks[i]);
-          std::copy(br.keys[i].begin(), br.keys[i].end(), cand.begin());
-          Group::Stage3Entry e;
-          e.k = ks[i];
-          e.kappa = kappas[i];
-          e.cand_count = ks[i];
-          e.taken_total = ks[i];
-          e.qualified = 0;
-          e.second_skipped = true;
-          std::span<const Key> cspan(cand.data(), ks[i]);
-          if constexpr (std::is_same_v<Key, u64>)
-            e.cand64 = cspan;
-          else
-            e.cand32 = cspan;
-          g.stage3.push_back(e);
-        }
-      } else {
-        // Group-wide batched stage 3: the kappas above are exact, so
-        // every member's classification is already decidable — run the
-        // whole group's classify + concat as ONE launch pair over the
-        // shared delegate vector (core/concat_batched.hpp). Per-subrange
-        // scratch is executor-arena transient; the candidate spans land
-        // in the group arena, where the batched finalization consumes
-        // them (identical ks share a span, and batched_topk coalesces
-        // same-span segments into one sort). Tie-aware, as in the
-        // single-query pipeline (core::tie_aware_stage3): each segment
-        // classifies against kappa + 1, and a k whose kappa is the
-        // maximum key gets no segment (its candidate set is empty).
+        // The sorted top-kride of the delegates, in the group arena: every
+        // member takes its k-prefix on the host.
+        auto top = g.ws->alloc<Key>(kride);
+        std::copy(br.keys[0].begin(), br.keys[0].end(), top.begin());
+        cand = top;
+        set.taken_total = kride;
+        set.sorted = true;
+      } else if (!(tie_aware &&
+                   kappa == std::numeric_limits<Key>::max())) {
+        // Stage 3: ONE classify + concat pair over the shared delegate
+        // vector (core/concat_batched.hpp). Tie-aware, as in the
+        // single-query pipeline (core::tie_aware_stage3), it classifies
+        // against kappa + 1, so the set is G = {x > kappa}; a kappa equal
+        // to the maximum key launches nothing and leaves G empty.
+        // Per-subrange scratch is executor-arena transient; the set lands
+        // in the group arena, where the batched finalization consumes it.
         vgpu::StageScope concat("concat");
         topk::Accum acc3(dev_);
         const u64 S = group_dv<Key>(g).num_subranges;
-        ews.reset_peak();  // record the batched classify scratch footprint
+        ews.reset_peak();  // record the classify scratch footprint
         vgpu::Workspace::Scope scratch(ews);
-        const bool tie_aware = core::tie_aware_stage3(base);
-        std::vector<core::BatchedConcatSegment<Key>> csegs;
-        std::vector<size_t> seg_of(ks.size(), ks.size());  // ks.size(): none
-        for (size_t i = 0; i < ks.size(); ++i) {
-          const Key kappa = kappas[i];
-          if (tie_aware && kappa == std::numeric_limits<Key>::max())
-            continue;
-          seg_of[i] = csegs.size();
-          core::BatchedConcatSegment<Key>& seg = csegs.emplace_back();
-          seg.kappa = tie_aware ? static_cast<Key>(kappa + 1) : kappa;
-          seg.taken = ews.alloc<u8>(S);
-          seg.qualified = ews.alloc<u32>(S);
-          seg.partial = ews.alloc<u32>(S);
-        }
-        std::span<core::BatchedConcatSegment<Key>> cspan(csegs);
+        core::BatchedConcatSegment<Key> seg;
+        seg.kappa = tie_aware ? static_cast<Key>(kappa + 1) : kappa;
+        seg.taken = ews.alloc<u8>(S);
+        seg.qualified = ews.alloc<u32>(S);
+        seg.partial = ews.alloc<u32>(S);
         core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
-                                              g.plan.alpha, g.n, cspan);
-        for (auto& seg : csegs)
-          seg.cand = g.ws->alloc<Key>(core::batched_concat_capacity(
-              seg, S, beta, g.plan.alpha, g.n));
-        core::concat_candidates_batched<Key>(
-            acc3, keyspan, dkeys, beta, g.plan.alpha, cfg_.base.filtering,
-            cspan);
-        const core::BatchedConcatSegment<Key> empty;
-        for (size_t i = 0; i < ks.size(); ++i) {
-          const auto& seg = seg_of[i] < csegs.size() ? csegs[seg_of[i]]
-                                                     : empty;
-          Group::Stage3Entry e;
-          e.k = ks[i];
-          e.kappa = kappas[i];
-          e.cand_count = seg.cand_count;
-          e.taken_total = seg.taken_total;
-          e.qualified = seg.qualified_count;
-          // No second top-k when the candidates (padded with kappa, if
-          // tie-aware) already are the answer; inclusive, that is Rule
-          // 3's fast path: exactly k delegates met kappa and no subrange
-          // fully qualified.
-          e.second_skipped = tie_aware ? e.cand_count <= e.k
-                                       : (e.qualified == 0 &&
-                                          e.taken_total == e.k);
-          std::span<const Key> cand(seg.cand.data(), seg.cand_count);
-          if constexpr (std::is_same_v<Key, u64>)
-            e.cand64 = cand;
-          else
-            e.cand32 = cand;
-          g.stage3.push_back(e);
-        }
+                                              g.plan.alpha, g.n, seg);
+        seg.cand = g.ws->alloc<Key>(core::batched_concat_capacity(
+            seg, S, beta, g.plan.alpha, g.n));
+        core::concat_candidates_batched<Key>(acc3, keyspan, dkeys, beta,
+                                             g.plan.alpha,
+                                             cfg_.base.filtering, seg);
+        cand = std::span<const Key>(seg.cand.data(), seg.cand_count);
+        set.taken_total = seg.taken_total;
+        set.qualified = seg.qualified_count;
         g.setup_sim_ms += acc3.sim_ms();
         g.setup_stages.concat_ms = acc3.sim_ms();
         g.setup_stages.concat_stats = acc3.stats();
         executor_work += acc3.sim_ms();
-        // The wider batched staging arrays raise the plan's executor-
-        // workspace high-water mark; re-record so future groups of this
-        // shape presize instead of growing.
+        // The classify staging arrays raise the plan's executor-workspace
+        // high-water mark; re-record so future groups of this shape presize
+        // instead of growing.
         plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
       }
-      // Members whose k repeats another's ride that k's kappa and
-      // stage-3 entry: the sharing the counter reports.
-      deduped = covered - ks.size();
+      if constexpr (std::is_same_v<Key, u64>)
+        set.cand64 = cand;
+      else
+        set.cand32 = cand;
+      g.shared = set;
     }
     plans_.note_workspace(g.plan_key, g.ws->peak_bytes(), 0);
   }
@@ -656,23 +603,15 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
 
   core::StageBreakdown bd;
   if (rides_shared<Key>(g, q.k)) {
-    // The group setup resolved this k's kappa and stage 3 for every
-    // member, so phase A is DONE — no launch, no scratch. The item either
-    // parks a deferred segment referencing the shared group-arena
-    // candidate span (identical ks coalesce into one sort in the batched
-    // finalization) or, when no second top-k is needed, self-serves with a
-    // host sort of the at most k candidates.
-    const Group::Stage3Entry* pre = nullptr;
-    for (const auto& e : g.stage3) {
-      if (e.k == q.k) {
-        pre = &e;
-        break;
-      }
-    }
-    if (pre == nullptr)
+    // The group setup built the one candidate set every riding member
+    // answers from (Group::CandidateSet), so phase A is DONE — no launch,
+    // no scratch.
+    if (!g.shared)
       throw std::logic_error(
           "TopkServer: a member riding the shared delegate vector has no "
-          "stage-3 entry");
+          "candidate set");
+    const Group::CandidateSet& set = *g.shared;
+    const std::span<const Key> cand = set_cand<Key>(set);
     // "Fused" means construction was genuinely shared; a singleton group
     // paid full freight. Its latency is purely its share of the group's
     // construction + kappa + classify/concat passes.
@@ -683,18 +622,23 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
     bd.beta = g.plan.beta;
     bd.delegate_len = group_dv<Key>(g).size();
     bd.num_subranges = group_dv<Key>(g).num_subranges;
-    bd.concat_len = pre->cand_count;
-    bd.taken_delegates = pre->taken_total;
-    bd.qualified_subranges = pre->qualified;
-    bd.second_skipped = pre->second_skipped;
-    if (!pre->second_skipped) {
-      // Park the phase-A result: the group's last finisher selects for
-      // every parked item in a single launch, and values/kth arrive there.
+    bd.concat_len = cand.size();
+    bd.taken_delegates = set.taken_total;
+    bd.qualified_subranges = set.qualified;
+    // No second top-k when the answer is a sorted set's k-prefix, or when
+    // the set holds at most k keys: tie-aware, the set padded with kappa
+    // is the answer; inclusive, the set holds the top-kride, so it is
+    // exactly the top-k.
+    bd.second_skipped = set.sorted || cand.size() <= q.k;
+    if (!bd.second_skipped) {
+      // Park on the set's span: the group's last finisher selects for
+      // every parked item in a single launch (one sort serves them all),
+      // and values/kth arrive there.
       out.breakdown = bd;
       DeferredItem<Key> d;
       d.item = &p;
       d.out = out;
-      d.cand = stage3_cand<Key>(*pre);
+      d.cand = cand;
       d.k = q.k;
       d.criterion = q.criterion;
       d.selection_only = q.selection_only;
@@ -706,11 +650,9 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
       *deferred = true;
       return out;
     }
-    // At most k candidates: they, padded with kappa, ARE the answer
-    // (dr_topk's second_skipped host expansion).
     const std::vector<Key> keys = core::expand_skipped_answer<Key>(
-        stage3_cand<Key>(*pre), static_cast<Key>(pre->kappa), q.k,
-        q.selection_only);
+        cand.first(std::min<u64>(q.k, cand.size())),
+        static_cast<Key>(set.kappa), q.k, q.selection_only);
     out.values.reserve(keys.size());
     for (const Key key : keys)
       out.values.push_back(static_cast<u64>(

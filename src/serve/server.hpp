@@ -14,20 +14,21 @@
 //            -> executor threads claim work: one resolves the group's plan
 //               via the PlanCache (calibrated alpha, skipping the tuner on
 //               hits), builds ONE shared delegate vector for the whole
-//               group, closes the group's admission and resolves every
-//               member's stages 2-3 in one batched launch each; then all
+//               group, closes the group's admission and builds ONE
+//               candidate set at the group's largest k; then all
 //               executors cooperatively drain the group's queries on the
 //               shared Device (whose thread pool multiplexes the kernels).
 //
 // Batching wins because delegate construction — the dominant stage of the
 // pipeline (Figure 15) — is paid once per group instead of once per query;
 // the plan cache wins by replaying calibrated decisions for recurring
-// query shapes. The group setup resolves every distinct k's stage 2 and
-// stage 3 in one batched launch each, so identical ks share one threshold
-// and one candidate span, and the batched finalization sorts each shared
-// span once: the executor that finishes a group's last item runs the whole
-// group's second top-k as ONE batched launch. A member the shared vector
-// cannot serve runs the unshared core::dr_topk pipeline.
+// query shapes. The group setup runs stage 2 and stage 3 once, at the
+// largest k among the members (kappa only falls as k grows, so that
+// candidate set holds every smaller member's answer): a member pads it on
+// the host when it holds at most k keys, and otherwise parks on it, and the
+// executor that finishes a group's last item sorts it once for every parked
+// member in ONE batched launch. A member the shared vector cannot serve
+// runs the unshared core::dr_topk pipeline.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
@@ -59,14 +60,15 @@ struct ObsOptions {
 
 /// Server tuning knobs. The serving path itself has no switches: setup
 /// builds one delegate vector per group, closes the group's admission,
-/// then resolves every member's distinct k's threshold (one batched kappa
-/// launch) and candidate span (one classify + one concat launch,
-/// core/concat_batched.hpp); items defer stage 4 to ONE batched selection
-/// launch per group (topk/batched.hpp). Every group resolves its delegate
-/// geometry through the plan cache, which tunes alpha only. Members the
-/// shared vector cannot serve — infeasible shapes, groups whose setup fell
-/// back, a k above the delegate count, a recall-target k outside the
-/// geometry's budget — run the unshared core::dr_topk pipeline.
+/// then builds one threshold (one kappa launch) and one candidate set (one
+/// classify + one concat launch, core/concat_batched.hpp) at the largest
+/// riding k; items answer from that set on the host or defer stage 4 to
+/// ONE batched selection launch per group (topk/batched.hpp). Every group
+/// resolves its delegate geometry through the plan cache, which tunes
+/// alpha only. Members the shared vector cannot serve — infeasible shapes,
+/// groups whose setup fell back, a k above the delegate count, a
+/// recall-target k outside the geometry's budget — run the unshared
+/// core::dr_topk pipeline.
 /// `base` must keep the radix engines and no kappa hook: the batched
 /// stages implement exactly those (TopkServer's constructor throws
 /// std::invalid_argument otherwise). docs/ARCHITECTURE.md walks the whole
@@ -170,8 +172,8 @@ class TopkServer {
   /// over the group's key width. A failed launch fails only the group's
   /// parked queries that were not yet fulfilled.
   void finalize_group(Group& g, u32 executor_id);
-  /// Returns the members served from another member's shared kappa and
-  /// stage-3 entry (ServerStats::deduped_queries).
+  /// Returns the riding members whose k repeats another member's
+  /// (ServerStats::deduped_queries).
   template <class T>
   u64 setup_group_typed(Group& g, u32 executor_id);
   template <class T>

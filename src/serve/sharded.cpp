@@ -20,7 +20,7 @@ ShardedTopkServer::ShardedTopkServer(ShardedConfig cfg)
                                   "Queries served via scatter + merge")),
       m_failed_(registry_.counter(
           "sharded_failed_queries",
-          "Scatter/merge queries failed by a shard sub-query")),
+          "Queries failed by a shard sub-query (both routes)")),
       m_batches_(registry_.counter("sharded_merge_batches",
                                    "Merge-thread rounds executed")),
       m_launches_(registry_.counter("sharded_merge_launches",
@@ -130,43 +130,6 @@ std::vector<std::future<QueryResult>> ShardedTopkServer::submit_many(
     return shards_[s].server->submit_many(std::move(qs));
   };
 
-  // ---- Single-shard route: today's TopkServer path, zero overhead. ----
-  if (c.shards == 1) {
-    m_single_.add(ks.size());
-    {
-      std::lock_guard lk(stats_mu_);
-      agg_.single_shard_queries += ks.size();
-      agg_.completed += ks.size();
-    }
-    return shard_burst(c.first_shard, 0, n, [](u64 k) { return k; },
-                       selection_only, fidelity);
-  }
-
-  // ---- Scatter: one clamped full-top-k sub-query per shard. The local
-  // list must be a real top-min(k, len) (never selection-only): any global
-  // winner living on shard s is within its local top-k, so the union of
-  // the local lists contains the global top-k (Σ min(k, len_s) >= k). ----
-  //
-  // Under a recall target the scatter shrinks on both axes, splitting the
-  // miss budget in half: each shard runs its local pipeline at a
-  // *tightened* target (half the budget covers per-partition loss inside
-  // the shards) and serves a *reduced* local k (the other half covers
-  // truncation — the global top-k spreads ~uniformly over S shards, mean
-  // k/S per shard, and a concentration slack of 2*sqrt(mu*ln(S+1)) + 8
-  // caps how lopsided a shard's share can get). The merge itself stays the
-  // exact engine either way — it sees smaller, approximate local lists.
-  core::FidelityPolicy local = fidelity;
-  if (!fidelity.exact())
-    local = core::FidelityPolicy::approx(
-        1.0 - (1.0 - fidelity.recall_target) / 2.0);
-  const auto reduced = [&](u64 k) {
-    if (fidelity.exact()) return k;
-    const double mu = static_cast<double>(k) / static_cast<double>(c.shards);
-    return static_cast<u64>(std::ceil(
-        mu + 2.0 * std::sqrt(mu * std::log(static_cast<double>(c.shards) +
-                                           1.0)) +
-        8.0));
-  };
   const auto t_submit = std::chrono::steady_clock::now();
   std::vector<MergeJob> jobs(ks.size());
   for (size_t i = 0; i < ks.size(); ++i) {
@@ -178,15 +141,62 @@ std::vector<std::future<QueryResult>> ShardedTopkServer::submit_many(
     job.t_submit = t_submit;
     job.parts.reserve(c.shards);
   }
-  for (u32 s = 0; s < c.shards; ++s) {
-    const u64 lo = static_cast<u64>(s) * c.shard_len;
-    const u64 len = std::min(c.shard_len, n - lo);
-    auto parts = shard_burst(
-        s, lo, len,
-        [&](u64 k) { return std::min({k, reduced(k), len}); },
-        /*selection_only=*/false, local);
-    for (size_t i = 0; i < ks.size(); ++i)
+
+  if (c.shards == 1) {
+    // ---- Single-shard route: the owning TopkServer answers the whole
+    // query. Each job carries its one part through the merge thread, which
+    // forwards the answer (or the exception) without selecting, so
+    // ShardedStats counts it once it exists. ----
+    m_single_.add(ks.size());
+    {
+      std::lock_guard lk(stats_mu_);
+      agg_.single_shard_queries += ks.size();
+    }
+    auto parts = shard_burst(c.first_shard, 0, n, [](u64 k) { return k; },
+                             selection_only, fidelity);
+    for (size_t i = 0; i < ks.size(); ++i) {
       jobs[i].parts.push_back(std::move(parts[i]));
+      jobs[i].forward = true;
+    }
+  } else {
+    // ---- Scatter: one clamped full-top-k sub-query per shard. The local
+    // list must be a real top-min(k, len) (never selection-only): any
+    // global winner living on shard s is within its local top-k, so the
+    // union of the local lists contains the global top-k
+    // (Σ min(k, len_s) >= k). ----
+    //
+    // Under a recall target the scatter shrinks on both axes, splitting the
+    // miss budget in half: each shard runs its local pipeline at a
+    // *tightened* target (half the budget covers per-partition loss inside
+    // the shards) and serves a *reduced* local k (the other half covers
+    // truncation — the global top-k spreads ~uniformly over S shards, mean
+    // k/S per shard, and a concentration slack of 2*sqrt(mu*ln(S+1)) + 8
+    // caps how lopsided a shard's share can get). The merge itself stays
+    // the exact engine either way — it sees smaller, approximate local
+    // lists.
+    core::FidelityPolicy local = fidelity;
+    if (!fidelity.exact())
+      local = core::FidelityPolicy::approx(
+          1.0 - (1.0 - fidelity.recall_target) / 2.0);
+    const auto reduced = [&](u64 k) {
+      if (fidelity.exact()) return k;
+      const double mu =
+          static_cast<double>(k) / static_cast<double>(c.shards);
+      return static_cast<u64>(std::ceil(
+          mu + 2.0 * std::sqrt(mu * std::log(static_cast<double>(c.shards) +
+                                             1.0)) +
+          8.0));
+    };
+    for (u32 s = 0; s < c.shards; ++s) {
+      const u64 lo = static_cast<u64>(s) * c.shard_len;
+      const u64 len = std::min(c.shard_len, n - lo);
+      auto parts = shard_burst(
+          s, lo, len,
+          [&](u64 k) { return std::min({k, reduced(k), len}); },
+          /*selection_only=*/false, local);
+      for (size_t i = 0; i < ks.size(); ++i)
+        jobs[i].parts.push_back(std::move(parts[i]));
+    }
   }
   std::vector<std::future<QueryResult>> futs;
   futs.reserve(ks.size());
@@ -219,8 +229,12 @@ void ShardedTopkServer::merge_loop() {
       }
     }
     std::vector<MergeJob> j32, j64;
-    for (auto& j : batch)
-      (j.width == KeyWidth::k64 ? j64 : j32).push_back(std::move(j));
+    for (auto& j : batch) {
+      if (j.forward)
+        forward(j);
+      else
+        (j.width == KeyWidth::k64 ? j64 : j32).push_back(std::move(j));
+    }
     if (!j32.empty()) merge_batch_typed<u32>(j32);
     if (!j64.empty()) merge_batch_typed<u64>(j64);
     // A merge round is a natural sync point: every shard just calibrated
@@ -233,6 +247,26 @@ void ShardedTopkServer::merge_loop() {
     }
     drain_cv_.notify_all();
   }
+}
+
+void ShardedTopkServer::forward(MergeJob& job) {
+  QueryResult r;
+  try {
+    r = job.parts.front().get();
+  } catch (...) {
+    m_failed_.add();
+    {
+      std::lock_guard lk(stats_mu_);
+      ++agg_.failed;
+    }
+    job.promise.set_exception(std::current_exception());
+    return;
+  }
+  {
+    std::lock_guard lk(stats_mu_);
+    ++agg_.completed;
+  }
+  job.promise.set_value(std::move(r));
 }
 
 template <class T>
@@ -379,8 +413,8 @@ void ShardedTopkServer::drain() {
     drain_cv_.wait(lk, [&] { return jobs_in_flight_ == 0; });
   }
   for (auto& sh : shards_) sh.server->drain();
-  // Quiesced: single-shard routes never pass the merge thread, so this is
-  // their plan-sharing sync point.
+  // Quiesced: one more plan-sharing sync point, which also covers queries
+  // submitted to a shard server directly (shard(i)).
   share_plans();
 }
 

@@ -35,8 +35,9 @@
 //                        answer (values are merged as exact multisets).
 //
 // Single-shard corpora short-circuit: the burst goes straight to the
-// owning shard's TopkServer and the caller gets ITS futures — zero added
-// latency, no merge hop. docs/ARCHITECTURE.md walks the full path.
+// owning shard's TopkServer, with no scatter and no merge launch; the
+// merge thread only forwards each answer (or exception) and counts it.
+// docs/ARCHITECTURE.md walks the full path.
 #pragma once
 
 #include <condition_variable>
@@ -66,9 +67,9 @@ struct ShardedStats {
   u64 completed = 0;             ///< queries answered (both routes)
   u64 single_shard_queries = 0;  ///< short-circuited to one TopkServer
   u64 merged_queries = 0;        ///< scatter/merge route
-  u64 failed = 0;                ///< scatter/merge queries failed by a
-                                 ///< shard sub-query (their futures
-                                 ///< rethrow that shard's exception)
+  u64 failed = 0;                ///< queries failed by a shard sub-query
+                                 ///< (both routes; their futures rethrow
+                                 ///< that shard's exception)
   u64 merge_batches = 0;         ///< merge-thread rounds executed
   u64 merge_launches = 0;        ///< kernel launches spent merging
   u64 plan_publishes = 0;        ///< plan-cache entries adopted from a
@@ -125,8 +126,8 @@ class ShardedTopkServer {
   /// TopkServer::submit_many — so they share admission groups exactly as a
   /// single-device run_batch would — and every merge job is enqueued under
   /// one lock. Multi-shard corpora scatter one clamped sub-query per shard
-  /// and k and merge; single-shard corpora forward to the owning TopkServer
-  /// (zero overhead — the returned futures ARE that server's). Exact
+  /// and k and merge; single-shard corpora submit to the owning TopkServer
+  /// and the merge thread forwards its answers without a merge launch. Exact
   /// fidelity (the default) keeps the bit-exact cross-shard merge; a recall
   /// target scatters *reduced* shard-local sub-queries (smaller local k,
   /// tightened local target — see the implementation for the budget split)
@@ -197,11 +198,12 @@ class ShardedTopkServer {
     std::span<const u64> v64;
     u64 shard_len = 0;   ///< elements per shard (last one ragged)
   };
-  /// One scatter/merge query in flight: the shard futures plus everything
-  /// the merge thread needs to assemble and price the global answer.
+  /// One query in flight: the shard futures plus everything the merge
+  /// thread needs to assemble and price the global answer.
   struct MergeJob {
     std::promise<QueryResult> promise;
     std::vector<std::future<QueryResult>> parts;
+    bool forward = false;  ///< single-shard: parts[0] IS the answer
     u64 id = 0;
     u64 k = 1;
     data::Criterion criterion = data::Criterion::kLargest;
@@ -213,6 +215,9 @@ class ShardedTopkServer {
   u32 shards_for(u64 n) const;
   CorpusId add_corpus(Corpus c);
   void merge_loop();
+  /// Fulfils a single-shard job with its one part's answer or exception,
+  /// counted in completed or failed first.
+  void forward(MergeJob& job);
   /// Merges one batch of jobs of width T in one batched launch for ALL
   /// jobs. Fulfils every job's promise: with its merged answer, or with
   /// the exception of its first failed shard sub-query.

@@ -42,9 +42,10 @@ struct ServerStats {
                               ///< candidate segments fit one SM (the asserted
                               ///< common case), two when the multi-CTA path
                               ///< runs
-  u64 deduped_queries = 0;  ///< group members whose k repeats another
-                            ///< member's: served from that k's shared
-                            ///< kappa and stage-3 entry
+  u64 deduped_queries = 0;  ///< riding group members whose k repeats
+                            ///< another member's (every riding member
+                            ///< answers from the group's one candidate
+                            ///< set)
   u64 concat_launches = 0;  ///< kernel launches attributed to stage 3
                             ///< (classify + concat): ONE pair per group
                             ///< setup, plus whatever the unfused pipeline
@@ -119,7 +120,7 @@ class StatsCollector {
             "Selection launches spent finalizing groups")),
         m_deduped_(reg.counter(
             "serve_deduped_queries",
-            "Setup-snapshot queries whose k repeats another member's")),
+            "Riding group members whose k repeats another member's")),
         m_concat_launches_(reg.counter(
             "serve_concat_launches",
             "Kernel launches attributed to stage 3 (classify + concat)")),
@@ -158,8 +159,8 @@ class StatsCollector {
 
   void record_failure() { m_failed_.add(); }
 
-  /// One group setup; `deduped` of its members repeat another member's k
-  /// and ride that k's shared kappa and stage-3 entry.
+  /// One group setup; `deduped` of its riding members repeat another
+  /// member's k.
   void record_group(const core::StageBreakdown& setup_stages, u64 deduped) {
     m_groups_.add();
     if (deduped) m_deduped_.add(deduped);

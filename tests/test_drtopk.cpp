@@ -974,42 +974,6 @@ TEST(TieAware, HookNoFilteringAndRecallTargetKeepInclusiveCounts) {
 
 // ---- Stage 3 (core/concat_batched.hpp) ----
 
-/// Scratch + segment descriptors for one batched stage-3 run.
-template <class K>
-struct BatchedScratch {
-  std::vector<std::vector<u8>> taken;
-  std::vector<std::vector<u32>> qualified, partial;
-  std::vector<std::vector<K>> cand;
-  std::vector<BatchedConcatSegment<K>> segs;
-
-  BatchedScratch(u64 nsegs, u64 S, const std::vector<K>& kappas)
-      : taken(nsegs, std::vector<u8>(S, 0)),
-        qualified(nsegs, std::vector<u32>(S, 0)),
-        partial(nsegs, std::vector<u32>(S, 0)),
-        cand(nsegs),
-        segs(nsegs) {
-    for (u64 i = 0; i < nsegs; ++i) {
-      segs[i].kappa = kappas[i];
-      segs[i].taken = std::span<u8>(taken[i].data(), taken[i].size());
-      segs[i].qualified =
-          std::span<u32>(qualified[i].data(), qualified[i].size());
-      segs[i].partial = std::span<u32>(partial[i].data(), partial[i].size());
-    }
-  }
-  /// Sizes every segment's candidate span by the shared capacity rule
-  /// (what the serving setup allocates from the group arena).
-  void size_cand(u64 S, u32 beta, int alpha, u64 n) {
-    for (u64 i = 0; i < segs.size(); ++i) {
-      cand[i].assign(batched_concat_capacity(segs[i], S, beta, alpha, n),
-                     K{});
-      segs[i].cand = std::span<K>(cand[i].data(), cand[i].size());
-    }
-  }
-  std::span<BatchedConcatSegment<K>> span() {
-    return std::span<BatchedConcatSegment<K>>(segs.data(), segs.size());
-  }
-};
-
 /// Stage-2 threshold for a segment: the k-th largest delegate, exactly
 /// what the group's batched first top-k resolves.
 template <class K>
@@ -1022,10 +986,10 @@ std::vector<K> kappas_for(std::span<const K> dkeys,
   return out;
 }
 
-/// Runs one batched classify + concat pair over segments for every k in
-/// `ks` and checks each against stage3_oracle field by field, candidate
+/// Runs one classify + concat pair per k in `ks`, each over one segment,
+/// and checks each against stage3_oracle field by field, candidate
 /// multiset included. `strict` checks the tie-aware stage 3 the serving
-/// setup runs: each segment classifies against kappa + 1, and a kappa equal
+/// setup runs: the segment classifies against kappa + 1, and a kappa equal
 /// to the key maximum gets no segment (nothing lies above it).
 template <class K>
 void expect_batched_matches_definition(std::span<const K> vs, int alpha,
@@ -1039,58 +1003,53 @@ void expect_batched_matches_definition(std::span<const K> vs, int alpha,
   std::vector<K> dhost(dv.keys.begin(), dv.keys.end());
   std::span<const K> dkeys(dhost.data(), dhost.size());
 
-  std::vector<K> kappas;  // the stage-2 thresholds with a segment
-  std::vector<K> seg_kappas;
-  for (const K kappa : kappas_for<K>(dkeys, ks)) {
+  const std::vector<K> kappas = kappas_for<K>(dkeys, ks);
+  for (u64 i = 0; i < kappas.size(); ++i) {
+    const K kappa = kappas[i];
+    const std::string at = tag + " k=" + std::to_string(ks[i]);
+    const Stage3Oracle<K> o = stage3_oracle<K>(vs, dkeys, S, beta, alpha,
+                                               kappa, filter, rule2, strict);
     if (strict && kappa == std::numeric_limits<K>::max()) {
-      EXPECT_TRUE(stage3_oracle<K>(vs, dkeys, S, beta, alpha, kappa, filter,
-                                   rule2, strict)
-                      .cand.empty())
-          << tag;
+      EXPECT_TRUE(o.cand.empty()) << at;
       continue;
     }
-    kappas.push_back(kappa);
-    seg_kappas.push_back(strict ? static_cast<K>(kappa + 1) : kappa);
-  }
-  BatchedScratch<K> b(seg_kappas.size(), S, seg_kappas);
+    std::vector<u8> taken(S, 0);
+    std::vector<u32> qualified(S, 0), partial(S, 0);
+    BatchedConcatSegment<K> seg;
+    seg.kappa = strict ? static_cast<K>(kappa + 1) : kappa;
+    seg.taken = std::span<u8>(taken);
+    seg.qualified = std::span<u32>(qualified);
+    seg.partial = std::span<u32>(partial);
 
-  topk::Accum acc(shared_device());
-  classify_subranges_batched<K>(acc, dkeys, S, beta, alpha, vs.size(),
-                                b.span(), rule2);
-  b.size_cand(S, beta, alpha, vs.size());
-  concat_candidates_batched<K>(acc, vs, dkeys, beta, alpha, filter, b.span());
-  std::vector<Stage3Oracle<K>> oracles;
-  bool any_taken = false;
-  for (const K kappa : kappas) {
-    oracles.push_back(stage3_oracle<K>(vs, dkeys, S, beta, alpha, kappa,
-                                       filter, rule2, strict));
-    any_taken = any_taken || oracles.back().taken_total > 0;
-  }
-  // The whole point: one classify + one concat launch for ALL segments
-  // (concat launches nothing when no segment took a delegate).
-  EXPECT_EQ(acc.stats().kernels_launched,
-            kappas.empty() ? 0u : any_taken ? 2u : 1u)
-      << tag;
+    topk::Accum acc(shared_device());
+    classify_subranges_batched<K>(acc, dkeys, S, beta, alpha, vs.size(), seg,
+                                  rule2);
+    // Sized by the shared capacity rule (what the serving setup allocates
+    // from the group arena).
+    std::vector<K> cand(batched_concat_capacity(seg, S, beta, alpha,
+                                                vs.size()));
+    seg.cand = std::span<K>(cand);
+    concat_candidates_batched<K>(acc, vs, dkeys, beta, alpha, filter, seg);
+    // One classify + one concat launch (concat launches nothing when no
+    // delegate was taken).
+    EXPECT_EQ(acc.stats().kernels_launched, o.taken_total > 0 ? 2u : 1u)
+        << at;
 
-  for (u64 i = 0; i < kappas.size(); ++i) {
-    const auto& o = oracles[i];
-    const std::string at = tag + " seg=" + std::to_string(i);
-    EXPECT_EQ(b.segs[i].qualified_count, o.qualified) << at;
-    EXPECT_EQ(b.segs[i].partial_count, o.partial) << at;
-    EXPECT_EQ(b.segs[i].partial_taken, o.partial_taken) << at;
-    EXPECT_EQ(b.segs[i].taken_total, o.taken_total) << at;
-    EXPECT_EQ(b.taken[i], o.taken) << at;
-    ASSERT_LE(b.segs[i].cand_count, b.cand[i].size()) << at;
-    std::vector<K> got(b.cand[i].begin(),
-                       b.cand[i].begin() + b.segs[i].cand_count);
+    EXPECT_EQ(seg.qualified_count, o.qualified) << at;
+    EXPECT_EQ(seg.partial_count, o.partial) << at;
+    EXPECT_EQ(seg.partial_taken, o.partial_taken) << at;
+    EXPECT_EQ(seg.taken_total, o.taken_total) << at;
+    EXPECT_EQ(taken, o.taken) << at;
+    ASSERT_LE(seg.cand_count, cand.size()) << at;
+    std::vector<K> got(cand.begin(), cand.begin() + seg.cand_count);
     std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, o.cand) << at;  // same candidate MULTISET per segment
+    EXPECT_EQ(got, o.cand) << at;  // same candidate MULTISET
   }
 }
 
 TEST(BatchedConcat, MatchesDefinitionPerSegmentAcrossDistributions) {
-  // Distinct AND duplicate ks in one batch (the serving setup feeds one
-  // segment per distinct k, but duplicates must also stay correct).
+  // One segment per k, across thresholds from the top delegate down to
+  // the 1000th (a repeated k must reproduce the same classification).
   const std::vector<u64> ks = {1, 16, 16, 333, 1000};
   for (Distribution d : {Distribution::kUniform, Distribution::kNormal,
                          Distribution::kCustomized}) {

@@ -329,7 +329,7 @@ TEST(Fidelity, CoreApproxSkipsRelaxationGuard) {
 TEST(Fidelity, ExactModeBitParityMatrix) {
   // The acceptance matrix: a default FidelityPolicy through every layer
   // must be bit-identical to the reference — {single-device, sharded} x
-  // {u32, u64}, with repeated ks sharing stage-3 entries.
+  // {u32, u64}, with repeated ks in each group.
   auto v32 = data::generate(1 << 15, Distribution::kUniform, 221);
   std::span<const u32> vs32(v32.data(), v32.size());
   std::vector<u64> v64(1 << 14);
@@ -341,7 +341,7 @@ TEST(Fidelity, ExactModeBitParityMatrix) {
   cfg.batch_max = 8;
   TopkServer server(shared_device(), cfg);
   std::vector<Query> queries;
-  for (u64 k : ks) {  // repeated ks share one stage-3 entry
+  for (u64 k : ks) {  // each k twice: repeats in one group
     queries.push_back(Query::view(vs32, k));
     queries.push_back(Query::view(vs32, k));
   }
@@ -551,7 +551,7 @@ TEST(Fidelity, StreamedApproxLateJoinersMeetRecallTarget) {
 
 TEST(Fidelity, FidelitySplitsGroups) {
   // Mixed-fidelity identical queries must NOT share a group (and so never
-  // a stage-3 entry): the exact answers stay bit-identical while the
+  // a candidate set): the exact answers stay bit-identical while the
   // approx ones run the reduced pipeline.
   auto v = data::generate(1 << 16, Distribution::kNormal, 241);
   std::span<const u32> vs(v.data(), v.size());

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 #include "data/distributions.hpp"
@@ -52,6 +54,89 @@ std::vector<u64> oracle(const Query& q) {
 /// above the stage-2 threshold and the group's batched second top-k runs.
 void plant_hot_run(std::span<u32> v, u64 at, u64 len) {
   for (u64 i = 0; i < len; ++i) v[at + i] = 0xFFFF0000u + static_cast<u32>(i);
+}
+
+/// A corpus whose group candidate set holds exactly `hot` keys: every 8th
+/// element is a plateau key P above all the others, so every subrange's
+/// delegates are copies of P and a group's kappa at any k up to the
+/// delegate count is P, and `hot` distinct keys above P sit in one
+/// contiguous run. Under the tie-aware rule the set G = {x > P} is that
+/// run: a member whose k is below `hot` parks on it, and every other member
+/// pads it with copies of P.
+std::vector<u32> plateau_with_hot_run(u64 n, u64 hot) {
+  std::vector<u32> v(n);
+  for (u64 i = 0; i < n; ++i)
+    v[i] = i % 8 == 0 ? 0x40000000u : data::rand_u32(231, i) % 0x40000000u;
+  plant_hot_run(v, n / 2, hot);
+  return v;
+}
+
+/// The ks of a one-set test group: repeated ks, and selection-only members
+/// beside full ones.
+std::vector<Query> one_set_queries(const auto& vs, Criterion c) {
+  std::vector<Query> qs;
+  for (const u64 k : {u64{16}, u64{64}, u64{128}, u64{256}})
+    qs.push_back(Query::view(vs, k, c));
+  qs.push_back(Query::view(vs, 64, c, /*selection_only=*/true));
+  qs.push_back(Query::view(vs, 256, c, /*selection_only=*/true));
+  return qs;
+}
+
+/// Serves one_set_queries twice through a one-executor server with `base`
+/// and checks the one-set rule on the warmed group: every member is
+/// oracle-exact and rides the shared vector, reports the group's one
+/// candidate set as its concat_len, and answers on the host exactly when
+/// the set holds at most its k; the group launches at most one classify +
+/// concat pair (the whole pair when the set is non-empty) and at most one
+/// finalization, which delivers every parked member. Returns the number of
+/// members that parked.
+template <class T>
+u64 expect_one_set_group(std::span<const T> vs, const core::DrTopkConfig& base,
+                         Criterion c, const std::string& tag) {
+  ServerConfig cfg;
+  cfg.executors = 1;  // deterministic grouping: one group per batch
+  cfg.batch_max = 16;
+  cfg.base = base;
+  TopkServer server(shared_device(), cfg);
+  const std::vector<Query> qs = one_set_queries(vs, c);
+  (void)server.run_batch(qs);  // warm: plans calibrate, arenas grow
+  const ServerStats warm = server.stats();
+  const auto rs = server.run_batch(qs);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.groups - warm.groups, 1u) << tag;
+  const u64 set = rs[0].breakdown.concat_len;
+  u64 parked = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const std::string at = tag + " query " + std::to_string(i);
+    EXPECT_EQ(rs[i].values, oracle(qs[i])) << at;
+    EXPECT_TRUE(rs[i].fused) << at;
+    EXPECT_EQ(rs[i].breakdown.concat_len, set) << at;
+    EXPECT_EQ(rs[i].breakdown.second_skipped, set <= qs[i].k) << at;
+    parked += set > qs[i].k;
+  }
+  const u64 concat = after.concat_launches - warm.concat_launches;
+  EXPECT_LE(concat, 2u) << tag;
+  if (set > 0) {
+    EXPECT_EQ(concat, 2u) << tag;
+  }
+  EXPECT_EQ(after.finalize_launches - warm.finalize_launches,
+            parked ? 1u : 0u)
+      << tag;
+  EXPECT_EQ(after.batched_queries - warm.batched_queries, parked) << tag;
+  // The repeats of 64 and 256.
+  EXPECT_EQ(after.deduped_queries - warm.deduped_queries, 2u) << tag;
+  EXPECT_EQ(after.failed, 0u) << tag;
+  return parked;
+}
+
+/// Fraction of the oracle's top-k an answer holds, as multisets.
+double recall_of(std::vector<u64> got, std::vector<u64> want) {
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  std::vector<u64> hits;
+  std::set_intersection(got.begin(), got.end(), want.begin(), want.end(),
+                        std::back_inserter(hits));
+  return static_cast<double>(hits.size()) / static_cast<double>(want.size());
 }
 
 TEST(Serve, SingleQueryMatchesSingleQueryPath) {
@@ -480,7 +565,7 @@ TEST(Serve, BatchedFinalizeOneSecondTopkLaunchPerWarmedGroup) {
   // Every query of every warmed group rode the batch.
   EXPECT_EQ(after.batched_queries - warm.batched_queries,
             groups * queries.size());
-  // Distinct ks: nothing shared a stage-3 entry.
+  // Distinct ks: no member repeats another's k.
   EXPECT_EQ(after.deduped_queries, 0u);
 }
 
@@ -506,10 +591,10 @@ TEST(Serve, BatchedStreamedSubmitsStayExact) {
   EXPECT_EQ(server.stats().failed, 0u);
 }
 
-TEST(Serve, DedupIdenticalQueriesShareOneStage3Entry) {
-  // N identical queries: the setup resolves one kappa and one stage-3
-  // candidate span for their k, every member parks a segment over that
-  // span, and the batched finalization sorts it once for all of them.
+TEST(Serve, DedupIdenticalQueriesParkOnTheOneSet) {
+  // N identical queries: the setup builds the group's one candidate set at
+  // their k, every member parks a segment over it, and the batched
+  // finalization sorts it once for all of them.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 131);
   plant_hot_run(v, 4096, 256);  // more than k candidates: stage 4 runs
@@ -540,8 +625,9 @@ TEST(Serve, DedupIdenticalQueriesShareOneStage3Entry) {
 }
 
 TEST(Serve, DedupMixedIdenticalAndDistinctQueries) {
-  // Only the repeated k counts as shared; distinct ks get their own
-  // stage-3 entry and everyone stays exact.
+  // Every member answers from the group's one candidate set, built at the
+  // largest k; only a repeated k counts as deduplicated, and everyone stays
+  // exact.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 133);
   std::span<const u32> vs(v.data(), v.size());
@@ -556,17 +642,22 @@ TEST(Serve, DedupMixedIdenticalAndDistinctQueries) {
   for (u64 k : {u64{33}, u64{128}, u64{256}, u64{512}})
     queries.push_back(Query::view(vs, k));
   auto results = server.run_batch(queries);
-  for (size_t i = 0; i < queries.size(); ++i)
+  for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(results[i].values, widen(reference_topk(vs, queries[i].k)))
         << i;
+    EXPECT_EQ(results[i].breakdown.concat_len,
+              results[0].breakdown.concat_len)
+        << i;
+  }
 
   const ServerStats s = server.stats();
   EXPECT_EQ(s.deduped_queries, 3u);  // the three repeats of k=64
   EXPECT_EQ(s.failed, 0u);
+  EXPECT_EQ(s.concat_launches, 2u);  // one classify + concat pair
 }
 
 TEST(Serve, DedupSelectionOnlySharesTheSpanNotTheEmission) {
-  // Same k, mixed selection_only: all six ride one stage-3 entry, but each
+  // Same k, mixed selection_only: all six answer from the one set, but each
   // segment keeps its own emission contract — full lists stay full, the
   // selection-only answers carry just the k-th.
   auto v = data::generate(1 << 15, Distribution::kUniform, 137);
@@ -591,6 +682,144 @@ TEST(Serve, DedupSelectionOnlySharesTheSpanNotTheEmission) {
   }
   const ServerStats s = server.stats();
   EXPECT_EQ(s.deduped_queries, 5u);
+}
+
+TEST(Serve, OneSetServesPaddedAndParkedMembersOfOneGroup) {
+  // The group's set at kride = 256 is the 100-key hot run above the
+  // plateau: the members asking for fewer than 100 keys park on it and
+  // share one sort, the others pad it with copies of the plateau key.
+  const auto v = plateau_with_hot_run(u64{1} << 13, 100);
+  std::span<const u32> vs(v);
+  const u64 parked = expect_one_set_group<u32>(vs, {}, Criterion::kLargest,
+                                               "plateau");
+  EXPECT_EQ(parked, 3u);  // k = 16, 64 and the selection-only 64
+}
+
+TEST(Serve, OneSetRuleHoldsAcrossInputsWidthsAndBases) {
+  // Every input, key width, criterion and stage-3 base through the one-set
+  // rule: tie-aware (the default) and inclusive (the three-pass base and
+  // the Rule-2 ablation, whose set holds the top-kride and more).
+  const u64 n = u64{1} << 13;  // every inclusive set fits one finalize CTA
+  const auto input = [n](const std::string& name) -> std::vector<u32> {
+    const auto gen = [n](Distribution d, u64 seed) {
+      const auto g = data::generate(n, d, seed);
+      return std::vector<u32>(g.begin(), g.end());
+    };
+    if (name == "UD") return gen(Distribution::kUniform, 241);
+    if (name == "ND") return gen(Distribution::kNormal, 242);
+    if (name == "CD") return gen(Distribution::kCustomized, 243);
+    std::vector<u32> v(n, 42u);
+    if (name == "four")
+      for (u64 i = 0; i < n; ++i)
+        v[i] = 1000u * (1 + static_cast<u32>(data::rand_u32(244, i) % 4));
+    return v;
+  };
+  core::DrTopkConfig three_pass;
+  three_pass.fused_concat = false;
+  core::DrTopkConfig no_filter;
+  no_filter.filtering = false;
+  const std::vector<std::pair<std::string, core::DrTopkConfig>> bases = {
+      {"tie-aware", {}}, {"three-pass", three_pass}, {"no-filter", no_filter}};
+  for (const std::string name : {"UD", "ND", "CD", "equal", "four"}) {
+    const std::vector<u32> v = input(name);
+    // The same values as u64 keys (order and ties kept).
+    std::vector<u64> w(v.begin(), v.end());
+    for (u64& x : w) x *= 0x1'0000'0001ull;
+    for (const auto& [bname, base] : bases) {
+      const std::string at = name + " " + bname;
+      expect_one_set_group<u32>(std::span<const u32>(v), base,
+                                Criterion::kLargest, at + " u32");
+      expect_one_set_group<u64>(std::span<const u64>(w), base,
+                                Criterion::kLargest, at + " u64");
+      expect_one_set_group<u32>(std::span<const u32>(v), base,
+                                Criterion::kSmallest, at + " smallest");
+    }
+  }
+}
+
+TEST(Serve, StreamedJoinerAboveTheSnapshotKmaxBuildsTheSet) {
+  // A query that joins while its group's delegate vector is built may ask
+  // for more than the setup snapshot's largest k. When the vector holds
+  // its top-k it rides: the group's one set is built at ITS k, and the
+  // snapshot's smaller member answers exactly from that set too. Arrival
+  // order is a race, so the attempt repeats until the joiner arrived after
+  // the snapshot (the plan cache then holds only the snapshot k's shape).
+  const u64 n = u64{1} << 18;
+  auto v = data::generate(n, Distribution::kUniform, 251);
+  std::span<const u32> vs(v.data(), v.size());
+  const u64 k_snap = 8, k_join = 48;
+  const auto want_snap = widen(reference_topk(vs, k_snap));
+  const auto want_join = widen(reference_topk(vs, k_join));
+  bool seen = false;
+  for (int attempt = 0; attempt < 20 && !seen; ++attempt) {
+    ServerConfig cfg;
+    cfg.executors = 1;
+    TopkServer server(shared_device(), cfg);
+    auto f_snap = server.submit(Query::view(vs, k_snap));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto f_join = server.submit(Query::view(vs, k_join));
+    const QueryResult r_snap = f_snap.get();
+    const QueryResult r_join = f_join.get();
+    ASSERT_EQ(r_snap.values, want_snap) << "attempt " << attempt;
+    ASSERT_EQ(r_join.values, want_join) << "attempt " << attempt;
+    server.drain();
+    const auto plans = server.plan_cache().entries();
+    const bool after_snapshot =
+        server.stats().groups == 1 && plans.size() == 1 &&
+        plans.front().first ==
+            PlanCache::make_key(vs, k_snap, Criterion::kLargest);
+    if (!after_snapshot || !r_join.fused) continue;
+    seen = true;
+    EXPECT_TRUE(r_snap.fused);
+    EXPECT_EQ(r_snap.breakdown.concat_len, r_join.breakdown.concat_len);
+    EXPECT_GE(r_join.breakdown.concat_len, k_join - 1);
+  }
+  EXPECT_TRUE(seen) << "no joiner arrived after the setup snapshot";
+}
+
+TEST(Serve, RecallTargetMembersTakePrefixesOfTheKrideAnswer) {
+  // A recall-target group's stage-2 launch emits the sorted top-kride of
+  // the delegate vector, and each member's per-partition answer is its
+  // k-prefix: no stage-3 or finalize launch, and every member meets the
+  // target against the oracle.
+  const u64 n = u64{1} << 18;
+  auto v = data::generate(n, Distribution::kUniform, 261);
+  std::span<const u32> vs(v.data(), v.size());
+  const double rho = 0.9;
+
+  ServerConfig cfg;
+  cfg.executors = 1;  // deterministic grouping: one group
+  cfg.batch_max = 8;
+  TopkServer server(shared_device(), cfg);
+  std::vector<Query> queries;
+  for (const u64 k : {u64{64}, u64{256}, u64{1024}, u64{256}})
+    queries.push_back(Query::view(vs, k).with_recall(rho));
+  queries.push_back(Query::view(vs, 1024, Criterion::kLargest,
+                                /*selection_only=*/true)
+                        .with_recall(rho));
+  const auto results = server.run_batch(queries);
+  const std::vector<u64>& top = results[2].values;  // kride = 1024
+  ASSERT_EQ(top.size(), 1024u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult& r = results[i];
+    const u64 k = queries[i].k;
+    EXPECT_TRUE(r.fused) << i;
+    EXPECT_TRUE(r.breakdown.second_skipped) << i;
+    EXPECT_EQ(r.breakdown.concat_len, 1024u) << i;
+    if (queries[i].selection_only) {
+      EXPECT_EQ(r.values, std::vector<u64>{top[k - 1]}) << i;
+      continue;
+    }
+    ASSERT_EQ(r.values.size(), k) << i;
+    EXPECT_TRUE(std::equal(r.values.begin(), r.values.end(), top.begin()))
+        << i;
+    EXPECT_GE(recall_of(r.values, widen(reference_topk(vs, k))), rho) << i;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.groups, 1u);
+  EXPECT_EQ(s.concat_launches, 0u);
+  EXPECT_EQ(s.finalize_launches, 0u);
+  EXPECT_EQ(s.deduped_queries, 2u);  // the repeats of 256 and 1024
 }
 
 TEST(Serve, TieAwareGroupSelfServesWithPaddingOnCd) {
@@ -669,6 +898,90 @@ TEST(Serve, SetupFailureFallsBackCountedAndTraced) {
   // The seam is spent: the next group sets up normally.
   (void)server.run_batch(queries);
   EXPECT_EQ(server.stats().setup_fallbacks, 1u);
+}
+
+TEST(Serve, FailedSetupLaunchOnTheOneSetPathFallsBackExact) {
+  // A failed kappa ("first") or classify ("concat") launch in a warmed
+  // group's setup: the group falls back to the unshared per-query
+  // pipeline, counted in serve_setup_fallbacks, and every member (padded
+  // and parked alike on the one-set path) answers oracle-exact. The spent
+  // seam leaves the next group on the one-set path.
+  const auto v = plateau_with_hot_run(u64{1} << 13, 100);
+  std::span<const u32> vs(v);
+  const std::vector<Query> queries = one_set_queries(vs, Criterion::kLargest);
+  for (const char* stage : {"first", "concat"}) {
+    vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
+    ServerConfig cfg;
+    cfg.executors = 1;  // deterministic grouping: one group per batch
+    cfg.batch_max = 8;
+    TopkServer server(dev, cfg);
+    (void)server.run_batch(queries);  // warm: the plan is cached
+    dev.fail_next_launches(stage, 1);
+    auto results = server.run_batch(queries);
+    server.drain();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(results[i].values, oracle(queries[i])) << stage << " " << i;
+      EXPECT_FALSE(results[i].fused) << stage << " " << i;
+    }
+    ServerStats s = server.stats();
+    EXPECT_EQ(s.setup_fallbacks, 1u) << stage;
+    EXPECT_EQ(s.failed, 0u) << stage;
+    EXPECT_NE(server.metrics_prometheus().find("serve_setup_fallbacks 1\n"),
+              std::string::npos)
+        << stage;
+
+    results = server.run_batch(queries);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(results[i].values, oracle(queries[i])) << stage << " " << i;
+      EXPECT_TRUE(results[i].fused) << stage << " " << i;
+    }
+    s = server.stats();
+    EXPECT_EQ(s.setup_fallbacks, 1u) << stage;
+    EXPECT_EQ(s.failed, 0u) << stage;
+  }
+}
+
+TEST(Serve, FailedFinalizeLaunchFailsOnlyTheParkedMembers) {
+  // A failed batched finalization ("second"): every member parked on the
+  // group's one set gets the launch's exception and is counted in
+  // `failed`, the members that padded the set on the host still answer,
+  // and drain() returns. Once disarmed, the next batch is exact.
+  const auto v = plateau_with_hot_run(u64{1} << 13, 100);
+  std::span<const u32> vs(v);
+  const std::vector<Query> queries = one_set_queries(vs, Criterion::kLargest);
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
+  ServerConfig cfg;
+  cfg.executors = 1;  // deterministic grouping: one group per batch
+  cfg.batch_max = 8;
+  TopkServer server(dev, cfg);
+  (void)server.run_batch(queries);  // warm
+  const ServerStats warm = server.stats();
+
+  dev.fail_next_launches("second", 1000);
+  auto futures = server.submit_many(queries);
+  server.drain();
+  u64 parked = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].k < 100) {  // below the set's 100 keys: parked
+      ++parked;
+      EXPECT_THROW((void)futures[i].get(), std::runtime_error) << i;
+    } else {
+      EXPECT_EQ(futures[i].get().values, oracle(queries[i])) << i;
+    }
+  }
+  ServerStats s = server.stats();
+  EXPECT_EQ(parked, 3u);
+  EXPECT_EQ(s.failed, parked);
+  EXPECT_EQ(s.completed - warm.completed, queries.size() - parked);
+  EXPECT_EQ(s.setup_fallbacks, 0u);
+
+  dev.fail_next_launches("second", 0);
+  const auto results = server.run_batch(queries);
+  for (size_t i = 0; i < queries.size(); ++i)
+    EXPECT_EQ(results[i].values, oracle(queries[i])) << i;
+  s = server.stats();
+  EXPECT_EQ(s.failed, parked);
+  EXPECT_EQ(s.completed - warm.completed, 2 * queries.size() - parked);
 }
 
 TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {
@@ -763,7 +1076,7 @@ TEST(Serve, ParityMatrixAgainstReference) {
   std::span<const u64> dsn(d.data(), d.size());
 
   std::vector<Query> queries;
-  for (int rep = 0; rep < 3; ++rep) {  // repeated ks share stage-3 entries
+  for (int rep = 0; rep < 3; ++rep) {  // each k three times per corpus
     for (u64 k : {u64{1}, u64{33}, u64{512}, u64{1000}}) {
       queries.push_back(Query::view(as, k));
       queries.push_back(Query::view(bs, k, Criterion::kSmallest));

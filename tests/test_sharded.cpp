@@ -134,7 +134,7 @@ TEST(Sharded, RepeatedQueriesMatchReference) {
   std::span<const u32> vs(v.data(), v.size());
   ShardedTopkServer srv(sharded_cfg(2));
   auto corpus = srv.register_corpus(vs);
-  // Identical queries share stage-3 entries inside each shard's groups.
+  // Identical queries share each shard's group candidate set.
   std::vector<std::future<QueryResult>> fs;
   for (int i = 0; i < 6; ++i) fs.push_back(srv.submit(corpus, 50));
   const auto expect = widen(topk::reference_topk(vs, 50));
@@ -324,8 +324,43 @@ TEST(Sharded, SingleShardCorpusShortCircuits) {
   EXPECT_EQ(got.values, widen(expect));
   auto st = srv.stats();
   EXPECT_EQ(st.single_shard_queries, 1u);
+  EXPECT_EQ(st.completed, 1u);
   EXPECT_EQ(st.merged_queries, 0u);
-  EXPECT_EQ(st.merge_batches, 0u);  // the merge thread never woke
+  EXPECT_EQ(st.merge_batches, 0u);  // forwarded without a merge launch
+  EXPECT_EQ(st.merge_launches, 0u);
+}
+
+TEST(Sharded, SingleShardRouteCountsEachQueryOnceItsAnswerExists) {
+  // A single-shard query is counted when its answer or its exception
+  // exists: a failed one lands in `failed`, never in `completed`, and a
+  // later success in `completed` alone.
+  auto v = data::generate(1 << 10, Distribution::kUniform, 98);
+  std::span<const u32> vs(v.data(), v.size());
+  ShardedConfig cfg;
+  cfg.num_shards = 2;  // default min_shard_elems keeps 1k elements on one
+  ShardedTopkServer srv(cfg);
+  auto corpus = srv.register_corpus(vs);
+  ASSERT_EQ(srv.corpus_shards(corpus), 1u);
+  for (u32 s = 0; s < srv.num_shards(); ++s)
+    srv.shard_device(s).fail_next_launches("construct", 1000);
+
+  auto bad = srv.submit(corpus, 25);
+  EXPECT_THROW((void)bad.get(), std::runtime_error);
+  srv.drain();
+  ShardedStats st = srv.stats();
+  EXPECT_EQ(st.completed, 0u);
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.single_shard_queries, 1u);
+
+  for (u32 s = 0; s < srv.num_shards(); ++s)
+    srv.shard_device(s).fail_next_launches("construct", 0);
+  EXPECT_EQ(srv.submit(corpus, 25).get().values,
+            widen(topk::reference_topk(vs, 25)));
+  srv.drain();
+  st = srv.stats();
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.merge_launches, 0u);
 }
 
 TEST(Sharded, TopologyHelpersMatchReduction) {
