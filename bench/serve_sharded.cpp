@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
   // The launch-bound regime. Many small-k queries on a corpus sized so
   // the per-group scan is only a few launch overheads: the group-wide
   // batched stage 3 collapses each group's launch cost to one
-  // classify/concat pair, so the corpus scan dominates again and the
+  // stage-3 launch, so the corpus scan dominates again and the
   // 4-shard gain comes back. The corpus size is FIXED (independent of
   // --logn) so the committed BENCH_PR8.json and the CI re-run measure the
   // same point.

@@ -56,7 +56,7 @@ struct ServerRun {
   // split by pipeline stage so a regression names its stage.
   u64 construct_launches = 0;
   u64 first_launches = 0;
-  u64 concat_launches = 0;   ///< stage-3 classify/concat (ServerStats field)
+  u64 concat_launches = 0;   ///< stage-3 launches (ServerStats field)
   u64 second_launches = 0;
   u64 relax_guard_trips = 0;
   u64 relax_guard_skips = 0;  ///< guard trips a recall target waved off
@@ -360,10 +360,10 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------------
   // Group-wide batched stage 3. 4 admission groups of gsz distinct-k
-  // queries per round on one corpus. With one classify/concat launch pair
-  // per group resolved at setup, member queries launch nothing, so
-  // launches/group is ~construct + kappa + classify + concat (+ the
-  // group's finalize) REGARDLESS of group size. CI gate: lpq <= 1.284 at every swept group
+  // queries per round on one corpus. With one stage-3 launch per group
+  // resolved at setup, member queries launch nothing, so launches/group
+  // is ~construct + kappa + stage 3 (+ the group's finalize) REGARDLESS
+  // of group size. CI gate: lpq <= 1.284 at every swept group
   // size (launch counts do not depend on host speed).
   // ------------------------------------------------------------------
   std::printf("\n%-5s | %9s | %8s | %7s | %6s\n", "gsz", "QPS", "lpq",
@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
   creport.set("parity", parity8_all).set("rows", std::move(crows));
   bench::write_json_section(json8, "serve_batched_concat", creport);
 
-  std::printf("\nbatched concat: ONE classify + ONE concat launch build an"
+  std::printf("\nbatched concat: ONE stage-3 launch builds an"
               " admission group's\none candidate set at its largest k"
               " (core/concat_batched.hpp); member queries\nanswer from it"
               " and launch nothing.\n");
@@ -575,7 +575,7 @@ int main(int argc, char** argv) {
   // then once per --recall-target. An approx group collapses to
   // construction (each subrange's top beta, with subrange count and beta
   // sized by core::approx_geometry) plus one batched full-sort stage 2 —
-  // no classify/concat, no second selection — so the gain column is the
+  // no stage 3, no second selection — so the gain column is the
   // measured price of exactness. Recall against the exact oracle is
   // computed per query on a final batch and fed back through
   // record_recall (the same path the histogram exports). CI gate, on

@@ -1,51 +1,64 @@
-// Stage 3 (Rule 2/3 classification + concatenation) of one selection over
-// a delegate vector as ONE classify + ONE concat launch. A single query
+// Stage 3 (Rule 2 filtering + Rule 3 subrange skipping) of one selection
+// over a delegate vector as ONE launch. A single query
 // (core::dr_topk_from_delegates) and an admission group (serve::TopkServer's
-// setup, which classifies once at its largest riding k and answers every
-// member from that one candidate set) both pass exactly one segment:
+// setup, which runs stage 3 once at its largest riding k and answers every
+// member from that one candidate set) both call it:
 //
-//   classify_subranges_batched   one pass over the delegate keys, 32
-//                                subranges per warp iteration (coalesced
-//                                chunk loads). Writes taken[s] and builds
-//                                the qualified / partial sid lists through
-//                                per-CTA shared-memory staging: one global
-//                                cursor reservation per staged batch and a
-//                                few counter atomics per CTA.
-//   concat_candidates_batched    one launch over the partial-list batches
-//                                (gather each listed subrange's beta
-//                                delegates, keep those >= kappa) and the
-//                                qualified subranges (stream with Rule 2
-//                                filtering); candidates land in the
-//                                segment's span through one cursor.
-//   concat_qualified             the qualified-subrange half on its own —
-//                                the legacy three-pass path still uses it.
+//   concat_stage3     one pass over the delegate keys, 32 subranges per
+//                     warp work item (one coalesced chunk load). In the
+//                     same launch, the taken delegates of partially taken
+//                     subranges are staged in shared memory and land in
+//                     the candidate span with one cursor reservation per
+//                     staged batch, and the qualified (fully taken)
+//                     subranges are queued per CTA and streamed with
+//                     Rule 2 filtering, round-robin over the CTA's warps.
+//   stage3_capacity   the candidate span, sized BEFORE the launch by a
+//                     closed-form bound on the delegates the threshold
+//                     takes. A reservation past it throws std::logic_error
+//                     and writes nothing, so there is no retry path.
+//   concat_qualified  the qualified-subrange streaming on its own — the
+//                     legacy three-pass stage 3 still uses it.
 //
-// The segment's kappa is final (the Section 4.3 guard decides inside the
-// first top-k, and a group's kappa comes exact from its batched first
-// top-k), so nothing is ever classified twice. With `rule2 = false` (a
-// recall target's per-partition mode) every taken subrange is partial:
-// the candidates are exactly the delegates >= kappa. Delegate validity is
+// The threshold is final (the Section 4.3 guard decides inside the first
+// top-k, and a group's kappa comes exact from its batched first top-k), so
+// nothing is ever classified twice. With `rule2 = false` (a recall
+// target's per-partition mode) every taken subrange is partial: the
+// candidates are exactly the delegates >= kappa. Delegate validity is
 // analytic — the real delegates are a prefix of length
-// min(beta, subrange_len) (see DelegateVector) — so classification never
-// loads the sid array. Candidate ORDER depends on reservation
-// interleavings; every consumer sorts.
+// min(beta, subrange_len) (see DelegateVector) — so the pass never loads
+// the sid array. Candidate ORDER depends on reservation interleavings;
+// every consumer sorts.
 #pragma once
 
 #include <array>
+#include <stdexcept>
 
 #include "core/delegate.hpp"
 
 namespace drtopk::core {
 
-/// Per-CTA staged entries for the qualified/partial lists (u32 sids). Two
-/// buffers of this size fit comfortably in a CTA's shared memory and make
-/// global cursor reservations rare.
+/// Per-CTA shared-memory staging capacity of stage 3, in entries: the
+/// queued qualified sids (u32) and the staged partial delegates (keys).
+/// A CTA queues at most one 32-subrange chunk per warp between two
+/// streaming phases, so the sid queue never overflows.
 inline constexpr u32 kConcatStageCap = 512;
+
+/// Reserves `count` candidate slots with one atomic on `cursor[0]` and
+/// returns the first. A reservation that ends past the span's `capacity`
+/// means the caller's stage3_capacity bound was broken: it throws before
+/// anything is written.
+inline u64 reserve_candidates(vgpu::Warp& w, std::span<u64> cursor,
+                              u64 count, u64 capacity) {
+  const u64 base = w.atomic_add(cursor, 0, count);
+  if (base + count > capacity)
+    throw std::logic_error("stage 3: candidate reservation past the span");
+  return base;
+}
 
 /// Streams one subrange [begin, begin+slen) of `v` through the warp,
 /// keeps elements >= kappa (all of them when !filter), and appends the
 /// survivors to `cand` with one warp-aggregated cursor reservation per
-/// 32-element batch. Shared by the batched and legacy concatenations.
+/// 32-element batch. Shared by the one-pass and legacy concatenations.
 template <class K>
 void append_filtered_subrange(vgpu::Warp& w, std::span<const K> v, u64 begin,
                               u64 slen, K kappa, bool filter,
@@ -62,7 +75,7 @@ void append_filtered_subrange(vgpu::Warp& w, std::span<const K> v, u64 begin,
     const u32 mask = w.ballot(keep, active);
     const u32 c = std::popcount(mask);
     if (c) {
-      const u64 base = w.atomic_add(cursor, 0, static_cast<u64>(c));
+      const u64 base = reserve_candidates(w, cursor, c, cand.size());
       vgpu::LaneArray<K> packed{};
       u32 j = 0;
       for (u32 l = 0; l < active; ++l)
@@ -73,97 +86,91 @@ void append_filtered_subrange(vgpu::Warp& w, std::span<const K> v, u64 begin,
   }
 }
 
-/// The one selection problem of a stage-3 launch pair: its threshold, its
-/// caller-allocated per-subrange scratch, its classification outputs, and
-/// (for the concat pass) its caller-sized candidate span. Scratch spans
-/// must each hold >= S entries.
-template <class K>
-struct BatchedConcatSegment {
-  K kappa{};                 ///< the stage-2 threshold (kappa + 1 tie-aware)
-  std::span<u8> taken;       ///< per-subrange taken count (scratch, >= S)
-  std::span<u32> qualified;  ///< Rule-3 fully-taken sid list (scratch)
-  std::span<u32> partial;    ///< partially-taken sid list (scratch)
-  u64 qualified_count = 0;
-  u64 partial_count = 0;
-  u64 partial_taken = 0;     ///< sum of taken over partial subranges
-  u64 taken_total = 0;       ///< delegates >= kappa
-  /// Candidate output (concat pass): the caller allocates
-  /// batched_concat_capacity() after classification.
-  std::span<K> cand;
-  u64 cand_count = 0;
-};
-
-/// Candidate capacity for one classified segment: every partial taken
-/// delegate plus the full length of every qualified subrange. The only
-/// subrange that can be short is the last one; its cached taken count
-/// tells whether it qualified. Without qualified subranges (always so
-/// under `rule2 = false`) a fully taken tail is a partial one and needs no
-/// correction. Shared by the pipeline, the serving setup and the tests so
-/// the sizing rule cannot drift.
-template <class K>
-u64 batched_concat_capacity(const BatchedConcatSegment<K>& seg, u64 S,
-                            u32 beta, int alpha, u64 n) {
+/// Candidate capacity of one stage-3 pass over n keys in subranges of
+/// 2^alpha with beta delegates each, given `taken_bound` >= the number of
+/// delegates the threshold takes. Partial subranges contribute at most
+/// taken_bound delegates. A subrange qualifies only when all of its
+/// min(beta, 2^alpha) real delegates are taken (only the one short tail
+/// subrange can have fewer), so at most taken_bound / min(beta, 2^alpha)
+/// + 1 subranges qualify, each streaming at most 2^alpha candidates.
+/// Every candidate is a distinct element, so n caps it all; without
+/// Rule 2 (`rule2 = false`) nothing qualifies. What the callers know of
+/// the taken count: at most k - 1 strictly above an exact k-th delegate
+/// (tie-aware), the count topk::radix_kth_flag reports for a relaxed
+/// prefix, and |D| for the inclusive rules and recall targets. The one
+/// sizing rule of every concat_stage3 call.
+inline u64 stage3_capacity(u64 n, u32 beta, int alpha, u64 taken_bound,
+                           bool rule2) {
+  if (!rule2) return std::min(n, taken_bound);
   const u64 len = u64{1} << alpha;
-  u64 qual_len = seg.qualified_count * len;
-  if (seg.qualified_count > 0 && S > 0) {
-    const u64 tail_len = n - (S - 1) * len;
-    const u64 tail_real = std::min<u64>(beta, tail_len);
-    if (tail_len < len && tail_real > 0 && seg.taken[S - 1] == tail_real)
-      qual_len -= len - tail_len;
-  }
-  return seg.partial_taken + qual_len;
+  const u64 subranges = (n + len - 1) >> alpha;
+  const u64 qualified = std::min(
+      subranges, taken_bound / std::min<u64>(beta, len) + 1);
+  return std::min(n, taken_bound + qualified * len);
 }
 
-/// ONE launch classifies every subrange of the delegate vector against the
-/// segment's kappa. Work items are 32-subrange chunks; per-CTA staging
-/// batches the qualified/partial list entries, and each CTA reaches the
-/// global cells with one cursor reservation per staged batch and a few
-/// counter atomics. With `rule2 = false` (approximate fidelity) no subrange
-/// ever qualifies — taken subranges all go to the partial list, so only
-/// delegates become candidates.
-template <class K>
-void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
-                                u64 S, u32 beta, int alpha, u64 n,
-                                BatchedConcatSegment<K>& seg,
-                                bool rule2 = true) {
-  if (S == 0) return;
-  const u64 len = u64{1} << alpha;
-  const u64 chunks = (S + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
-  const K kappa = seg.kappa;
+/// What one stage-3 pass found.
+struct Stage3Counts {
+  u64 qualified = 0;    ///< subranges streamed (Rule 3 survivors)
+  u64 taken_total = 0;  ///< delegates >= kappa
+  u64 cand_count = 0;   ///< candidates written: a prefix of the span
+};
 
-  // Global cells: [0] qualified cursor, [1] partial cursor, [2] partial-
-  // taken total, [3] taken total.
-  std::array<u64, 4> cells{};
+/// ONE launch runs stage 3 of the threshold `kappa` (kappa + 1 for the
+/// tie-aware rule) over the delegate keys of `v`: it classifies every
+/// subrange and writes its candidates into `cand`, which the caller sized
+/// with stage3_capacity. Work items are 32-subrange chunks; each warp of a
+/// CTA classifies one chunk, then the CTA streams the chunks' qualified
+/// subranges (filtered against kappa unless !filter) round-robin over its
+/// warps, so a chunk of 32 qualified subranges is not left to one warp.
+/// Partial subranges' taken delegates are staged per CTA and flushed with
+/// one cursor reservation per staged batch; each CTA adds its taken and
+/// qualified totals with one atomic each.
+template <class K>
+Stage3Counts concat_stage3(topk::Accum& acc, std::span<const K> v,
+                           std::span<const K> dkeys, u32 beta, int alpha,
+                           K kappa, bool filter, bool rule2,
+                           std::span<K> cand) {
+  const u64 n = v.size();
+  const u64 len = u64{1} << alpha;
+  const u64 S = (n + len - 1) >> alpha;
+  const u64 chunks = (S + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
+
+  // Global cells: [0] candidate cursor, [1] taken total, [2] qualified.
+  std::array<u64, 3> cells{};
   std::span<u64> cspan(cells);
 
-  auto cfg = acc.device().launch_for_warp_items(
-      chunks, "classify_batched", 8, u64{2} * kConcatStageCap * sizeof(u32));
+  const vgpu::Launch cfg = acc.device().launch_for_warp_items(
+      chunks, "concat_stage3", 8,
+      u64{kConcatStageCap} * (sizeof(u32) + sizeof(K)));
+  assert(cfg.warps_per_cta * vgpu::kWarpSize <= kConcatStageCap);
+  const u32 wpc = cfg.warps_per_cta;
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
-    // Staged entries are flushed (one global reservation + coalesced
-    // stores) on capacity and at the epilogue. Warps of a CTA run
-    // warp-synchronously between barriers, so the staging cursors live in
-    // registers of the leader.
     auto stage_q = cta.shared().alloc<u32>(kConcatStageCap);
-    auto stage_p = cta.shared().alloc<u32>(kConcatStageCap);
-    u32 qn = 0, pn = 0;
-    u64 cta_taken = 0, cta_partial_taken = 0;
+    auto stage_d = cta.shared().alloc<K>(kConcatStageCap);
+    u32 qn = 0, dn = 0;
+    u64 cta_taken = 0, cta_qualified = 0;
 
-    const auto flush_list = [&](vgpu::Warp& w, vgpu::SharedSpan<u32>& stage,
-                                u32& count, u64 cursor_cell,
-                                std::span<u32> out_list) {
-      if (count == 0) return;
-      const u64 base =
-          w.atomic_add(cspan, cursor_cell, static_cast<u64>(count));
-      for (u32 pos = 0; pos < count; pos += vgpu::kWarpSize) {
-        const u32 m = std::min<u32>(vgpu::kWarpSize, count - pos);
-        auto vals = stage.warp_gather(m, [&](u32 l) { return u64{pos} + l; });
-        w.store_coalesced(out_list, base + pos, vals, m);
+    const auto flush_delegates = [&](vgpu::Warp& w) {
+      if (dn == 0) return;
+      const u64 base = reserve_candidates(w, cspan, dn, cand.size());
+      for (u32 pos = 0; pos < dn; pos += vgpu::kWarpSize) {
+        const u32 a = std::min<u32>(vgpu::kWarpSize, dn - pos);
+        auto vals = stage_d.warp_gather(a, [&](u32 l) { return u64{pos} + l; });
+        w.store_coalesced(cand, base + pos, vals, a);
       }
-      count = 0;
+      dn = 0;
     };
 
-    cta.for_each_warp([&](vgpu::Warp& w) {
-      for (u64 i = w.global_id(); i < chunks; i += w.grid_warps()) {
+    // Warps of a CTA run warp-synchronously between barriers, so the
+    // staging cursors live in registers of the leader. Each round, warp w
+    // classifies chunk `first + w`; the barrier after it hands the queued
+    // qualified subranges to every warp of the CTA.
+    const u64 cta_first = u64{cta.cta_id()} * wpc;
+    for (u64 first = cta_first; first < chunks; first += cta.grid_warps()) {
+      cta.for_each_warp([&](vgpu::Warp& w) {
+        const u64 i = first + (w.global_id() - cta_first);
+        if (i >= chunks) return;
         const u64 s0 = i * vgpu::kWarpSize;
         const u32 m = static_cast<u32>(std::min<u64>(vgpu::kWarpSize, S - s0));
 
@@ -177,124 +184,60 @@ void classify_subranges_batched(topk::Accum& acc, std::span<const K> dkeys,
           for (u32 l = 0; l < a; ++l) keys[off + l] = vals[l];
         }
 
-        vgpu::LaneArray<u8> tarr{};
-        vgpu::LaneArray<u8> isq{}, isp{};
-        u32 qc = 0, pc = 0;
+        // Classify: fully taken subranges queue for streaming; the taken
+        // delegates of the others are packed for the delegate stage.
+        std::array<K, vgpu::kWarpSize * kMaxBeta> out{};
+        u32 pc = 0;
         for (u32 l = 0; l < m; ++l) {
           const u64 s = s0 + l;
           const u32 real = static_cast<u32>(
               std::min<u64>(beta, std::min(len, n - s * len)));
+          const K* d = keys.data() + u64{l} * beta;
           u32 t = 0;
           for (u32 j = 0; j < real; ++j)
-            if (keys[l * beta + j] >= kappa) ++t;
-          tarr[l] = static_cast<u8>(t);
+            if (d[j] >= kappa) ++t;
           if (t == 0) continue;
           cta_taken += t;
           if (rule2 && t == real) {
-            isq[l] = 1;
-            ++qc;
+            stage_q.st(qn++, static_cast<u32>(s));
+            ++cta_qualified;
           } else {
-            isp[l] = 1;
-            ++pc;
-            cta_partial_taken += t;
-          }
-        }
-        w.store_coalesced(seg.taken, s0, tarr, m);
-
-        if (qc) {
-          if (qn + qc > kConcatStageCap)
-            flush_list(w, stage_q, qn, 0, seg.qualified);
-          for (u32 l = 0; l < m; ++l)
-            if (isq[l]) stage_q.st(qn++, static_cast<u32>(s0 + l));
-        }
-        if (pc) {
-          if (pn + pc > kConcatStageCap)
-            flush_list(w, stage_p, pn, 1, seg.partial);
-          for (u32 l = 0; l < m; ++l)
-            if (isp[l]) stage_p.st(pn++, static_cast<u32>(s0 + l));
-        }
-      }
-    });
-
-    // Epilogue: the leader warp drains whatever is still staged — a fixed
-    // handful of atomics per CTA regardless of how many subranges it
-    // classified.
-    vgpu::Warp w = cta.warp(0);
-    flush_list(w, stage_q, qn, 0, seg.qualified);
-    flush_list(w, stage_p, pn, 1, seg.partial);
-    if (cta_partial_taken) w.atomic_add(cspan, 2, cta_partial_taken);
-    if (cta_taken) w.atomic_add(cspan, 3, cta_taken);
-  });
-
-  seg.qualified_count = cells[0];
-  seg.partial_count = cells[1];
-  seg.partial_taken = cells[2];
-  seg.taken_total = cells[3];
-}
-
-/// ONE launch concatenates the segment's candidates: the partial-list
-/// batches followed by the qualified subranges form the work-item space,
-/// and every candidate lands in the segment's span through one cursor.
-/// Partial batches gather + re-threshold their listed subranges' delegates
-/// (one sector per subrange); qualified items stream their subrange from
-/// the input with Rule 2 filtering. Fills cand_count.
-template <class K>
-void concat_candidates_batched(topk::Accum& acc, std::span<const K> v,
-                               std::span<const K> dkeys, u32 beta, int alpha,
-                               bool filter, BatchedConcatSegment<K>& seg) {
-  const u64 n = v.size();
-  const u64 len = u64{1} << alpha;
-  const K kappa = seg.kappa;
-  const u64 pchunks =
-      (seg.partial_count + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
-  const u64 items = pchunks + seg.qualified_count;
-  if (items == 0) return;
-
-  u64 count_cell = 0;
-  std::span<u64> cursor(&count_cell, 1);
-
-  auto cfg = acc.device().launch_for_warp_items(items, "concat_batched");
-  acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
-    cta.for_each_warp([&](vgpu::Warp& w) {
-      for (u64 i = w.global_id(); i < items; i += w.grid_warps()) {
-        if (i < pchunks) {
-          // Partial-list batch: taken delegates of 32 listed subranges.
-          const u64 p0 = i * vgpu::kWarpSize;
-          const u32 m = static_cast<u32>(
-              std::min<u64>(vgpu::kWarpSize, seg.partial_count - p0));
-          std::span<const u32> plist(seg.partial.data(), seg.partial.size());
-          auto sids = w.load_coalesced(plist, p0, m);
-          std::array<K, vgpu::kWarpSize * kMaxBeta> out{};
-          u32 count = 0;
-          for (u32 l = 0; l < m; ++l) {
-            const u64 s = sids[l];
-            const u32 real = static_cast<u32>(
-                std::min<u64>(beta, std::min(len, n - s * len)));
-            auto ks = w.load_coalesced(dkeys, s * beta, real);
             for (u32 j = 0; j < real; ++j)
-              if (ks[j] >= kappa) out[count++] = ks[j];
+              if (d[j] >= kappa) out[pc++] = d[j];
           }
-          if (count == 0) continue;
-          const u64 base = w.atomic_add(cursor, 0, static_cast<u64>(count));
-          for (u32 pos = 0; pos < count; pos += vgpu::kWarpSize) {
-            const u32 a = std::min<u32>(vgpu::kWarpSize, count - pos);
-            vgpu::LaneArray<K> lanes{};
-            for (u32 l = 0; l < a; ++l) lanes[l] = out[pos + l];
-            w.store_coalesced(seg.cand, base + pos, lanes, a);
-          }
-          continue;
         }
-        // Qualified subrange: stream + filter + warp-aggregated append.
-        std::span<const u32> qlist(seg.qualified.data(), seg.qualified.size());
-        const u32 sid = w.ld(qlist, i - pchunks);
-        const u64 begin = static_cast<u64>(sid) * len;
-        append_filtered_subrange(w, v, begin, std::min(len, n - begin),
-                                 kappa, filter, seg.cand, cursor);
-      }
-    });
+        if (pc == 0) return;
+        if (dn + pc > kConcatStageCap) flush_delegates(w);
+        for (u32 pos = 0; pos < pc; pos += vgpu::kWarpSize) {
+          const u32 a = std::min<u32>(vgpu::kWarpSize, pc - pos);
+          vgpu::LaneArray<K> lanes{};
+          for (u32 l = 0; l < a; ++l) lanes[l] = out[pos + l];
+          stage_d.warp_scatter(
+              a, [&](u32 l) { return u64{dn} + pos + l; }, lanes);
+        }
+        dn += pc;
+      });
+
+      if (qn == 0) continue;
+      cta.for_each_warp([&](vgpu::Warp& w) {
+        for (u64 j = w.global_id() - cta_first; j < qn; j += wpc) {
+          const u64 begin = u64{stage_q.ld(j)} * len;
+          append_filtered_subrange(w, v, begin, std::min(len, n - begin),
+                                   kappa, filter, cand, cspan);
+        }
+      });
+      qn = 0;
+    }
+
+    // Epilogue: the leader warp drains the delegate stage and adds the
+    // CTA's totals — a fixed handful of atomics per CTA.
+    vgpu::Warp w = cta.warp(0);
+    flush_delegates(w);
+    if (cta_taken) w.atomic_add(cspan, 1, cta_taken);
+    if (cta_qualified) w.atomic_add(cspan, 2, cta_qualified);
   });
 
-  seg.cand_count = count_cell;
+  return {cells[2], cells[1], cells[0]};
 }
 
 /// Warp-centric concatenation of the qualified subranges with Rule 2

@@ -68,12 +68,11 @@ struct DrTopkConfig {
   double tuner_const = 3.0;  ///< Rule 4 Const (paper-tuned value)
   bool filtering = true;     ///< Rule 2 delegate-top-k-enabled filtering
   bool skip_last_first_iter = true;  ///< Section 4.3 first top-k relaxation
-  /// Fused stage 3: the classify + concat launch pair
-  /// (core/concat_batched.hpp) — one delegate pass writing a compact
-  /// per-subrange taken-count array, block-aggregated list emission,
-  /// partial-list-driven delegate concatenation. `false` replays the
-  /// original three-pass stage 3 — kept as the measurable baseline and
-  /// exercised by the parity tests.
+  /// Fused stage 3: ONE launch (core/concat_batched.hpp) classifies the
+  /// delegates chunk by chunk, appends the taken delegates of partial
+  /// subranges and streams the qualified ones into a candidate span sized
+  /// before the launch. `false` replays the original three-pass stage 3 —
+  /// kept as the measurable baseline and exercised by the parity tests.
   bool fused_concat = true;
   /// Single-launch shared-memory sort-and-choose — a one-segment
   /// topk::batched_topk — for the first/second top-k whenever their input
@@ -293,8 +292,8 @@ inline vgpu::Launch acc_launch_subranges(vgpu::Device& dev, u64 subranges) {
 /// Stages 2-4 of the pipeline over a prebuilt delegate vector: first top-k
 /// on the delegates, Rule 2/3 classification + concatenation, second top-k.
 /// Re-entrant — safe to call concurrently on one Device as long as each
-/// caller passes its own workspace. All scratch (taken counts, sid lists,
-/// the candidate vector, engine buffers) comes from `ws` and is rewound
+/// caller passes its own workspace. All scratch (the candidate vector, the
+/// legacy path's sid list, engine buffers) comes from `ws` and is rewound
 /// before returning, so steady-state callers with a warmed workspace never
 /// grow it here. The returned result (and breakdown) covers stages 2-4
 /// only; the caller owns the construction accounting.
@@ -352,6 +351,10 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // delegates reach it; the radix otherwise refines the last digit.
   const u64 guard_bound = 4 * k;
   K kappa;
+  // Keys strictly above kappa: fewer than k for an exact k-th delegate;
+  // a relaxed prefix reports its own count of keys >= it. Bounds what the
+  // tie-aware stage 3 takes (stage3_capacity).
+  u64 above_kappa = k - 1;
   {
     // Defaulting stage scope: serve's "calibrate" (plan-cache probes) wins
     // when present; otherwise first-top-k launches are charged to "first".
@@ -366,7 +369,8 @@ topk::TopkResult<K> dr_topk_from_delegates(
       Accum a2(dev);
       bool declined = false;
       const u64 max_taken = !relax ? 0 : approx ? ~u64{0} : guard_bound;
-      kappa = topk::radix_kth_flag(a2, dkeys, k, max_taken, &declined);
+      kappa = topk::radix_kth_flag(a2, dkeys, k, max_taken, &declined,
+                                   &above_kappa);
       if (declined) ++bd.guard_trips;
       bd.first_ms = a2.sim_ms();
       bd.first_stats = a2.stats();
@@ -385,7 +389,7 @@ topk::TopkResult<K> dr_topk_from_delegates(
   // when this scope actually owns the ambient label (engaged()), so an
   // enclosing "calibrate" is never clobbered.
   vgpu::StageScope stage3("concat");
-  // Tie-aware: the batched kernels keep their >= test against kappa + 1.
+  // Tie-aware: the one-pass kernel keeps its >= test against kappa + 1.
   // Nothing lies strictly above the key type's maximum, so that kappa
   // leaves the candidate set empty without a launch.
   const bool tie_aware = tie_aware_stage3(cfg);
@@ -406,28 +410,24 @@ topk::TopkResult<K> dr_topk_from_delegates(
   if (nothing_above) {
     // G is empty: the answer is k copies of kappa.
   } else if (run_fused) {
-    // One classify + one concat launch (core/concat_batched.hpp): one
-    // delegate pass produces the per-subrange taken-count array plus the
-    // qualified and partial sid lists; concatenation then touches only
-    // listed subranges.
-    BatchedConcatSegment<K> seg;
-    seg.kappa = tie_aware ? static_cast<K>(kappa + 1) : kappa;
-    seg.taken = ws.alloc<u8>(S);
-    seg.qualified = ws.alloc<u32>(S);
-    seg.partial = ws.alloc<u32>(S);
-    classify_subranges_batched<K>(a3, dkeys, S, beta, dv.alpha, n, seg,
-                                  /*rule2=*/!approx);
+    // ONE launch (core/concat_batched.hpp) classifies every subrange and
+    // concatenates its candidates into a span sized before the launch:
+    // the tie-aware rule takes at most above_kappa delegates, the
+    // inclusive rules and a recall target at most |D|.
+    const u64 taken_bound = tie_aware ? above_kappa : dkeys.size();
+    cand = ws.alloc<K>(
+        stage3_capacity(n, beta, dv.alpha, taken_bound, /*rule2=*/!approx));
+    const Stage3Counts c = concat_stage3<K>(
+        a3, v, dkeys, beta, dv.alpha,
+        tie_aware ? static_cast<K>(kappa + 1) : kappa, cfg.filtering,
+        /*rule2=*/!approx, cand);
     // A recall target kept the relaxed threshold whatever its taken count:
     // extra candidates only cost the (small) second top-k, never recall.
-    if (relax && approx && seg.taken_total > guard_bound) ++bd.guard_skips;
-    q_count = seg.qualified_count;
-    bd.taken_delegates = seg.taken_total;
+    if (relax && approx && c.taken_total > guard_bound) ++bd.guard_skips;
+    q_count = c.qualified;
+    bd.taken_delegates = c.taken_total;
     bd.qualified_subranges = q_count;
-    seg.cand = cand =
-        ws.alloc<K>(batched_concat_capacity(seg, S, beta, dv.alpha, n));
-    concat_candidates_batched<K>(a3, v, dkeys, beta, dv.alpha, cfg.filtering,
-                                 seg);
-    cand_count = seg.cand_count;
+    cand_count = c.cand_count;
   } else {
     // Legacy three-pass stage 3 (the PR-1 baseline, kept measurable):
     // classify, re-scan for partial emission, concatenate. Requires the

@@ -74,7 +74,7 @@ struct CachedPlan {
                            ///< plus the group's one candidate set
                            ///< (re-recorded at finalization)
   u64 exec_ws_bytes = 0;   ///< per-query stages 2-4 scratch and the
-                           ///< group's classify staging arrays
+                           ///< group's kappa-launch scratch
   /// Cross-shard plan sharing: true when this entry arrived via publish()
   /// (a sibling shard calibrated it) rather than local calibration. The
   /// PlanKey is shard-independent — same log2-shape and distribution

@@ -16,7 +16,7 @@
 // client streaming compatible queries one at a time joins the group whose
 // construction is in flight. Setup then closes admission (close_admission)
 // and runs stages 2-3 once, at the largest k among the members: one kappa
-// launch and one classify + concat pair whose candidate set answers every
+// launch and one stage-3 launch whose candidate set answers every
 // member; a query arriving after the close opens a new group. publish()
 // closes a group that is still admitting (a direct shape, a setup that
 // threw). Items live in a deque, so references handed to executors stay

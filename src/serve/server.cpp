@@ -371,8 +371,16 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
         // ends here so the concat pass below is charged to "concat" on the
         // device's stage ledger.
         vgpu::StageScope first("first");
+        ews.reset_peak();  // record the kappa launch's scratch footprint
         br = topk::batched_topk<Key>(acc2, {&kseg, 1}, ews);
       }
+      // Its multi-CTA partial buffer is an exact group's executor-arena
+      // scratch: re-record so future groups of this shape presize instead
+      // of growing. A recall-target plan records none — its members launch
+      // nothing, so a presize would only grow each executor's arena on its
+      // first member.
+      if (!approx_group)
+        plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
       const Key kappa = br.keys[0].back();
       // The group paid its members' first top-k here: amortized into
       // their latencies with the construction pass.
@@ -395,41 +403,30 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
         set.sorted = true;
       } else if (!(tie_aware &&
                    kappa == std::numeric_limits<Key>::max())) {
-        // Stage 3: ONE classify + concat pair over the shared delegate
-        // vector (core/concat_batched.hpp). Tie-aware, as in the
-        // single-query pipeline (core::tie_aware_stage3), it classifies
-        // against kappa + 1, so the set is G = {x > kappa}; a kappa equal
-        // to the maximum key launches nothing and leaves G empty.
-        // Per-subrange scratch is executor-arena transient; the set lands
-        // in the group arena, where the batched finalization consumes it.
+        // Stage 3: ONE launch over the shared delegate vector
+        // (core/concat_batched.hpp). Tie-aware, as in the single-query
+        // pipeline (core::tie_aware_stage3), it classifies against
+        // kappa + 1, so the set is G = {x > kappa} and at most kride - 1
+        // delegates are taken; the inclusive bases take at most |D|. A
+        // kappa equal to the maximum key launches nothing and leaves G
+        // empty. The set lands in the group arena, where the batched
+        // finalization consumes it.
         vgpu::StageScope concat("concat");
         topk::Accum acc3(dev_);
-        const u64 S = group_dv<Key>(g).num_subranges;
-        ews.reset_peak();  // record the classify scratch footprint
-        vgpu::Workspace::Scope scratch(ews);
-        core::BatchedConcatSegment<Key> seg;
-        seg.kappa = tie_aware ? static_cast<Key>(kappa + 1) : kappa;
-        seg.taken = ews.alloc<u8>(S);
-        seg.qualified = ews.alloc<u32>(S);
-        seg.partial = ews.alloc<u32>(S);
-        core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
-                                              g.plan.alpha, g.n, seg);
-        seg.cand = g.ws->alloc<Key>(core::batched_concat_capacity(
-            seg, S, beta, g.plan.alpha, g.n));
-        core::concat_candidates_batched<Key>(acc3, keyspan, dkeys, beta,
-                                             g.plan.alpha,
-                                             cfg_.base.filtering, seg);
-        cand = std::span<const Key>(seg.cand.data(), seg.cand_count);
-        set.taken_total = seg.taken_total;
-        set.qualified = seg.qualified_count;
+        const u64 taken_bound = tie_aware ? kride - 1 : dkeys.size();
+        const std::span<Key> span = g.ws->alloc<Key>(core::stage3_capacity(
+            g.n, beta, g.plan.alpha, taken_bound, /*rule2=*/true));
+        const core::Stage3Counts c = core::concat_stage3<Key>(
+            acc3, keyspan, dkeys, beta, g.plan.alpha,
+            tie_aware ? static_cast<Key>(kappa + 1) : kappa,
+            cfg_.base.filtering, /*rule2=*/true, span);
+        cand = span.first(c.cand_count);
+        set.taken_total = c.taken_total;
+        set.qualified = c.qualified;
         g.setup_sim_ms += acc3.sim_ms();
         g.setup_stages.concat_ms = acc3.sim_ms();
         g.setup_stages.concat_stats = acc3.stats();
         executor_work += acc3.sim_ms();
-        // The classify staging arrays raise the plan's executor-workspace
-        // high-water mark; re-record so future groups of this shape presize
-        // instead of growing.
-        plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
       }
       if constexpr (std::is_same_v<Key, u64>)
         set.cand64 = cand;
@@ -614,7 +611,7 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
     const std::span<const Key> cand = set_cand<Key>(set);
     // "Fused" means construction was genuinely shared; a singleton group
     // paid full freight. Its latency is purely its share of the group's
-    // construction + kappa + classify/concat passes.
+    // construction + kappa + stage-3 passes.
     out.fused = g.final_items > 1;
     out.latency_sim_ms =
         g.setup_sim_ms / static_cast<double>(g.final_items);

@@ -61,7 +61,7 @@ struct ObsOptions {
 /// Server tuning knobs. The serving path itself has no switches: setup
 /// builds one delegate vector per group, closes the group's admission,
 /// then builds one threshold (one kappa launch) and one candidate set (one
-/// classify + one concat launch, core/concat_batched.hpp) at the largest
+/// stage-3 launch, core/concat_batched.hpp) at the largest
 /// riding k; items answer from that set on the host or defer stage 4 to
 /// ONE batched selection launch per group (topk/batched.hpp). Every group
 /// resolves its delegate geometry through the plan cache, which tunes

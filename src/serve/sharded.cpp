@@ -357,7 +357,21 @@ void ShardedTopkServer::merge_batch_typed(std::vector<MergeJob>& jobs) {
     seg.k = std::min(jobs[ji].k, total);
     seg.tag = jobs[ji].id;
   }
-  auto fr = topk::batched_merge_topk<Key>(acc, finals);
+  topk::BatchedResult<Key> fr;
+  try {
+    fr = topk::batched_merge_topk<Key>(acc, finals);
+  } catch (...) {
+    // A failed merge launch fails every query still in the batch with its
+    // exception, counted before any future resolves; the merge thread
+    // lives on and drain() still returns.
+    m_failed_.add(jobs.size());
+    {
+      std::lock_guard lk(stats_mu_);
+      agg_.failed += jobs.size();
+    }
+    for (MergeJob& j : jobs) j.promise.set_exception(std::current_exception());
+    return;
+  }
   const u64 launches = fr.launches;
 
   // ---- Price and fulfil: every merged query carries an equal share of

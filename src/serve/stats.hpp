@@ -46,11 +46,11 @@ struct ServerStats {
                             ///< another member's (every riding member
                             ///< answers from the group's one candidate
                             ///< set)
-  u64 concat_launches = 0;  ///< kernel launches attributed to stage 3
-                            ///< (classify + concat): ONE pair per group
-                            ///< setup, plus whatever the unfused pipeline
-                            ///< of a member the shared vector cannot serve
-                            ///< launches — the stage the lpq gate watches
+  u64 concat_launches = 0;  ///< kernel launches attributed to stage 3:
+                            ///< ONE per group setup, plus whatever the
+                            ///< unfused pipeline of a member the shared
+                            ///< vector cannot serve launches — the stage
+                            ///< the lpq gate watches
   u64 relax_guard_trips = 0;  ///< relaxed first top-ks whose last-digit
                               ///< skip the guard declined: > 4k delegates
                               ///< on the prefix (tie-heavy distributions;
@@ -123,7 +123,7 @@ class StatsCollector {
             "Riding group members whose k repeats another member's")),
         m_concat_launches_(reg.counter(
             "serve_concat_launches",
-            "Kernel launches attributed to stage 3 (classify + concat)")),
+            "Kernel launches attributed to stage 3")),
         m_guard_trips_(reg.counter(
             "serve_relax_guard_trips",
             "Relaxed first top-ks whose last-digit skip the guard declined")),
@@ -246,9 +246,9 @@ class StatsCollector {
       s.total_sim_ms = total_sim_ms_;
       s.calibration_sim_ms = calibration_sim_ms_;
       s.stages = stages_;
-      // Stage-3 attribution: every classify/concat launch lands in the
-      // aggregate concat stats exactly once (group-level batched passes
-      // via record_group, per-query pairs via record_query).
+      // Stage-3 attribution: every stage-3 launch lands in the aggregate
+      // concat stats exactly once (group-level passes via record_group,
+      // per-query ones via record_query).
       s.concat_launches = stages_.concat_stats.kernels_launched;
       s.relax_guard_trips = stages_.guard_trips;
       s.relax_guard_skips = stages_.guard_skips;

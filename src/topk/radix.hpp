@@ -31,13 +31,14 @@ namespace drtopk::topk {
 /// the first top-k" relaxation (Section 4.3): after the penultimate digit
 /// the selection returns the partial prefix, a *lower bound* on the k-th
 /// largest, when at most `max_taken` keys are >= it. That digit's histogram
-/// already holds the count, (k - rem) + hist[chosen]. Otherwise the skip is
-/// declined (`*declined` is set) and the last digit is refined as in the
-/// exact selection, so a relaxed call never launches more kernels than an
-/// exact one.
+/// already holds the count, (k - rem) + hist[chosen], which is written to
+/// `*at_or_above` when the prefix is returned (stage 3 sizes its candidate
+/// span from it). Otherwise the skip is declined (`*declined` is set) and
+/// the last digit is refined as in the exact selection, so a relaxed call
+/// never launches more kernels than an exact one.
 template <class K>
 K radix_kth_flag(Accum& acc, std::span<const K> v, u64 k, u64 max_taken = 0,
-                 bool* declined = nullptr) {
+                 bool* declined = nullptr, u64* at_or_above = nullptr) {
   assert(k >= 1 && k <= v.size());
   constexpr int kDigits = sizeof(K);  // 8 bits each
   K mask = 0, value = 0;
@@ -66,7 +67,11 @@ K radix_kth_flag(Accum& acc, std::span<const K> v, u64 k, u64 max_taken = 0,
       // Keys above the prefix plus keys on it: every key >= `value`. Checked
       // before the unique-survivor fetch: a lone survivor admits the same k
       // keys as the prefix, so the fetch would be a wasted launch.
-      if (k - rem + hist[chosen] <= max_taken) return value;  // low digit 0
+      const u64 taken = k - rem + hist[chosen];
+      if (taken <= max_taken) {
+        if (at_or_above) *at_or_above = taken;
+        return value;  // low digit 0
+      }
       if (declined) *declined = true;
     }
     if (hist[chosen] == 1) {

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -46,11 +47,19 @@
 
 namespace drtopk::vgpu {
 
+/// Bump arena of device-style scratch: typed spans carved out of a few
+/// large blocks that are acquired once, never freed or moved while the
+/// workspace lives, and reused after each Scope rewinds (see the file
+/// comment). Block memory is uninitialized, like cudaMalloc'd memory; a
+/// Debug build fills each new block with kPoisonByte so a consumer that
+/// reads arena memory before writing it shows under the sanitizers.
 class Workspace {
  public:
   /// Block growth floor; real workloads outgrow it immediately, tiny tests
   /// stay tiny.
   static constexpr u64 kMinBlockBytes = u64{64} << 10;
+  /// Fill byte of a new block in Debug builds (!NDEBUG).
+  static constexpr unsigned char kPoisonByte = 0xA5;
 
   Workspace() = default;
   explicit Workspace(u64 initial_bytes) {
@@ -192,7 +201,10 @@ class Workspace {
     // capacity nor inflates in_use/peak accounting.
     const u64 size = std::max({min_bytes, kMinBlockBytes, capacity_bytes()});
     Block b;
-    b.data = std::make_unique<std::byte[]>(size);
+    b.data = std::make_unique_for_overwrite<std::byte[]>(size);
+#ifndef NDEBUG
+    std::memset(b.data.get(), kPoisonByte, size);
+#endif
     b.size = size;
     blocks_.push_back(std::move(b));
     growths_.fetch_add(1, std::memory_order_relaxed);

@@ -417,11 +417,10 @@ TEST(StatsInvariants, WorkloadRatioShrinksWithN) {
 // ---- Stage 3 by its definition ----
 
 /// Stage 3 by its definition, on the host, for one threshold: the reference
-/// the pipeline and the batched engine must reproduce field by field.
+/// the pipeline and the one-pass kernel must reproduce field by field.
 template <class K>
 struct Stage3Oracle {
-  std::vector<u8> taken;  ///< real delegates above kappa, per subrange
-  u64 qualified = 0, partial = 0, partial_taken = 0, taken_total = 0;
+  u64 qualified = 0, taken_total = 0;
   std::vector<K> cand;  ///< sorted candidate multiset
 };
 
@@ -437,14 +436,12 @@ Stage3Oracle<K> stage3_oracle(std::span<const K> v, std::span<const K> dkeys,
   const auto above = [&](K x) { return strict ? x > kappa : x >= kappa; };
   const u64 len = u64{1} << alpha;
   Stage3Oracle<K> o;
-  o.taken.assign(S, 0);
   for (u64 s = 0; s < S; ++s) {
     const u64 begin = s * len;
     const u64 slen = std::min(len, v.size() - begin);
     const auto real = dkeys.subspan(s * beta, std::min<u64>(beta, slen));
     u64 t = 0;
     for (const K d : real) t += above(d);
-    o.taken[s] = static_cast<u8>(t);
     o.taken_total += t;
     if (t == 0) continue;
     if (rule2 && t == real.size()) {
@@ -452,8 +449,6 @@ Stage3Oracle<K> stage3_oracle(std::span<const K> v, std::span<const K> dkeys,
       for (const K x : v.subspan(begin, slen))
         if (!filter || above(x)) o.cand.push_back(x);
     } else {
-      ++o.partial;
-      o.partial_taken += t;
       for (const K d : real)
         if (above(d)) o.cand.push_back(d);
     }
@@ -986,11 +981,13 @@ std::vector<K> kappas_for(std::span<const K> dkeys,
   return out;
 }
 
-/// Runs one classify + concat pair per k in `ks`, each over one segment,
-/// and checks each against stage3_oracle field by field, candidate
-/// multiset included. `strict` checks the tie-aware stage 3 the serving
-/// setup runs: the segment classifies against kappa + 1, and a kappa equal
-/// to the key maximum gets no segment (nothing lies above it).
+/// Runs one stage-3 launch per k in `ks` and checks each against
+/// stage3_oracle field by field, candidate multiset included. `strict`
+/// checks the tie-aware stage 3 the serving setup runs: the launch
+/// classifies against kappa + 1, and a kappa equal to the key maximum
+/// launches nothing (nothing lies above it). Each span is sized as the
+/// callers size it: stage3_capacity from at most k - 1 delegates above an
+/// exact k-th (strict), or |D| (the inclusive rules).
 template <class K>
 void expect_batched_matches_definition(std::span<const K> vs, int alpha,
                                        u32 beta, bool filter, bool rule2,
@@ -1013,35 +1010,21 @@ void expect_batched_matches_definition(std::span<const K> vs, int alpha,
       EXPECT_TRUE(o.cand.empty()) << at;
       continue;
     }
-    std::vector<u8> taken(S, 0);
-    std::vector<u32> qualified(S, 0), partial(S, 0);
-    BatchedConcatSegment<K> seg;
-    seg.kappa = strict ? static_cast<K>(kappa + 1) : kappa;
-    seg.taken = std::span<u8>(taken);
-    seg.qualified = std::span<u32>(qualified);
-    seg.partial = std::span<u32>(partial);
+    const u64 taken_bound =
+        strict ? std::min<u64>(ks[i], dkeys.size()) - 1 : dkeys.size();
+    std::vector<K> cand(
+        stage3_capacity(vs.size(), beta, alpha, taken_bound, rule2));
 
     topk::Accum acc(shared_device());
-    classify_subranges_batched<K>(acc, dkeys, S, beta, alpha, vs.size(), seg,
-                                  rule2);
-    // Sized by the shared capacity rule (what the serving setup allocates
-    // from the group arena).
-    std::vector<K> cand(batched_concat_capacity(seg, S, beta, alpha,
-                                                vs.size()));
-    seg.cand = std::span<K>(cand);
-    concat_candidates_batched<K>(acc, vs, dkeys, beta, alpha, filter, seg);
-    // One classify + one concat launch (concat launches nothing when no
-    // delegate was taken).
-    EXPECT_EQ(acc.stats().kernels_launched, o.taken_total > 0 ? 2u : 1u)
-        << at;
+    const Stage3Counts c = concat_stage3<K>(
+        acc, vs, dkeys, beta, alpha, strict ? static_cast<K>(kappa + 1) : kappa,
+        filter, rule2, std::span<K>(cand));
+    EXPECT_EQ(acc.stats().kernels_launched, 1u) << at;
 
-    EXPECT_EQ(seg.qualified_count, o.qualified) << at;
-    EXPECT_EQ(seg.partial_count, o.partial) << at;
-    EXPECT_EQ(seg.partial_taken, o.partial_taken) << at;
-    EXPECT_EQ(seg.taken_total, o.taken_total) << at;
-    EXPECT_EQ(taken, o.taken) << at;
-    ASSERT_LE(seg.cand_count, cand.size()) << at;
-    std::vector<K> got(cand.begin(), cand.begin() + seg.cand_count);
+    EXPECT_EQ(c.qualified, o.qualified) << at;
+    EXPECT_EQ(c.taken_total, o.taken_total) << at;
+    ASSERT_LE(c.cand_count, cand.size()) << at;
+    std::vector<K> got(cand.begin(), cand.begin() + c.cand_count);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, o.cand) << at;  // same candidate MULTISET
   }
@@ -1115,6 +1098,193 @@ TEST(TieAware, BatchedStage3MatchesStrictOracleAcrossInputs) {
       }
     }
   }
+}
+
+// ---- The stage-3 capacity bound (stage3_capacity) ----
+
+/// Ordered and tie-only layouts of n u32 keys: generated UD values (or,
+/// with `dense`, the integers 0..n-1) sorted ascending or descending, 64
+/// sorted blocks in shuffled order, the n/512 largest keys in one column
+/// of a row-major [n/512 x 512] matrix, all keys equal, and four distinct
+/// values. Sorted input makes every subrange above kappa qualify, which is
+/// where the bound is tight; dense keys put up to 255 more keys into a
+/// relaxed prefix's last digit, so it takes well over k delegates.
+std::vector<u32> bound_layout(const std::string& name, u64 n,
+                              bool dense = false) {
+  if (name == "equal" || name == "four") return tie_sweep_input(name, n);
+  std::vector<u32> v = tie_sweep_input("UD", n);
+  if (dense)
+    for (u64 i = 0; i < n; ++i) v[i] = static_cast<u32>(i);
+  if (name == "column") {
+    for (u64 i = 0; i < n; ++i)
+      v[i] = i % 512 == 7 ? v[i] | 0x8000'0000u : v[i] >> 1;
+    return v;
+  }
+  std::sort(v.begin(), v.end());
+  if (name == "descending") std::reverse(v.begin(), v.end());
+  if (name == "blocks") {
+    const u64 blocks = 64, blen = (n + blocks - 1) / blocks;
+    std::vector<u64> order(blocks);
+    for (u64 b = 0; b < blocks; ++b) order[b] = b;
+    for (u64 b = blocks - 1; b > 0; --b)
+      std::swap(order[b], order[data::rand_u64(72, b) % (b + 1)]);
+    std::vector<u32> out;
+    for (const u64 b : order)
+      out.insert(out.end(), v.begin() + std::min(n, b * blen),
+                 v.begin() + std::min(n, (b + 1) * blen));
+    v = std::move(out);
+  }
+  return v;
+}
+
+/// The stage-3 thresholds the callers derive, each with the taken bound
+/// its caller passes to stage3_capacity.
+enum class Threshold {
+  kExactTieAware,  ///< the exact k-th delegate, > kappa: k - 1
+  kRelaxedPrefix,  ///< a Section 4.3 radix prefix, > it: the radix's count
+  kNoFilter,       ///< the exact k-th delegate, >= kappa, no Rule 2: |D|
+  kDelegatesOnly,  ///< a recall target's rule2 = false, >= kappa: |D|
+};
+
+/// Runs one stage-3 launch of threshold `th` over `vs` at (alpha, beta),
+/// in a span of exactly stage3_capacity, and checks that the candidates
+/// fit it and match stage3_oracle, and that the answer they give (top-k,
+/// padded with kappa under the tie-aware rule) is bit-identical to
+/// reference_topk. Returns {candidates, capacity}.
+template <class K>
+std::pair<u64, u64> expect_stage3_within_bound(std::span<const K> vs, u64 k,
+                                               int alpha, u32 beta,
+                                               Threshold th,
+                                               const std::string& at) {
+  topk::Accum dacc(shared_device());
+  const auto dv = build_delegate_vector<K>(dacc, vs, alpha, beta);
+  const std::vector<K> dhost(dv.keys.begin(), dv.keys.end());
+  std::span<const K> dkeys(dhost);
+  K kappa = reference_topk(dkeys, k).back();
+  u64 taken_bound = dkeys.size();
+  const bool strict =
+      th == Threshold::kExactTieAware || th == Threshold::kRelaxedPrefix;
+  const bool filter = th != Threshold::kNoFilter;
+  const bool rule2 = th != Threshold::kDelegatesOnly;
+  if (strict) taken_bound = k - 1;
+  if (th == Threshold::kRelaxedPrefix) {
+    topk::Accum a2(shared_device());
+    kappa = topk::radix_kth_flag(a2, dkeys, k, 4 * k, nullptr, &taken_bound);
+  }
+  if (strict && kappa == std::numeric_limits<K>::max()) return {0, 0};
+
+  const u64 cap = stage3_capacity(vs.size(), beta, alpha, taken_bound, rule2);
+  std::vector<K> cand(cap);
+  topk::Accum acc(shared_device());
+  const Stage3Counts c = concat_stage3<K>(
+      acc, vs, dkeys, beta, alpha, strict ? static_cast<K>(kappa + 1) : kappa,
+      filter, rule2, std::span<K>(cand));
+  EXPECT_LE(c.cand_count, cap) << at;
+  EXPECT_LE(c.taken_total, taken_bound) << at;
+  const Stage3Oracle<K> o = stage3_oracle<K>(
+      vs, dkeys, dv.num_subranges, beta, alpha, kappa, filter, rule2, strict);
+  EXPECT_EQ(c.taken_total, o.taken_total) << at;
+  EXPECT_EQ(c.qualified, o.qualified) << at;
+  std::vector<K> got(cand.begin(), cand.begin() + c.cand_count);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, o.cand) << at;
+  if (rule2) {  // delegates only is a recall target's superset, not exact
+    std::reverse(got.begin(), got.end());
+    got.resize(k, kappa);
+    EXPECT_EQ(got, reference_topk(vs, k)) << at;
+  }
+  return {c.cand_count, cap};
+}
+
+TEST(Stage3Bound, CandidatesFitTheSpanOnOrderedAndTiedLayouts) {
+  // Every layout x key width x geometry (beta 1-4, beta above 2^alpha, a
+  // ragged tail) x threshold: the one launch never reserves past its span,
+  // and its candidates give the oracle's answer.
+  const u64 n = (u64{1} << 13) + 3;
+  const std::vector<std::pair<int, u32>> geos = {
+      {1, 4}, {1, 3}, {1, 1}, {4, 2}, {6, 1}, {6, 3}, {7, 4}};
+  for (const std::string name :
+       {"ascending", "descending", "blocks", "column", "equal", "four"}) {
+    const std::vector<u32> v = bound_layout(name, n);
+    std::vector<u64> w(v.begin(), v.end());
+    for (u64& x : w) x *= 0x1'0000'0001ull;
+    for (const auto& [alpha, beta] : geos) {
+      for (const u64 k : {u64{1}, u64{16}, u64{100}}) {
+        for (const Threshold th :
+             {Threshold::kExactTieAware, Threshold::kRelaxedPrefix,
+              Threshold::kNoFilter, Threshold::kDelegatesOnly}) {
+          const std::string at = name + " a" + std::to_string(alpha) + " b" +
+                                 std::to_string(beta) + " k=" +
+                                 std::to_string(k) + " threshold " +
+                                 std::to_string(static_cast<int>(th));
+          expect_stage3_within_bound<u32>(std::span<const u32>(v), k, alpha,
+                                          beta, th, at);
+          expect_stage3_within_bound<u64>(std::span<const u64>(w), k, alpha,
+                                          beta, th, at + " u64");
+        }
+      }
+    }
+  }
+}
+
+TEST(Stage3Bound, PipelineAnswersStayExactOnOrderedLayouts) {
+  // The pipeline sizes every fused stage 3 with the bound; a reservation
+  // past it would throw. Its default (tie-aware), relaxed-first (alpha 2
+  // makes |D| outgrow the shared path), exact-first, no-filter and
+  // three-pass configurations all answer bit-identically on every layout.
+  const u64 n = (u64{1} << 17) + 7;
+  for (const std::string layout :
+       {"ascending", "descending", "blocks", "column", "equal", "four",
+        "dense ascending", "dense descending", "dense blocks"}) {
+    const bool dense = layout.starts_with("dense ");
+    const std::string name = dense ? layout.substr(6) : layout;
+    const std::vector<u32> v = bound_layout(name, n, dense);
+    std::span<const u32> vs(v);
+    std::vector<u64> w(v.begin(), v.end());
+    for (u64& x : w) x *= 0x1'0000'0001ull;
+    std::span<const u64> ws(w);
+    for (const u64 k : {u64{1}, u64{64}, u64{1024}}) {
+      const std::string at = layout + " k=" + std::to_string(k);
+      const std::vector<u32> want = reference_topk(vs, k);
+      DrTopkConfig exact_first, nofilt, legacy;
+      exact_first.skip_last_first_iter = false;
+      nofilt.filtering = false;
+      legacy.fused_concat = false;
+      for (u32 beta = 1; beta <= 4; ++beta) {
+        DrTopkConfig relaxed;
+        relaxed.beta = beta;
+        relaxed.alpha = 2;
+        EXPECT_EQ(dr_topk_keys<u32>(shared_device(), vs, k, relaxed).keys,
+                  want)
+            << at << " beta=" << beta;
+      }
+      for (const DrTopkConfig& cfg : {DrTopkConfig{}, exact_first, nofilt,
+                                      legacy})
+        EXPECT_EQ(dr_topk_keys<u32>(shared_device(), vs, k, cfg).keys, want)
+            << at;
+      EXPECT_EQ(dr_topk_keys<u64>(shared_device(), ws, k).keys,
+                reference_topk(ws, k))
+          << at << " u64";
+    }
+  }
+}
+
+TEST(Stage3Bound, WithinTwiceTheCandidatesOnSortedInput) {
+  // Sorted ascending 2^20 keys at k = 1024: every subrange above kappa
+  // qualifies, so the candidates nearly fill the bound. Sized from the
+  // relaxed radix's own count of keys at or above its prefix, the bound
+  // stays within 2x of them (the bare 4k guard would give ~4x).
+  const u64 n = u64{1} << 20, k = 1024;
+  const std::vector<u32> v = bound_layout("ascending", n);
+  std::span<const u32> vs(v);
+  const DelegateGeometry geo = resolve_geometry(n, k, DrTopkConfig{});
+  ASSERT_GE(geo.alpha, 0);
+  const auto [cands, cap] = expect_stage3_within_bound<u32>(
+      vs, k, geo.alpha, geo.beta, Threshold::kRelaxedPrefix, "sorted 2^20");
+  EXPECT_GT(cands, 16 * k);
+  EXPECT_LE(cap, 2 * cands);
+  EXPECT_EQ(dr_topk_keys<u32>(shared_device(), vs, k).keys,
+            reference_topk(vs, k));
 }
 
 // ---- Typed frontend ----

@@ -271,7 +271,7 @@ TEST(ObsServe, EveryServedLaunchCarriesAStageLabel) {
   }
   EXPECT_TRUE(saw_construct);
   EXPECT_TRUE(saw_second);
-  // The group setup's classify/concat pair lands in the device's "concat"
+  // The group setup's stage-3 launch lands in the device's "concat"
   // row, not in the batched kappa launch's "first" row before it.
   EXPECT_GT(concat_launches, 0u);
   EXPECT_EQ(concat_launches, server.stats().concat_launches);

@@ -86,8 +86,8 @@ std::vector<Query> one_set_queries(const auto& vs, Criterion c) {
 /// and checks the one-set rule on the warmed group: every member is
 /// oracle-exact and rides the shared vector, reports the group's one
 /// candidate set as its concat_len, and answers on the host exactly when
-/// the set holds at most its k; the group launches at most one classify +
-/// concat pair (the whole pair when the set is non-empty) and at most one
+/// the set holds at most its k; the group launches at most one stage-3
+/// launch (exactly one when the set is non-empty) and at most one
 /// finalization, which delivers every parked member. Returns the number of
 /// members that parked.
 template <class T>
@@ -115,9 +115,9 @@ u64 expect_one_set_group(std::span<const T> vs, const core::DrTopkConfig& base,
     parked += set > qs[i].k;
   }
   const u64 concat = after.concat_launches - warm.concat_launches;
-  EXPECT_LE(concat, 2u) << tag;
+  EXPECT_LE(concat, 1u) << tag;
   if (set > 0) {
-    EXPECT_EQ(concat, 2u) << tag;
+    EXPECT_EQ(concat, 1u) << tag;
   }
   EXPECT_EQ(after.finalize_launches - warm.finalize_launches,
             parked ? 1u : 0u)
@@ -653,7 +653,7 @@ TEST(Serve, DedupMixedIdenticalAndDistinctQueries) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.deduped_queries, 3u);  // the three repeats of k=64
   EXPECT_EQ(s.failed, 0u);
-  EXPECT_EQ(s.concat_launches, 2u);  // one classify + concat pair
+  EXPECT_EQ(s.concat_launches, 1u);  // one stage-3 launch
 }
 
 TEST(Serve, DedupSelectionOnlySharesTheSpanNotTheEmission) {
@@ -734,6 +734,36 @@ TEST(Serve, OneSetRuleHoldsAcrossInputsWidthsAndBases) {
       expect_one_set_group<u32>(std::span<const u32>(v), base,
                                 Criterion::kSmallest, at + " smallest");
     }
+  }
+}
+
+TEST(Serve, SortedCorpusGroupPaysOneStage3Launch) {
+  // Sorted keys: every subrange above kappa qualifies, so the group's one
+  // set is as large as the stage-3 capacity bound gets (and the bound is
+  // tight there). The warmed group still pays exactly one stage-3 launch
+  // and every member, parked or padded, is oracle-exact.
+  const auto g = data::generate(u64{1} << 16, Distribution::kUniform, 245);
+  std::vector<u32> v(g.begin(), g.end());
+  std::sort(v.begin(), v.end());
+  std::span<const u32> vs(v);
+  for (const Criterion c : {Criterion::kLargest, Criterion::kSmallest}) {
+    ServerConfig cfg;
+    cfg.executors = 1;  // deterministic grouping: one group per batch
+    cfg.batch_max = 16;
+    TopkServer server(shared_device(), cfg);
+    const std::vector<Query> qs = one_set_queries(vs, c);
+    (void)server.run_batch(qs);  // warm: plans calibrate, arenas grow
+    const ServerStats warm = server.stats();
+    const auto rs = server.run_batch(qs);
+    const ServerStats after = server.stats();
+    EXPECT_EQ(after.groups - warm.groups, 1u);
+    EXPECT_EQ(after.concat_launches - warm.concat_launches, 1u);
+    for (size_t i = 0; i < qs.size(); ++i) {
+      EXPECT_EQ(rs[i].values, oracle(qs[i])) << i;
+      EXPECT_TRUE(rs[i].fused) << i;
+      EXPECT_GT(rs[i].breakdown.concat_len, 0u) << i;
+    }
+    EXPECT_EQ(after.failed, 0u);
   }
 }
 
@@ -901,7 +931,7 @@ TEST(Serve, SetupFailureFallsBackCountedAndTraced) {
 }
 
 TEST(Serve, FailedSetupLaunchOnTheOneSetPathFallsBackExact) {
-  // A failed kappa ("first") or classify ("concat") launch in a warmed
+  // A failed kappa ("first") or stage-3 ("concat") launch in a warmed
   // group's setup: the group falls back to the unshared per-query
   // pipeline, counted in serve_setup_fallbacks, and every member (padded
   // and parked alike on the one-set path) answers oracle-exact. The spent
@@ -1102,11 +1132,11 @@ TEST(Serve, ParityMatrixAgainstReference) {
   EXPECT_GE(s.deduped_queries, 1u);
 }
 
-TEST(Serve, BatchedConcatOneLaunchPairPerWarmedGroup) {
+TEST(Serve, Stage3OneLaunchPerWarmedGroup) {
   // THE launch-count regression test: a warmed group of 16 distinct-k
-  // queries costs ONE classify + ONE concat launch
-  // (stage 3) and ~5 device launches total — construct, batched kappa,
-  // classify, concat, batched finalize. Member queries launch nothing.
+  // queries costs ONE stage-3 launch and ~4 device launches total —
+  // construct, batched kappa, stage 3, batched finalize. Member queries
+  // launch nothing.
   const u64 n = 1 << 16;
   auto v = data::generate(n, Distribution::kUniform, 191);
   std::span<const u32> vs(v.data(), v.size());
@@ -1135,9 +1165,8 @@ TEST(Serve, BatchedConcatOneLaunchPairPerWarmedGroup) {
   const ServerStats after = server.stats();
   const u64 groups = after.groups - warm.groups;
   EXPECT_EQ(groups, rounds);
-  // Exactly one classify + one concat launch per group, regardless of the
-  // 16 member ks.
-  EXPECT_EQ(after.concat_launches - warm.concat_launches, 2 * groups);
+  // Exactly one stage-3 launch per group, regardless of the 16 member ks.
+  EXPECT_EQ(after.concat_launches - warm.concat_launches, groups);
   EXPECT_EQ(after.finalize_launches - warm.finalize_launches, groups);
   EXPECT_EQ(after.relax_guard_trips, 0u);  // exact kappas: guard never fires
   // The whole-pipeline launch budget: at most 6 launches per group — vs

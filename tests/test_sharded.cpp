@@ -203,6 +203,38 @@ TEST(Sharded, FailedShardSubQueryFailsOnlyItsOwnQuery) {
             widen(topk::reference_topk(bigs, 7)));
 }
 
+TEST(Sharded, FailedMergeLaunchFailsItsBatchAndTheMergeThreadLivesOn) {
+  // A merge launch that throws fails the queries of its batch with the
+  // launch's exception, counted in `failed` (and sharded_failed_queries)
+  // before their futures resolve. The merge thread lives on: drain()
+  // returns, and once the fault is spent the next query is oracle-exact.
+  auto v = data::generate(u64{1} << 16, Distribution::kUniform, 106);
+  std::span<const u32> vs(v.data(), v.size());
+  ShardedTopkServer srv(sharded_cfg(2));
+  const auto id = srv.register_corpus(vs);
+  ASSERT_EQ(srv.corpus_shards(id), 2u);
+  EXPECT_EQ(srv.submit(id, 64).get().values,
+            widen(topk::reference_topk(vs, 64)));
+
+  srv.merge_device().fail_next_launches("merge", 1);
+  auto faulted = srv.submit(id, 100);
+  EXPECT_THROW((void)faulted.get(), std::runtime_error);
+  srv.drain();
+  ShardedStats st = srv.stats();
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_NE(srv.metrics_prometheus().find(
+                "sharded_failed_queries{shard=\"merge\"} 1\n"),
+            std::string::npos);
+
+  EXPECT_EQ(srv.submit(id, 333).get().values,
+            widen(topk::reference_topk(vs, 333)));
+  srv.drain();
+  st = srv.stats();
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.completed, 2u);
+}
+
 TEST(Sharded, BurstScatterMatchesReference) {
   // submit_many scatters one burst per shard and enqueues every merge job
   // under one lock; each answer must still be bit-identical to the oracle
