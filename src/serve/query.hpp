@@ -3,7 +3,15 @@
 // A Query either *views* server-resident data (the common serving shape:
 // many queries against one corpus — these are what admission batching can
 // fuse into a single delegate-construction pass) or *owns* its payload
-// (ad-hoc data shipped with the request). Key widths u32/u64 are supported;
+// (ad-hoc data shipped with the request).
+//
+// Sharing contract: a viewed buffer must stay unchanged while any query
+// over it is in flight. Admission fuses queries by buffer identity, and
+// one setup builds the delegate vector and the candidate set that every
+// member of a group and of its siblings answers from — possibly from a
+// snapshot taken before a later member was even submitted — so a write to
+// the buffer in between would hand those members answers over stale
+// data. Key widths u32/u64 are supported;
 // the criterion and selection-only flag mirror DrTopkConfig's semantics.
 //
 // Fidelity: every query carries a core::FidelityPolicy. The default is
@@ -43,7 +51,9 @@ struct Query {
   std::shared_ptr<const std::vector<u64>> own64;
 
   /// One factory per (payload kind × key width), expressed once: K selects
-  /// the width, the payload type selects view (span) vs owned (vector).
+  /// the width, the payload type selects view (span) vs owned (vector). A
+  /// viewed buffer stays unchanged while any query over it is in flight
+  /// (see the file comment).
   template <class K>
   static Query view(std::span<const K> v, u64 k,
                     data::Criterion c = data::Criterion::kLargest,

@@ -10,25 +10,27 @@
 // Architecture (the seam every scaling PR plugs into):
 //
 //   submit() -> AdmissionQueue (bounded, backpressure)
-//            -> admission groups (compatible queries batch together)
-//            -> executor threads claim work: one resolves the group's plan
-//               via the PlanCache (calibrated alpha, skipping the tuner on
-//               hits), builds ONE shared delegate vector for the whole
-//               group, closes the group's admission and builds ONE
-//               candidate set at the group's largest k; then all
-//               executors cooperatively drain the group's queries on the
-//               shared Device (whose thread pool multiplexes the kernels).
+//            -> admission groups of at most batch_max compatible queries;
+//               a burst that fills one opens siblings that share its setup
+//            -> executor threads claim work: one resolves the sibling
+//               set's plan via the PlanCache (calibrated alpha, skipping
+//               the tuner on hits), builds ONE shared delegate vector for
+//               every sibling, closes the set's admission and builds ONE
+//               candidate set at the largest k of all their members; then
+//               all executors cooperatively drain the siblings' queries on
+//               the shared Device (whose thread pool multiplexes the
+//               kernels).
 //
 // Batching wins because delegate construction — the dominant stage of the
-// pipeline (Figure 15) — is paid once per group instead of once per query;
-// the plan cache wins by replaying calibrated decisions for recurring
-// query shapes. The group setup runs stage 2 and stage 3 once, at the
+// pipeline (Figure 15) — is paid once per sibling set instead of once per
+// query; the plan cache wins by replaying calibrated decisions for
+// recurring query shapes. The setup runs stage 2 and stage 3 once, at the
 // largest k among the members (kappa only falls as k grows, so that
 // candidate set holds every smaller member's answer): a member pads it on
 // the host when it holds at most k keys, and otherwise parks on it, and the
 // executor that finishes a group's last item sorts it once for every parked
-// member in ONE batched launch. A member the shared vector cannot serve
-// runs the unshared core::dr_topk pipeline.
+// member of that group in ONE batched launch. A member the shared vector
+// cannot serve runs the unshared core::dr_topk pipeline.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
@@ -59,14 +61,15 @@ struct ObsOptions {
 };
 
 /// Server tuning knobs. The serving path itself has no switches: setup
-/// builds one delegate vector per group, closes the group's admission,
-/// then builds one threshold (one kappa launch) and one candidate set (one
-/// stage-3 launch, core/concat_batched.hpp) at the largest
-/// riding k; items answer from that set on the host or defer stage 4 to
-/// ONE batched selection launch per group (topk/batched.hpp). Every group
-/// resolves its delegate geometry through the plan cache, which tunes
-/// alpha only. Members the shared vector cannot serve — infeasible shapes,
-/// groups whose setup fell back, a k above the delegate count, a
+/// builds one delegate vector per sibling set (the groups a burst larger
+/// than batch_max opens while the first still admits), closes the set's
+/// admission, then builds one threshold (one kappa launch) and one
+/// candidate set (one stage-3 launch, core/concat_batched.hpp) at the
+/// largest riding k; items answer from that set on the host or defer
+/// stage 4 to ONE batched selection launch per group (topk/batched.hpp).
+/// Every set resolves its delegate geometry through the plan cache, which
+/// tunes alpha only. Members the shared vector cannot serve — infeasible
+/// shapes, groups whose setup fell back, a k above the delegate count, a
 /// recall-target k outside the geometry's budget — run the unshared
 /// core::dr_topk pipeline.
 /// `base` must keep the radix engines and no kappa hook: the batched
@@ -75,7 +78,9 @@ struct ObsOptions {
 /// path.
 struct ServerConfig {
   u32 executors = 2;       ///< concurrent query executors
-  u32 batch_max = 16;      ///< max queries per admission group
+  u32 batch_max = 16;      ///< max queries per admission group: each
+                           ///< group's claim cursor and finalization
+                           ///< batch; sibling groups share one setup
   u32 max_in_flight = 64;  ///< submit() blocks beyond this (backpressure)
   core::DrTopkConfig base; ///< baseline pipeline configuration
   /// Observability: per-query tracing.
@@ -172,7 +177,8 @@ class TopkServer {
   /// over the group's key width. A failed launch fails only the group's
   /// parked queries that were not yet fulfilled.
   void finalize_group(Group& g, u32 executor_id);
-  /// Returns the riding members whose k repeats another member's
+  /// Sets up g's sibling set (g is its first group). Returns the riding
+  /// members whose k repeats another member's
   /// (ServerStats::deduped_queries).
   template <class T>
   u64 setup_group_typed(Group& g, u32 executor_id);
@@ -193,9 +199,9 @@ class TopkServer {
   obs::Tracer tracer_;
   obs::Histogram* queue_wait_us_ = nullptr;  ///< admission -> claim (us)
   obs::Histogram* group_size_ = nullptr;     ///< queries per admission group
-  /// Recycled workspaces backing each group's shared delegate vector
-  /// (leases keep the pool's shared state alive, so group teardown order
-  /// is a non-issue).
+  /// Recycled workspaces backing each sibling set's shared delegate vector
+  /// and candidate set (leases keep the pool's shared state alive, so
+  /// group teardown order is a non-issue).
   vgpu::WorkspacePool group_ws_;
   /// One persistent workspace per executor thread: all per-query scratch
   /// (stages 2-4, engine buffers, plan probes) bump-allocates here.

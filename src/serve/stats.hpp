@@ -31,6 +31,10 @@ struct ServerStats {
   u64 completed = 0;
   u64 failed = 0;
   u64 groups = 0;         ///< admission groups executed
+  u64 shared_setup_groups = 0;  ///< groups answered from a sibling's setup
+                                ///< (counted in `groups` too): opened when
+                                ///< batch_max filled every admitting
+                                ///< compatible group
   u64 fused_queries = 0;  ///< queries served from a group-shared delegate
   u64 plan_hits = 0;      ///< plan-cache lookups that skipped tuning
   u64 plan_misses = 0;    ///< lookups that paid calibration probes
@@ -42,12 +46,12 @@ struct ServerStats {
                               ///< candidate segments fit one SM (the asserted
                               ///< common case), two when the multi-CTA path
                               ///< runs
-  u64 deduped_queries = 0;  ///< riding group members whose k repeats
-                            ///< another member's (every riding member
-                            ///< answers from the group's one candidate
-                            ///< set)
+  u64 deduped_queries = 0;  ///< riding members whose k repeats another
+                            ///< member's of the same sibling set (every
+                            ///< riding member answers from the set's one
+                            ///< candidate set)
   u64 concat_launches = 0;  ///< kernel launches attributed to stage 3:
-                            ///< ONE per group setup, plus whatever the
+                            ///< ONE per setup, plus whatever the
                             ///< unfused pipeline of a member the shared
                             ///< vector cannot serve launches — the stage
                             ///< the lpq gate watches
@@ -57,8 +61,9 @@ struct ServerStats {
                               ///< see topk::radix_kth_flag)
   u64 relax_guard_skips = 0;  ///< relaxed thresholds a recall target kept
                               ///< past the guard's 4k bound
-  u64 setup_fallbacks = 0;    ///< group setups that threw: their members ran
-                              ///< the unshared per-query pipeline instead
+  u64 setup_fallbacks = 0;    ///< setups that threw, one per sibling set:
+                              ///< their members ran the unshared per-query
+                              ///< pipeline instead
   u64 approx_queries = 0;     ///< queries executed under a recall target
                               ///< (FidelityPolicy not exact)
   u64 recall_samples = 0;     ///< oracle-measured recall samples recorded
@@ -107,6 +112,9 @@ class StatsCollector {
         m_failed_(reg.counter("serve_queries_failed",
                               "Queries rejected or failed")),
         m_groups_(reg.counter("serve_groups", "Admission groups executed")),
+        m_shared_setups_(reg.counter(
+            "serve_shared_setups",
+            "Admission groups answered from a sibling group's setup")),
         m_fused_(reg.counter("serve_fused_queries",
                              "Queries served from a group-shared delegate")),
         m_batched_groups_(reg.counter(
@@ -159,10 +167,12 @@ class StatsCollector {
 
   void record_failure() { m_failed_.add(); }
 
-  /// One group setup; `deduped` of its riding members repeat another
-  /// member's k.
-  void record_group(const core::StageBreakdown& setup_stages, u64 deduped) {
-    m_groups_.add();
+  /// One setup, shared by a sibling set of `groups` admission groups;
+  /// `deduped` of its riding members repeat another member's k.
+  void record_group(const core::StageBreakdown& setup_stages, u64 deduped,
+                    u64 groups) {
+    m_groups_.add(groups);
+    if (groups > 1) m_shared_setups_.add(groups - 1);
     if (deduped) m_deduped_.add(deduped);
     if (setup_stages.concat_stats.kernels_launched)
       m_concat_launches_.add(setup_stages.concat_stats.kernels_launched);
@@ -172,8 +182,8 @@ class StatsCollector {
     stages_ += setup_stages;
   }
 
-  /// One group setup that threw and left its members to the unshared
-  /// per-query pipeline.
+  /// One setup that threw and left the members of its sibling set to the
+  /// unshared per-query pipeline.
   void record_setup_fallback() { m_setup_fallbacks_.add(); }
 
   /// One group's batched finalization: `launches` selection launches
@@ -233,6 +243,7 @@ class StatsCollector {
     s.completed = m_completed_.value();
     s.failed = m_failed_.value();
     s.groups = m_groups_.value();
+    s.shared_setup_groups = m_shared_setups_.value();
     s.fused_queries = m_fused_.value();
     s.batched_groups = m_batched_groups_.value();
     s.batched_queries = m_batched_queries_.value();
@@ -281,6 +292,7 @@ class StatsCollector {
   obs::Counter& m_completed_;
   obs::Counter& m_failed_;
   obs::Counter& m_groups_;
+  obs::Counter& m_shared_setups_;
   obs::Counter& m_fused_;
   obs::Counter& m_batched_groups_;
   obs::Counter& m_batched_queries_;

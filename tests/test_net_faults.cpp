@@ -293,6 +293,127 @@ TEST(NetFaults, BackendFailuresAnswerErrorAndAreCounted) {
   EXPECT_EQ(net.in_flight(), 0u);
 }
 
+/// Pipelines one request per k over `cli` (request ids id0, id0 + 1, ...)
+/// and checks that each gets exactly one typed reply — kOk with the
+/// oracle's answer over `vs`, or kError — and that no stray reply follows
+/// (the next frame is a ping's pong). Returns the number of kError replies.
+u64 burst_typed(BlockingClient& cli, u64 id0, const std::vector<u64>& ks,
+                std::span<const u32> vs) {
+  for (size_t i = 0; i < ks.size(); ++i) {
+    TopkRequest req;
+    req.request_id = id0 + i;
+    req.k = ks[i];
+    EXPECT_TRUE(cli.send(req)) << "request " << id0 + i;
+  }
+  std::vector<int> replies(ks.size(), 0);
+  u64 errors = 0;
+  for (size_t i = 0; i < ks.size(); ++i) {
+    const auto resp = cli.recv_response();
+    if (!resp) {
+      ADD_FAILURE() << "connection closed after " << i << " replies";
+      return errors;
+    }
+    const u64 at = resp->request_id - id0;
+    if (at >= ks.size()) {
+      ADD_FAILURE() << "reply to unknown request " << resp->request_id;
+      continue;
+    }
+    ++replies[at];
+    if (resp->status == Status::kOk) {
+      const auto expect = topk::reference_topk(vs, ks[at]);
+      EXPECT_EQ(resp->values, std::vector<u64>(expect.begin(), expect.end()))
+          << "request " << resp->request_id;
+    } else {
+      EXPECT_EQ(resp->status, Status::kError)
+          << "request " << resp->request_id;
+      EXPECT_TRUE(resp->values.empty()) << "request " << resp->request_id;
+      ++errors;
+    }
+  }
+  for (size_t i = 0; i < ks.size(); ++i)
+    EXPECT_EQ(replies[i], 1) << "request " << id0 + i;
+  EXPECT_TRUE(cli.ping());
+  return errors;
+}
+
+/// The front door's value of counter `name`.
+u64 net_counter(const NetServer& net, const char* name) {
+  const obs::Counter* c = net.metrics().find_counter(name);
+  return c ? c->value() : 0;
+}
+
+/// Drives launch faults on `dev` through `net`: a construct launch that
+/// fails once leaves every reply kOk and oracle-exact (the group setup
+/// falls back), a sticky one answers every request kError and counts each
+/// in net_backend_result_errors, and once disarmed the server answers kOk
+/// again.
+void expect_typed_construct_faults(NetServer& net, vgpu::Device& dev,
+                                   std::span<const u32> vs,
+                                   const std::string& tag) {
+  BlockingClient cli;
+  ASSERT_TRUE(cli.connect(net.port())) << tag;
+  const std::vector<u64> ks = {16, 100, 100, 333};
+  EXPECT_EQ(burst_typed(cli, 100, ks, vs), 0u) << tag << " warm";
+
+  dev.fail_next_launches("construct", 1);
+  EXPECT_EQ(burst_typed(cli, 200, ks, vs), 0u) << tag << " transient";
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), 0u) << tag;
+
+  dev.fail_next_launches("construct", 1000);
+  EXPECT_EQ(burst_typed(cli, 300, ks, vs), ks.size()) << tag << " sticky";
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), ks.size())
+      << tag;
+  EXPECT_EQ(net_counter(net, "net_backend_submit_errors"), 0u) << tag;
+
+  dev.fail_next_launches("construct", 0);
+  EXPECT_EQ(burst_typed(cli, 400, ks, vs), 0u) << tag << " disarmed";
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), ks.size())
+      << tag;
+}
+
+TEST(NetFaults, LaunchFaultsBehindEachBackendAnswerTyped) {
+  const auto corpus = data::generate(1 << 16, Distribution::kUniform, 79);
+  const std::span<const u32> vs(corpus.data(), corpus.size());
+  {
+    vgpu::Device dev;  // private fault seam
+    serve::TopkServer srv(dev, {});
+    SingleBackend backend(srv);
+    backend.add_corpus(vs);
+    NetServer net(backend, {});
+    expect_typed_construct_faults(net, dev, vs, "single");
+    net.drain();
+    srv.drain();
+    EXPECT_EQ(net.in_flight(), 0u);
+  }
+  serve::ShardedConfig cfg;
+  cfg.num_shards = 2;
+  serve::ShardedTopkServer srv(cfg);
+  ShardedBackend backend(srv);
+  backend.add_corpus(vs);
+  ASSERT_EQ(srv.corpus_shards(0), 2u);
+  NetServer net(backend, {});
+  expect_typed_construct_faults(net, srv.shard_device(1), vs, "sharded");
+
+  // A failed merge launch fails the queries of its batch: each still gets
+  // one typed reply, and the errors are counted.
+  BlockingClient cli;
+  ASSERT_TRUE(cli.connect(net.port()));
+  const std::vector<u64> ks = {64, 128, 256};
+  const u64 before = net_counter(net, "net_backend_result_errors");
+  srv.merge_device().fail_next_launches("merge", 1);
+  const u64 transient = burst_typed(cli, 500, ks, vs);
+  EXPECT_GE(transient, 1u);
+  srv.merge_device().fail_next_launches("merge", 1000);
+  EXPECT_EQ(burst_typed(cli, 600, ks, vs), ks.size());
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"),
+            before + transient + ks.size());
+  srv.merge_device().fail_next_launches("merge", 0);
+  EXPECT_EQ(burst_typed(cli, 700, ks, vs), 0u);
+  net.drain();
+  srv.drain();
+  EXPECT_EQ(net.in_flight(), 0u);
+}
+
 TEST(NetFaults, ServerStopWithLiveClientsIsClean) {
   auto fx = std::make_unique<Fixture>();
   const u16 port = fx->net.port();

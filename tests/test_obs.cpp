@@ -348,6 +348,30 @@ TEST(ObsServe, ServerExportsMetricsAndTrace) {
 
   const std::string json = server.metrics_json();
   EXPECT_NE(json.find("\"serve_queries_completed\":16"), std::string::npos);
+  EXPECT_NE(prom.find("\nserve_shared_setups 0\n"), std::string::npos);
+  EXPECT_NE(json.find("\"serve_shared_setups\":0"), std::string::npos);
+
+  // A burst larger than batch_max fills group 2 and opens group 3, a
+  // sibling that shares group 2's setup: counted in serve_shared_setups
+  // and marked by one setup-shared instant carrying group 2's seq.
+  std::vector<serve::Query> burst;
+  for (int i = 0; i < 20; ++i) burst.push_back(serve::Query::view(vs, 100));
+  server.run_batch(std::move(burst));
+  server.drain();
+  EXPECT_EQ(server.stats().shared_setup_groups, 1u);
+  EXPECT_NE(server.metrics_prometheus().find("\nserve_shared_setups 1\n"),
+            std::string::npos);
+  EXPECT_NE(server.metrics_json().find("\"serve_shared_setups\":1"),
+            std::string::npos);
+  u64 shared = 0;
+  for (const auto& [lane, s] : server.tracer().snapshot()) {
+    if (std::string_view(s.name) != "setup-shared") continue;
+    ++shared;
+    EXPECT_EQ(lane, 0u);
+    EXPECT_EQ(s.group, 3u);
+    EXPECT_EQ(s.detail, "2");
+  }
+  EXPECT_EQ(shared, 1u);
 
   const std::string path = "test_obs_trace.json";
   ASSERT_TRUE(server.dump_trace(path));

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
+#include <map>
 #include <thread>
 
 #include "data/distributions.hpp"
@@ -1178,6 +1179,269 @@ TEST(Serve, Stage3OneLaunchPerWarmedGroup) {
   EXPECT_LT(lpq, 0.5);
 }
 
+/// Launches `dev` has recorded under the stage label `stage`.
+u64 stage_launches(const vgpu::Device& dev, const std::string& stage) {
+  for (const vgpu::StageStats& st : dev.stage_stats())
+    if (st.stage == stage) return st.stats.kernels_launched;
+  return 0;
+}
+
+/// A burst of `count` compatible queries for a sibling-set test: twelve
+/// distinct ks, then repeats of them; query 5 is selection-only.
+template <class T>
+std::vector<Query> sibling_burst(std::span<const T> vs, u64 count,
+                                 Criterion c) {
+  std::vector<Query> qs;
+  for (u64 i = 0; i < count; ++i)
+    qs.push_back(Query::view(vs, 16 + 20 * (i % 12), c,
+                             /*selection_only=*/i == 5));
+  return qs;
+}
+
+/// Serves sibling_burst(vs, count, c) through a warmed server with
+/// batch_max 16 and checks, per round, that the ceil(count / 16) groups
+/// the burst fills share ONE setup: one construction (plus its directed-key
+/// conversion under kSmallest, also a "construct" launch), one kappa
+/// ("first") and one stage-3 ("concat") launch, one finalize ("second")
+/// launch per group with a parked member, every answer oracle-exact and
+/// fused, and the members' latencies summing to the device's simulated
+/// time.
+template <class T>
+void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
+                                u32 executors, const std::string& tag) {
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private launch ledger
+  ServerConfig cfg;
+  cfg.executors = executors;
+  cfg.batch_max = 16;
+  TopkServer server(dev, cfg);
+  const u64 construct = topk::key_is_identity<T>(c) ? 1 : 2;
+  for (const u64 count : {u64{32}, u64{40}}) {
+    const std::vector<Query> qs = sibling_burst(vs, count, c);
+    (void)server.run_batch(qs);  // warm: plans calibrate, arenas grow
+    const u64 groups = (count + 15) / 16;
+    for (int round = 0; round < 2; ++round) {
+      const std::string at = tag + " count " + std::to_string(count) +
+                             " round " + std::to_string(round);
+      std::map<std::string, u64> before;
+      for (const char* stage : {"construct", "first", "concat", "second"})
+        before[stage] = stage_launches(dev, stage);
+      const double sim0 = dev.total_sim_ms();
+      const ServerStats s0 = server.stats();
+      const auto rs = server.run_batch(qs);
+      const ServerStats s1 = server.stats();
+      std::vector<bool> parked(groups, false);
+      double latency = 0.0;
+      for (size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(rs[i].values, oracle(qs[i])) << at << " query " << i;
+        EXPECT_TRUE(rs[i].fused) << at << " query " << i;
+        // submit_many fills the groups in order, batch_max at a time.
+        if (!rs[i].breakdown.second_skipped) parked[i / 16] = true;
+        latency += rs[i].latency_sim_ms;
+      }
+      const u64 finalizing =
+          static_cast<u64>(std::count(parked.begin(), parked.end(), true));
+      EXPECT_GE(finalizing, 1u) << at;
+      EXPECT_EQ(stage_launches(dev, "construct") - before["construct"],
+                construct)
+          << at;
+      EXPECT_EQ(stage_launches(dev, "first") - before["first"], 1u) << at;
+      EXPECT_EQ(stage_launches(dev, "concat") - before["concat"], 1u) << at;
+      EXPECT_EQ(stage_launches(dev, "second") - before["second"], finalizing)
+          << at;
+      EXPECT_EQ(s1.groups - s0.groups, groups) << at;
+      EXPECT_EQ(s1.shared_setup_groups - s0.shared_setup_groups, groups - 1)
+          << at;
+      EXPECT_EQ(s1.finalize_launches - s0.finalize_launches, finalizing)
+          << at;
+      const double device = dev.total_sim_ms() - sim0;
+      EXPECT_NEAR(latency, device, 1e-9 * device) << at;
+    }
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.failed, 0u) << tag;
+  EXPECT_EQ(s.setup_fallbacks, 0u) << tag;
+  EXPECT_EQ(dev.unattributed_launches(), 0u) << tag;
+}
+
+TEST(Serve, SiblingGroupsShareOneSetup) {
+  // A burst larger than batch_max fills one group and opens siblings of
+  // it: they claim no setup of their own, so the whole burst pays one
+  // construction, one kappa and one stage-3 launch, while each group keeps
+  // its own finalization.
+  auto v = data::generate(u64{1} << 16, Distribution::kUniform, 271);
+  plant_hot_run(v, 4096, 256);  // more candidates than any k: members park
+  std::span<const u32> vs(v.data(), v.size());
+  std::vector<u64> w(u64{1} << 15);
+  for (u64 i = 0; i < w.size(); ++i) w[i] = data::rand_u64(272, i);
+  for (const u32 executors : {1u, 3u}) {
+    const std::string ex = " executors " + std::to_string(executors);
+    expect_one_setup_per_burst<u32>(vs, Criterion::kLargest, executors,
+                                    "u32 largest" + ex);
+    expect_one_setup_per_burst<u64>(std::span<const u64>(w),
+                                    Criterion::kSmallest, executors,
+                                    "u64 smallest" + ex);
+  }
+}
+
+TEST(Serve, RecallTargetSiblingAnswersFromTheFirstGroupsGeometry) {
+  // serve-approx's corpus-0 shape at rho 0.9: a first group of 16 whose
+  // largest k is 2,474 and a sibling of 10 whose largest is 1,923. The
+  // sibling answers from the first group's delegate vector, sized at
+  // 2,474, and every member still meets its target.
+  const u64 n = u64{1} << 20;
+  auto v = data::generate(n, Distribution::kUniform, 273);
+  std::span<const u32> vs(v.data(), v.size());
+  const double rho = 0.9;
+  const std::vector<u64> first = {256, 329,  424, 545,  702, 903,
+                                  1162, 1495, 1923, 2474, 256, 545,
+                                  903,  1495, 2474, 424};
+  const std::vector<u64> sibling = {1923, 256, 329, 424, 545,
+                                    702,  903, 1162, 1495, 702};
+  std::vector<Query> qs;
+  for (const u64 k : first) qs.push_back(Query::view(vs, k).with_recall(rho));
+  for (const u64 k : sibling)
+    qs.push_back(Query::view(vs, k).with_recall(rho));
+
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private launch ledger
+  ServerConfig cfg;
+  cfg.executors = 1;
+  cfg.batch_max = 16;
+  TopkServer server(dev, cfg);
+  const auto rs = server.run_batch(qs);
+
+  core::DrTopkConfig base;
+  base.fidelity = core::FidelityPolicy::approx(rho);
+  const core::DelegateGeometry geo = core::resolve_geometry(n, 2474, base);
+  ASSERT_GE(geo.alpha, 0);
+  const std::vector<u32> top = reference_topk(vs, 2474);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const u64 k = qs[i].k;
+    EXPECT_TRUE(rs[i].fused) << i;
+    EXPECT_EQ(rs[i].breakdown.alpha, geo.alpha) << i;
+    EXPECT_EQ(rs[i].breakdown.beta, geo.beta) << i;
+    ASSERT_EQ(rs[i].values.size(), k) << i;
+    const std::vector<u64> want(top.begin(), top.begin() + k);
+    EXPECT_GE(recall_of(rs[i].values, want), rho) << i << " k=" << k;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.groups, 2u);
+  EXPECT_EQ(s.shared_setup_groups, 1u);
+  EXPECT_EQ(stage_launches(dev, "construct"), 1u);
+  EXPECT_EQ(stage_launches(dev, "first"), 1u);
+  EXPECT_EQ(s.concat_launches, 0u);
+  EXPECT_EQ(s.finalize_launches, 0u);
+}
+
+TEST(Serve, SiblingSetupFaultsFallBackOnceOrFailTyped) {
+  // A 32-query burst fills a group and its sibling. A construct, kappa
+  // ("first") or stage-3 ("concat") launch that fails once makes the ONE
+  // shared setup fall back: one serve_setup_fallbacks for both groups, and
+  // every member answers oracle-exact from its own pipeline. A sticky
+  // fault fails that pipeline too, so every future ends in the launch's
+  // typed exception. drain() returns either way, and once disarmed the
+  // next burst shares one setup again.
+  auto v = data::generate(u64{1} << 16, Distribution::kUniform, 275);
+  std::span<const u32> vs(v.data(), v.size());
+  const std::vector<Query> qs = sibling_burst(vs, 32, Criterion::kLargest);
+  for (const char* stage : {"construct", "first", "concat"}) {
+    for (const u64 count : {u64{1}, u64{1000}}) {
+      const std::string at =
+          std::string(stage) + " x" + std::to_string(count);
+      vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
+      ServerConfig cfg;
+      cfg.executors = 2;
+      cfg.batch_max = 16;
+      TopkServer server(dev, cfg);
+      (void)server.run_batch(qs);  // warm: the plan is cached
+      dev.fail_next_launches(stage, count);
+      auto futures = server.submit_many(qs);
+      server.drain();
+      for (size_t i = 0; i < qs.size(); ++i) {
+        if (count == 1) {
+          const QueryResult r = futures[i].get();
+          EXPECT_EQ(r.values, oracle(qs[i])) << at << " query " << i;
+          EXPECT_FALSE(r.fused) << at << " query " << i;
+        } else {
+          EXPECT_THROW((void)futures[i].get(), std::runtime_error)
+              << at << " query " << i;
+        }
+      }
+      ServerStats s = server.stats();
+      EXPECT_EQ(s.setup_fallbacks, 1u) << at;
+      EXPECT_EQ(s.failed, count == 1 ? 0u : qs.size()) << at;
+      EXPECT_NE(server.metrics_prometheus().find("serve_setup_fallbacks 1\n"),
+                std::string::npos)
+          << at;
+
+      dev.fail_next_launches(stage, 0);
+      const u64 constructs = stage_launches(dev, "construct");
+      const auto rs = server.run_batch(qs);
+      for (size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(rs[i].values, oracle(qs[i])) << at << " query " << i;
+        EXPECT_TRUE(rs[i].fused) << at << " query " << i;
+      }
+      EXPECT_EQ(stage_launches(dev, "construct") - constructs, 1u) << at;
+      s = server.stats();
+      EXPECT_EQ(s.setup_fallbacks, 1u) << at;
+    }
+  }
+}
+
+TEST(Serve, StreamedJoinerOpensASiblingWhileTheFirstGroupSetsUp) {
+  // A full group's setup is in flight when one more compatible query
+  // arrives: it opens a sibling instead of an independent group, so the
+  // set's one setup covers it (one construct launch, plan key at the
+  // snapshot's k) — and when that setup's construct launch fails, the
+  // joiner falls back with the rest, counted once. Arrival order is a
+  // race, so each case repeats until the joiner arrived after the setup
+  // snapshot (a cold setup calibrates for milliseconds first).
+  const u64 n = u64{1} << 18;
+  auto v = data::generate(n, Distribution::kUniform, 277);
+  std::span<const u32> vs(v.data(), v.size());
+  std::vector<Query> burst;
+  for (u64 i = 0; i < 16; ++i) burst.push_back(Query::view(vs, 8 * (i + 1)));
+  const Query joiner = Query::view(vs, 200);
+  for (const bool fault : {false, true}) {
+    bool seen = false;
+    for (int attempt = 0; attempt < 20 && !seen; ++attempt) {
+      const std::string at = std::string(fault ? "fault" : "clean") +
+                             " attempt " + std::to_string(attempt);
+      vgpu::Device dev(vgpu::GpuProfile::v100s());  // private launch ledger
+      ServerConfig cfg;
+      cfg.executors = 1;
+      cfg.batch_max = 16;
+      TopkServer server(dev, cfg);
+      if (fault) dev.fail_next_launches("construct", 1);
+      auto futures = server.submit_many(burst);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      futures.push_back(server.submit(joiner));
+      for (size_t i = 0; i < futures.size(); ++i) {
+        const Query& q = i < burst.size() ? burst[i] : joiner;
+        const QueryResult r = futures[i].get();
+        ASSERT_EQ(r.values, oracle(q)) << at << " query " << i;
+        EXPECT_EQ(r.fused, !fault) << at << " query " << i;
+      }
+      server.drain();
+      const ServerStats s = server.stats();
+      const auto plans = server.plan_cache().entries();
+      const bool after_snapshot =
+          s.shared_setup_groups == 1 && plans.size() == 1 &&
+          plans.front().first ==
+              PlanCache::make_key(vs, 128, Criterion::kLargest);
+      if (!after_snapshot) continue;
+      seen = true;
+      EXPECT_EQ(s.groups, 2u) << at;
+      EXPECT_EQ(s.setup_fallbacks, fault ? 1u : 0u) << at;
+      EXPECT_EQ(s.failed, 0u) << at;
+      if (!fault) {
+        EXPECT_EQ(stage_launches(dev, "construct"), 1u) << at;
+      }
+    }
+    EXPECT_TRUE(seen) << (fault ? "fault" : "clean")
+                      << ": no joiner opened a sibling after the snapshot";
+  }
+}
+
 TEST(Serve, RelaxationGuardTripsAreCountedAndExported) {
   // All-equal data makes every delegate >= kappa, so the per-query path's
   // Section 4.3 relaxation guard must fire (taken_total > 4k), be counted
@@ -1253,7 +1517,7 @@ TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
   ASSERT_TRUE(q.next(setup1));
   ASSERT_TRUE(setup1.needs_setup);
   const std::shared_ptr<Group> g1 = setup1.group;
-  EXPECT_EQ(g1->setup_ks, std::vector<u64>{10});
+  EXPECT_EQ(g1->setup->ks, std::vector<u64>{10});
 
   // Setup claimed, vector not built yet: a compatible query joins.
   auto f2 = q.submit(Query::view(vs, 20));
@@ -1271,7 +1535,7 @@ TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
   ASSERT_TRUE(setup2.needs_setup);
   const std::shared_ptr<Group> g2 = setup2.group;
   ASSERT_NE(g2, g1);
-  EXPECT_EQ(g2->setup_ks, std::vector<u64>{30});
+  EXPECT_EQ(g2->setup->ks, std::vector<u64>{30});
 
   // publish closes a group still admitting (a direct shape, a setup that
   // threw): its one item becomes claimable and the next query opens a
@@ -1290,8 +1554,72 @@ TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
   ASSERT_TRUE(setup3.needs_setup);
   EXPECT_NE(setup3.group, g1);
   EXPECT_NE(setup3.group, g2);
-  EXPECT_EQ(setup3.group->setup_ks, std::vector<u64>{40});
+  EXPECT_EQ(setup3.group->setup->ks, std::vector<u64>{40});
   EXPECT_EQ(q.in_flight(), 4u);
+}
+
+TEST(AdmissionQueue, FullGroupsOpenSiblingsThatShareOneSetup) {
+  // Deterministic, with no executor thread: a query that finds the
+  // admitting group full opens a sibling sharing its setup; the one setup
+  // claim snapshots every sibling's ks, siblings never claim a setup, the
+  // close freezes them all and returns every member's k, a later query
+  // opens an independent group, and publish makes every sibling runnable.
+  auto v = data::generate(1 << 12, Distribution::kUniform, 213);
+  std::span<const u32> vs(v.data(), v.size());
+  AdmissionQueue q(/*batch_max=*/2, /*max_in_flight=*/64);
+
+  std::vector<std::future<QueryResult>> fs;
+  for (const u64 k : {10, 20, 30}) fs.push_back(q.submit(Query::view(vs, k)));
+  AdmissionQueue::Claim setup;
+  ASSERT_TRUE(q.next(setup));
+  ASSERT_TRUE(setup.needs_setup);
+  const std::shared_ptr<Group> g1 = setup.group;
+  const std::shared_ptr<SharedSetup> shared = g1->setup;
+  EXPECT_EQ(g1->items.size(), 2u);
+  EXPECT_EQ(shared->ks, (std::vector<u64>{10, 20, 30}));
+  ASSERT_EQ(shared->siblings.size(), 2u);
+  Group* g2 = shared->siblings[1];
+  EXPECT_EQ(g2->setup, shared);
+  EXPECT_EQ(g2->items.size(), 1u);
+
+  // While the setup runs, the youngest sibling takes a joiner, and a full
+  // one opens a third sibling.
+  for (const u64 k : {40, 50}) fs.push_back(q.submit(Query::view(vs, k)));
+  ASSERT_EQ(shared->siblings.size(), 3u);
+  EXPECT_EQ(g2->items.size(), 2u);
+  EXPECT_EQ(shared->siblings[2]->items.size(), 1u);
+
+  EXPECT_EQ(q.close_admission(*g1),
+            (std::vector<u64>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(g1->final_items, 2u);
+  EXPECT_EQ(g2->final_items, 2u);
+  EXPECT_EQ(shared->siblings[2]->final_items, 1u);
+  EXPECT_EQ(shared->groups, 3u);
+  EXPECT_EQ(shared->items, 5u);
+  EXPECT_TRUE(q.close_admission(*g1).empty());  // already closed
+
+  // Closed: the next compatible query opens an independent group, whose
+  // setup is the next claim — no sibling claimed one before it.
+  fs.push_back(q.submit(Query::view(vs, 60)));
+  AdmissionQueue::Claim other;
+  ASSERT_TRUE(q.next(other));
+  ASSERT_TRUE(other.needs_setup);
+  EXPECT_NE(other.group->setup, shared);
+  EXPECT_EQ(other.group->setup->ks, std::vector<u64>{60});
+
+  // publish: every sibling's items become claimable, in FIFO order.
+  q.publish(g1);
+  EXPECT_TRUE(shared->siblings.empty());
+  std::vector<u64> claimed;
+  for (int i = 0; i < 5; ++i) {
+    AdmissionQueue::Claim item;
+    ASSERT_TRUE(q.next(item));
+    ASSERT_FALSE(item.needs_setup);
+    EXPECT_EQ(item.group->setup, shared);
+    claimed.push_back(item.item->query.k);
+  }
+  EXPECT_EQ(claimed, (std::vector<u64>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(q.in_flight(), 6u);
 }
 
 TEST(Serve, ConstructorRejectsBasesTheBatchedStagesCannotServe) {
