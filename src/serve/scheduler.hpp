@@ -1,33 +1,34 @@
 // Admission scheduling for the top-k server.
 //
-// Submitted queries are admitted into *groups*: a query joins the youngest
-// queued group that still admits and whose compatibility signature (data
-// identity, length, key width, criterion, fidelity) matches, up to
-// batch_max queries. When every admitting compatible group is full, the
-// query opens a *sibling* of them; with none admitting it opens a new,
-// independent group. Groups queue FIFO.
+// Submitted queries are admitted into *groups* of at most batch_max
+// queries: a query joins the queued group that still admits and whose
+// compatibility signature (data identity, length, key width, criterion,
+// fidelity) matches; with none admitting it opens a new group. Groups
+// queue FIFO. When that group is full, the query opens a *sibling* group
+// of it instead of an independent one: the groups of one signature opened
+// while the first of them still admits form one *sibling set*, which
+// shares everything but its admission count — one setup, one claim cursor
+// and one batched finalization. So a Group here holds a whole sibling set
+// (Group::groups counts the admission groups in it, each holding batch_max
+// members in admission order but the youngest), and batch_max sets how
+// many admission groups a burst reports (ServerStats::groups,
+// serve_group_size), not how many queries share a setup. Executors claim
+// work with set-granular setup (one executor resolves the plan, builds the
+// shared delegate vector and the set's one candidate set) followed by
+// query-granular stealing: once a set's setup is published, *any* executor
+// can claim its next unclaimed query via the set's cursor, so a large
+// batch is drained cooperatively rather than pinned to one executor.
 //
-// Siblings — the groups of one signature opened while the first of them
-// still admits — share ONE setup (SharedSetup): the first group's setup
-// executor resolves the plan, builds the shared delegate vector and the
-// one candidate set for the members of every sibling, and siblings never
-// claim a setup of their own. batch_max still caps each group, which is
-// what its claim cursor and its batched finalization cover. Once the
-// setup is published, *any* executor can claim the next unclaimed query
-// of any sibling via that group's cursor (query-granular stealing), so a
-// large batch is drained cooperatively rather than pinned to one
-// executor.
-//
-// A sibling set admits until its setup has built the shared delegate
-// vector — the construction pass is the expensive window worth
-// amortizing, so a client streaming compatible queries one at a time
-// joins the set whose construction is in flight. Setup then closes
-// admission (close_admission) on every sibling at once and runs stages 2-3
-// once, at the largest k among all their members: one kappa launch and one
-// stage-3 launch whose candidate set answers every member; a query
-// arriving after the close opens a new, independent group. publish()
-// closes a set that is still admitting (a direct shape, a setup that
-// threw). Items live in a deque, so references handed to executors stay
+// A set admits until its setup has built the shared delegate vector — the
+// construction pass is the expensive window worth amortizing, so a client
+// streaming compatible queries one at a time joins the set whose
+// construction is in flight. Setup then closes admission
+// (close_admission) and runs stages 2-3 once, at the largest k among the
+// members: one kappa launch and one stage-3 launch whose candidate set
+// answers every member; a query arriving after the close opens a new,
+// independent group. publish() closes a set that is still admitting (a
+// direct shape, a setup that threw). The in-flight bound caps a set's
+// size. Items live in a deque, so references handed to executors stay
 // valid across admissions; every deque traversal happens under the queue
 // mutex.
 //
@@ -65,14 +66,14 @@ struct Pending {
 };
 
 /// A riding member parked for batched finalization: its candidate span is
-/// the sibling set's one candidate set (memory of the shared setup's
-/// arena, shared by every parked member); stage 4 runs once for the whole
-/// group, fulfilling every parked promise.
+/// the set's one candidate set (group-arena memory, shared by every parked
+/// member); stage 4 runs once for the whole set, fulfilling every parked
+/// promise.
 template <class K>
 struct DeferredItem {
   Pending* item = nullptr;
   QueryResult out;          ///< partial result: latency/breakdown to stage 3
-  std::span<const K> cand;  ///< candidate span (shared-setup arena memory)
+  std::span<const K> cand;  ///< candidate span (group-arena memory)
   u64 k = 0;
   data::Criterion criterion = data::Criterion::kLargest;
   bool selection_only = false;
@@ -80,78 +81,9 @@ struct DeferredItem {
                        ///< deferred-park span runs from here to finalize)
 };
 
-struct Group;
-
-/// The setup one sibling set shares: its admission state, guarded by the
-/// owning queue's mutex, and the product of the first group's setup —
-/// plan, arena lease, delegate vector, candidate set and setup simulated
-/// time — written single-threaded by the setup executor before publish and
-/// read-only afterwards. Every sibling holds it by shared_ptr, so the arena
-/// behind the candidate set outlives the last parked span of any sibling.
-struct SharedSetup {
-  // Scheduling state, guarded by the owning queue's mutex.
-  bool admitting = true;   ///< compatible queries may join a sibling
-  bool claimed = false;    ///< an executor claimed the setup
-  bool runnable = false;   ///< setup published; items may be claimed
-  /// The set's groups in opening order, the first group first. A group
-  /// leaves the queue only after publish, so the pointers are valid until
-  /// publish, which clears the list.
-  std::vector<Group*> siblings;
-  std::vector<u64> ks;  ///< the ks of every sibling's members present at
-                        ///< claim: they size the plan key, calibration and
-                        ///< delegate vector
-  Query query;          ///< snapshot for the setup's data access
-  /// Frozen when admission closed; written under the queue mutex before
-  /// publish, so every item claim observes them.
-  u64 groups = 0;  ///< sibling groups in the set
-  u64 items = 0;   ///< members across every sibling: each riding member
-                   ///< carries setup_sim_ms / items of the setup
-
-  // Execution state, written single-threaded during setup, read-only after
-  // `runnable` is published.
-  core::ExecPlan plan;
-  bool plan_resolved = false;  ///< plan lookup/calibration completed
-  bool plan_hit = false;
-  PlanKey plan_key;            ///< cache key, for workspace feedback
-  u64 plan_exec_ws = 0;        ///< recorded per-query peak: every executor
-                               ///< claiming an item presizes to it first
-  bool has_delegates = false;  ///< shared construction succeeded
-  /// Backing storage for the shared delegate vector, the directed keys
-  /// and the candidate set: a pooled workspace leased for the set's
-  /// lifetime and recycled (capacity retained) when the last sibling is
-  /// released — steady state leases are allocation-free.
-  vgpu::WorkspacePool::Lease ws;
-  core::DelegateVector<u32> dv32;
-  core::DelegateVector<u64> dv64;
-  double setup_sim_ms = 0.0;  ///< construction + kappa + stage 3, shared by
-                              ///< every member (amortized into latency)
-  core::StageBreakdown setup_stages;
-
-  /// The set's one stage-2/3 result, built at kride — the largest k among
-  /// the members that ride the shared delegate vector. Setup selected the
-  /// exact kride-th delegate as kappa in one launch and classified and
-  /// concatenated once against it, so every riding member answers from
-  /// this one candidate set (Rule 2: kappa only falls as k grows, so the
-  /// set holds every smaller member's answer) and launches nothing: it pads
-  /// on the host when the set holds at most k keys, takes a k-prefix of a
-  /// sorted set, and otherwise parks a DeferredItem on the set's span, which
-  /// its group's batched finalization sorts once for every parked member.
-  /// Only the span matching the set's key width is set.
-  struct CandidateSet {
-    u64 kappa = 0;          ///< the stage-2 threshold; pads a short answer
-    u64 taken_total = 0;    ///< taken delegates (breakdown metadata)
-    u64 qualified = 0;      ///< Rule-3 qualified subranges
-    bool sorted = false;    ///< the top-kride of a recall-target set's
-                            ///< delegates, best first
-    std::span<const u32> cand32;
-    std::span<const u64> cand64;
-  };
-  std::optional<CandidateSet> candidates;
-};
-
-/// One admission group: up to batch_max compatible queries, the shared
-/// setup of its sibling set, and the group's own claim cursor and parked
-/// members, which one batched finalization per group serves.
+/// One sibling set: the compatible queries of its admission groups plus
+/// the shared execution state the setup phase publishes (plan + optional
+/// shared delegate vector).
 struct Group {
   // Compatibility signature.
   const void* data_id = nullptr;
@@ -163,20 +95,72 @@ struct Group {
   /// different stage-3 treatment, and the shared setup is fidelity-wide.
   core::FidelityPolicy fidelity;
 
-  u64 seq = 0;  ///< admission order (1-based); trace span grouping
+  u64 seq = 0;  ///< the first group's admission order (1-based); trace
+                ///< span grouping for every member of the set
+  /// Admission groups in the set: the first plus the siblings opened each
+  /// time the youngest reached batch_max members. Final once admission
+  /// closed (guarded by the owning queue's mutex until then).
+  u64 groups = 1;
 
   // Deque: stable element references under late admission (push_back).
   std::deque<Pending> items;
 
-  /// Shared with every sibling; never null.
-  std::shared_ptr<SharedSetup> setup;
-
   // Scheduling state, guarded by the owning queue's mutex.
-  u64 next = 0;  ///< stealing cursor: next unclaimed item
+  bool admitting = true;       ///< new compatible queries may join
+  bool setup_claimed = false;  ///< one executor is resolving plan/delegates
+  bool runnable = false;       ///< setup published; items may be claimed
+  u64 next = 0;                ///< stealing cursor: next unclaimed item
+  std::vector<u64> setup_ks;   ///< ks of the items present at claim: they
+                               ///< size the plan key, calibration and
+                               ///< delegate vector
+  Query setup_query;           ///< snapshot for the setup's data access
   /// items.size() frozen when admission closed; written under the queue
-  /// mutex before publish, so every item claim observes it.
+  /// mutex before publish, so every item claim observes it. Each riding
+  /// member carries setup_sim_ms / final_items of the setup, and the member
+  /// that completes the count finalizes the set.
   u64 final_items = 0;
 
+  // Execution state, written single-threaded during setup, read-only after
+  // `runnable` is published.
+  core::ExecPlan plan;
+  bool plan_resolved = false;  ///< plan lookup/calibration completed
+  bool plan_hit = false;
+  PlanKey plan_key;            ///< cache key, for workspace feedback
+  u64 plan_exec_ws = 0;        ///< recorded per-query peak: every executor
+                               ///< claiming an item presizes to it first
+  bool has_delegates = false;  ///< shared construction succeeded
+  /// Backing storage for the set-shared delegate vector, directed keys and
+  /// candidate set: a pooled workspace leased at setup and recycled
+  /// (capacity retained) before the set's last answer is delivered, once no
+  /// member reads it — steady state leases are allocation-free.
+  vgpu::WorkspacePool::Lease ws;
+  core::DelegateVector<u32> dv32;
+  core::DelegateVector<u64> dv64;
+  double setup_sim_ms = 0.0;  ///< construction + kappa + stage 3, shared
+                              ///< by the whole set (amortized into latency)
+  core::StageBreakdown setup_stages;
+
+  /// The set's one stage-2/3 result, built at kride — the largest k among
+  /// the members that ride the shared delegate vector. Setup selected the
+  /// exact kride-th delegate as kappa in one launch and classified and
+  /// concatenated once against it, so every riding member answers from
+  /// this one candidate set (Rule 2: kappa only falls as k grows, so the
+  /// set holds every smaller member's answer) and launches nothing: it pads
+  /// on the host when the set holds at most k keys, takes a k-prefix of a
+  /// sorted set, and otherwise parks a DeferredItem on the set's span, which
+  /// the batched finalization sorts once for every parked member of every
+  /// sibling. Written single-threaded before publish; read-only afterwards.
+  /// Only the span matching the set's key width is set.
+  struct CandidateSet {
+    u64 kappa = 0;          ///< the stage-2 threshold; pads a short answer
+    u64 taken_total = 0;    ///< taken delegates (breakdown metadata)
+    u64 qualified = 0;      ///< Rule-3 qualified subranges
+    bool sorted = false;    ///< the top-kride of a recall-target set's
+                            ///< delegates, best first
+    std::span<const u32> cand32;
+    std::span<const u64> cand64;
+  };
+  std::optional<CandidateSet> shared;
   /// Guards the deferred lists and the executed counter (executors park
   /// phase-A results concurrently).
   std::mutex batch_mu;
@@ -238,36 +222,30 @@ class AdmissionQueue {
     return futures;
   }
 
-  /// One unit of executor work: a group to set up, or one of its items.
+  /// One unit of executor work: a set to set up, or one of its items.
   struct Claim {
     std::shared_ptr<Group> group;
     Pending* item = nullptr;  ///< valid when !needs_setup
     bool needs_setup = false;
   };
 
-  /// Blocks for the next unit of work: either a sibling set needing setup
-  /// or an unclaimed query of a runnable group (stealing across groups in
-  /// FIFO order). Returns false when stopped and fully drained of
-  /// claimables.
+  /// Blocks for the next unit of work: either a set needing setup or an
+  /// unclaimed query of a runnable set (stealing across sets in FIFO
+  /// order). Returns false when stopped and fully drained of claimables.
   bool next(Claim& out) {
     std::unique_lock lk(mu_);
     for (;;) {
       for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         Group& g = **it;
-        SharedSetup& s = *g.setup;
-        if (!s.claimed) {
-          // The first group of a set precedes its siblings in the FIFO and
-          // stays queued until published, so it is the one claimed here:
-          // the snapshot covers the members of every sibling.
-          s.claimed = true;
-          for (const Group* sib : s.siblings)
-            for (const Pending& p : sib->items) s.ks.push_back(p.query.k);
-          s.query = g.items.front().query;
+        if (!g.setup_claimed) {
+          g.setup_claimed = true;
+          for (const Pending& p : g.items) g.setup_ks.push_back(p.query.k);
+          g.setup_query = g.items.front().query;
           out.group = *it;
           out.needs_setup = true;
           return true;
         }
-        if (s.runnable && g.next < g.items.size()) {
+        if (g.runnable && g.next < g.items.size()) {
           out.group = *it;
           const u64 index = g.next++;
           out.item = &g.items[index];
@@ -283,27 +261,24 @@ class AdmissionQueue {
     }
   }
 
-  /// Ends admission for g's whole sibling set: later compatible queries
-  /// open a new, independent group. Freezes every sibling's final_items
-  /// and SharedSetup::groups / items, and returns every member's k across
-  /// the siblings, in admission order within each group. The setup calls
-  /// it once the shared delegate vector is built; publish() calls it for a
-  /// set still admitting. A set already closed returns no ks.
+  /// Ends a set's admission: later compatible queries open a new,
+  /// independent group. Freezes Group::final_items and Group::groups and
+  /// returns every member's k, in admission order. The setup calls it once
+  /// the shared delegate vector is built, and again on every path before
+  /// it records the set; publish() calls it for a set still admitting. A
+  /// set already closed returns no ks.
   std::vector<u64> close_admission(Group& g) {
     std::lock_guard lk(mu_);
-    return close_locked(*g.setup);
+    return close_locked(g);
   }
 
-  /// Publishes a sibling set's setup (closing its admission if the setup
-  /// did not): the items of every sibling become claimable by any
-  /// executor.
+  /// Publishes a set's setup (closing its admission if the setup did not);
+  /// its items become claimable by any executor.
   void publish(const std::shared_ptr<Group>& g) {
     {
       std::lock_guard lk(mu_);
-      SharedSetup& s = *g->setup;
-      (void)close_locked(s);
-      s.runnable = true;
-      s.siblings.clear();  // groups may leave the queue from here on
+      (void)close_locked(*g);
+      g->runnable = true;
     }
     work_cv_.notify_all();
   }
@@ -340,21 +315,18 @@ class AdmissionQueue {
 
  private:
   /// close_admission with mu_ held.
-  std::vector<u64> close_locked(SharedSetup& s) {
+  std::vector<u64> close_locked(Group& g) {
+    if (!g.admitting) return {};
+    g.admitting = false;
+    g.final_items = g.items.size();
     std::vector<u64> ks;
-    if (!s.admitting) return ks;
-    s.admitting = false;
-    s.groups = s.siblings.size();
-    for (Group* sib : s.siblings) {
-      sib->final_items = sib->items.size();
-      s.items += sib->final_items;
-      for (const Pending& p : sib->items) ks.push_back(p.query.k);
-    }
+    ks.reserve(g.items.size());
+    for (const Pending& p : g.items) ks.push_back(p.query.k);
     return ks;
   }
 
-  /// Admission core (mu_ held): join the youngest admitting group, open a
-  /// sibling of it when it is full, or start a new sibling set.
+  /// Admission core (mu_ held): join the admitting set (opening a sibling
+  /// group when its youngest group is full) or start a new one.
   std::future<QueryResult> admit_locked(Query q) {
     ++in_flight_;
     Pending p;
@@ -365,24 +337,34 @@ class AdmissionQueue {
     if (tracer_) p.enqueue_ts_us = tracer_->now_us();
     auto fut = p.promise.get_future();
 
-    // Youngest-first scan over the queued groups still admitting, so
+    // Youngest-first scan over the queued sets still admitting, so
     // interleaved streams — e.g. round-robin over several corpora — still
     // coalesce per corpus instead of opening a singleton group each time.
-    // At most one set per signature admits (a new set opens only when none
-    // does), and a sibling opens only once every older one is full, so the
-    // youngest admitting compatible group is the only one with room.
-    Group* youngest = nullptr;
+    // A new set opens only when no compatible one admits, so at most one
+    // per signature does.
+    Group* host = nullptr;
     for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-      if ((*it)->setup->admitting && (*it)->compatible(p.query)) {
-        youngest = it->get();
+      if ((*it)->admitting && (*it)->compatible(p.query)) {
+        host = it->get();
         break;
       }
     }
     const u64 qid = p.id;
     u64 gseq = 0;
-    if (youngest && youngest->items.size() < batch_max_) {
-      gseq = youngest->seq;
-      youngest->items.push_back(std::move(p));
+    if (host) {
+      gseq = host->seq;
+      if (host->items.size() == host->groups * batch_max_) {
+        // The youngest group is full: open a sibling, which shares the
+        // set's setup instead of paying one of its own.
+        ++host->groups;
+        const u64 sib = ++group_seq_;
+        if (tracer_ && tracer_->enabled()) {
+          tracer_->instant(0, "group-open", qid, sib);
+          tracer_->instant(0, "setup-shared", qid, sib,
+                           std::to_string(host->seq));
+        }
+      }
+      host->items.push_back(std::move(p));
     } else {
       auto g = std::make_shared<Group>();
       g->seq = ++group_seq_;
@@ -392,17 +374,9 @@ class AdmissionQueue {
       g->width = p.query.width();
       g->criterion = p.query.criterion;
       g->fidelity = p.query.fidelity;
-      g->setup =
-          youngest ? youngest->setup : std::make_shared<SharedSetup>();
-      g->setup->siblings.push_back(g.get());
       g->items.push_back(std::move(p));
-      if (tracer_ && tracer_->enabled()) {
-        tracer_->instant(0, "group-open", qid, gseq);
-        if (youngest)
-          tracer_->instant(0, "setup-shared", qid, gseq,
-                           std::to_string(g->setup->siblings.front()->seq));
-      }
       queue_.push_back(std::move(g));
+      if (tracer_) tracer_->instant(0, "group-open", qid, gseq);
     }
     if (tracer_) tracer_->instant(0, "enqueue", qid, gseq);
     return fut;

@@ -11,15 +11,15 @@
 //
 //   submit() -> AdmissionQueue (bounded, backpressure)
 //            -> admission groups of at most batch_max compatible queries;
-//               a burst that fills one opens siblings that share its setup
-//            -> executor threads claim work: one resolves the sibling
-//               set's plan via the PlanCache (calibrated alpha, skipping
-//               the tuner on hits), builds ONE shared delegate vector for
-//               every sibling, closes the set's admission and builds ONE
-//               candidate set at the largest k of all their members; then
-//               all executors cooperatively drain the siblings' queries on
-//               the shared Device (whose thread pool multiplexes the
-//               kernels).
+//               a burst that fills one opens siblings of it, and the
+//               siblings form one set that shares everything below
+//            -> executor threads claim work: one resolves the set's plan
+//               via the PlanCache (calibrated alpha, skipping the tuner on
+//               hits), builds ONE shared delegate vector for the whole
+//               set, closes the set's admission and builds ONE candidate
+//               set at the set's largest k; then all executors
+//               cooperatively drain the set's queries on the shared
+//               Device (whose thread pool multiplexes the kernels).
 //
 // Batching wins because delegate construction — the dominant stage of the
 // pipeline (Figure 15) — is paid once per sibling set instead of once per
@@ -28,12 +28,14 @@
 // largest k among the members (kappa only falls as k grows, so that
 // candidate set holds every smaller member's answer): a member pads it on
 // the host when it holds at most k keys, and otherwise parks on it, and the
-// executor that finishes a group's last item sorts it once for every parked
-// member of that group in ONE batched launch. A member the shared vector
-// cannot serve runs the unshared core::dr_topk pipeline.
+// executor that finishes the set's last item sorts it once for every
+// parked member in ONE batched launch. A member the shared vector cannot
+// serve runs the unshared core::dr_topk pipeline.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
+#include <exception>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -61,15 +63,15 @@ struct ObsOptions {
 };
 
 /// Server tuning knobs. The serving path itself has no switches: setup
-/// builds one delegate vector per sibling set (the groups a burst larger
-/// than batch_max opens while the first still admits), closes the set's
-/// admission, then builds one threshold (one kappa launch) and one
-/// candidate set (one stage-3 launch, core/concat_batched.hpp) at the
+/// builds one delegate vector per sibling set (an admission group and the
+/// siblings a burst past batch_max opens while it still admits), closes
+/// the set's admission, then builds one threshold (one kappa launch) and
+/// one candidate set (one stage-3 launch, core/concat_batched.hpp) at the
 /// largest riding k; items answer from that set on the host or defer
-/// stage 4 to ONE batched selection launch per group (topk/batched.hpp).
+/// stage 4 to ONE batched selection launch per set (topk/batched.hpp).
 /// Every set resolves its delegate geometry through the plan cache, which
 /// tunes alpha only. Members the shared vector cannot serve — infeasible
-/// shapes, groups whose setup fell back, a k above the delegate count, a
+/// shapes, sets whose setup fell back, a k above the delegate count, a
 /// recall-target k outside the geometry's budget — run the unshared
 /// core::dr_topk pipeline.
 /// `base` must keep the radix engines and no kappa hook: the batched
@@ -78,9 +80,9 @@ struct ObsOptions {
 /// path.
 struct ServerConfig {
   u32 executors = 2;       ///< concurrent query executors
-  u32 batch_max = 16;      ///< max queries per admission group: each
-                           ///< group's claim cursor and finalization
-                           ///< batch; sibling groups share one setup
+  u32 batch_max = 16;      ///< max queries per admission group; a burst
+                           ///< past it opens siblings that share the
+                           ///< first group's setup and finalization
   u32 max_in_flight = 64;  ///< submit() blocks beyond this (backpressure)
   core::DrTopkConfig base; ///< baseline pipeline configuration
   /// Observability: per-query tracing.
@@ -128,7 +130,7 @@ class TopkServer {
   /// serve_recall_measured_bp histogram.
   void record_recall(double recall) { collector_.record_recall(recall); }
 
-  /// Total arena growths (heap blocks acquired) across every executor
+  /// Total arena growths (blocks acquired) across every executor
   /// workspace and the group workspace pool. A warmed-up server serving
   /// recurring shapes must not increase this — the allocation-regression
   /// test asserts exactly that. Call while the server is quiescent.
@@ -167,19 +169,26 @@ class TopkServer {
  private:
   void executor_loop(u32 executor_id);
   void setup_group(Group& g, u32 executor_id);
-  void execute_item(Group& g, Pending& p, u32 executor_id);
-  /// Marks one item executed. The executor whose item completes the group
-  /// finalizes every parked (deferred) query of it before returning, so
-  /// the caller releases the item's in-flight slot only after that — drain()
-  /// may not observe an idle queue with unfulfilled promises.
-  void maybe_finalize_group(Group& g, u32 executor_id);
+  /// A member's answer, held until complete_item delivers it; empty when
+  /// the member parked (its set's finalization answers it).
+  struct Answer {
+    std::optional<QueryResult> result;
+    std::exception_ptr error;
+  };
+  Answer execute_item(Group& g, Pending& p, u32 executor_id);
+  /// Marks one item of g's set executed and delivers its answer. The
+  /// executor whose item completes the set returns the set's arena to the
+  /// pool before the set's last answer is delivered, and finalizes every
+  /// parked (deferred) query of the set before returning, so the caller
+  /// releases the item's in-flight slot only after that — drain() may not
+  /// observe an idle queue with unfulfilled promises.
+  void complete_item(Group& g, Pending& p, Answer a, u32 executor_id);
   /// Finalizes a completed group's parked queries in one batched launch
   /// over the group's key width. A failed launch fails only the group's
   /// parked queries that were not yet fulfilled.
   void finalize_group(Group& g, u32 executor_id);
-  /// Sets up g's sibling set (g is its first group). Returns the riding
-  /// members whose k repeats another member's
-  /// (ServerStats::deduped_queries).
+  /// Sets up g's whole sibling set. Returns the riding members whose k
+  /// repeats another member's (ServerStats::deduped_queries).
   template <class T>
   u64 setup_group_typed(Group& g, u32 executor_id);
   template <class T>
@@ -199,9 +208,9 @@ class TopkServer {
   obs::Tracer tracer_;
   obs::Histogram* queue_wait_us_ = nullptr;  ///< admission -> claim (us)
   obs::Histogram* group_size_ = nullptr;     ///< queries per admission group
-  /// Recycled workspaces backing each sibling set's shared delegate vector
-  /// and candidate set (leases keep the pool's shared state alive, so
-  /// group teardown order is a non-issue).
+  /// Recycled workspaces backing each set's shared delegate vector and
+  /// candidate set (leases keep the pool's shared state alive, so group
+  /// teardown order is a non-issue).
   vgpu::WorkspacePool group_ws_;
   /// One persistent workspace per executor thread: all per-query scratch
   /// (stages 2-4, engine buffers, plan probes) bump-allocates here.

@@ -38,10 +38,11 @@ struct ServerStats {
   u64 fused_queries = 0;  ///< queries served from a group-shared delegate
   u64 plan_hits = 0;      ///< plan-cache lookups that skipped tuning
   u64 plan_misses = 0;    ///< lookups that paid calibration probes
-  u64 batched_groups = 0;   ///< groups finalized with a batched second top-k
+  u64 batched_groups = 0;   ///< sibling sets finalized with a batched second
+                            ///< top-k (one per set with a parked member)
   u64 batched_queries = 0;  ///< queries whose stage 4 ran inside a batched
                             ///< finalization
-  u64 finalize_launches = 0;  ///< selection launches spent finalizing groups:
+  u64 finalize_launches = 0;  ///< selection launches spent finalizing sets:
                               ///< exactly one per finalization when the
                               ///< candidate segments fit one SM (the asserted
                               ///< common case), two when the multi-CTA path
@@ -119,13 +120,13 @@ class StatsCollector {
                              "Queries served from a group-shared delegate")),
         m_batched_groups_(reg.counter(
             "serve_batched_groups",
-            "Groups finalized with a batched second top-k")),
+            "Sibling sets finalized with a batched second top-k")),
         m_batched_queries_(reg.counter(
             "serve_batched_queries",
             "Queries finalized inside a batched second top-k")),
         m_finalize_launches_(reg.counter(
             "serve_finalize_launches",
-            "Selection launches spent finalizing groups")),
+            "Selection launches spent finalizing sibling sets")),
         m_deduped_(reg.counter(
             "serve_deduped_queries",
             "Riding group members whose k repeats another member's")),
@@ -186,7 +187,7 @@ class StatsCollector {
   /// unshared per-query pipeline.
   void record_setup_fallback() { m_setup_fallbacks_.add(); }
 
-  /// One group's batched finalization: `launches` selection launches
+  /// One sibling set's batched finalization: `launches` selection launches
   /// served its `queries` deferred queries. The kernel counters land in
   /// the aggregate second-stage stats once (per-query breakdowns carry only
   /// their sim-ms share, so the aggregate stays double-count-free).

@@ -20,7 +20,7 @@
 // steady-state contract testable:
 //
 //   * allocs()            — alloc<T>() calls served (cheap, informational)
-//   * growths()           — heap blocks acquired; a warmed-up serving path
+//   * growths()           — blocks acquired; a warmed-up serving path
 //                           must not increase this (the allocation-
 //                           regression test asserts exactly that)
 //   * high_water_bytes()  — peak bytes in use; recorded per plan by
@@ -33,12 +33,16 @@
 // convenience fallback for ad-hoc callers (tests, examples, benches).
 #pragma once
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -53,6 +57,14 @@ namespace drtopk::vgpu {
 /// comment). Block memory is uninitialized, like cudaMalloc'd memory; a
 /// Debug build fills each new block with kPoisonByte so a consumer that
 /// reads arena memory before writing it shows under the sanitizers.
+///
+/// Blocks are pages mapped straight from the OS, each followed by one
+/// inaccessible guard page, so an access past a block's end faults at once
+/// in every build, and a freed block's pages go back to the OS at once.
+/// Heap blocks could stay resident in the C allocator's per-thread heaps
+/// after the workspace died (which thread grew which arena decides what
+/// stays), so a process that builds one server after another would keep
+/// earlier arenas' pages.
 class Workspace {
  public:
   /// Block growth floor; real workloads outgrow it immediately, tiny tests
@@ -163,8 +175,13 @@ class Workspace {
   void reset_peak() { peak_ = in_use_bytes(); }
 
  private:
+  /// Unmaps a block's whole mapping, guard page included.
+  struct Unmap {
+    u64 mapped;
+    void operator()(std::byte* p) const { ::munmap(p, mapped); }
+  };
   struct Block {
-    std::unique_ptr<std::byte[]> data;
+    std::unique_ptr<std::byte[], Unmap> data;
     u64 size = 0;
   };
 
@@ -198,10 +215,18 @@ class Workspace {
     // position is NOT moved: earlier blocks keep serving smaller
     // allocations (bump() walks forward to the new block only when it
     // must), so a reserve_bytes() on a rewound workspace neither strands
-    // capacity nor inflates in_use/peak accounting.
-    const u64 size = std::max({min_bytes, kMinBlockBytes, capacity_bytes()});
+    // capacity nor inflates in_use/peak accounting. Sizes round up to
+    // whole pages, so the block ends where its guard page begins.
+    const u64 page = static_cast<u64>(::sysconf(_SC_PAGESIZE));
+    const u64 want = std::max({min_bytes, kMinBlockBytes, capacity_bytes()});
+    const u64 size = (want + page - 1) / page * page;
+    void* m = ::mmap(nullptr, size + page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw std::bad_alloc();
+    std::byte* base = static_cast<std::byte*>(m);
     Block b;
-    b.data = std::make_unique_for_overwrite<std::byte[]>(size);
+    b.data = std::unique_ptr<std::byte[], Unmap>(base, Unmap{size + page});
+    if (::mprotect(base + size, page, PROT_NONE) != 0) throw std::bad_alloc();
 #ifndef NDEBUG
     std::memset(b.data.get(), kPoisonByte, size);
 #endif
@@ -216,7 +241,7 @@ class Workspace {
   std::atomic<u64> high_water_{0};  ///< lifetime peak in-use (monitorable)
   u64 peak_ = 0;                    ///< peak in-use since reset_peak()
   u64 allocs_ = 0;
-  std::atomic<u64> growths_{0};     ///< heap blocks acquired (monitorable)
+  std::atomic<u64> growths_{0};     ///< blocks acquired (monitorable)
 };
 
 /// Thread-local fallback workspace for callers outside the serving hot path

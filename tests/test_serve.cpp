@@ -1016,11 +1016,12 @@ TEST(Serve, FailedFinalizeLaunchFailsOnlyTheParkedMembers) {
 }
 
 TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {
-  // Two admission groups on DIFFERENT corpora served concurrently: the
-  // executor that finishes a group's last item finalizes that group's
-  // parked queries in one batched launch of its own, so finalization
-  // launches track finalized groups one for one (small, single-CTA
-  // candidate segments) and never merge across groups.
+  // Two admission groups on DIFFERENT corpora served concurrently (two
+  // independent sets, not siblings): the executor that finishes a set's
+  // last item finalizes that set's parked queries in one batched launch of
+  // its own, so finalization launches track finalized sets one for one
+  // (small, single-CTA candidate segments) and never merge across
+  // corpora.
   const u64 n = 1 << 15;
   auto va = data::generate(n, Distribution::kUniform, 151);
   auto vb = data::generate(n, Distribution::kNormal, 152);
@@ -1053,9 +1054,9 @@ TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {
 
 TEST(Serve, SpanLifetimeStressAcrossGroups) {
   // Span-lifetime stress: executors steal items across groups, so a
-  // group's last finisher finalizes candidate spans that other executors
+  // set's last finisher finalizes candidate spans that other executors
   // parked — its arena-backed spans (shared by repeated ks included) must
-  // stay valid until the group's launch consumes them. Several rounds over
+  // stay valid until the set's launch consumes them. Several rounds over
   // four corpora with duplicate queries; everything must stay exact with
   // zero failures.
   const u64 n = 1 << 14;
@@ -1200,12 +1201,12 @@ std::vector<Query> sibling_burst(std::span<const T> vs, u64 count,
 
 /// Serves sibling_burst(vs, count, c) through a warmed server with
 /// batch_max 16 and checks, per round, that the ceil(count / 16) groups
-/// the burst fills share ONE setup: one construction (plus its directed-key
-/// conversion under kSmallest, also a "construct" launch), one kappa
-/// ("first") and one stage-3 ("concat") launch, one finalize ("second")
-/// launch per group with a parked member, every answer oracle-exact and
-/// fused, and the members' latencies summing to the device's simulated
-/// time.
+/// the burst fills share ONE setup and ONE finalization: one construction
+/// (plus its directed-key conversion under kSmallest, also a "construct"
+/// launch), one kappa ("first"), one stage-3 ("concat") and one finalize
+/// ("second") launch for members parked in every group, every answer
+/// oracle-exact and fused, and the members' latencies summing to the
+/// device's simulated time.
 template <class T>
 void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
                                 u32 executors, const std::string& tag) {
@@ -1229,30 +1230,35 @@ void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
       const ServerStats s0 = server.stats();
       const auto rs = server.run_batch(qs);
       const ServerStats s1 = server.stats();
-      std::vector<bool> parked(groups, false);
+      std::vector<bool> group_parked(groups, false);
+      u64 parked = 0;
       double latency = 0.0;
       for (size_t i = 0; i < qs.size(); ++i) {
         EXPECT_EQ(rs[i].values, oracle(qs[i])) << at << " query " << i;
         EXPECT_TRUE(rs[i].fused) << at << " query " << i;
         // submit_many fills the groups in order, batch_max at a time.
-        if (!rs[i].breakdown.second_skipped) parked[i / 16] = true;
+        if (!rs[i].breakdown.second_skipped) {
+          group_parked[i / 16] = true;
+          ++parked;
+        }
         latency += rs[i].latency_sim_ms;
       }
-      const u64 finalizing =
-          static_cast<u64>(std::count(parked.begin(), parked.end(), true));
-      EXPECT_GE(finalizing, 1u) << at;
+      // Members of every group park, and one launch finalizes them all.
+      EXPECT_EQ(std::count(group_parked.begin(), group_parked.end(), true),
+                static_cast<std::ptrdiff_t>(groups))
+          << at;
       EXPECT_EQ(stage_launches(dev, "construct") - before["construct"],
                 construct)
           << at;
       EXPECT_EQ(stage_launches(dev, "first") - before["first"], 1u) << at;
       EXPECT_EQ(stage_launches(dev, "concat") - before["concat"], 1u) << at;
-      EXPECT_EQ(stage_launches(dev, "second") - before["second"], finalizing)
-          << at;
+      EXPECT_EQ(stage_launches(dev, "second") - before["second"], 1u) << at;
       EXPECT_EQ(s1.groups - s0.groups, groups) << at;
       EXPECT_EQ(s1.shared_setup_groups - s0.shared_setup_groups, groups - 1)
           << at;
-      EXPECT_EQ(s1.finalize_launches - s0.finalize_launches, finalizing)
-          << at;
+      EXPECT_EQ(s1.finalize_launches - s0.finalize_launches, 1u) << at;
+      EXPECT_EQ(s1.batched_groups - s0.batched_groups, 1u) << at;
+      EXPECT_EQ(s1.batched_queries - s0.batched_queries, parked) << at;
       const double device = dev.total_sim_ms() - sim0;
       EXPECT_NEAR(latency, device, 1e-9 * device) << at;
     }
@@ -1266,8 +1272,7 @@ void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
 TEST(Serve, SiblingGroupsShareOneSetup) {
   // A burst larger than batch_max fills one group and opens siblings of
   // it: they claim no setup of their own, so the whole burst pays one
-  // construction, one kappa and one stage-3 launch, while each group keeps
-  // its own finalization.
+  // construction, one kappa, one stage-3 and one finalize launch.
   auto v = data::generate(u64{1} << 16, Distribution::kUniform, 271);
   plant_hot_run(v, 4096, 256);  // more candidates than any k: members park
   std::span<const u32> vs(v.data(), v.size());
@@ -1385,6 +1390,57 @@ TEST(Serve, SiblingSetupFaultsFallBackOnceOrFailTyped) {
       EXPECT_EQ(s.setup_fallbacks, 1u) << at;
     }
   }
+}
+
+TEST(Serve, SiblingSetFinalizeFaultFailsEveryParkedMember) {
+  // The sibling set's one finalize launch serves the parked members of
+  // both groups, so when it fails every one of them gets the launch's
+  // exception, counted in `failed`, while members answered on the host
+  // still answer; drain() returns. Once disarmed, one launch finalizes the
+  // next burst again.
+  auto v = data::generate(u64{1} << 16, Distribution::kUniform, 279);
+  plant_hot_run(v, 4096, 256);  // more candidates than any k: members park
+  std::span<const u32> vs(v.data(), v.size());
+  const std::vector<Query> qs = sibling_burst(vs, 32, Criterion::kLargest);
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
+  ServerConfig cfg;
+  cfg.executors = 2;
+  cfg.batch_max = 16;
+  TopkServer server(dev, cfg);
+  const auto warm_rs = server.run_batch(qs);  // warm: the plan is cached
+  std::vector<bool> parks(qs.size());
+  std::vector<bool> group_parks(2, false);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    parks[i] = !warm_rs[i].breakdown.second_skipped;
+    if (parks[i]) group_parks[i / 16] = true;
+  }
+  ASSERT_TRUE(group_parks[0] && group_parks[1]);
+  const u64 parked =
+      static_cast<u64>(std::count(parks.begin(), parks.end(), true));
+  const ServerStats warm = server.stats();
+
+  dev.fail_next_launches("second", 1);
+  auto futures = server.submit_many(qs);
+  server.drain();
+  for (size_t i = 0; i < qs.size(); ++i) {
+    if (parks[i]) {
+      EXPECT_THROW((void)futures[i].get(), std::runtime_error) << i;
+    } else {
+      EXPECT_EQ(futures[i].get().values, oracle(qs[i])) << i;
+    }
+  }
+  ServerStats s = server.stats();
+  EXPECT_EQ(s.failed, parked);
+  EXPECT_EQ(s.completed - warm.completed, qs.size() - parked);
+  EXPECT_EQ(s.setup_fallbacks, 0u);
+
+  const u64 seconds = stage_launches(dev, "second");
+  const auto rs = server.run_batch(qs);
+  for (size_t i = 0; i < qs.size(); ++i)
+    EXPECT_EQ(rs[i].values, oracle(qs[i])) << i;
+  EXPECT_EQ(stage_launches(dev, "second") - seconds, 1u);
+  s = server.stats();
+  EXPECT_EQ(s.failed, parked);
 }
 
 TEST(Serve, StreamedJoinerOpensASiblingWhileTheFirstGroupSetsUp) {
@@ -1517,7 +1573,7 @@ TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
   ASSERT_TRUE(q.next(setup1));
   ASSERT_TRUE(setup1.needs_setup);
   const std::shared_ptr<Group> g1 = setup1.group;
-  EXPECT_EQ(g1->setup->ks, std::vector<u64>{10});
+  EXPECT_EQ(g1->setup_ks, std::vector<u64>{10});
 
   // Setup claimed, vector not built yet: a compatible query joins.
   auto f2 = q.submit(Query::view(vs, 20));
@@ -1535,7 +1591,7 @@ TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
   ASSERT_TRUE(setup2.needs_setup);
   const std::shared_ptr<Group> g2 = setup2.group;
   ASSERT_NE(g2, g1);
-  EXPECT_EQ(g2->setup->ks, std::vector<u64>{30});
+  EXPECT_EQ(g2->setup_ks, std::vector<u64>{30});
 
   // publish closes a group still admitting (a direct shape, a setup that
   // threw): its one item becomes claimable and the next query opens a
@@ -1554,16 +1610,17 @@ TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
   ASSERT_TRUE(setup3.needs_setup);
   EXPECT_NE(setup3.group, g1);
   EXPECT_NE(setup3.group, g2);
-  EXPECT_EQ(setup3.group->setup->ks, std::vector<u64>{40});
+  EXPECT_EQ(setup3.group->setup_ks, std::vector<u64>{40});
   EXPECT_EQ(q.in_flight(), 4u);
 }
 
 TEST(AdmissionQueue, FullGroupsOpenSiblingsThatShareOneSetup) {
   // Deterministic, with no executor thread: a query that finds the
-  // admitting group full opens a sibling sharing its setup; the one setup
-  // claim snapshots every sibling's ks, siblings never claim a setup, the
-  // close freezes them all and returns every member's k, a later query
-  // opens an independent group, and publish makes every sibling runnable.
+  // admitting group full opens a sibling group of it, which joins the
+  // group's set instead of claiming a setup of its own: the one setup claim
+  // snapshots every member's k, the close freezes the set and returns every
+  // member's k, a later query opens an independent group, and publish makes
+  // every member claimable through the set's one cursor.
   auto v = data::generate(1 << 12, Distribution::kUniform, 213);
   std::span<const u32> vs(v.data(), v.size());
   AdmissionQueue q(/*batch_max=*/2, /*max_in_flight=*/64);
@@ -1573,30 +1630,23 @@ TEST(AdmissionQueue, FullGroupsOpenSiblingsThatShareOneSetup) {
   AdmissionQueue::Claim setup;
   ASSERT_TRUE(q.next(setup));
   ASSERT_TRUE(setup.needs_setup);
-  const std::shared_ptr<Group> g1 = setup.group;
-  const std::shared_ptr<SharedSetup> shared = g1->setup;
-  EXPECT_EQ(g1->items.size(), 2u);
-  EXPECT_EQ(shared->ks, (std::vector<u64>{10, 20, 30}));
-  ASSERT_EQ(shared->siblings.size(), 2u);
-  Group* g2 = shared->siblings[1];
-  EXPECT_EQ(g2->setup, shared);
-  EXPECT_EQ(g2->items.size(), 1u);
+  const std::shared_ptr<Group> g = setup.group;
+  EXPECT_EQ(g->items.size(), 3u);
+  EXPECT_EQ(g->groups, 2u);
+  EXPECT_EQ(g->setup_ks, (std::vector<u64>{10, 20, 30}));
 
-  // While the setup runs, the youngest sibling takes a joiner, and a full
+  // While the setup runs, the youngest group takes a joiner, and a full
   // one opens a third sibling.
-  for (const u64 k : {40, 50}) fs.push_back(q.submit(Query::view(vs, k)));
-  ASSERT_EQ(shared->siblings.size(), 3u);
-  EXPECT_EQ(g2->items.size(), 2u);
-  EXPECT_EQ(shared->siblings[2]->items.size(), 1u);
+  fs.push_back(q.submit(Query::view(vs, 40)));
+  EXPECT_EQ(g->groups, 2u);
+  fs.push_back(q.submit(Query::view(vs, 50)));
+  EXPECT_EQ(g->groups, 3u);
+  EXPECT_EQ(g->items.size(), 5u);
 
-  EXPECT_EQ(q.close_admission(*g1),
-            (std::vector<u64>{10, 20, 30, 40, 50}));
-  EXPECT_EQ(g1->final_items, 2u);
-  EXPECT_EQ(g2->final_items, 2u);
-  EXPECT_EQ(shared->siblings[2]->final_items, 1u);
-  EXPECT_EQ(shared->groups, 3u);
-  EXPECT_EQ(shared->items, 5u);
-  EXPECT_TRUE(q.close_admission(*g1).empty());  // already closed
+  EXPECT_EQ(q.close_admission(*g), (std::vector<u64>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(g->final_items, 5u);
+  EXPECT_EQ(g->groups, 3u);
+  EXPECT_TRUE(q.close_admission(*g).empty());  // already closed
 
   // Closed: the next compatible query opens an independent group, whose
   // setup is the next claim — no sibling claimed one before it.
@@ -1604,18 +1654,18 @@ TEST(AdmissionQueue, FullGroupsOpenSiblingsThatShareOneSetup) {
   AdmissionQueue::Claim other;
   ASSERT_TRUE(q.next(other));
   ASSERT_TRUE(other.needs_setup);
-  EXPECT_NE(other.group->setup, shared);
-  EXPECT_EQ(other.group->setup->ks, std::vector<u64>{60});
+  EXPECT_NE(other.group, g);
+  EXPECT_EQ(other.group->groups, 1u);
+  EXPECT_EQ(other.group->setup_ks, std::vector<u64>{60});
 
-  // publish: every sibling's items become claimable, in FIFO order.
-  q.publish(g1);
-  EXPECT_TRUE(shared->siblings.empty());
+  // publish: every sibling's members become claimable, in FIFO order.
+  q.publish(g);
   std::vector<u64> claimed;
   for (int i = 0; i < 5; ++i) {
     AdmissionQueue::Claim item;
     ASSERT_TRUE(q.next(item));
     ASSERT_FALSE(item.needs_setup);
-    EXPECT_EQ(item.group->setup, shared);
+    EXPECT_EQ(item.group, g);
     claimed.push_back(item.item->query.k);
   }
   EXPECT_EQ(claimed, (std::vector<u64>{10, 20, 30, 40, 50}));

@@ -104,6 +104,25 @@ TEST(Workspace, ReserveOnRewoundArenaDoesNotStrandBlocksOrInflatePeaks) {
   EXPECT_EQ(ws.peak_bytes(), 1024 * sizeof(u32));  // no phantom bytes
 }
 
+TEST(WorkspaceDeathTest, AccessPastABlockEndFaults) {
+  // Blocks are whole pages followed by an inaccessible guard page, so a
+  // write one byte past a block's end faults at once, in every build.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  vgpu::Workspace ws;
+  u8* start = ws.alloc<u8>(1).data();
+  const u64 cap = ws.capacity_bytes();  // one block
+  const std::span<u8> rest = ws.alloc<u8>(cap - 1);
+  ASSERT_EQ(rest.data(), start + 1);  // the same block, filled to its end
+  ASSERT_EQ(ws.capacity_bytes(), cap);
+  rest.back() = 1;  // the block's last byte is writable
+  EXPECT_DEATH(
+      {
+        volatile u8* end = start + cap;
+        *end = 1;
+      },
+      "");
+}
+
 TEST(WorkspacePool, LeasesRecycleCapacity) {
   vgpu::WorkspacePool pool;
   u32* p1;
