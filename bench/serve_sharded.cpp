@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
   auto lbv = data::generate(lb_n, data::Distribution::kUniform, args.seed + 7);
   std::span<const u32> lb_corpus(lbv.data(), lbv.size());
   // 4 admission groups of 16 distinct small ks per round, admitted as one
-  // burst per device, so they are siblings of one set: per device and
+  // burst per device, so they are one set: per device and
   // round one construct, kappa, stage-3 and finalize launch, and the merge
   // cost amortizes across the round.
   std::vector<u64> lb_ks;

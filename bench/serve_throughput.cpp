@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------
   // Group-wide batched stage 3. 4 admission groups of gsz distinct-k
   // queries per round on one corpus, admitted as one burst, so the 4 are
-  // siblings of one set. With one stage-3 launch per setup, member queries
+  // one set. With one stage-3 launch per setup, member queries
   // launch nothing, so a round costs ~construct + kappa + stage 3 + one
   // finalize REGARDLESS of group size. CI gate:
   // lpq <= 1.284 at every swept group size (launch counts do not depend on

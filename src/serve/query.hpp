@@ -8,15 +8,15 @@
 // Sharing contract: a viewed buffer must stay unchanged while any query
 // over it is in flight. Admission fuses queries by buffer identity, and
 // one setup builds the delegate vector and the candidate set that every
-// member of a group and of its siblings answers from — possibly from a
-// snapshot taken before a later member was even submitted — so a write to
-// the buffer in between would hand those members answers over stale
-// data. Key widths u32/u64 are supported;
+// member of a set answers from — possibly from a snapshot taken before a
+// later member was even submitted — so a write to the buffer in between
+// would hand those members answers over stale data. Key widths u32/u64
+// are supported;
 // the criterion and selection-only flag mirror DrTopkConfig's semantics.
 //
 // Fidelity: every query carries a core::FidelityPolicy. The default is
 // exact; Query::approx-constructed policies request the recall-target mode
-// and flow through the whole path (group signature, PlanKey,
+// and flow through the whole path (set signature, PlanKey,
 // core config) — see core/fidelity.hpp for the execution model.
 #pragma once
 
@@ -30,7 +30,7 @@
 
 namespace drtopk::serve {
 
-/// Key width of a query's payload; part of the admission-group signature.
+/// Key width of a query's payload; part of the set signature.
 enum class KeyWidth : u8 { k32, k64 };
 
 /// One top-k request: k, criterion, selection-only flag, fidelity policy
@@ -100,7 +100,7 @@ struct Query {
   }
   /// Identity of the underlying buffer — the admission scheduler fuses
   /// queries whose data_id/n/width/criterion/fidelity all match into one
-  /// group that shares a single delegate-construction pass.
+  /// set that shares a single delegate-construction pass.
   const void* data_id() const {
     return width() == KeyWidth::k64
                ? static_cast<const void*>(data64().data())
@@ -122,7 +122,7 @@ struct Query {
 /// The answer to one Query: top-k values (widened to u64; exact fidelity
 /// guarantees the true multiset, a recall target guarantees it in
 /// expectation), the k-th value, and per-query accounting (simulated
-/// latency including amortized shares of group-shared work, stage
+/// latency including amortized shares of set-shared work, stage
 /// breakdown, cache/fusion flags).
 struct QueryResult {
   u64 id = 0;                ///< server-assigned, monotonically increasing
@@ -131,16 +131,17 @@ struct QueryResult {
   u64 kth = 0;               ///< the k-selection answer
   double latency_sim_ms = 0; ///< modeled GPU latency of this query: its
                              ///< stages 2-4 plus an amortized share of the
-                             ///< group's shared construction pass
+                             ///< set's shared construction pass
   double wall_ms = 0;        ///< host wall-clock from admission to finish
-  u64 queue_us = 0;          ///< wall-clock microseconds spent queued before
-                             ///< an executor claimed the query — wall_ms
-                             ///< minus this is the service component, the
-                             ///< quantity deadline admission estimates from
+  u64 queue_us = 0;          ///< wall-clock microseconds from admission to
+                             ///< the start of the query's own step, after
+                             ///< its set's setup — wall_ms minus this is
+                             ///< the service component, the quantity
+                             ///< deadline admission estimates from
   core::StageBreakdown breakdown;
   bool plan_cache_hit = false;
   bool fused = false;        ///< delegate construction was shared with
-                             ///< other queries of its admission group
+                             ///< other queries of its set
 };
 
 }  // namespace drtopk::serve

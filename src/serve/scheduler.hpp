@@ -1,36 +1,24 @@
 // Admission scheduling for the top-k server.
 //
-// Submitted queries are admitted into *groups* of at most batch_max
-// queries: a query joins the queued group that still admits and whose
-// compatibility signature (data identity, length, key width, criterion,
-// fidelity) matches; with none admitting it opens a new group. Groups
-// queue FIFO. When that group is full, the query opens a *sibling* group
-// of it instead of an independent one: the groups of one signature opened
-// while the first of them still admits form one *sibling set*, which
-// shares everything but its admission count — one setup, one claim cursor
-// and one batched finalization. So a Group here holds a whole sibling set
-// (Group::groups counts the admission groups in it, each holding batch_max
-// members in admission order but the youngest), and batch_max sets how
-// many admission groups a burst reports (ServerStats::groups,
-// serve_group_size), not how many queries share a setup. Executors claim
-// work with set-granular setup (one executor resolves the plan, builds the
-// shared delegate vector and the set's one candidate set) followed by
-// query-granular stealing: once a set's setup is published, *any* executor
-// can claim its next unclaimed query via the set's cursor, so a large
-// batch is drained cooperatively rather than pinned to one executor.
+// Submitted queries are admitted into *sets*: a query joins the queued
+// set that still admits and whose compatibility signature (data identity,
+// length, key width, criterion, fidelity) matches; with none admitting it
+// opens a new set. Sets queue FIFO, and a set is the scheduler's only unit
+// of work: next() hands one executor a whole set, and that executor runs
+// its setup, every member's own step, its one batched finalization and
+// every delivery (TopkServer::run_set).
 //
 // A set admits until its setup has built the shared delegate vector — the
 // construction pass is the expensive window worth amortizing, so a client
 // streaming compatible queries one at a time joins the set whose
 // construction is in flight. Setup then closes admission
-// (close_admission) and runs stages 2-3 once, at the largest k among the
-// members: one kappa launch and one stage-3 launch whose candidate set
-// answers every member; a query arriving after the close opens a new,
-// independent group. publish() closes a set that is still admitting (a
-// direct shape, a setup that threw). The in-flight bound caps a set's
-// size. Items live in a deque, so references handed to executors stay
-// valid across admissions; every deque traversal happens under the queue
-// mutex.
+// (close_admission), which removes the set from the queue, and runs stages
+// 2-3 once, at the largest k among the members: one kappa launch and one
+// stage-3 launch whose candidate set answers every member; a query
+// arriving after the close opens a new set. The in-flight bound caps a
+// set's size. Items live in a deque, so references to them stay valid
+// across admissions; until the close, every deque traversal happens under
+// the queue mutex, and after it only the set's executor touches the set.
 //
 // The queue bounds in-flight queries: submit() blocks while the bound is
 // reached — backpressure toward the client instead of unbounded memory.
@@ -38,11 +26,11 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -51,39 +39,35 @@
 
 namespace drtopk::serve {
 
-/// One admitted query in flight: its promise, server-assigned id, and the
-/// wall clock started at admission (reported as QueryResult::wall_ms).
+/// One admitted query in flight: its promise, server-assigned id, the wall
+/// clock started at admission (reported as QueryResult::wall_ms), and its
+/// answer, held until the set's executor delivers it.
 struct Pending {
   u64 id = 0;
   Query query;
   std::promise<QueryResult> promise;
-  topk::WallTimer admitted;  ///< wall-clock from admission to completion
+  topk::WallTimer admitted;  ///< wall-clock from admission to delivery
   u64 enqueue_ts_us = 0;     ///< tracer timestamp at admission — queue-wait
                              ///< span start and histogram sample
-  u64 queue_wait_us = 0;     ///< measured admission-to-claim wait, stamped
-                             ///< by the claiming executor and surfaced as
-                             ///< QueryResult::queue_us
+  /// The answer: a result (a parked member's lacks its values until the
+  /// set's finalization) or the error that replaced it.
+  QueryResult result;
+  std::exception_ptr error;
 };
 
-/// A riding member parked for batched finalization: its candidate span is
-/// the set's one candidate set (group-arena memory, shared by every parked
-/// member); stage 4 runs once for the whole set, fulfilling every parked
-/// promise.
+/// A riding member parked for batched finalization over the set's one
+/// candidate set (group-arena memory, shared by every parked member);
+/// stage 4 runs once for the whole set and completes every parked result.
 template <class K>
 struct DeferredItem {
-  Pending* item = nullptr;
-  QueryResult out;          ///< partial result: latency/breakdown to stage 3
+  Pending* item = nullptr;  ///< null once its finalization filled it
   std::span<const K> cand;  ///< candidate span (group-arena memory)
-  u64 k = 0;
-  data::Criterion criterion = data::Criterion::kLargest;
-  bool selection_only = false;
   u64 park_ts_us = 0;  ///< tracer timestamp when this item parked (the
                        ///< deferred-park span runs from here to finalize)
 };
 
-/// One sibling set: the compatible queries of its admission groups plus
-/// the shared execution state the setup phase publishes (plan + optional
-/// shared delegate vector).
+/// One set: the compatible queries admitted together plus the execution
+/// state its setup builds (plan + optional shared delegate vector).
 struct Group {
   // Compatibility signature.
   const void* data_id = nullptr;
@@ -91,48 +75,33 @@ struct Group {
   KeyWidth width = KeyWidth::k32;
   data::Criterion criterion = data::Criterion::kLargest;
   /// Part of the signature: exact and recall-target queries never share a
-  /// group — they need different delegate vectors (beta/alpha differ) and
+  /// set — they need different delegate vectors (beta/alpha differ) and
   /// different stage-3 treatment, and the shared setup is fidelity-wide.
   core::FidelityPolicy fidelity;
 
-  u64 seq = 0;  ///< the first group's admission order (1-based); trace
-                ///< span grouping for every member of the set
-  /// Admission groups in the set: the first plus the siblings opened each
-  /// time the youngest reached batch_max members. Final once admission
-  /// closed (guarded by the owning queue's mutex until then).
-  u64 groups = 1;
+  u64 seq = 0;  ///< admission order (1-based); trace span grouping
 
   // Deque: stable element references under late admission (push_back).
+  // Frozen once admission closed.
   std::deque<Pending> items;
 
   // Scheduling state, guarded by the owning queue's mutex.
-  bool admitting = true;       ///< new compatible queries may join
-  bool setup_claimed = false;  ///< one executor is resolving plan/delegates
-  bool runnable = false;       ///< setup published; items may be claimed
-  u64 next = 0;                ///< stealing cursor: next unclaimed item
+  bool claimed = false;        ///< an executor is running the set
   std::vector<u64> setup_ks;   ///< ks of the items present at claim: they
                                ///< size the plan key, calibration and
                                ///< delegate vector
   Query setup_query;           ///< snapshot for the setup's data access
-  /// items.size() frozen when admission closed; written under the queue
-  /// mutex before publish, so every item claim observes it. Each riding
-  /// member carries setup_sim_ms / final_items of the setup, and the member
-  /// that completes the count finalizes the set.
-  u64 final_items = 0;
 
-  // Execution state, written single-threaded during setup, read-only after
-  // `runnable` is published.
+  // Execution state, touched only by the set's executor.
   core::ExecPlan plan;
   bool plan_resolved = false;  ///< plan lookup/calibration completed
   bool plan_hit = false;
   PlanKey plan_key;            ///< cache key, for workspace feedback
-  u64 plan_exec_ws = 0;        ///< recorded per-query peak: every executor
-                               ///< claiming an item presizes to it first
   bool has_delegates = false;  ///< shared construction succeeded
   /// Backing storage for the set-shared delegate vector, directed keys and
   /// candidate set: a pooled workspace leased at setup and recycled
-  /// (capacity retained) before the set's last answer is delivered, once no
-  /// member reads it — steady state leases are allocation-free.
+  /// (capacity retained) once no member reads it, before the set's answers
+  /// are delivered — steady state leases are allocation-free.
   vgpu::WorkspacePool::Lease ws;
   core::DelegateVector<u32> dv32;
   core::DelegateVector<u64> dv64;
@@ -148,9 +117,8 @@ struct Group {
   /// set holds every smaller member's answer) and launches nothing: it pads
   /// on the host when the set holds at most k keys, takes a k-prefix of a
   /// sorted set, and otherwise parks a DeferredItem on the set's span, which
-  /// the batched finalization sorts once for every parked member of every
-  /// sibling. Written single-threaded before publish; read-only afterwards.
-  /// Only the span matching the set's key width is set.
+  /// the batched finalization sorts once for every parked member. Only the
+  /// span matching the set's key width is set.
   struct CandidateSet {
     u64 kappa = 0;          ///< the stage-2 threshold; pads a short answer
     u64 taken_total = 0;    ///< taken delegates (breakdown metadata)
@@ -161,10 +129,6 @@ struct Group {
     std::span<const u64> cand64;
   };
   std::optional<CandidateSet> shared;
-  /// Guards the deferred lists and the executed counter (executors park
-  /// phase-A results concurrently).
-  std::mutex batch_mu;
-  u64 executed = 0;  ///< items whose phase A (or full pipeline) finished
   std::vector<DeferredItem<u32>> def32;
   std::vector<DeferredItem<u64>> def64;
 
@@ -174,18 +138,15 @@ struct Group {
   }
 };
 
-/// The bounded admission queue: groups compatible queries, hands executors
-/// group-setup and query-granular work units, and backpressures submitters
-/// once max_in_flight queries are pending (see the file comment).
+/// The bounded admission queue: admits compatible queries into sets, hands
+/// each set to one executor, and backpressures submitters once
+/// max_in_flight queries hold a slot (see the file comment).
 class AdmissionQueue {
  public:
   /// `tracer` (optional) records enqueue/group-open instants on the submit
   /// lane and stamps Pending::enqueue_ts_us for queue-wait spans.
-  AdmissionQueue(u32 batch_max, u32 max_in_flight,
-                 obs::Tracer* tracer = nullptr)
-      : batch_max_(std::max(1u, batch_max)),
-        max_in_flight_(std::max(1u, max_in_flight)),
-        tracer_(tracer) {}
+  explicit AdmissionQueue(u32 max_in_flight, obs::Tracer* tracer = nullptr)
+      : max_in_flight_(std::max(1u, max_in_flight)), tracer_(tracer) {}
 
   /// Admits one query (blocking while the in-flight bound is reached) and
   /// returns its result future.
@@ -201,9 +162,9 @@ class AdmissionQueue {
 
   /// Admits a whole batch. Queries that fit under the in-flight bound are
   /// admitted atomically (one critical section), so compatible queries are
-  /// guaranteed to land in shared admission groups before any executor can
-  /// claim them — the deterministic route to batched construction. Blocks
-  /// for space between chunks when the batch exceeds the bound.
+  /// guaranteed to land in one set before any executor can claim it — the
+  /// deterministic route to batched construction. Blocks for space between
+  /// chunks when the batch exceeds the bound.
   std::vector<std::future<QueryResult>> submit_many(std::vector<Query> qs) {
     std::vector<std::future<QueryResult>> futures;
     futures.reserve(qs.size());
@@ -222,81 +183,65 @@ class AdmissionQueue {
     return futures;
   }
 
-  /// One unit of executor work: a set to set up, or one of its items.
-  struct Claim {
-    std::shared_ptr<Group> group;
-    Pending* item = nullptr;  ///< valid when !needs_setup
-    bool needs_setup = false;
-  };
-
-  /// Blocks for the next unit of work: either a set needing setup or an
-  /// unclaimed query of a runnable set (stealing across sets in FIFO
-  /// order). Returns false when stopped and fully drained of claimables.
-  bool next(Claim& out) {
+  /// Blocks for the oldest unclaimed set and claims it for the caller,
+  /// snapshotting its members' ks for the setup. Returns null when
+  /// stopped with no unclaimed set left.
+  std::shared_ptr<Group> next() {
     std::unique_lock lk(mu_);
     for (;;) {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        Group& g = **it;
-        if (!g.setup_claimed) {
-          g.setup_claimed = true;
-          for (const Pending& p : g.items) g.setup_ks.push_back(p.query.k);
-          g.setup_query = g.items.front().query;
-          out.group = *it;
-          out.needs_setup = true;
-          return true;
-        }
-        if (g.runnable && g.next < g.items.size()) {
-          out.group = *it;
-          const u64 index = g.next++;
-          out.item = &g.items[index];
-          out.needs_setup = false;
-          // Fully claimed: leave the queue. Admission closed before
-          // publish, so nothing joins after this.
-          if (g.next == g.items.size()) queue_.erase(it);
-          return true;
-        }
+      for (const std::shared_ptr<Group>& g : queue_) {
+        if (g->claimed) continue;
+        g->claimed = true;
+        for (const Pending& p : g->items) g->setup_ks.push_back(p.query.k);
+        g->setup_query = g->items.front().query;
+        return g;
       }
-      if (stop_) return false;
+      if (stop_) return nullptr;
       work_cv_.wait(lk);
     }
   }
 
-  /// Ends a set's admission: later compatible queries open a new,
-  /// independent group. Freezes Group::final_items and Group::groups and
-  /// returns every member's k, in admission order. The setup calls it once
-  /// the shared delegate vector is built, and again on every path before
-  /// it records the set; publish() calls it for a set still admitting. A
-  /// set already closed returns no ks.
+  /// Ends a set's admission and removes it from the queue: later
+  /// compatible queries open a new set. Returns every member's k, in
+  /// admission order. The setup calls it once the shared delegate vector
+  /// is built, and again on every path before it records the set; a set
+  /// already closed returns no ks.
   std::vector<u64> close_admission(Group& g) {
     std::lock_guard lk(mu_);
-    return close_locked(g);
+    const auto removed = std::erase_if(
+        queue_, [&](const std::shared_ptr<Group>& q) { return q.get() == &g; });
+    if (removed == 0) return {};
+    std::vector<u64> ks;
+    ks.reserve(g.items.size());
+    for (const Pending& p : g.items) ks.push_back(p.query.k);
+    return ks;
   }
 
-  /// Publishes a set's setup (closing its admission if the setup did not);
-  /// its items become claimable by any executor.
-  void publish(const std::shared_ptr<Group>& g) {
+  /// Frees `n` in-flight slots of a set whose answers are all computed:
+  /// submitters blocked on the bound may admit again, before any of those
+  /// answers is delivered.
+  void free_slots(u64 n) {
     {
       std::lock_guard lk(mu_);
-      (void)close_locked(*g);
-      g->runnable = true;
+      in_flight_ -= n;
     }
-    work_cv_.notify_all();
+    space_cv_.notify_all();
   }
 
-  /// Marks one item finished; releases backpressure and drain waiters.
-  void finish_item(const std::shared_ptr<Group>&) {
+  /// Marks `n` answers delivered, with their counters and spans recorded;
+  /// wakes drain().
+  void delivered(u64 n) {
     {
       std::lock_guard lk(mu_);
-      --in_flight_;
+      undelivered_ -= n;
     }
-    space_cv_.notify_one();
     idle_cv_.notify_all();
   }
 
-  /// Blocks until every admitted query has completed.
+  /// Blocks until every admitted query's answer has been delivered.
   void drain() {
     std::unique_lock lk(mu_);
-    idle_cv_.wait(lk, [&] { return in_flight_ == 0; });
+    idle_cv_.wait(lk, [&] { return undelivered_ == 0; });
   }
 
   void stop() {
@@ -308,27 +253,18 @@ class AdmissionQueue {
     space_cv_.notify_all();
   }
 
+  /// Admitted queries holding an in-flight slot.
   u64 in_flight() const {
     std::lock_guard lk(mu_);
     return in_flight_;
   }
 
  private:
-  /// close_admission with mu_ held.
-  std::vector<u64> close_locked(Group& g) {
-    if (!g.admitting) return {};
-    g.admitting = false;
-    g.final_items = g.items.size();
-    std::vector<u64> ks;
-    ks.reserve(g.items.size());
-    for (const Pending& p : g.items) ks.push_back(p.query.k);
-    return ks;
-  }
-
-  /// Admission core (mu_ held): join the admitting set (opening a sibling
-  /// group when its youngest group is full) or start a new one.
+  /// Admission core (mu_ held): join the admitting compatible set or open
+  /// a new one.
   std::future<QueryResult> admit_locked(Query q) {
     ++in_flight_;
+    ++undelivered_;
     Pending p;
     p.id = next_id_++;
     p.query = std::move(q);
@@ -339,59 +275,46 @@ class AdmissionQueue {
 
     // Youngest-first scan over the queued sets still admitting, so
     // interleaved streams — e.g. round-robin over several corpora — still
-    // coalesce per corpus instead of opening a singleton group each time.
+    // coalesce per corpus instead of opening a singleton set each time.
     // A new set opens only when no compatible one admits, so at most one
     // per signature does.
     Group* host = nullptr;
     for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-      if ((*it)->admitting && (*it)->compatible(p.query)) {
+      if ((*it)->compatible(p.query)) {
         host = it->get();
         break;
       }
     }
     const u64 qid = p.id;
-    u64 gseq = 0;
-    if (host) {
-      gseq = host->seq;
-      if (host->items.size() == host->groups * batch_max_) {
-        // The youngest group is full: open a sibling, which shares the
-        // set's setup instead of paying one of its own.
-        ++host->groups;
-        const u64 sib = ++group_seq_;
-        if (tracer_ && tracer_->enabled()) {
-          tracer_->instant(0, "group-open", qid, sib);
-          tracer_->instant(0, "setup-shared", qid, sib,
-                           std::to_string(host->seq));
-        }
-      }
-      host->items.push_back(std::move(p));
-    } else {
+    if (!host) {
       auto g = std::make_shared<Group>();
       g->seq = ++group_seq_;
-      gseq = g->seq;
       g->data_id = p.query.data_id();
       g->n = p.query.n();
       g->width = p.query.width();
       g->criterion = p.query.criterion;
       g->fidelity = p.query.fidelity;
-      g->items.push_back(std::move(p));
+      host = g.get();
       queue_.push_back(std::move(g));
-      if (tracer_) tracer_->instant(0, "group-open", qid, gseq);
+      if (tracer_) tracer_->instant(0, "group-open", qid, host->seq);
     }
-    if (tracer_) tracer_->instant(0, "enqueue", qid, gseq);
+    host->items.push_back(std::move(p));
+    if (tracer_) tracer_->instant(0, "enqueue", qid, host->seq);
     return fut;
   }
 
-  const u32 batch_max_;
   const u32 max_in_flight_;
   obs::Tracer* tracer_ = nullptr;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // executors: new claimable work
+  std::condition_variable work_cv_;   // executors: a set to claim
   std::condition_variable space_cv_;  // submitters: in-flight bound freed
-  std::condition_variable idle_cv_;   // drain(): a query completed
+  std::condition_variable idle_cv_;   // drain(): answers delivered
+  /// Exactly the sets still admitting, in admission order (close_admission
+  /// removes a set); the unclaimed ones wait for an executor.
   std::deque<std::shared_ptr<Group>> queue_;
-  u64 in_flight_ = 0;
+  u64 in_flight_ = 0;    ///< admitted queries holding a slot
+  u64 undelivered_ = 0;  ///< admitted queries not yet answered
   u64 next_id_ = 0;
   u64 group_seq_ = 0;
   bool stop_ = false;

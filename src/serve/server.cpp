@@ -36,12 +36,12 @@ core::DelegateVector<u64>& group_dv<u64>(Group& g) {
   return g.dv64;
 }
 
-/// Whether a member asking for k is served from the group's shared
+/// Whether a member asking for k is served from the set's shared
 /// delegate vector: the vector must exist and hold a top-k, and under a
 /// recall target its geometry must also meet this k's miss budget (a
 /// member that joined during construction may ask for a larger k than the
 /// geometry was sized for; expected misses grow faster than k) with k real
-/// delegates to answer from. Setup builds the group's candidate set at the
+/// delegates to answer from. Setup builds the set's candidate set at the
 /// largest k this accepts, and exactly these members answer from it.
 template <class K>
 bool rides_shared(Group& g, u64 k) {
@@ -102,10 +102,11 @@ TopkServer::TopkServer(vgpu::Device& dev, ServerConfig cfg)
       cfg_(validated(cfg)),
       tracer_(cfg.obs.tracing, std::max(1u, cfg.executors) + 1,
               kTraceSpansPerLane),
-      queue_(cfg.batch_max, cfg.max_in_flight, &tracer_),
+      queue_(cfg.max_in_flight, &tracer_),
       collector_(std::max(1u, cfg.executors), registry_) {
   queue_wait_us_ = &registry_.histogram(
-      "serve_queue_wait_us", "Admission-to-claim wait per query (us)");
+      "serve_queue_wait_us",
+      "Admission to the start of a query's own step (us)");
   group_size_ = &registry_.histogram(
       "serve_group_size", "Queries per admission group at close");
   const u32 n = std::max(1u, cfg_.executors);
@@ -179,36 +180,51 @@ bool TopkServer::dump_trace(const std::string& path) const {
 }
 
 void TopkServer::executor_loop(u32 executor_id) {
+  while (const std::shared_ptr<Group> g = queue_.next())
+    run_set(*g, executor_id);
+}
+
+void TopkServer::run_set(Group& g, u32 executor_id) {
   const bool tracing = tracer_.enabled();
-  AdmissionQueue::Claim c;
-  while (queue_.next(c)) {
-    if (c.needs_setup) {
-      const u64 t0 = tracing ? tracer_.now_us() : 0;
-      setup_group(*c.group, executor_id);
-      queue_.publish(c.group);
+  const u64 t0 = tracing ? tracer_.now_us() : 0;
+  setup_group(g, executor_id);
+  if (tracing)
+    tracer_.complete(lane(executor_id), "group-setup", 0, g.seq, t0,
+                     tracer_.now_us());
+  // Admission is closed, so the members are final and only this executor
+  // touches them: each runs its own step in admission order.
+  for (Pending& p : g.items) {
+    if (p.enqueue_ts_us != 0) {
+      const u64 now = tracer_.now_us();
+      const u64 waited = now - p.enqueue_ts_us;
+      p.result.queue_us = waited;
+      if (queue_wait_us_) queue_wait_us_->observe(waited);
       if (tracing)
-        tracer_.complete(lane(executor_id), "group-setup", 0, c.group->seq,
-                         t0, tracer_.now_us());
-    } else {
-      if (c.item->enqueue_ts_us != 0) {
-        const u64 now = tracer_.now_us();
-        const u64 waited = now - c.item->enqueue_ts_us;
-        c.item->queue_wait_us = waited;
-        if (queue_wait_us_) queue_wait_us_->observe(waited);
-        if (tracing)
-          tracer_.complete(lane(executor_id), "queue-wait", c.item->id,
-                           c.group->seq, c.item->enqueue_ts_us, now);
-      }
-      Answer a = execute_item(*c.group, *c.item, executor_id);
-      // Set-completion bookkeeping (and, for the executor completing the
-      // last item, the batched finalization of every parked query) happens
-      // before the in-flight slot is released, so drain() cannot observe a
-      // drained queue with unfulfilled promises.
-      complete_item(*c.group, *c.item, std::move(a), executor_id);
-      queue_.finish_item(c.group);
+        tracer_.complete(lane(executor_id), "queue-wait", p.id, g.seq,
+                         p.enqueue_ts_us, now);
     }
-    c.group.reset();
+    execute_item(g, p, executor_id);
   }
+  if (!g.def32.empty() || !g.def64.empty()) finalize_group(g, executor_id);
+  // No answer reads the set's arena, so it goes back to the pool, and
+  // every slot of the set is freed, before the first answer is delivered:
+  // a client that sends its next burst on the last answer finds both.
+  g.ws = {};
+  const u64 members = g.items.size();
+  queue_.free_slots(members);
+  const u64 t_fanout = tracing ? tracer_.now_us() : 0;
+  for (Pending& p : g.items) {
+    if (p.error) {
+      p.promise.set_exception(p.error);
+    } else {
+      p.result.wall_ms = p.admitted.ms();
+      p.promise.set_value(std::move(p.result));
+    }
+  }
+  if (tracing)
+    tracer_.complete(lane(executor_id), "fan-out", 0, g.seq, t_fanout,
+                     tracer_.now_us());
+  queue_.delivered(members);
 }
 
 void TopkServer::setup_group(Group& g, u32 executor_id) {
@@ -232,24 +248,31 @@ void TopkServer::setup_group(Group& g, u32 executor_id) {
                     std::move(*failure));
   }
   // A direct shape or a setup that threw before the close still admits:
-  // close it here, so the set's group count is final and lands before any
-  // member's answer does.
+  // close it here, so the members are final before any of them runs.
   (void)queue_.close_admission(g);
-  collector_.record_group(g.setup_stages, deduped, g.groups);
+  // batch_max only reports: the set counts as admission groups of
+  // batch_max members each, in admission order, the youngest holding the
+  // rest.
+  const u64 cap = std::max(1u, cfg_.batch_max);
+  const u64 members = g.items.size();
+  const u64 groups = (members + cap - 1) / cap;
+  for (u64 i = 0; i < groups; ++i)
+    group_size_->observe(std::min(cap, members - i * cap));
+  collector_.record_group(g.setup_stages, deduped, groups);
 }
 
 template <class T>
 u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   using Key = typename data::KeyTraits<T>::Key;
   // The snapshot the queue took at claim time sizes the plan key, the
-  // calibration and the delegate vector. The group keeps admitting while
+  // calibration and the delegate vector. The set keeps admitting while
   // the vector is built; close_admission then returns every member's k, and
-  // the batched stages 2-3 below cover all of them (the deque itself is
-  // only traversed under the queue's mutex).
+  // the batched stages 2-3 below cover all of them (until the close, the
+  // deque itself is only traversed under the queue's mutex).
   const std::span<const T> values = query_data<T>(g.setup_query);
 
-  // The group's effective base config: the server baseline with the
-  // group's fidelity (part of the admission signature, so it is uniform
+  // The set's effective base config: the server baseline with the
+  // set's fidelity (part of the admission signature, so it is uniform
   // across members). Everything downstream — feasibility, plan key,
   // calibration, construction sizing — reads fidelity from here.
   core::DrTopkConfig base = cfg_.base;
@@ -257,7 +280,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
 
   // Size the shared delegate vector for the largest *feasible* k among the
   // snapshot's queries: one near-n outlier must not disable fusion for the
-  // whole group — it simply runs unfused (rides_shared fails), while the
+  // whole set — it simply runs unfused (rides_shared fails), while the
   // feasible majority still shares one construction pass.
   u64 kmax = 0;
   for (const u64 k : g.setup_ks)
@@ -277,12 +300,10 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   if (!cp) {
     // A miss calibrates in the group arena that this shape's construction
     // reuses right after, so the full-size probes need no scratch arena of
-    // their own. Affinity: prefer the pooled arena this executor last
-    // returned (first-touch locality groundwork for NUMA pinning). Probe
-    // launches are one-time tuning, not steady-state pipeline work: the
-    // ambient label keeps them out of the per-stage breakdown (the probes'
-    // internal stage scopes all default to it).
-    g.ws = group_ws_.acquire(0, executor_id);
+    // their own. Probe launches are one-time tuning, not steady-state
+    // pipeline work: the ambient label keeps them out of the per-stage
+    // breakdown (the probes' internal stage scopes all default to it).
+    g.ws = group_ws_.acquire();
     vgpu::StageScope calibrate("calibrate");
     cp = plans_.calibrate<T>(g.plan_key, dev_, values, kmax, g.criterion,
                              base, *g.ws);
@@ -295,19 +316,17 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   // Presize from the shape's recorded peaks so arenas meeting a recurring
   // shape for the first time usually skip organic growth (capacity-based
   // reserve is best effort: an already-fragmented arena may still grow
-  // once before converging). The per-query peak is stashed on the group
-  // so EVERY executor that later claims one of its items (not just this
-  // setup executor) presizes before running.
-  g.plan_exec_ws = cp->exec_ws_bytes;
+  // once before converging). This executor runs every member of the set,
+  // so its arena is the one to presize.
   if (cp->exec_ws_bytes) ews.reserve_bytes(cp->exec_ws_bytes);
 
   // Shared construction: one delegate vector serves every query of the
-  // group. Its (alpha, beta) is resolved in one call for the group's
+  // set. Its (alpha, beta) is resolved in one call for the set's
   // actual kmax (an approximate plan pins no geometry, so a recall target
   // gets approx_geometry for this kmax), so dv.size() >= k holds for every
   // covered item and a recall target's budget holds at kmax. Its storage
-  // lives in a pooled workspace leased for the group's lifetime (executor
-  // workspaces rewind per query; the group's delegate vector must not).
+  // lives in a pooled workspace leased for the set's lifetime (executor
+  // workspaces rewind per query; the set's delegate vector must not).
   const core::DelegateGeometry geo =
       core::resolve_geometry(g.n, kmax, core::apply_plan(base, g.plan));
   const int alpha = geo.alpha;
@@ -317,12 +336,12 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   } else {
     // A hit leases at the shape's recorded peak, so the pool's capacity-
     // first pick prefers an arena already large enough for construction.
-    if (!g.ws) g.ws = group_ws_.acquire(cp->group_ws_bytes, executor_id);
+    if (!g.ws) g.ws = group_ws_.acquire(cp->group_ws_bytes);
     g.ws->reset_peak();  // measure THIS shape's construction footprint
     topk::Accum acc(dev_);
     std::span<const Key> keyspan;
     {
-      // Key conversion + shared delegate construction are the group's
+      // Key conversion + shared delegate construction are the set's
       // phase-A pass: both charge to "construct".
       vgpu::StageScope construct("construct");
       // Directed keys live in the group arena; only this setup reads them.
@@ -345,7 +364,7 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     executor_work += acc.sim_ms();
 
     // Admission closes here: members that joined while the vector was
-    // built are covered too, and later queries open a new group. Every
+    // built are covered too, and later queries open a new set. Every
     // member whose k rides the shared vector (rides_shared) answers from
     // the one candidate set built below at kride, the largest such k; the
     // rest take the unfused pipeline per item.
@@ -359,10 +378,10 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
       deduped = static_cast<u64>(ks.end() - std::unique(ks.begin(), ks.end()));
 
       // Stage 2: ONE launch selects kappa, the exact kride-th delegate, so
-      // at least kride keys are >= kappa. Recall-target groups: a member's
+      // at least kride keys are >= kappa. Recall-target sets: a member's
       // per-partition answer IS the top-k of the delegate vector, a prefix
       // of the top-kride, so the launch emits the full sorted top-kride
-      // (selection_only = false) and doubles as the group's stages 3 and 4.
+      // (selection_only = false) and doubles as the set's stages 3 and 4.
       const auto& dvk = group_dv<Key>(g).keys;
       std::span<const Key> dkeys(dvk.data(), dvk.size());
       const bool approx_group = !g.fidelity.exact();
@@ -371,22 +390,21 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
       topk::Accum acc2(dev_);
       topk::BatchedResult<Key> br;
       {
-        // The kappa launch is the group's shared first top-k. Its scope
+        // The kappa launch is the set's shared first top-k. Its scope
         // ends here so the concat pass below is charged to "concat" on the
         // device's stage ledger.
         vgpu::StageScope first("first");
         ews.reset_peak();  // record the kappa launch's scratch footprint
         br = topk::batched_topk<Key>(acc2, {&kseg, 1}, ews);
       }
-      // Its multi-CTA partial buffer is an exact group's executor-arena
-      // scratch: re-record so future groups of this shape presize instead
+      // Its multi-CTA partial buffer is an exact set's executor-arena
+      // scratch: re-record so future sets of this shape presize instead
       // of growing. A recall-target plan records none — its members launch
-      // nothing, so a presize would only grow each executor's arena on its
-      // first member.
+      // nothing, so a presize would only grow the executor's arena.
       if (!approx_group)
         plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
       const Key kappa = br.keys[0].back();
-      // The group paid its members' first top-k here: amortized into
+      // The set paid its members' first top-k here: amortized into
       // their latencies with the construction pass.
       g.setup_sim_ms += acc2.sim_ms();
       g.setup_stages.first_ms = acc2.sim_ms();
@@ -444,79 +462,36 @@ u64 TopkServer::setup_group_typed(Group& g, u32 executor_id) {
   return deduped;
 }
 
-TopkServer::Answer TopkServer::execute_item(Group& g, Pending& p,
-                                            u32 executor_id) {
-  Answer a;
-  bool deferred = false;
+void TopkServer::execute_item(Group& g, Pending& p, u32 executor_id) {
+  bool parked = false;
   try {
     if (!p.query.fidelity.exact()) collector_.record_approx();
     vgpu::Workspace& ws = *exec_ws_[executor_id];
-    if (g.plan_exec_ws) ws.reserve_bytes(g.plan_exec_ws);
     ws.reset_peak();  // per-query footprint, not this arena's lifetime peak
     const u64 t0 = tracer_.enabled() ? tracer_.now_us() : 0;
-    QueryResult r =
-        g.width == KeyWidth::k64
-            ? run_item_typed<u64>(g, p, ws, &deferred)
-            : run_item_typed<u32>(g, p, ws, &deferred);
+    parked = g.width == KeyWidth::k64 ? run_item_typed<u64>(g, p, ws)
+                                      : run_item_typed<u32>(g, p, ws);
     if (tracer_.enabled())
       tracer_.complete(lane(executor_id), "phase-a", p.id, g.seq, t0,
                        tracer_.now_us());
     if (g.plan_resolved)
       plans_.note_workspace(g.plan_key, 0, ws.peak_bytes());
     // Work actually performed here: a riding item launched nothing (its
-    // stages 1-3 were charged at setup, its stage-4 share goes to whichever
-    // executor finalizes the group); an unfused item's latency is exactly
-    // its own full pipeline.
+    // stages 1-3 were charged at setup, its stage-4 share to the set's
+    // finalization); an unfused item's latency is exactly its own full
+    // pipeline.
+    const QueryResult& r = p.result;
     collector_.record_executor_work(
         executor_id, r.fused ? r.breakdown.total_ms() : r.latency_sim_ms);
-    if (!deferred) {
-      collector_.record_query(r.latency_sim_ms, r.breakdown, r.fused);
-      a.result = std::move(r);
-    }
+    if (!parked) collector_.record_query(r.latency_sim_ms, r.breakdown, r.fused);
   } catch (...) {
-    // Once the item is parked its promise belongs to the group finalizer —
-    // a throw from the post-parking bookkeeping must not double-set it.
-    if (!deferred) {
+    // A parked item's answer belongs to the set's finalization — a throw
+    // from the post-parking bookkeeping must not fail it twice.
+    if (!parked) {
       collector_.record_failure();
-      a.error = std::current_exception();
+      p.error = std::current_exception();
     }
   }
-  return a;
-}
-
-void TopkServer::complete_item(Group& g, Pending& p, Answer a,
-                               u32 executor_id) {
-  bool finalize = false;
-  bool last = false;
-  {
-    std::lock_guard lk(g.batch_mu);
-    ++g.executed;
-    // Every item's phase A done (admission closed before publish, so
-    // final_items is frozen): the group is complete. Exactly one executor
-    // observes the transition.
-    last = g.executed == g.final_items;
-    finalize = last && (!g.def32.empty() || !g.def64.empty());
-  }
-  if (last && group_size_) {
-    // The set's admission groups: batch_max members each, in admission
-    // order, and the youngest holds the rest.
-    const u64 cap = std::max(1u, cfg_.batch_max);
-    for (u64 i = 0; i < g.groups; ++i)
-      group_size_->observe(i + 1 < g.groups ? cap : g.final_items - i * cap);
-  }
-  // No member reads the set's arena once every phase A is done, and only
-  // the finalization launch reads the parked spans, so the arena goes back
-  // to the pool before the set's last answer is delivered: here when no
-  // member parked (this answer is the last), else in the finalization,
-  // right after its launch. A client that submits its next burst on the
-  // last answer then finds the arena in the pool instead of making the
-  // next set's setup create a second one.
-  if (last && !finalize) g.ws = {};
-  if (a.result)
-    p.promise.set_value(std::move(*a.result));
-  else if (a.error)
-    p.promise.set_exception(a.error);
-  if (finalize) finalize_group(g, executor_id);
 }
 
 void TopkServer::finalize_group(Group& g, u32 executor_id) {
@@ -525,14 +500,12 @@ void TopkServer::finalize_group(Group& g, u32 executor_id) {
     try {
       finalize_group_typed<T>(g, executor_id);
     } catch (...) {
-      // Fail every parked query that was not yet fulfilled (delivery nulls
-      // each item as it goes, so a mid-loop throw cannot lead to a double
-      // set that would itself throw out of this handler).
-      g.ws = {};
+      // Fail every parked member the finalization did not complete (it
+      // nulls each item as it goes).
       for (auto& d : group_deferred<T>(g)) {
         if (!d.item) continue;
         collector_.record_failure();
-        d.item->promise.set_exception(std::current_exception());
+        d.item->error = std::current_exception();
         d.item = nullptr;
       }
     }
@@ -546,25 +519,26 @@ void TopkServer::finalize_group(Group& g, u32 executor_id) {
 template <class T>
 void TopkServer::finalize_group_typed(Group& g, u32 executor_id) {
   using Key = typename data::KeyTraits<T>::Key;
-  // No synchronization needed past this point: every item of the group
-  // executed, so no thread appends to the deferred list or allocates from
-  // the group arena anymore. The caller's claim holds the group, and thus
-  // its pooled-arena lease, so every parked candidate span stays valid.
+  // Every member ran its step, so nothing appends to the parked list or
+  // allocates from the set's arena anymore, and the arena's lease still
+  // holds every parked candidate span.
   std::vector<DeferredItem<Key>>& parked = group_deferred<Key>(g);
   if (parked.empty()) return;
 
   std::vector<topk::BatchedSegment<Key>> segs;
   segs.reserve(parked.size());
-  for (const DeferredItem<Key>& d : parked)
-    segs.push_back({d.cand, d.k, d.out.id, d.selection_only});
+  for (const DeferredItem<Key>& d : parked) {
+    const Query& q = d.item->query;
+    segs.push_back({d.cand, q.k, d.item->id, q.selection_only});
+  }
 
   const bool tracing = tracer_.enabled();
   const u64 t_flush = tracing ? tracer_.now_us() : 0;
   if (tracing) {
-    // Close each parked item's deferred-park span: parked at phase-A
-    // completion, resolved by this finalization.
+    // Close each parked item's deferred-park span: parked at its own step,
+    // resolved by this finalization.
     for (const DeferredItem<Key>& d : parked)
-      tracer_.complete(lane(executor_id), "deferred-park", d.out.id, g.seq,
+      tracer_.complete(lane(executor_id), "deferred-park", d.item->id, g.seq,
                        d.park_ts_us, t_flush);
   }
 
@@ -578,71 +552,58 @@ void TopkServer::finalize_group_typed(Group& g, u32 executor_id) {
     tracer_.complete(lane(executor_id), "batched-finalize", 0, g.seq, t_flush,
                      tracer_.now_us());
 
-  // Batch-level accounting first: every counter must be recorded before
-  // the last promise is fulfilled, or a stats() snapshot taken right after
-  // the batch completes could miss this finalization.
   collector_.record_finalize(br.launches, parked.size(), acc.stats());
   collector_.record_executor_work(executor_id, acc.sim_ms());
   // Re-record the group arena's peak now that it holds the deferred
   // candidate spans: the next hit on the shape presizes for them too.
   if (g.plan_resolved)
     plans_.note_workspace(g.plan_key, g.ws ? g.ws->peak_bytes() : 0, 0);
-  g.ws = {};  // every parked span is consumed (see complete_item)
 
-  // One launch sequence served every parked query; each delivered query's
-  // latency carries an equal share (the kernel counters were recorded once
-  // at batch level above), so the shares sum to exactly the cost paid once.
-  const u64 t_fanout = tracing ? tracer_.now_us() : 0;
+  // One launch sequence served every parked query; each one's latency
+  // carries an equal share (the kernel counters were recorded once at
+  // batch level above), so the shares sum to exactly the cost paid once.
   const double share = acc.sim_ms() / static_cast<double>(parked.size());
   for (size_t i = 0; i < parked.size(); ++i) {
     DeferredItem<Key>& d = parked[i];
-    d.out.values.reserve(br.keys[i].size());
+    QueryResult& out = d.item->result;
+    const data::Criterion c = d.item->query.criterion;
+    out.values.reserve(br.keys[i].size());
     for (const Key key : br.keys[i])
-      d.out.values.push_back(static_cast<u64>(
-          data::value_from_directed_key<T>(key, d.criterion)));
-    d.out.kth = d.out.values.back();
-    d.out.latency_sim_ms += share;
-    d.out.breakdown.second_ms = share;
-    d.out.wall_ms = d.item->admitted.ms();
-    collector_.record_query(d.out.latency_sim_ms, d.out.breakdown,
-                            d.out.fused);
-    Pending* item = d.item;
-    d.item = nullptr;  // fulfilled: the failure path must not touch it again
-    item->promise.set_value(std::move(d.out));
+      out.values.push_back(
+          static_cast<u64>(data::value_from_directed_key<T>(key, c)));
+    out.kth = out.values.back();
+    out.latency_sim_ms += share;
+    out.breakdown.second_ms = share;
+    collector_.record_query(out.latency_sim_ms, out.breakdown, out.fused);
+    d.item = nullptr;  // completed: the failure path must not touch it
   }
-  if (tracing)
-    tracer_.complete(lane(executor_id), "fan-out", 0, g.seq, t_fanout,
-                     tracer_.now_us());
 }
 
 template <class T>
-QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
-                                       vgpu::Workspace& ws, bool* deferred) {
+bool TopkServer::run_item_typed(Group& g, Pending& p, vgpu::Workspace& ws) {
   using Key = typename data::KeyTraits<T>::Key;
   const Query& q = p.query;
-  QueryResult out;
+  QueryResult& out = p.result;
   out.id = p.id;
-  out.queue_us = p.queue_wait_us;
   out.plan_cache_hit = g.plan_hit;
-  *deferred = false;
 
   core::StageBreakdown bd;
   if (rides_shared<Key>(g, q.k)) {
-    // The group setup built the one candidate set every riding member
-    // answers from (Group::CandidateSet), so phase A is DONE — no launch,
-    // no scratch.
+    // The set's setup built the one candidate set every riding member
+    // answers from (Group::CandidateSet), so this step launches nothing
+    // and needs no scratch.
     if (!g.shared)
       throw std::logic_error(
           "TopkServer: a member riding the shared delegate vector has no "
           "candidate set");
     const Group::CandidateSet& set = *g.shared;
     const std::span<const Key> cand = set_cand<Key>(set);
-    // "Fused" means construction was genuinely shared; a singleton group
-    // paid full freight. Its latency is purely its share of the group's
+    // "Fused" means construction was genuinely shared; a singleton set
+    // paid full freight. Its latency is purely its share of the set's
     // construction + kappa + stage-3 passes.
-    out.fused = g.final_items > 1;
-    out.latency_sim_ms =
-        g.setup_sim_ms / static_cast<double>(g.final_items);
+    const u64 members = g.items.size();
+    out.fused = members > 1;
+    out.latency_sim_ms = g.setup_sim_ms / static_cast<double>(members);
     bd.alpha = g.plan.alpha;
     bd.beta = g.plan.beta;
     bd.delegate_len = group_dv<Key>(g).size();
@@ -655,25 +616,14 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
     // is the answer; inclusive, the set holds the top-kride, so it is
     // exactly the top-k.
     bd.second_skipped = set.sorted || cand.size() <= q.k;
+    out.breakdown = bd;
     if (!bd.second_skipped) {
-      // Park on the set's span: the group's last finisher selects for
-      // every parked item in a single launch (one sort serves them all),
-      // and values/kth arrive there.
-      out.breakdown = bd;
-      DeferredItem<Key> d;
-      d.item = &p;
-      d.out = out;
-      d.cand = cand;
-      d.k = q.k;
-      d.criterion = q.criterion;
-      d.selection_only = q.selection_only;
-      if (tracer_.enabled()) d.park_ts_us = tracer_.now_us();
-      {
-        std::lock_guard lk(g.batch_mu);
-        group_deferred<Key>(g).push_back(std::move(d));
-      }
-      *deferred = true;
-      return out;
+      // Park on the set's span: the set's finalization selects for every
+      // parked item in a single launch (one sort serves them all) and
+      // fills values/kth.
+      group_deferred<Key>(g).push_back(
+          {&p, cand, tracer_.enabled() ? tracer_.now_us() : 0});
+      return true;
     }
     const std::vector<Key> keys = core::expand_skipped_answer<Key>(
         cand.first(std::min<u64>(q.k, cand.size())),
@@ -683,37 +633,36 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p,
       out.values.push_back(static_cast<u64>(
           data::value_from_directed_key<T>(key, q.criterion)));
     out.kth = out.values.back();
-  } else {
-    // Unfused fallback: delegation infeasible for this shape (or setup
-    // degraded, or a k the shared vector cannot serve); the full
-    // single-query pipeline, still plan-accelerated when a plan resolved:
-    // it replays the calibrated alpha (dr_topk re-clamps per k). The
-    // direct sentinel encodes infeasibility at the *group's* planning k,
-    // so an item re-resolves for its own k (closed form only — a small k
-    // sharing a group with a near-n outlier still delegates). A
-    // recall-target item resolves its own geometry: g.plan holds the
-    // group's, sized for another k's budget.
-    core::DrTopkConfig cfg = cfg_.base;
-    if (g.plan_resolved) {
-      cfg = core::apply_plan(cfg, g.plan);
-      if (cfg.alpha == core::kDirectAlpha) cfg.alpha = cfg_.base.alpha;
-    }
-    cfg.selection_only = q.selection_only;
-    cfg.fidelity = q.fidelity;
-    if (!q.fidelity.exact()) {
-      cfg.alpha = cfg_.base.alpha;
-      cfg.beta = cfg_.base.beta;
-    }
-    auto r = core::dr_topk<T>(dev_, query_data<T>(q), q.k, q.criterion, cfg,
-                              &bd, ws);
-    out.values.reserve(r.values.size());
-    for (const T v : r.values) out.values.push_back(static_cast<u64>(v));
-    out.kth = static_cast<u64>(r.kth);
-    out.latency_sim_ms = r.sim_ms;
+    return false;
   }
+  // Unfused fallback: delegation infeasible for this shape (or setup
+  // degraded, or a k the shared vector cannot serve); the full
+  // single-query pipeline, still plan-accelerated when a plan resolved: it
+  // replays the calibrated alpha (dr_topk re-clamps per k). The direct
+  // sentinel encodes infeasibility at the *set's* planning k, so an item
+  // re-resolves for its own k (closed form only — a small k sharing a set
+  // with a near-n outlier still delegates). A recall-target item resolves
+  // its own geometry: g.plan holds the set's, sized for another k's
+  // budget.
+  core::DrTopkConfig cfg = cfg_.base;
+  if (g.plan_resolved) {
+    cfg = core::apply_plan(cfg, g.plan);
+    if (cfg.alpha == core::kDirectAlpha) cfg.alpha = cfg_.base.alpha;
+  }
+  cfg.selection_only = q.selection_only;
+  cfg.fidelity = q.fidelity;
+  if (!q.fidelity.exact()) {
+    cfg.alpha = cfg_.base.alpha;
+    cfg.beta = cfg_.base.beta;
+  }
+  auto r = core::dr_topk<T>(dev_, query_data<T>(q), q.k, q.criterion, cfg,
+                            &bd, ws);
+  out.values.reserve(r.values.size());
+  for (const T v : r.values) out.values.push_back(static_cast<u64>(v));
+  out.kth = static_cast<u64>(r.kth);
+  out.latency_sim_ms = r.sim_ms;
   out.breakdown = bd;
-  out.wall_ms = p.admitted.ms();
-  return out;
+  return false;
 }
 
 }  // namespace drtopk::serve

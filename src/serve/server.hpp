@@ -10,32 +10,31 @@
 // Architecture (the seam every scaling PR plugs into):
 //
 //   submit() -> AdmissionQueue (bounded, backpressure)
-//            -> admission groups of at most batch_max compatible queries;
-//               a burst that fills one opens siblings of it, and the
-//               siblings form one set that shares everything below
-//            -> executor threads claim work: one resolves the set's plan
-//               via the PlanCache (calibrated alpha, skipping the tuner on
-//               hits), builds ONE shared delegate vector for the whole
-//               set, closes the set's admission and builds ONE candidate
-//               set at the set's largest k; then all executors
-//               cooperatively drain the set's queries on the shared
-//               Device (whose thread pool multiplexes the kernels).
+//            -> sets of compatible queries, admitting until their setup
+//               has built the shared delegate vector
+//            -> each executor thread claims one whole set and serves it
+//               end to end: it resolves the set's plan via the PlanCache
+//               (calibrated alpha, skipping the tuner on hits), builds ONE
+//               shared delegate vector for the set, closes its admission,
+//               builds ONE candidate set at the set's largest k, runs
+//               every member's own step, finalizes the parked members in
+//               ONE launch and delivers every answer. Executors serve
+//               different sets concurrently on the shared Device (whose
+//               thread pool multiplexes the kernels).
 //
 // Batching wins because delegate construction — the dominant stage of the
-// pipeline (Figure 15) — is paid once per sibling set instead of once per
-// query; the plan cache wins by replaying calibrated decisions for
-// recurring query shapes. The setup runs stage 2 and stage 3 once, at the
-// largest k among the members (kappa only falls as k grows, so that
-// candidate set holds every smaller member's answer): a member pads it on
-// the host when it holds at most k keys, and otherwise parks on it, and the
-// executor that finishes the set's last item sorts it once for every
-// parked member in ONE batched launch. A member the shared vector cannot
-// serve runs the unshared core::dr_topk pipeline.
+// pipeline (Figure 15) — is paid once per set instead of once per query;
+// the plan cache wins by replaying calibrated decisions for recurring
+// query shapes. The setup runs stage 2 and stage 3 once, at the largest k
+// among the members (kappa only falls as k grows, so that candidate set
+// holds every smaller member's answer): a member pads it on the host when
+// it holds at most k keys, and otherwise parks on it, and the set's
+// executor sorts it once for every parked member in ONE batched launch. A
+// member the shared vector cannot serve runs the unshared core::dr_topk
+// pipeline, on the set's executor, after the members before it.
 // docs/ARCHITECTURE.md walks a query through the whole pipeline.
 #pragma once
 
-#include <exception>
-#include <optional>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -63,11 +62,10 @@ struct ObsOptions {
 };
 
 /// Server tuning knobs. The serving path itself has no switches: setup
-/// builds one delegate vector per sibling set (an admission group and the
-/// siblings a burst past batch_max opens while it still admits), closes
-/// the set's admission, then builds one threshold (one kappa launch) and
-/// one candidate set (one stage-3 launch, core/concat_batched.hpp) at the
-/// largest riding k; items answer from that set on the host or defer
+/// builds one delegate vector per set of compatible queries, closes the
+/// set's admission, then builds one threshold (one kappa launch) and one
+/// candidate set (one stage-3 launch, core/concat_batched.hpp) at the
+/// largest riding k; members answer from that set on the host or defer
 /// stage 4 to ONE batched selection launch per set (topk/batched.hpp).
 /// Every set resolves its delegate geometry through the plan cache, which
 /// tunes alpha only. Members the shared vector cannot serve — infeasible
@@ -79,11 +77,12 @@ struct ObsOptions {
 /// std::invalid_argument otherwise). docs/ARCHITECTURE.md walks the whole
 /// path.
 struct ServerConfig {
-  u32 executors = 2;       ///< concurrent query executors
-  u32 batch_max = 16;      ///< max queries per admission group; a burst
-                           ///< past it opens siblings that share the
-                           ///< first group's setup and finalization
-  u32 max_in_flight = 64;  ///< submit() blocks beyond this (backpressure)
+  u32 executors = 2;       ///< concurrent executors, one set each
+  u32 batch_max = 16;      ///< reporting size only: a set counts as
+                           ///< ceil(members / batch_max) admission groups
+                           ///< in ServerStats::groups and serve_group_size
+  u32 max_in_flight = 64;  ///< submit() blocks beyond this (backpressure);
+                           ///< it also bounds a set's size
   core::DrTopkConfig base; ///< baseline pipeline configuration
   /// Observability: per-query tracing.
   ObsOptions obs;
@@ -108,7 +107,7 @@ class TopkServer {
 
   /// Admits a burst: validates every query, then admits them in one
   /// critical section per in-flight window (AdmissionQueue::submit_many), so
-  /// compatible queries share groups before any executor claims one.
+  /// compatible queries share a set before any executor claims it.
   /// Returns the futures in submission order.
   std::vector<std::future<QueryResult>> submit_many(std::vector<Query> queries);
 
@@ -116,7 +115,8 @@ class TopkServer {
   /// submission order.
   std::vector<QueryResult> run_batch(std::vector<Query> queries);
 
-  /// Blocks until every admitted query has completed.
+  /// Blocks until every admitted query has been answered, with its
+  /// counters and trace spans recorded.
   void drain();
 
   /// Aggregate metrics (plan counters merged from the cache).
@@ -161,39 +161,31 @@ class TopkServer {
 
   const PlanCache& plan_cache() const { return plans_; }
   /// Mutable plan-cache access for cross-shard plan sharing
-  /// (ShardedTopkServer publishes calibrated plans between siblings).
+  /// (ShardedTopkServer publishes calibrated plans between shards).
   PlanCache& plan_cache() { return plans_; }
   vgpu::Device& device() { return dev_; }
   const ServerConfig& config() const { return cfg_; }
 
  private:
   void executor_loop(u32 executor_id);
+  /// Serves one claimed set end to end: setup, every member's own step,
+  /// the batched finalization, the arena's return, then every slot freed
+  /// before any answer is delivered.
+  void run_set(Group& g, u32 executor_id);
+  /// Sets up g (closing its admission on every path) and records it.
   void setup_group(Group& g, u32 executor_id);
-  /// A member's answer, held until complete_item delivers it; empty when
-  /// the member parked (its set's finalization answers it).
-  struct Answer {
-    std::optional<QueryResult> result;
-    std::exception_ptr error;
-  };
-  Answer execute_item(Group& g, Pending& p, u32 executor_id);
-  /// Marks one item of g's set executed and delivers its answer. The
-  /// executor whose item completes the set returns the set's arena to the
-  /// pool before the set's last answer is delivered, and finalizes every
-  /// parked (deferred) query of the set before returning, so the caller
-  /// releases the item's in-flight slot only after that — drain() may not
-  /// observe an idle queue with unfulfilled promises.
-  void complete_item(Group& g, Pending& p, Answer a, u32 executor_id);
-  /// Finalizes a completed group's parked queries in one batched launch
-  /// over the group's key width. A failed launch fails only the group's
-  /// parked queries that were not yet fulfilled.
-  void finalize_group(Group& g, u32 executor_id);
-  /// Sets up g's whole sibling set. Returns the riding members whose k
-  /// repeats another member's (ServerStats::deduped_queries).
+  /// Sets up g. Returns the riding members whose k repeats another
+  /// member's (ServerStats::deduped_queries).
   template <class T>
   u64 setup_group_typed(Group& g, u32 executor_id);
+  /// One member's own step; leaves its answer (or error) in p, or parks it.
+  void execute_item(Group& g, Pending& p, u32 executor_id);
+  /// Returns true when p parked for the set's finalization.
   template <class T>
-  QueryResult run_item_typed(Group& g, Pending& p, vgpu::Workspace& ws,
-                             bool* deferred);
+  bool run_item_typed(Group& g, Pending& p, vgpu::Workspace& ws);
+  /// Finalizes g's parked members in one batched launch over the set's key
+  /// width. A failed launch fails every parked member not yet completed.
+  void finalize_group(Group& g, u32 executor_id);
   template <class T>
   void finalize_group_typed(Group& g, u32 executor_id);
   /// Trace lane of an executor (lane 0 is the submit path).
@@ -206,10 +198,10 @@ class TopkServer {
   /// and the collector registers its metrics here (member init order).
   obs::Registry registry_;
   obs::Tracer tracer_;
-  obs::Histogram* queue_wait_us_ = nullptr;  ///< admission -> claim (us)
+  obs::Histogram* queue_wait_us_ = nullptr;  ///< admission -> own step (us)
   obs::Histogram* group_size_ = nullptr;     ///< queries per admission group
   /// Recycled workspaces backing each set's shared delegate vector and
-  /// candidate set (leases keep the pool's shared state alive, so group
+  /// candidate set (leases keep the pool's shared state alive, so set
   /// teardown order is a non-issue).
   vgpu::WorkspacePool group_ws_;
   /// One persistent workspace per executor thread: all per-query scratch

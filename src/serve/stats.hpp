@@ -2,7 +2,7 @@
 //
 // Latencies are the cost-model milliseconds each query would take on the
 // profiled GPU (its pipeline stages plus an amortized share of any
-// group-shared work). Aggregate throughput uses the *makespan*: the largest
+// set-shared work). Aggregate throughput uses the *makespan*: the largest
 // per-executor sum of simulated work — concurrent executors overlap, so
 // completed / makespan is the modeled steady-state QPS of the deployment.
 //
@@ -30,16 +30,13 @@ namespace drtopk::serve {
 struct ServerStats {
   u64 completed = 0;
   u64 failed = 0;
-  u64 groups = 0;         ///< admission groups executed
-  u64 shared_setup_groups = 0;  ///< groups answered from a sibling's setup
-                                ///< (counted in `groups` too): opened when
-                                ///< batch_max filled every admitting
-                                ///< compatible group
-  u64 fused_queries = 0;  ///< queries served from a group-shared delegate
+  u64 groups = 0;         ///< admission groups executed: ceil(members /
+                          ///< batch_max) per set
+  u64 fused_queries = 0;  ///< queries served from a set-shared delegate
   u64 plan_hits = 0;      ///< plan-cache lookups that skipped tuning
   u64 plan_misses = 0;    ///< lookups that paid calibration probes
-  u64 batched_groups = 0;   ///< sibling sets finalized with a batched second
-                            ///< top-k (one per set with a parked member)
+  u64 batched_groups = 0;   ///< sets finalized with a batched second top-k
+                            ///< (one per set with a parked member)
   u64 batched_queries = 0;  ///< queries whose stage 4 ran inside a batched
                             ///< finalization
   u64 finalize_launches = 0;  ///< selection launches spent finalizing sets:
@@ -48,8 +45,8 @@ struct ServerStats {
                               ///< common case), two when the multi-CTA path
                               ///< runs
   u64 deduped_queries = 0;  ///< riding members whose k repeats another
-                            ///< member's of the same sibling set (every
-                            ///< riding member answers from the set's one
+                            ///< member's of the same set (every riding
+                            ///< member answers from the set's one
                             ///< candidate set)
   u64 concat_launches = 0;  ///< kernel launches attributed to stage 3:
                             ///< ONE per setup, plus whatever the
@@ -62,8 +59,8 @@ struct ServerStats {
                               ///< see topk::radix_kth_flag)
   u64 relax_guard_skips = 0;  ///< relaxed thresholds a recall target kept
                               ///< past the guard's 4k bound
-  u64 setup_fallbacks = 0;    ///< setups that threw, one per sibling set:
-                              ///< their members ran the unshared per-query
+  u64 setup_fallbacks = 0;    ///< setups that threw, one per set: their
+                              ///< members ran the unshared per-query
                               ///< pipeline instead
   u64 approx_queries = 0;     ///< queries executed under a recall target
                               ///< (FidelityPolicy not exact)
@@ -78,7 +75,7 @@ struct ServerStats {
   double p50_sim_ms = 0.0;
   double p99_sim_ms = 0.0;
   core::StageBreakdown stages;  ///< aggregate stage breakdown (construction
-                                ///< counted once per group, not per query)
+                                ///< counted once per set, not per query)
 
   /// Modeled aggregate queries/second of the executor fleet.
   double qps() const {
@@ -113,23 +110,20 @@ class StatsCollector {
         m_failed_(reg.counter("serve_queries_failed",
                               "Queries rejected or failed")),
         m_groups_(reg.counter("serve_groups", "Admission groups executed")),
-        m_shared_setups_(reg.counter(
-            "serve_shared_setups",
-            "Admission groups answered from a sibling group's setup")),
         m_fused_(reg.counter("serve_fused_queries",
-                             "Queries served from a group-shared delegate")),
+                             "Queries served from a set-shared delegate")),
         m_batched_groups_(reg.counter(
             "serve_batched_groups",
-            "Sibling sets finalized with a batched second top-k")),
+            "Sets finalized with a batched second top-k")),
         m_batched_queries_(reg.counter(
             "serve_batched_queries",
             "Queries finalized inside a batched second top-k")),
         m_finalize_launches_(reg.counter(
             "serve_finalize_launches",
-            "Selection launches spent finalizing sibling sets")),
+            "Selection launches spent finalizing sets")),
         m_deduped_(reg.counter(
             "serve_deduped_queries",
-            "Riding group members whose k repeats another member's")),
+            "Riding set members whose k repeats another member's")),
         m_concat_launches_(reg.counter(
             "serve_concat_launches",
             "Kernel launches attributed to stage 3")),
@@ -168,12 +162,11 @@ class StatsCollector {
 
   void record_failure() { m_failed_.add(); }
 
-  /// One setup, shared by a sibling set of `groups` admission groups;
+  /// One set's setup; the set reports as `groups` admission groups, and
   /// `deduped` of its riding members repeat another member's k.
   void record_group(const core::StageBreakdown& setup_stages, u64 deduped,
                     u64 groups) {
     m_groups_.add(groups);
-    if (groups > 1) m_shared_setups_.add(groups - 1);
     if (deduped) m_deduped_.add(deduped);
     if (setup_stages.concat_stats.kernels_launched)
       m_concat_launches_.add(setup_stages.concat_stats.kernels_launched);
@@ -183,11 +176,11 @@ class StatsCollector {
     stages_ += setup_stages;
   }
 
-  /// One setup that threw and left the members of its sibling set to the
-  /// unshared per-query pipeline.
+  /// One setup that threw and left the members of its set to the unshared
+  /// per-query pipeline.
   void record_setup_fallback() { m_setup_fallbacks_.add(); }
 
-  /// One sibling set's batched finalization: `launches` selection launches
+  /// One set's batched finalization: `launches` selection launches
   /// served its `queries` deferred queries. The kernel counters land in
   /// the aggregate second-stage stats once (per-query breakdowns carry only
   /// their sim-ms share, so the aggregate stays double-count-free).
@@ -244,7 +237,6 @@ class StatsCollector {
     s.completed = m_completed_.value();
     s.failed = m_failed_.value();
     s.groups = m_groups_.value();
-    s.shared_setup_groups = m_shared_setups_.value();
     s.fused_queries = m_fused_.value();
     s.batched_groups = m_batched_groups_.value();
     s.batched_queries = m_batched_queries_.value();
@@ -259,7 +251,7 @@ class StatsCollector {
       s.calibration_sim_ms = calibration_sim_ms_;
       s.stages = stages_;
       // Stage-3 attribution: every stage-3 launch lands in the aggregate
-      // concat stats exactly once (group-level passes via record_group,
+      // concat stats exactly once (set-level passes via record_group,
       // per-query ones via record_query).
       s.concat_launches = stages_.concat_stats.kernels_launched;
       s.relax_guard_trips = stages_.guard_trips;
@@ -293,7 +285,6 @@ class StatsCollector {
   obs::Counter& m_completed_;
   obs::Counter& m_failed_;
   obs::Counter& m_groups_;
-  obs::Counter& m_shared_setups_;
   obs::Counter& m_fused_;
   obs::Counter& m_batched_groups_;
   obs::Counter& m_batched_queries_;

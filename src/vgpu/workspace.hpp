@@ -36,10 +36,12 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -253,42 +255,29 @@ inline Workspace& tls_workspace() {
 }
 
 /// Recycling pool of workspaces for scratch whose lifetime is not tied to
-/// one call stack — e.g. a serving group's shared delegate vector, which is
-/// built by one executor and read by all of them until the group drains.
+/// one call stack — e.g. a serving set's shared delegate vector and
+/// candidate set, which outlive every per-query scratch scope of the
+/// executor that serves the set.
 /// Leases return their workspace (reset, capacity retained) on destruction,
 /// so a steady-state server converges on a fixed set of pooled workspaces
 /// and performs zero further heap allocations.
 class WorkspacePool {
-  struct FreeEntry {
-    std::unique_ptr<Workspace> ws;
-    u64 affinity;  ///< who returned it (kNoAffinity when untagged)
-  };
   struct State {
     std::mutex mu;
-    std::vector<FreeEntry> free;
+    std::vector<std::unique_ptr<Workspace>> free;  ///< last returned on top
     std::vector<Workspace*> all;  ///< stable observers for metric sums
   };
 
  public:
-  /// Affinity token for acquire(): callers that pass a stable id (e.g. an
-  /// executor index) are preferentially re-issued the arena they last
-  /// returned — first-touch locality groundwork for NUMA pinning, where a
-  /// pool block's pages live on the socket of whoever touched them first.
-  static constexpr u64 kNoAffinity = ~u64{0};
-
   class Lease {
    public:
     Lease() = default;
-    Lease(Lease&& o) noexcept
-        : state_(std::move(o.state_)),
-          ws_(std::move(o.ws_)),
-          affinity_(o.affinity_) {}
+    Lease(Lease&& o) noexcept = default;
     Lease& operator=(Lease&& o) noexcept {
       if (this != &o) {
         release();
         state_ = std::move(o.state_);
         ws_ = std::move(o.ws_);
-        affinity_ = o.affinity_;
       }
       return *this;
     }
@@ -303,62 +292,44 @@ class WorkspacePool {
 
    private:
     friend class WorkspacePool;
-    Lease(std::shared_ptr<State> state, std::unique_ptr<Workspace> ws,
-          u64 affinity)
-        : state_(std::move(state)), ws_(std::move(ws)), affinity_(affinity) {}
+    Lease(std::shared_ptr<State> state, std::unique_ptr<Workspace> ws)
+        : state_(std::move(state)), ws_(std::move(ws)) {}
 
     void release() {
       if (!ws_) return;
       ws_->reset();
       std::lock_guard lk(state_->mu);
-      state_->free.push_back({std::move(ws_), affinity_});
+      state_->free.push_back(std::move(ws_));
     }
 
     std::shared_ptr<State> state_;
     std::unique_ptr<Workspace> ws_;
-    u64 affinity_ = kNoAffinity;
   };
 
-  /// Pops a recycled workspace (or creates one on first use) and presizes
-  /// it. Pick order: capacity first, affinity second — an arena already
-  /// big enough for `reserve_bytes` (preferring the one this caller last
-  /// returned) beats the affine-but-too-small arena, so affinity can bias
-  /// placement but never force an avoidable heap growth; any free arena
-  /// still beats allocating a new workspace.
-  Lease acquire(u64 reserve_bytes = 0, u64 affinity = kNoAffinity) {
+  /// Pops a recycled workspace (or creates one when none is free) and
+  /// presizes it. Pick order: the most recently returned arena already big
+  /// enough for `reserve_bytes`, otherwise the most recently returned one —
+  /// any free arena beats allocating a new workspace.
+  Lease acquire(u64 reserve_bytes = 0) {
     std::unique_ptr<Workspace> ws;
     {
       std::lock_guard lk(state_->mu);
-      if (!state_->free.empty()) {
-        size_t pick = state_->free.size() - 1;
-        size_t fitting = state_->free.size();  // best capacity-sufficient
-        size_t affine = state_->free.size();   // best affinity match
-        for (size_t i = state_->free.size(); i-- > 0;) {
-          const FreeEntry& e = state_->free[i];
-          const bool fits = e.ws->capacity_bytes() >= reserve_bytes;
-          const bool mine = affinity != kNoAffinity && e.affinity == affinity;
-          if (fits && mine) {
-            fitting = affine = i;
-            break;  // ideal: my own arena, already big enough
-          }
-          if (fits && fitting == state_->free.size()) fitting = i;
-          if (mine && affine == state_->free.size()) affine = i;
-        }
-        if (fitting < state_->free.size()) {
-          pick = fitting;
-        } else if (affine < state_->free.size()) {
-          pick = affine;
-        }
-        ws = std::move(state_->free[pick].ws);
-        state_->free.erase(state_->free.begin() +
-                           static_cast<std::ptrdiff_t>(pick));
+      auto& free = state_->free;
+      if (!free.empty()) {
+        auto pick =
+            std::find_if(free.rbegin(), free.rend(), [&](const auto& w) {
+              return w->capacity_bytes() >= reserve_bytes;
+            });
+        if (pick == free.rend()) pick = free.rbegin();
+        ws = std::move(*pick);
+        free.erase(std::next(pick).base());
       } else {
         ws = std::make_unique<Workspace>();
         state_->all.push_back(ws.get());
       }
     }
     if (reserve_bytes) ws->reserve_bytes(reserve_bytes);
-    return Lease(state_, std::move(ws), affinity);
+    return Lease(state_, std::move(ws));
   }
 
   /// Aggregate counters over every workspace ever created by this pool

@@ -342,34 +342,53 @@ u64 net_counter(const NetServer& net, const char* name) {
   return c ? c->value() : 0;
 }
 
-/// Drives launch faults on `dev` through `net`: a construct launch that
-/// fails once leaves every reply kOk and oracle-exact (the group setup
-/// falls back), a sticky one answers every request kError and counts each
-/// in net_backend_result_errors, and once disarmed the server answers kOk
-/// again.
-void expect_typed_construct_faults(NetServer& net, vgpu::Device& dev,
-                                   std::span<const u32> vs,
-                                   const std::string& tag) {
+/// Drives launch faults on `stage` of `dev` through `net`, one-off and
+/// sticky: every request gets exactly one typed reply (kOk and
+/// oracle-exact, or kError), net_backend_result_errors counts exactly the
+/// kError replies, and once disarmed the server answers kOk again. A setup
+/// stage (construct, first, concat) that fails once makes its set fall
+/// back to the per-query pipeline, so every reply is kOk, and a sticky
+/// fault fails that pipeline too, so every reply is kError. A finalize
+/// ("second") fault fails exactly the members that parked.
+void expect_typed_launch_faults(NetServer& net, vgpu::Device& dev,
+                                std::span<const u32> vs,
+                                const std::string& stage,
+                                const std::string& tag) {
+  const std::string at = tag + " " + stage;
   BlockingClient cli;
-  ASSERT_TRUE(cli.connect(net.port())) << tag;
+  ASSERT_TRUE(cli.connect(net.port())) << at;
   const std::vector<u64> ks = {16, 100, 100, 333};
-  EXPECT_EQ(burst_typed(cli, 100, ks, vs), 0u) << tag << " warm";
+  const bool setup_stage = stage != "second";
+  u64 errors = net_counter(net, "net_backend_result_errors");
+  EXPECT_EQ(burst_typed(cli, 100, ks, vs), 0u) << at << " warm";
 
-  dev.fail_next_launches("construct", 1);
-  EXPECT_EQ(burst_typed(cli, 200, ks, vs), 0u) << tag << " transient";
-  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), 0u) << tag;
+  dev.fail_next_launches(stage, 1);
+  const u64 transient = burst_typed(cli, 200, ks, vs);
+  if (setup_stage) {
+    EXPECT_EQ(transient, 0u) << at << " transient";
+  }
+  errors += transient;
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), errors) << at;
 
-  dev.fail_next_launches("construct", 1000);
-  EXPECT_EQ(burst_typed(cli, 300, ks, vs), ks.size()) << tag << " sticky";
-  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), ks.size())
-      << tag;
-  EXPECT_EQ(net_counter(net, "net_backend_submit_errors"), 0u) << tag;
+  dev.fail_next_launches(stage, 1000);
+  const u64 sticky = burst_typed(cli, 300, ks, vs);
+  if (setup_stage) {
+    EXPECT_EQ(sticky, ks.size()) << at << " sticky";
+  } else {
+    EXPECT_GE(sticky, 1u) << at << " sticky: no member parked";
+  }
+  errors += sticky;
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), errors) << at;
+  EXPECT_EQ(net_counter(net, "net_backend_submit_errors"), 0u) << at;
 
-  dev.fail_next_launches("construct", 0);
-  EXPECT_EQ(burst_typed(cli, 400, ks, vs), 0u) << tag << " disarmed";
-  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), ks.size())
-      << tag;
+  dev.fail_next_launches(stage, 0);
+  EXPECT_EQ(burst_typed(cli, 400, ks, vs), 0u) << at << " disarmed";
+  EXPECT_EQ(net_counter(net, "net_backend_result_errors"), errors) << at;
 }
+
+/// The stages a request's launches carry on a serving device.
+constexpr const char* kServeStages[] = {"construct", "first", "concat",
+                                        "second"};
 
 TEST(NetFaults, LaunchFaultsBehindEachBackendAnswerTyped) {
   const auto corpus = data::generate(1 << 16, Distribution::kUniform, 79);
@@ -380,7 +399,8 @@ TEST(NetFaults, LaunchFaultsBehindEachBackendAnswerTyped) {
     SingleBackend backend(srv);
     backend.add_corpus(vs);
     NetServer net(backend, {});
-    expect_typed_construct_faults(net, dev, vs, "single");
+    for (const char* stage : kServeStages)
+      expect_typed_launch_faults(net, dev, vs, stage, "single");
     net.drain();
     srv.drain();
     EXPECT_EQ(net.in_flight(), 0u);
@@ -392,7 +412,9 @@ TEST(NetFaults, LaunchFaultsBehindEachBackendAnswerTyped) {
   backend.add_corpus(vs);
   ASSERT_EQ(srv.corpus_shards(0), 2u);
   NetServer net(backend, {});
-  expect_typed_construct_faults(net, srv.shard_device(1), vs, "sharded");
+  for (const char* stage : kServeStages)
+    expect_typed_launch_faults(net, srv.shard_device(1), vs, stage,
+                               "sharded");
 
   // A failed merge launch fails the queries of its batch: each still gets
   // one typed reply, and the errors are counted.

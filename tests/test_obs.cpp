@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -231,6 +232,61 @@ TEST(ObsServe, SpansWellFormedUnderConcurrentExecutors) {
   EXPECT_GT(finalizes, 0u);
 }
 
+TEST(ObsServe, ASetsSpansShareItsExecutorsLane) {
+  // One executor serves a set end to end, so every complete span of one
+  // set sits on that executor's lane; and a member's queue wait runs from
+  // admission to the start of its own step, which follows its set's setup,
+  // so it ends no earlier than the set's group-setup span.
+  auto a = data::generate(1 << 15, data::Distribution::kUniform, 35);
+  auto b = data::generate(1 << 14, data::Distribution::kNormal, 36);
+  plant_hot_run(a);
+  plant_hot_run(b);
+  std::span<const u32> as(a.data(), a.size());
+  std::span<const u32> bs(b.data(), b.size());
+
+  vgpu::Device dev(vgpu::GpuProfile::v100s());
+  serve::ServerConfig cfg;
+  cfg.executors = 3;
+  cfg.obs.tracing = true;
+  serve::TopkServer server(dev, cfg);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<serve::Query> burst;
+    for (int i = 0; i < 24; ++i)
+      burst.push_back(
+          serve::Query::view(i % 2 ? as : bs, 20 + 30 * (i % 6)));
+    server.run_batch(std::move(burst));
+  }
+  server.drain();
+
+  const auto spans = server.tracer().snapshot();
+  std::map<u64, u32> set_lane;
+  std::map<u64, u64> setup_end;
+  std::map<std::string_view, u64> seen;
+  for (const auto& [lane, s] : spans) {
+    if (s.instant) continue;
+    const std::string_view name(s.name);
+    ++seen[name];
+    EXPECT_NE(lane, 0u) << name;
+    const auto [it, fresh] = set_lane.emplace(s.group, lane);
+    EXPECT_EQ(it->second, lane) << name << " of set " << s.group;
+    if (name == "group-setup") setup_end[s.group] = s.ts_us + s.dur_us;
+  }
+  for (const char* name : {"group-setup", "queue-wait", "phase-a",
+                           "deferred-park", "batched-finalize", "fan-out"})
+    EXPECT_GT(seen[name], 0u) << name;
+  EXPECT_EQ(setup_end.size(), set_lane.size());
+  EXPECT_GE(setup_end.size(), 12u);  // two corpora, six bursts
+  u64 waits = 0;
+  for (const auto& [lane, s] : spans) {
+    if (s.instant || std::string_view(s.name) != "queue-wait") continue;
+    ++waits;
+    ASSERT_EQ(setup_end.count(s.group), 1u) << "set " << s.group;
+    EXPECT_GE(s.ts_us + s.dur_us, setup_end[s.group])
+        << "query " << s.query << " of set " << s.group;
+  }
+  EXPECT_EQ(waits, 6u * 24u);
+}
+
 TEST(ObsServe, EveryServedLaunchCarriesAStageLabel) {
   // Mixed corpora/distributions, each with a planted run of top keys, so
   // the run exercises the deferred stage-4 path too (with at most k keys
@@ -348,30 +404,18 @@ TEST(ObsServe, ServerExportsMetricsAndTrace) {
 
   const std::string json = server.metrics_json();
   EXPECT_NE(json.find("\"serve_queries_completed\":16"), std::string::npos);
-  EXPECT_NE(prom.find("\nserve_shared_setups 0\n"), std::string::npos);
-  EXPECT_NE(json.find("\"serve_shared_setups\":0"), std::string::npos);
 
-  // A burst larger than batch_max fills group 2 and opens group 3, a
-  // sibling that shares group 2's setup: counted in serve_shared_setups
-  // and marked by one setup-shared instant carrying group 2's seq.
+  // A burst larger than batch_max is one more set, which reports two
+  // admission groups.
   std::vector<serve::Query> burst;
   for (int i = 0; i < 20; ++i) burst.push_back(serve::Query::view(vs, 100));
   server.run_batch(std::move(burst));
   server.drain();
-  EXPECT_EQ(server.stats().shared_setup_groups, 1u);
-  EXPECT_NE(server.metrics_prometheus().find("\nserve_shared_setups 1\n"),
-            std::string::npos);
-  EXPECT_NE(server.metrics_json().find("\"serve_shared_setups\":1"),
-            std::string::npos);
-  u64 shared = 0;
-  for (const auto& [lane, s] : server.tracer().snapshot()) {
-    if (std::string_view(s.name) != "setup-shared") continue;
-    ++shared;
-    EXPECT_EQ(lane, 0u);
-    EXPECT_EQ(s.group, 3u);
-    EXPECT_EQ(s.detail, "2");
-  }
-  EXPECT_EQ(shared, 1u);
+  EXPECT_EQ(server.stats().groups, 3u);
+  u64 setups = 0;
+  for (const auto& [lane, s] : server.tracer().snapshot())
+    if (std::string_view(s.name) == "group-setup") ++setups;
+  EXPECT_EQ(setups, 2u);
 
   const std::string path = "test_obs_trace.json";
   ASSERT_TRUE(server.dump_trace(path));

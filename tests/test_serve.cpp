@@ -1016,12 +1016,10 @@ TEST(Serve, FailedFinalizeLaunchFailsOnlyTheParkedMembers) {
 }
 
 TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {
-  // Two admission groups on DIFFERENT corpora served concurrently (two
-  // independent sets, not siblings): the executor that finishes a set's
-  // last item finalizes that set's parked queries in one batched launch of
-  // its own, so finalization launches track finalized sets one for one
-  // (small, single-CTA candidate segments) and never merge across
-  // corpora.
+  // Two sets on DIFFERENT corpora served concurrently: each set's executor
+  // finalizes that set's parked queries in one batched launch of its own,
+  // so finalization launches track finalized sets one for one (small,
+  // single-CTA candidate segments) and never merge across corpora.
   const u64 n = 1 << 15;
   auto va = data::generate(n, Distribution::kUniform, 151);
   auto vb = data::generate(n, Distribution::kNormal, 152);
@@ -1053,12 +1051,12 @@ TEST(Serve, EachGroupFinalizesInItsOwnLaunch) {
 }
 
 TEST(Serve, SpanLifetimeStressAcrossGroups) {
-  // Span-lifetime stress: executors steal items across groups, so a
-  // set's last finisher finalizes candidate spans that other executors
-  // parked — its arena-backed spans (shared by repeated ks included) must
-  // stay valid until the set's launch consumes them. Several rounds over
-  // four corpora with duplicate queries; everything must stay exact with
-  // zero failures.
+  // Span-lifetime stress: three executors serve four corpora's sets
+  // concurrently, each set's arena-backed candidate spans (shared by
+  // repeated ks included) must stay valid until its finalization consumes
+  // them, and the arena then goes back to the pool that the other
+  // executors' sets lease from. Several rounds with duplicate queries;
+  // everything must stay exact with zero failures.
   const u64 n = 1 << 14;
   std::vector<vgpu::device_vector<u32>> corpora;
   for (u64 t = 0; t < 4; ++t)
@@ -1187,10 +1185,10 @@ u64 stage_launches(const vgpu::Device& dev, const std::string& stage) {
   return 0;
 }
 
-/// A burst of `count` compatible queries for a sibling-set test: twelve
+/// A burst of `count` compatible queries, one set past batch_max: twelve
 /// distinct ks, then repeats of them; query 5 is selection-only.
 template <class T>
-std::vector<Query> sibling_burst(std::span<const T> vs, u64 count,
+std::vector<Query> one_set_burst(std::span<const T> vs, u64 count,
                                  Criterion c) {
   std::vector<Query> qs;
   for (u64 i = 0; i < count; ++i)
@@ -1199,9 +1197,9 @@ std::vector<Query> sibling_burst(std::span<const T> vs, u64 count,
   return qs;
 }
 
-/// Serves sibling_burst(vs, count, c) through a warmed server with
-/// batch_max 16 and checks, per round, that the ceil(count / 16) groups
-/// the burst fills share ONE setup and ONE finalization: one construction
+/// Serves one_set_burst(vs, count, c) through a warmed server with
+/// batch_max 16 and checks, per round, that the burst is ONE set, reported
+/// as ceil(count / 16) admission groups: one construction
 /// (plus its directed-key conversion under kSmallest, also a "construct"
 /// launch), one kappa ("first"), one stage-3 ("concat") and one finalize
 /// ("second") launch for members parked in every group, every answer
@@ -1217,7 +1215,7 @@ void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
   TopkServer server(dev, cfg);
   const u64 construct = topk::key_is_identity<T>(c) ? 1 : 2;
   for (const u64 count : {u64{32}, u64{40}}) {
-    const std::vector<Query> qs = sibling_burst(vs, count, c);
+    const std::vector<Query> qs = one_set_burst(vs, count, c);
     (void)server.run_batch(qs);  // warm: plans calibrate, arenas grow
     const u64 groups = (count + 15) / 16;
     for (int round = 0; round < 2; ++round) {
@@ -1254,8 +1252,6 @@ void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
       EXPECT_EQ(stage_launches(dev, "concat") - before["concat"], 1u) << at;
       EXPECT_EQ(stage_launches(dev, "second") - before["second"], 1u) << at;
       EXPECT_EQ(s1.groups - s0.groups, groups) << at;
-      EXPECT_EQ(s1.shared_setup_groups - s0.shared_setup_groups, groups - 1)
-          << at;
       EXPECT_EQ(s1.finalize_launches - s0.finalize_launches, 1u) << at;
       EXPECT_EQ(s1.batched_groups - s0.batched_groups, 1u) << at;
       EXPECT_EQ(s1.batched_queries - s0.batched_queries, parked) << at;
@@ -1269,10 +1265,10 @@ void expect_one_setup_per_burst(std::span<const T> vs, Criterion c,
   EXPECT_EQ(dev.unattributed_launches(), 0u) << tag;
 }
 
-TEST(Serve, SiblingGroupsShareOneSetup) {
-  // A burst larger than batch_max fills one group and opens siblings of
-  // it: they claim no setup of their own, so the whole burst pays one
-  // construction, one kappa, one stage-3 and one finalize launch.
+TEST(Serve, BurstPastBatchMaxIsOneSet) {
+  // A burst larger than batch_max is still one set: it reports
+  // ceil(count / batch_max) admission groups but pays one construction,
+  // one kappa, one stage-3 and one finalize launch.
   auto v = data::generate(u64{1} << 16, Distribution::kUniform, 271);
   plant_hot_run(v, 4096, 256);  // more candidates than any k: members park
   std::span<const u32> vs(v.data(), v.size());
@@ -1288,11 +1284,53 @@ TEST(Serve, SiblingGroupsShareOneSetup) {
   }
 }
 
-TEST(Serve, RecallTargetSiblingAnswersFromTheFirstGroupsGeometry) {
-  // serve-approx's corpus-0 shape at rho 0.9: a first group of 16 whose
-  // largest k is 2,474 and a sibling of 10 whose largest is 1,923. The
-  // sibling answers from the first group's delegate vector, sized at
-  // 2,474, and every member still meets its target.
+TEST(Serve, ClosedLoopBurstsTakeOneSetPerCorpus) {
+  // A set frees every in-flight slot before it delivers any answer, so a
+  // client that sends its next burst on the last answer finds the slots
+  // free: with max_in_flight equal to the burst, the whole burst is
+  // admitted in one critical section, and each corpus's queries form ONE
+  // set — one construct launch per corpus per burst, for 200 closed-loop
+  // bursts.
+  const u64 n = u64{1} << 14;
+  auto va = data::generate(n, Distribution::kUniform, 283);
+  auto vb = data::generate(n, Distribution::kNormal, 284);
+  std::span<const u32> as(va.data(), va.size());
+  std::span<const u32> bs(vb.data(), vb.size());
+  std::vector<Query> burst;
+  for (u64 i = 0; i < 16; ++i) {
+    burst.push_back(Query::view(as, 8 + 8 * i));
+    burst.push_back(Query::view(bs, 8 + 8 * i));
+  }
+  std::vector<std::vector<u64>> want;
+  for (const Query& q : burst) want.push_back(oracle(q));
+
+  vgpu::Device dev(vgpu::GpuProfile::v100s());  // private launch ledger
+  ServerConfig cfg;
+  cfg.executors = 3;  // an idle executor could claim a half-admitted burst
+  cfg.max_in_flight = static_cast<u32>(burst.size());
+  TopkServer server(dev, cfg);
+  (void)server.run_batch(burst);  // warm: plans calibrate, arenas grow
+  const ServerStats warm = server.stats();
+  const int bursts = 200;
+  for (int b = 0; b < bursts; ++b) {
+    const u64 constructs = stage_launches(dev, "construct");
+    const auto rs = server.run_batch(burst);
+    ASSERT_EQ(stage_launches(dev, "construct") - constructs, 2u)
+        << "burst " << b;
+    for (size_t i = 0; i < burst.size(); ++i)
+      ASSERT_EQ(rs[i].values, want[i]) << "burst " << b << " query " << i;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.groups - warm.groups, 2u * bursts);
+  EXPECT_EQ(s.failed, 0u);
+}
+
+TEST(Serve, RecallTargetBurstPastBatchMaxAnswersFromOneGeometry) {
+  // serve-approx's corpus-0 shape at rho 0.9: one set of 26, reported as a
+  // first admission group of 16 whose largest k is 2,474 and a second of
+  // 10 whose largest is 1,923. The second group's members answer from the
+  // set's one delegate vector, sized at 2,474, and every member still
+  // meets its target.
   const u64 n = u64{1} << 20;
   auto v = data::generate(n, Distribution::kUniform, 273);
   std::span<const u32> vs(v.data(), v.size());
@@ -1300,11 +1338,11 @@ TEST(Serve, RecallTargetSiblingAnswersFromTheFirstGroupsGeometry) {
   const std::vector<u64> first = {256, 329,  424, 545,  702, 903,
                                   1162, 1495, 1923, 2474, 256, 545,
                                   903,  1495, 2474, 424};
-  const std::vector<u64> sibling = {1923, 256, 329, 424, 545,
-                                    702,  903, 1162, 1495, 702};
+  const std::vector<u64> second = {1923, 256, 329, 424, 545,
+                                   702,  903, 1162, 1495, 702};
   std::vector<Query> qs;
   for (const u64 k : first) qs.push_back(Query::view(vs, k).with_recall(rho));
-  for (const u64 k : sibling)
+  for (const u64 k : second)
     qs.push_back(Query::view(vs, k).with_recall(rho));
 
   vgpu::Device dev(vgpu::GpuProfile::v100s());  // private launch ledger
@@ -1330,24 +1368,23 @@ TEST(Serve, RecallTargetSiblingAnswersFromTheFirstGroupsGeometry) {
   }
   const ServerStats s = server.stats();
   EXPECT_EQ(s.groups, 2u);
-  EXPECT_EQ(s.shared_setup_groups, 1u);
   EXPECT_EQ(stage_launches(dev, "construct"), 1u);
   EXPECT_EQ(stage_launches(dev, "first"), 1u);
   EXPECT_EQ(s.concat_launches, 0u);
   EXPECT_EQ(s.finalize_launches, 0u);
 }
 
-TEST(Serve, SiblingSetupFaultsFallBackOnceOrFailTyped) {
-  // A 32-query burst fills a group and its sibling. A construct, kappa
+TEST(Serve, SetSetupFaultsFallBackOnceOrFailTyped) {
+  // A 32-query burst is one set of two admission groups. A construct, kappa
   // ("first") or stage-3 ("concat") launch that fails once makes the ONE
-  // shared setup fall back: one serve_setup_fallbacks for both groups, and
+  // shared setup fall back: one serve_setup_fallbacks for the set, and
   // every member answers oracle-exact from its own pipeline. A sticky
   // fault fails that pipeline too, so every future ends in the launch's
   // typed exception. drain() returns either way, and once disarmed the
   // next burst shares one setup again.
   auto v = data::generate(u64{1} << 16, Distribution::kUniform, 275);
   std::span<const u32> vs(v.data(), v.size());
-  const std::vector<Query> qs = sibling_burst(vs, 32, Criterion::kLargest);
+  const std::vector<Query> qs = one_set_burst(vs, 32, Criterion::kLargest);
   for (const char* stage : {"construct", "first", "concat"}) {
     for (const u64 count : {u64{1}, u64{1000}}) {
       const std::string at =
@@ -1392,16 +1429,16 @@ TEST(Serve, SiblingSetupFaultsFallBackOnceOrFailTyped) {
   }
 }
 
-TEST(Serve, SiblingSetFinalizeFaultFailsEveryParkedMember) {
-  // The sibling set's one finalize launch serves the parked members of
-  // both groups, so when it fails every one of them gets the launch's
+TEST(Serve, SetFinalizeFaultFailsEveryParkedMember) {
+  // A set's one finalize launch serves the parked members of both its
+  // admission groups, so when it fails every one of them gets the launch's
   // exception, counted in `failed`, while members answered on the host
   // still answer; drain() returns. Once disarmed, one launch finalizes the
   // next burst again.
   auto v = data::generate(u64{1} << 16, Distribution::kUniform, 279);
   plant_hot_run(v, 4096, 256);  // more candidates than any k: members park
   std::span<const u32> vs(v.data(), v.size());
-  const std::vector<Query> qs = sibling_burst(vs, 32, Criterion::kLargest);
+  const std::vector<Query> qs = one_set_burst(vs, 32, Criterion::kLargest);
   vgpu::Device dev(vgpu::GpuProfile::v100s());  // private fault seam
   ServerConfig cfg;
   cfg.executors = 2;
@@ -1443,12 +1480,12 @@ TEST(Serve, SiblingSetFinalizeFaultFailsEveryParkedMember) {
   EXPECT_EQ(s.failed, parked);
 }
 
-TEST(Serve, StreamedJoinerOpensASiblingWhileTheFirstGroupSetsUp) {
-  // A full group's setup is in flight when one more compatible query
-  // arrives: it opens a sibling instead of an independent group, so the
-  // set's one setup covers it (one construct launch, plan key at the
-  // snapshot's k) — and when that setup's construct launch fails, the
-  // joiner falls back with the rest, counted once. Arrival order is a
+TEST(Serve, StreamedJoinerPastBatchMaxJoinsTheSetInSetup) {
+  // A set of batch_max queries is in setup when one more compatible query
+  // arrives: it joins the set, so the set's one setup covers it (one
+  // construct launch, plan key at the snapshot's k) and the set reports
+  // two admission groups — and when that setup's construct launch fails,
+  // the joiner falls back with the rest, counted once. Arrival order is a
   // race, so each case repeats until the joiner arrived after the setup
   // snapshot (a cold setup calibrates for milliseconds first).
   const u64 n = u64{1} << 18;
@@ -1480,8 +1517,11 @@ TEST(Serve, StreamedJoinerOpensASiblingWhileTheFirstGroupSetsUp) {
       server.drain();
       const ServerStats s = server.stats();
       const auto plans = server.plan_cache().entries();
+      // One plan, keyed at the snapshot's largest k: the joiner's k sized
+      // no plan, so it neither joined before the snapshot nor opened a set
+      // of its own.
       const bool after_snapshot =
-          s.shared_setup_groups == 1 && plans.size() == 1 &&
+          plans.size() == 1 &&
           plans.front().first ==
               PlanCache::make_key(vs, 128, Criterion::kLargest);
       if (!after_snapshot) continue;
@@ -1494,7 +1534,7 @@ TEST(Serve, StreamedJoinerOpensASiblingWhileTheFirstGroupSetsUp) {
       }
     }
     EXPECT_TRUE(seen) << (fault ? "fault" : "clean")
-                      << ": no joiner opened a sibling after the snapshot";
+                      << ": no joiner joined the set after the snapshot";
   }
 }
 
@@ -1560,116 +1600,99 @@ TEST(Serve, StreamedJoinersRideTheGroupSetupAndStayExact) {
   EXPECT_EQ(server.stats().failed, 0u);
 }
 
-TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewGroup) {
-  // Deterministic, with no executor thread: a group admits while its setup
-  // runs, close_admission freezes its members, a later compatible query
-  // opens a new group, and publish closes a group whose setup never did.
+TEST(AdmissionQueue, SetupClosesAdmissionAndLaterQueriesOpenANewSet) {
+  // Deterministic, with no executor thread: a claim hands over a whole set
+  // and snapshots its members' ks, the set admits while its setup runs,
+  // close_admission freezes its members and removes it from the queue, a
+  // later compatible query opens a new set, and freed slots and delivered
+  // answers are counted apart.
   auto v = data::generate(1 << 12, Distribution::kUniform, 211);
   std::span<const u32> vs(v.data(), v.size());
-  AdmissionQueue q(/*batch_max=*/8, /*max_in_flight=*/64);
+  AdmissionQueue q(/*max_in_flight=*/64);
 
   auto f1 = q.submit(Query::view(vs, 10));
-  AdmissionQueue::Claim setup1;
-  ASSERT_TRUE(q.next(setup1));
-  ASSERT_TRUE(setup1.needs_setup);
-  const std::shared_ptr<Group> g1 = setup1.group;
+  const std::shared_ptr<Group> g1 = q.next();
+  ASSERT_NE(g1, nullptr);
   EXPECT_EQ(g1->setup_ks, std::vector<u64>{10});
 
-  // Setup claimed, vector not built yet: a compatible query joins.
+  // Set claimed, vector not built yet: a compatible query joins.
   auto f2 = q.submit(Query::view(vs, 20));
   EXPECT_EQ(g1->items.size(), 2u);
 
   // Setup closes admission once the vector is built: every member's k.
   EXPECT_EQ(q.close_admission(*g1), (std::vector<u64>{10, 20}));
-  EXPECT_EQ(g1->final_items, 2u);
+  EXPECT_TRUE(q.close_admission(*g1).empty());  // already closed
 
-  // The next compatible query opens a second group.
+  // The next compatible query opens a second set, the next claim.
   auto f3 = q.submit(Query::view(vs, 30));
   EXPECT_EQ(g1->items.size(), 2u);
-  AdmissionQueue::Claim setup2;
-  ASSERT_TRUE(q.next(setup2));
-  ASSERT_TRUE(setup2.needs_setup);
-  const std::shared_ptr<Group> g2 = setup2.group;
+  const std::shared_ptr<Group> g2 = q.next();
+  ASSERT_NE(g2, nullptr);
   ASSERT_NE(g2, g1);
   EXPECT_EQ(g2->setup_ks, std::vector<u64>{30});
 
-  // publish closes a group still admitting (a direct shape, a setup that
-  // threw): its one item becomes claimable and the next query opens a
-  // third group.
-  q.publish(g2);
-  EXPECT_EQ(g2->final_items, 1u);
+  // A setup that never closed (a direct shape, a setup that threw) closes
+  // afterwards, and the next query opens a third set.
+  EXPECT_EQ(q.close_admission(*g2), std::vector<u64>{30});
   auto f4 = q.submit(Query::view(vs, 40));
   EXPECT_EQ(g2->items.size(), 1u);
-  AdmissionQueue::Claim item;
-  ASSERT_TRUE(q.next(item));
-  EXPECT_FALSE(item.needs_setup);
-  EXPECT_EQ(item.group, g2);
-  EXPECT_EQ(item.item->query.k, 30u);
-  AdmissionQueue::Claim setup3;
-  ASSERT_TRUE(q.next(setup3));
-  ASSERT_TRUE(setup3.needs_setup);
-  EXPECT_NE(setup3.group, g1);
-  EXPECT_NE(setup3.group, g2);
-  EXPECT_EQ(setup3.group->setup_ks, std::vector<u64>{40});
+  const std::shared_ptr<Group> g3 = q.next();
+  ASSERT_NE(g3, nullptr);
+  EXPECT_NE(g3, g1);
+  EXPECT_NE(g3, g2);
+  EXPECT_EQ(g3->setup_ks, std::vector<u64>{40});
   EXPECT_EQ(q.in_flight(), 4u);
+
+  // A set frees its slots before it delivers; drain() waits for delivery.
+  q.free_slots(g1->items.size());
+  EXPECT_EQ(q.in_flight(), 2u);
+  q.delivered(g1->items.size());
+  q.free_slots(2);
+  q.delivered(2);
+  EXPECT_EQ(q.in_flight(), 0u);
+  q.drain();  // every admitted query delivered: returns at once
 }
 
-TEST(AdmissionQueue, FullGroupsOpenSiblingsThatShareOneSetup) {
-  // Deterministic, with no executor thread: a query that finds the
-  // admitting group full opens a sibling group of it, which joins the
-  // group's set instead of claiming a setup of its own: the one setup claim
-  // snapshots every member's k, the close freezes the set and returns every
-  // member's k, a later query opens an independent group, and publish makes
-  // every member claimable through the set's one cursor.
+TEST(AdmissionQueue, BurstPastBatchMaxStaysOneSet) {
+  // Deterministic, with no executor thread: a burst larger than the
+  // server's default batch_max is one set; the one claim snapshots every
+  // member's k, joiners are admitted until the close, the close returns
+  // every k, and a later query opens a new set.
   auto v = data::generate(1 << 12, Distribution::kUniform, 213);
   std::span<const u32> vs(v.data(), v.size());
-  AdmissionQueue q(/*batch_max=*/2, /*max_in_flight=*/64);
+  AdmissionQueue q(/*max_in_flight=*/64);
+  const u64 burst = ServerConfig{}.batch_max + 4;
 
-  std::vector<std::future<QueryResult>> fs;
-  for (const u64 k : {10, 20, 30}) fs.push_back(q.submit(Query::view(vs, k)));
-  AdmissionQueue::Claim setup;
-  ASSERT_TRUE(q.next(setup));
-  ASSERT_TRUE(setup.needs_setup);
-  const std::shared_ptr<Group> g = setup.group;
-  EXPECT_EQ(g->items.size(), 3u);
-  EXPECT_EQ(g->groups, 2u);
-  EXPECT_EQ(g->setup_ks, (std::vector<u64>{10, 20, 30}));
+  std::vector<Query> qs;
+  std::vector<u64> ks;
+  for (u64 i = 0; i < burst; ++i) {
+    qs.push_back(Query::view(vs, 10 * (i + 1)));
+    ks.push_back(10 * (i + 1));
+  }
+  auto fs = q.submit_many(qs);
+  const std::shared_ptr<Group> g = q.next();
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->items.size(), burst);
+  EXPECT_EQ(g->setup_ks, ks);
 
-  // While the setup runs, the youngest group takes a joiner, and a full
-  // one opens a third sibling.
-  fs.push_back(q.submit(Query::view(vs, 40)));
-  EXPECT_EQ(g->groups, 2u);
-  fs.push_back(q.submit(Query::view(vs, 50)));
-  EXPECT_EQ(g->groups, 3u);
-  EXPECT_EQ(g->items.size(), 5u);
+  // While the setup runs, joiners are admitted into the claimed set.
+  for (const u64 k : {u64{1000}, u64{1010}}) {
+    fs.push_back(q.submit(Query::view(vs, k)));
+    ks.push_back(k);
+  }
+  EXPECT_EQ(g->items.size(), burst + 2);
+  EXPECT_EQ(g->setup_ks.size(), burst);  // the claim's snapshot
 
-  EXPECT_EQ(q.close_admission(*g), (std::vector<u64>{10, 20, 30, 40, 50}));
-  EXPECT_EQ(g->final_items, 5u);
-  EXPECT_EQ(g->groups, 3u);
+  EXPECT_EQ(q.close_admission(*g), ks);
   EXPECT_TRUE(q.close_admission(*g).empty());  // already closed
 
-  // Closed: the next compatible query opens an independent group, whose
-  // setup is the next claim — no sibling claimed one before it.
+  // Closed: the next compatible query opens a new set, the next claim.
   fs.push_back(q.submit(Query::view(vs, 60)));
-  AdmissionQueue::Claim other;
-  ASSERT_TRUE(q.next(other));
-  ASSERT_TRUE(other.needs_setup);
-  EXPECT_NE(other.group, g);
-  EXPECT_EQ(other.group->groups, 1u);
-  EXPECT_EQ(other.group->setup_ks, std::vector<u64>{60});
-
-  // publish: every sibling's members become claimable, in FIFO order.
-  q.publish(g);
-  std::vector<u64> claimed;
-  for (int i = 0; i < 5; ++i) {
-    AdmissionQueue::Claim item;
-    ASSERT_TRUE(q.next(item));
-    ASSERT_FALSE(item.needs_setup);
-    EXPECT_EQ(item.group, g);
-    claimed.push_back(item.item->query.k);
-  }
-  EXPECT_EQ(claimed, (std::vector<u64>{10, 20, 30, 40, 50}));
-  EXPECT_EQ(q.in_flight(), 6u);
+  const std::shared_ptr<Group> other = q.next();
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other, g);
+  EXPECT_EQ(other->setup_ks, std::vector<u64>{60});
+  EXPECT_EQ(q.in_flight(), burst + 3);
 }
 
 TEST(Serve, ConstructorRejectsBasesTheBatchedStagesCannotServe) {

@@ -147,39 +147,38 @@ TEST(WorkspacePool, LeasesRecycleCapacity) {
   EXPECT_EQ(pool.size(), 2u);
 }
 
-TEST(WorkspacePool, LeaseAffinityPrefersLastReturnedArena) {
-  // First-touch locality groundwork: a caller that tags its acquires gets
-  // back the arena it last returned, even when other arenas sit on top of
-  // the free stack.
+TEST(WorkspacePool, AcquirePrefersAFittingArenaThenTheLastReturned) {
+  // Capacity first: an arena already big enough for the request beats the
+  // one returned last; with none big enough, the last returned is reused.
+  // Either way a free arena beats creating a new workspace.
   vgpu::WorkspacePool pool;
-  u32 *e0, *e1;
+  const vgpu::Workspace *big, *small;
+  u64 big_cap;
   {
-    auto l0 = pool.acquire(0, /*affinity=*/0);
-    auto l1 = pool.acquire(0, /*affinity=*/1);
-    e0 = l0->alloc<u32>(64).data();
-    e1 = l1->alloc<u32>(64).data();
-    // l1 releases last, so it tops the free stack; affinity must still
-    // route executor 0 back to its own arena.
+    auto lb = pool.acquire();
+    auto ls = pool.acquire();
+    (void)lb->alloc<u32>(u64{1} << 20);
+    (void)ls->alloc<u32>(64);
+    big = lb.get();
+    small = ls.get();
+    big_cap = big->capacity_bytes();
+    ASSERT_LT(small->capacity_bytes(), big_cap);
+    lb = {};  // the big arena goes back first: the small one tops the stack
   }
   {
-    auto l0 = pool.acquire(0, /*affinity=*/0);
-    EXPECT_EQ(l0->alloc<u32>(64).data(), e0);
-    auto l1 = pool.acquire(0, /*affinity=*/1);
-    EXPECT_EQ(l1->alloc<u32>(64).data(), e1);
+    auto l = pool.acquire(big_cap);
+    EXPECT_EQ(l.get(), big);
   }
-  // Availability beats affinity: a caller with no matching arena takes any
-  // free one instead of allocating a new workspace.
   {
-    auto l9 = pool.acquire(0, /*affinity=*/9);
-    (void)l9;
-    EXPECT_EQ(pool.size(), 2u);
-  }
-  // Untagged acquires keep working and never allocate while arenas are free.
-  {
+    // The big arena went back last, so an unsized request reuses it.
     auto l = pool.acquire();
-    (void)l;
-    EXPECT_EQ(pool.size(), 2u);
+    EXPECT_EQ(l.get(), big);
+    // With the big arena leased, a request too large for every free arena
+    // still takes a free one instead of creating a workspace.
+    auto m = pool.acquire(2 * big_cap);
+    EXPECT_EQ(m.get(), small);
   }
+  EXPECT_EQ(pool.size(), 2u);
 }
 
 TEST(Workspace, EngineCallsReuseOneArena) {
